@@ -2,7 +2,17 @@
 
 Extended forests (one tree per root constant plus extra arcs back to
 roots), node/arc content maps over signed predicates, the ground-atom
-dependency graph with memoized reachability, and trail-based undo.
+dependency graph, and trail-based undo.
+
+The graph indexes its unary atoms by node, so a blocking check reads the
+atoms of two nodes without scanning every vertex. Reachability answers
+are memoized across tasks: a path found stays valid until an arc is
+undone, a path missed until an arc is added. The engines keep the graph
+acyclic by testing each new arc before inserting it (`closes_cycle`);
+`has_cycle` is a full search kept for completion audits.
+
+Node ids, signed predicates and ground atoms are hashed on every lookup
+of the search, so each computes its hash once, at construction.
 
 A state instance is confined to one search task; nothing here is
 thread-safe across tasks.
@@ -10,7 +20,7 @@ thread-safe across tasks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .syntax import FolpError
@@ -29,10 +39,19 @@ class NodeId:
     """A node c.i1.i2...: a root name plus a path of positive integers.
 
     Prefix closure holds by construction: children are only ever created
-    under existing nodes."""
+    under existing nodes. A node keeps the parent object it was made
+    from, so the ancestors of a forest node are the forest's own ids,
+    which dictionaries find by identity."""
 
     root: str
     path: tuple[int, ...] = ()
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.root, self.path)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_root(self) -> bool:
@@ -45,10 +64,16 @@ class NodeId:
     def parent(self) -> Optional["NodeId"]:
         if not self.path:
             return None
-        return NodeId(self.root, self.path[:-1])
+        parent = self.__dict__.get("_parent")
+        if parent is None:
+            parent = NodeId(self.root, self.path[:-1])
+            object.__setattr__(self, "_parent", parent)
+        return parent
 
     def child(self, index: int) -> "NodeId":
-        return NodeId(self.root, self.path + (index,))
+        child = NodeId(self.root, self.path + (index,))
+        object.__setattr__(child, "_parent", self)
+        return child
 
     def ancestors(self) -> Iterator["NodeId"]:
         """Proper ancestors, nearest first."""
@@ -78,6 +103,13 @@ class Signed:
 
     name: str
     positive: bool
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.name, self.positive)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def negated(self) -> "Signed":
         return Signed(self.name, not self.positive)
@@ -98,6 +130,13 @@ def format_content(content: Iterable[Signed]) -> str:
 class GroundAtom:
     pred: str
     args: tuple[NodeId, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.pred, self.args)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return f"{self.pred}({','.join(str(a) for a in self.args)})"
@@ -130,15 +169,13 @@ class ExtendedForest:
         self.constants: frozenset[str] = frozenset(constants)
         if len(set(self.roots)) != len(self.roots):
             raise StructureError("duplicate root names")
+        self._root_nodes = tuple(NodeId(r) for r in self.roots)
         self._children: dict[NodeId, list[NodeId]] = {
-            NodeId(r): [] for r in self.roots
+            root: [] for root in self._root_nodes
         }
-        self._next_index: dict[NodeId, int] = {NodeId(r): 1 for r in self.roots}
+        self._next_index: dict[NodeId, int] = dict.fromkeys(self._root_nodes, 1)
         self._es: dict[NodeId, list[NodeId]] = {}
         self._es_set: set[ArcId] = set()
-
-    def root_nodes(self) -> list[NodeId]:
-        return [NodeId(r) for r in self.roots]
 
     def is_constant_node(self, node: NodeId) -> bool:
         return node.is_root and node.root in self.constants
@@ -149,9 +186,8 @@ class ExtendedForest:
     def nodes(self) -> Iterator[NodeId]:
         """Deterministic order: roots first (declaration order), then the
         anonymous interiors of each tree in preorder."""
-        for root in self.root_nodes():
-            yield root
-        for root in self.root_nodes():
+        yield from self._root_nodes
+        for root in self._root_nodes:
             yield from self._interior(root)
 
     def _interior(self, node: NodeId) -> Iterator[NodeId]:
@@ -232,15 +268,21 @@ class ExtendedForest:
 class DependencyGraph:
     """Directed graph over ground atoms with reachability queries.
 
-    Reachability is memoized per (source, sink); the memo is invalidated
-    by any arc insertion, including undone ones."""
+    Unary atoms are also kept in per-node buckets, in insertion order, so
+    the atoms of one node are found without a scan of all vertices.
+
+    Reachability is memoized per (source, sink) across mutations, by sign
+    of the answer: adding an arc can only create paths, so it drops the
+    memoized misses; undoing an arc can only break paths, so it drops the
+    memoized hits. Adding or removing an isolated vertex changes no path
+    between other vertices, so it drops neither."""
 
     def __init__(self, trail: Trail):
         self.trail = trail
         self._succ: dict[GroundAtom, list[GroundAtom]] = {}
-        self._version = 0
-        self._cache_version = -1
-        self._reach_cache: dict[tuple[GroundAtom, GroundAtom], bool] = {}
+        self._by_node: dict[NodeId, list[GroundAtom]] = {}
+        self._reachable: set[tuple[GroundAtom, GroundAtom]] = set()
+        self._unreachable: set[tuple[GroundAtom, GroundAtom]] = set()
 
     def vertices(self) -> list[GroundAtom]:
         return list(self._succ.keys())
@@ -256,16 +298,24 @@ class DependencyGraph:
     def arc_count(self) -> int:
         return sum(len(t) for t in self._succ.values())
 
-    def _touch(self) -> None:
-        self._version += 1
+    def unary_atoms(self, node: NodeId) -> list[GroundAtom]:
+        """The vertices p(node), in insertion order."""
+        return list(self._by_node.get(node, ()))
 
     def add_vertex(self, atom: GroundAtom) -> None:
         if atom in self._succ:
             return
         self._succ[atom] = []
+        bucket = None
+        if len(atom.args) == 1:
+            bucket = self._by_node.setdefault(atom.args[0], [])
+            bucket.append(atom)
 
         def undo() -> None:
             del self._succ[atom]
+            if bucket is not None:
+                # undo runs in reverse order, so the atom is the newest entry
+                bucket.pop()
 
         self.trail.push(undo)
 
@@ -275,13 +325,18 @@ class DependencyGraph:
         if dst in self._succ[src]:
             return
         self._succ[src].append(dst)
-        self._touch()
+        self._unreachable.clear()
 
         def undo() -> None:
             self._succ[src].remove(dst)
-            self._touch()
+            self._reachable.clear()
 
         self.trail.push(undo)
+
+    def closes_cycle(self, src: GroundAtom, dst: GroundAtom) -> bool:
+        """Whether adding src -> dst to this graph, if acyclic, would
+        close a cycle: exactly when dst already reaches src."""
+        return src == dst or self.reaches(dst, src)
 
     def successors(self, atom: GroundAtom) -> list[GroundAtom]:
         return list(self._succ.get(atom, ()))
@@ -290,13 +345,11 @@ class DependencyGraph:
         """Reflexive-transitive reachability."""
         if src == dst:
             return src in self._succ
-        if self._cache_version != self._version:
-            self._reach_cache.clear()
-            self._cache_version = self._version
         key = (src, dst)
-        cached = self._reach_cache.get(key)
-        if cached is not None:
-            return cached
+        if key in self._reachable:
+            return True
+        if key in self._unreachable:
+            return False
         seen = {src}
         stack = [src]
         found = False
@@ -309,15 +362,15 @@ class DependencyGraph:
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
-        self._reach_cache[key] = found
+        (self._reachable if found else self._unreachable).add(key)
         return found
 
     def paths_set(
         self, y: NodeId, x: NodeId, free_preds: frozenset[str]
     ) -> set[tuple[str, str]]:
         """Pairs (p, q) with a path from p(y) to q(x) and q not free."""
-        sources = [a for a in self._succ if a.args == (y,)]
-        sinks = [a for a in self._succ if a.args == (x,) and a.pred not in free_preds]
+        sources = self._by_node.get(y, ())
+        sinks = [a for a in self._by_node.get(x, ()) if a.pred not in free_preds]
         return {
             (p.pred, q.pred)
             for p in sources
@@ -433,6 +486,14 @@ class ForestState:
             self.g.add_vertex(self.atom_for(key, sp.name))
         return True
 
+    def add_dependency(self, src: GroundAtom, dst: GroundAtom) -> None:
+        """Add src -> dst to the dependency graph, which the engines keep
+        acyclic; raises ClashError instead when the arc would close a
+        cycle."""
+        if self.g.closes_cycle(src, dst):
+            raise ClashError(f"dependency cycle: {src} -> {dst}")
+        self.g.add_arc(src, dst)
+
     def positive_atoms(self) -> Iterator[GroundAtom]:
         for key, content in self.ct.items():
             for sp in content:
@@ -453,6 +514,13 @@ class ForestState:
             ):
                 return y
         return None
+
+    def equal_ancestor_count(self, x: NodeId) -> int:
+        """Proper ancestors of x whose content equals ct(x): the measure
+        the redundancy bound limits."""
+        content = self.content(x)
+        ct = self.ct
+        return sum(1 for y in x.ancestors() if ct.get(y, _NO_CONTENT) == content)
 
     def is_blocked(self, x: NodeId) -> bool:
         return self.find_blocking_pair(x) is not None
@@ -506,6 +574,9 @@ class ForestState:
             lines.append(f'  "{src}" -> "{dst}";')
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+_NO_CONTENT: frozenset = frozenset()
 
 
 def _key_str(key: Key) -> str:

@@ -13,7 +13,11 @@ unexpanded constant accrues those requirements, constraining its later
 match; on an already expanded constant the requirement must be covered
 by its (total) content, otherwise the branch fails. Merged dependency
 arcs can close cycles through constants, which the direct engine would
-have rejected, so a cycle is treated as a clash here too.
+have rejected, so a cycle is treated as a clash here too: each grafted
+arc is tested as it is inserted (the graph is acyclic before every
+graft), and the completion audit searches the whole graph once more.
+A graft copies contents and arcs in a fixed order, so where it stops on
+a clash does not depend on the hash seed.
 
 Search order and verdict semantics mirror the direct engine: ε first,
 then constants in declaration order, then leftmost-first successors;
@@ -115,15 +119,15 @@ class A2CompletionStructure(ForestState):
     def is_redundant_node(self, x: NodeId) -> bool:
         if not self.is_expanded(x) or self.is_blocked(x):
             return False
-        content = self.content_of_node(x)
-        equal = sum(1 for y in x.ancestors() if self.content_of_node(y) == content)
-        return equal >= self.k
+        return self.equal_ancestor_count(x) >= self.k
 
     # -- the Match rule --------------------------------------------------
 
     def expand_cs(self, x: NodeId, uc: UnitCompletionStructure) -> None:
         """Graft the unit onto x: copy successors, contents, and
-        dependency arcs under the relabeling of the unit root to x."""
+        dependency arcs under the relabeling of the unit root to x.
+        Raises ClashError on the first contradicting content entry or
+        cycle-closing arc."""
         if uc.root_constant is not None and NodeId(uc.root_constant) != x:
             raise ValueError(
                 f"unit rooted at constant {uc.root_constant!r} cannot expand {x}"
@@ -135,10 +139,11 @@ class A2CompletionStructure(ForestState):
         if not local_satisfies(uc, self.content(x)):
             raise ValueError(f"unit does not locally satisfy the content of {x}")
         self.set_node_status(x, EXP)
-        for sp in uc.root_content:
+        root_content, successors, g_arcs = uc.graft_order()
+        for sp in root_content:
             self.insert(x, sp)
         token_node: dict = {None: x}
-        for succ in uc.successors:
+        for succ, arc_content, node_content in successors:
             if succ.is_constant:
                 node = NodeId(succ.target)
                 if succ.has_arc:
@@ -154,16 +159,14 @@ class A2CompletionStructure(ForestState):
             token_node[succ.target] = node
             if succ.has_arc:
                 arc = (x, node)
-                for sp in succ.arc_content:
+                for sp in arc_content:
                     self.insert(arc, sp)
-            for sp in succ.node_content:
+            for sp in node_content:
                 # on an already expanded node (a constant) this either
                 # no-ops or raises: its content is total
                 self.insert(node, sp)
-        for a, b in uc.g_arcs:
-            self.g.add_arc(self._atom(token_node, a), self._atom(token_node, b))
-        if self.g.has_cycle():
-            raise ClashError(f"dependency cycle after matching at {x}")
+        for a, b in g_arcs:
+            self.add_dependency(self._atom(token_node, a), self._atom(token_node, b))
 
     @staticmethod
     def _atom(token_node: dict, atom) -> GroundAtom:
@@ -234,10 +237,7 @@ class A2CompletionStructure(ForestState):
         bound is checked once right after its match; the completion audit
         re-checks every node against the final blocking statuses."""
         if not self.is_blocked(x):
-            content = self.content_of_node(x)
-            equal = sum(
-                1 for y in x.ancestors() if self.content_of_node(y) == content
-            )
+            equal = self.equal_ancestor_count(x)
             if equal >= self.k:
                 self.stats.redundancy_events.append(
                     {

@@ -201,6 +201,7 @@ class Program:
         self.constants: tuple[str, ...] = tuple(constants)
         self.free_preds: frozenset[str] = frozenset(free)
         self._by_head = {p: tuple(rs) for p, rs in by_head.items()}
+        self._fingerprint: Optional[str] = None
 
     def rules_for_head(self, pred: str) -> tuple[Rule, ...]:
         return self._by_head.get(pred, ())
@@ -223,7 +224,13 @@ class Program:
         return "".join(format_rule(r) + "\n" for r in self.rules)
 
     def fingerprint(self) -> str:
-        return hashlib.sha256(self.canonical_text().encode("utf-8")).hexdigest()
+        """SHA-256 of the canonical text; computed once, since the rules
+        never change."""
+        if self._fingerprint is None:
+            self._fingerprint = hashlib.sha256(
+                self.canonical_text().encode("utf-8")
+            ).hexdigest()
+        return self._fingerprint
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Program) and self.rules == other.rules

@@ -195,7 +195,9 @@ class A1CompletionStructure(ForestState):
 
     The status map tracks every content entry; negative non-free entries
     additionally carry a ledger of already refuted rule instances, so a
-    fresh successor re-arms them for the new instances only."""
+    fresh successor re-arms them for the new instances only. Per key, the
+    number of expanded entries is kept beside the map, which makes the
+    saturation test a few counter reads."""
 
     algorithm = "a1"
 
@@ -229,6 +231,7 @@ class A1CompletionStructure(ForestState):
         self.max_tasks = max_tasks
         self.pruned = False
         self.st: dict[tuple[Key, Signed], str] = {}
+        self.expanded: dict[Key, int] = {}
         self.handled: dict[tuple[Key, Signed], set] = {}
         if pred is not None:
             self.insert_tracked(self.epsilon, Signed(pred, True))
@@ -239,12 +242,17 @@ class A1CompletionStructure(ForestState):
         skey = (key, sp)
         old = self.st.get(skey)
         self.st[skey] = value
+        delta = (value == EXP) - (old == EXP)
+        if delta:
+            self.expanded[key] = self.expanded.get(key, 0) + delta
 
         def undo() -> None:
             if old is None:
                 del self.st[skey]
             else:
                 self.st[skey] = old
+            if delta:
+                self.expanded[key] -= delta
 
         self.trail.push(undo)
 
@@ -288,20 +296,20 @@ class A1CompletionStructure(ForestState):
 
     def is_saturated(self, x: NodeId) -> bool:
         """Every unary predicate decided and expanded at x, every binary
-        predicate decided and expanded on every outgoing arc."""
-        for q in self.program.upreds:
-            if not self.decided(x, q):
-                return False
-        for sp in self.content(x):
-            if self.st.get((x, sp)) != EXP:
-                return False
+        predicate decided and expanded on every outgoing arc.
+
+        Read off the expanded-entry counts: statuses are only set on
+        content entries, and a node (arc) content holds at most one sign
+        of each unary (binary) predicate and nothing else, so all of them
+        are decided and expanded exactly when as many entries as there
+        are predicates are expanded."""
+        expanded = self.expanded
+        if expanded.get(x, 0) != len(self.program.upreds):
+            return False
+        n_bpreds = len(self.program.bpreds)
         for arc in self.forest.arcs_from(x):
-            for f in self.program.bpreds:
-                if not self.decided(arc, f):
-                    return False
-            for sp in self.content(arc):
-                if self.st.get((arc, sp)) != EXP:
-                    return False
+            if expanded.get(arc, 0) != n_bpreds:
+                return False
         return True
 
     def is_redundant_node(self, x: NodeId) -> bool:
@@ -312,11 +320,7 @@ class A1CompletionStructure(ForestState):
             return False
         if self.is_blocked(x):
             return False
-        content = self.content_of_node(x)
-        equal = sum(
-            1 for y in x.ancestors() if self.content_of_node(y) == content
-        )
-        return equal >= self.k
+        return self.equal_ancestor_count(x) >= self.k
 
     # -- grounding helpers ------------------------------------------------
 
@@ -480,9 +484,7 @@ class A1CompletionStructure(ForestState):
                     body_positive.append(GroundAtom(lit.atom.pred, (y,)))
         self.set_status(x, sp, EXP)
         for atom in body_positive:
-            self.g.add_arc(head_atom, atom)
-        if body_positive and self.g.has_cycle():
-            raise ClashError(f"dependency cycle while justifying {head_atom}")
+            self.add_dependency(head_atom, atom)
 
     def expand_unary_negative(self, x: NodeId, p: str) -> list[Alternative]:
         """Refutation choices for the first pending instance of a rule
@@ -631,9 +633,7 @@ class A1CompletionStructure(ForestState):
                 body_positive.append(GroundAtom(lit.atom.pred, (y,)))
         self.set_status(arc, sp, EXP)
         for atom in body_positive:
-            self.g.add_arc(head_atom, atom)
-        if body_positive and self.g.has_cycle():
-            raise ClashError(f"dependency cycle while justifying {head_atom}")
+            self.add_dependency(head_atom, atom)
 
     def expand_binary_negative(self, arc: ArcId, f: str) -> list[Alternative]:
         """Both arc endpoints are fixed, so each defining rule contributes
@@ -776,12 +776,7 @@ class A1CompletionStructure(ForestState):
             if task is not None:
                 return task
             if is_saturated(x) and not is_blocked(x):
-                content = self.content_of_node(x)
-                equal = sum(
-                    1
-                    for y in x.ancestors()
-                    if self.content_of_node(y) == content
-                )
+                equal = self.equal_ancestor_count(x)
                 if equal >= self.k:
                     self.stats.redundancy_events.append(
                         {

@@ -53,6 +53,10 @@ def _atom_key(atom: UAtom):
     return (atom[0], tuple(_token_key(t) for t in atom[1]))
 
 
+def _arc_key(arc: tuple[UAtom, UAtom]):
+    return (_atom_key(arc[0]), _atom_key(arc[1]))
+
+
 def _content_key(content: frozenset[Signed]):
     return tuple(sorted(((sp.name, not sp.positive) for sp in content)))
 
@@ -142,14 +146,33 @@ class UnitCompletionStructure:
                 _content_key(self.root_content),
                 len(self.successors),
                 tuple(s.sort_key() for s in self.successors),
-                tuple(
-                    sorted(
-                        (_atom_key(a), _atom_key(b)) for a, b in self.g_arcs
-                    )
-                ),
+                tuple(sorted(_arc_key(arc) for arc in self.g_arcs)),
             )
             object.__setattr__(self, "_key", key)
         return key
+
+    def graft_order(self):
+        """Root content, (successor, arc content, node content) per
+        successor, and dependency arcs, each content and the arcs sorted.
+        Grafting stops at the first contradiction or cycle, so the work
+        it does before stopping must not follow set iteration order,
+        which changes with the hash seed."""
+        order = self.__dict__.get("_graft")
+        if order is None:
+            order = (
+                tuple(sorted(self.root_content, key=signed_sort_key)),
+                tuple(
+                    (
+                        succ,
+                        tuple(sorted(succ.arc_content, key=signed_sort_key)),
+                        tuple(sorted(succ.node_content, key=signed_sort_key)),
+                    )
+                    for succ in self.successors
+                ),
+                tuple(sorted(self.g_arcs, key=_arc_key)),
+            )
+            object.__setattr__(self, "_graft", order)
+        return order
 
     def match_key(self):
         """Candidate order for the matching engine: least constraining
@@ -528,7 +551,7 @@ def save_cache(cache: UnitCache, path) -> None:
                 "paths: "
                 + ", ".join(f"{p}->{q}" for p, q in sorted(succ.paths))
             )
-        for a, b in sorted(unit.g_arcs, key=lambda ab: (_atom_key(ab[0]), _atom_key(ab[1]))):
+        for a, b in sorted(unit.g_arcs, key=_arc_key):
             lines.append(f"garc: {format_uatom(a)} -> {format_uatom(b)}")
         lines.append("end")
     text = "\n".join(lines) + "\n"

@@ -4,6 +4,8 @@ import pytest
 
 from folp.syntax import eliminate_constraints, parse_program
 
+from corpus import bench_family
+
 ROOT = Path(__file__).resolve().parent.parent
 PROGRAMS = ROOT / "programs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -37,3 +39,19 @@ def choice_chain():
     """p is forced everywhere by its self-refuting rule; q is locally
     satisfiable but globally unsatisfiable."""
     return load("choice_chain.folp")
+
+
+@pytest.fixture(scope="session")
+def hard():
+    """Three rules whose query p is UNSAT only after an exhaustive search:
+    13,169 direct-engine tasks and 731 redundancy clashes at k = 5."""
+    return parse_program(
+        "f(X,Y) v not f(X,Y).\n"
+        "r(X) :- r(X), f(X,a), not q(a), f(X,Z), r(Z), q(Z).\n"
+        "p(X) :- f(X,Y), p(Y), not q(Y), f(X,Z), p(Z), Y != Z.\n"
+    )
+
+
+@pytest.fixture(scope="session")
+def family():
+    return parse_program(bench_family())

@@ -1,6 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL
-line with its wall time. The random corpus is seeded, so every run
-exercises identical programs."""
+line with its wall time, plus a cross-check of the direct engine's
+incremental bookkeeping over the same corpus. The random corpus is
+seeded, so every run exercises identical programs."""
 
 import json
 import time
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from folp import tableau, units as units_module
 from folp.forest import Signed, StructureError
 from folp.matcher import check_sat_a2
 from folp.oracle import bounded_sat, is_answer_set
@@ -25,6 +27,7 @@ from folp.units import (
 
 from conftest import GOLDEN, PROGRAMS
 from corpus import bench_family, corpus
+from reference import saturation_checked_a1
 
 CORPUS_SEED = 20260810
 BASELINE = Path(__file__).resolve().parent / "perf_baseline.json"
@@ -259,3 +262,20 @@ def test_criterion_8_compiled_engine_amortizes(tmp_path, capsys):
         if not BASELINE.exists():
             BASELINE.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
         assert a2_total <= a1_total, record
+
+
+def test_counter_saturation_matches_recomputation_on_corpus(corpus_run, monkeypatch):
+    """At every task selection of every corpus search, unit enumeration
+    included, the counter-based saturation test agrees with a full
+    recomputation, and the searches come out as before."""
+    checked = saturation_checked_a1()
+    monkeypatch.setattr(tableau, "A1CompletionStructure", checked)
+    monkeypatch.setattr(units_module, "A1CompletionStructure", checked)
+    policy = RedundancyPolicy(k_override=5, time_limit=120)
+    entries, _ = corpus_run
+    for entry in entries:
+        assert enumerate_unit_completions(entry.transformed) == entry.units
+        for pred, verdict in entry.a1.items():
+            again = check_sat_a1(entry.transformed, pred, policy)
+            assert again.to_record() == verdict.to_record()
+    assert checked.checks > 0

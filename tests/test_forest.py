@@ -137,6 +137,91 @@ def test_reaches_cache_invalidated_by_new_arcs():
     assert g.reaches(a, b)
 
 
+def test_reaches_agrees_with_recomputation_across_undo():
+    """The memo keeps hits across insertions and misses across undos;
+    every answer must still match a recomputation on the current arcs."""
+    rng = random.Random(23)
+    for _ in range(20):
+        n = rng.randint(2, 9)
+        vertices = [atom("p", NodeId(f"n{i}")) for i in range(n)]
+        trail = Trail()
+        g = DependencyGraph(trail)
+        for a in vertices:
+            g.add_vertex(a)
+        history = [(trail.mark(), [])]
+        for _ in range(rng.randint(5, 30)):
+            if rng.random() < 0.3 and len(history) > 1:
+                mark, _arcs = history[rng.randrange(len(history))]
+                trail.undo_to(mark)
+                history = [h for h in history if h[0] <= mark]
+            else:
+                a, b = rng.choice(vertices), rng.choice(vertices)
+                g.add_arc(a, b)
+                history.append((trail.mark(), history[-1][1] + [(a, b)]))
+            arcs = history[-1][1]
+            assert sorted(g.arcs(), key=str) == sorted(set(arcs), key=str)
+            for a in vertices:
+                for b in vertices:
+                    assert g.reaches(a, b) == naive_reachable(arcs, a, b, vertices)
+
+
+def test_closes_cycle_agrees_with_has_cycle():
+    """On an acyclic graph, the insertion-time test predicts exactly
+    whether the full search finds a cycle once the arc is in."""
+    rng = random.Random(5)
+    closing = 0
+    for _ in range(30):
+        n = rng.randint(1, 8)
+        vertices = [atom("p", NodeId(f"n{i}")) for i in range(n)]
+        trail = Trail()
+        g = DependencyGraph(trail)
+        for _ in range(rng.randint(1, 4 * n)):
+            a, b = rng.choice(vertices), rng.choice(vertices)
+            mark = trail.mark()
+            predicted = g.closes_cycle(a, b)
+            g.add_arc(a, b)
+            assert predicted == g.has_cycle()
+            if predicted:
+                closing += 1
+                trail.undo_to(mark)  # keep the graph acyclic
+                assert not g.has_cycle()
+    assert closing > 0
+
+
+def test_unary_buckets_follow_undo():
+    trail = Trail()
+    g = DependencyGraph(trail)
+    x = NodeId("x")
+    child = x.child(1)
+    g.add_vertex(atom("p", x))
+    g.add_vertex(GroundAtom("f", (x, child)))
+    mark = trail.mark()
+    g.add_arc(atom("q", x), atom("p", child))
+    g.add_vertex(atom("r", x))
+    assert g.unary_atoms(x) == [atom("p", x), atom("q", x), atom("r", x)]
+    assert g.unary_atoms(child) == [atom("p", child)]
+    assert g.paths_set(x, child, frozenset()) == {("q", "p")}
+    trail.undo_to(mark)
+    assert g.unary_atoms(x) == [atom("p", x)]
+    assert g.unary_atoms(child) == []
+    assert g.paths_set(x, child, frozenset()) == set()
+    g.add_vertex(atom("q", child))
+    assert g.unary_atoms(child) == [atom("q", child)]
+    assert g.vertices() == [atom("p", x), GroundAtom("f", (x, child)), atom("q", child)]
+
+
+def test_cached_hashes_match_field_tuples():
+    x = NodeId("x", (1, 2))
+    sp = Signed("p", False)
+    ga = GroundAtom("f", (x, NodeId("a")))
+    assert hash(x) == hash(("x", (1, 2)))
+    assert hash(sp) == hash(("p", False))
+    assert hash(ga) == hash(("f", (x, NodeId("a"))))
+    assert x == NodeId("x", (1, 2)) and x.child(3).parent() == x
+    assert NodeId("x", (1,)) < x < NodeId("y")
+    assert repr(sp) == "Signed(name='p', positive=False)"
+
+
 def test_blocking_pair_requires_anonymous_ancestor():
     state = ForestState(["a"], ["a"], frozenset())
     a = NodeId("a")

@@ -170,3 +170,32 @@ def test_agreement_with_direct_engine_under_override(
             v1 = check_sat_a1(program, pred, policy)
             v2 = check_sat_a2(program, pred, cache, policy)
             assert v1.kind == v2.kind, (pred, v1.kind, v2.kind)
+
+
+# ----------------------------------------------------------------------
+# Pinned search: grafting order and cycle tests must not move the search
+
+HARD_P_A2 = {
+    "record": "verdict", "algorithm": "a2", "predicate": "p", "verdict": "UNSAT",
+    "bounded_incomplete": True, "nodes_created": 1740, "choice_points": 431,
+    "backtracks": 544, "tasks": 1301, "max_depth": 6, "redundancy_clashes": 731,
+    "units_tried": 1301, "unit_matches": 1265, "unit_reuse": 1260,
+}
+
+FAMILY_GOAL_A2 = {
+    "record": "verdict", "algorithm": "a2", "predicate": "goal", "verdict": "SAT",
+    "bounded_incomplete": False, "nodes_created": 1971, "choice_points": 91,
+    "backtracks": 1210, "tasks": 1211, "max_depth": 3, "redundancy_clashes": 0,
+    "units_tried": 1232, "unit_matches": 1211, "unit_reuse": 1185,
+}
+
+
+def test_hard_search_is_pinned(hard):
+    cache = compile_units(hard).cache
+    verdict = check_sat_a2(hard, "p", cache, RedundancyPolicy(k_override=5))
+    assert verdict.to_record() == HARD_P_A2
+
+
+def test_family_goal_search_is_pinned(family):
+    verdict = check_sat_a2(family, "goal", compile_units(family).cache)
+    assert verdict.to_record() == FAMILY_GOAL_A2

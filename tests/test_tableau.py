@@ -1,5 +1,6 @@
 import pytest
 
+from folp import tableau
 from folp.forest import NodeId, Signed, StructureError
 from folp.oracle import bounded_sat, is_answer_set
 from folp.syntax import eliminate_constraints, parse_program
@@ -13,6 +14,8 @@ from folp.tableau import (
     check_sat_a1,
     redundancy_bound,
 )
+
+from reference import saturation_checked_a1
 
 FIG_ATOMS = {
     ("smember", ("x",)),
@@ -316,3 +319,35 @@ def test_epsilon_can_be_a_constant():
     assert verdict.kind is VerdictKind.SAT
     interp = verdict.witness.induced_interpretation()
     assert ("p", ("a",)) in interp.atoms
+
+
+# ----------------------------------------------------------------------
+# Pinned search: the incremental bookkeeping must not move the search
+
+HARD_P_A1 = {
+    "record": "verdict", "algorithm": "a1", "predicate": "p", "verdict": "UNSAT",
+    "bounded_incomplete": True, "nodes_created": 3024, "choice_points": 3398,
+    "backtracks": 8162, "tasks": 13169, "max_depth": 6, "redundancy_clashes": 731,
+}
+
+FAMILY_GOAL_A1 = {
+    "record": "verdict", "algorithm": "a1", "predicate": "goal", "verdict": "SAT",
+    "bounded_incomplete": False, "nodes_created": 561, "choice_points": 709,
+    "backtracks": 5543, "tasks": 8125, "max_depth": 3, "redundancy_clashes": 0,
+}
+
+
+def test_hard_search_is_pinned_and_saturation_matches_reference(hard, monkeypatch):
+    """The hard program's exhaustive search, task for task: the verdict
+    record is pinned, and at every task selection the counter-based
+    saturation test agrees with a full recomputation at every node."""
+    checked = saturation_checked_a1()
+    monkeypatch.setattr(tableau, "A1CompletionStructure", checked)
+    verdict = check_sat_a1(hard, "p", RedundancyPolicy(k_override=5))
+    assert verdict.to_record() == HARD_P_A1
+    assert checked.checks > 13169
+
+
+def test_family_goal_search_is_pinned(family):
+    verdict = check_sat_a1(family, "goal")
+    assert verdict.to_record() == FAMILY_GOAL_A1
