@@ -400,7 +400,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "machine"], default="text")
     p.add_argument("--redundancy-k", type=int, default=None)
     p.add_argument("--timeout", type=float, default=None,
-                   help="per-program, per-engine time budget in seconds")
+                   help="time budget in seconds of each query of each engine "
+                   "and of each unit compilation; every such call gets its "
+                   "own deadline")
     p.add_argument("--deterministic", action="store_true")
     p.set_defaults(func=cmd_bench)
 

@@ -11,6 +11,22 @@ undone, a path missed until an arc is added. The engines keep the graph
 acyclic by testing each new arc before inserting it (`closes_cycle`);
 `has_cycle` is a full search kept for completion audits.
 
+Blocking and the equal-content ancestor count are memoized per node,
+because the engines ask for them at every node before every task while
+few of the facts they rest on change in between. Two rules keep the
+memo exact under forward mutations:
+
+- new content at a node drops the entries of that node and of its whole
+  subtree (a node's facts read its own content and its ancestors');
+- a new dependency arc invalidates only the entries that say "blocked":
+  an arc can only create paths, so an unblocked node stays unblocked. A
+  "blocked" entry records the graph's arc count and counts as unknown
+  once the count has moved, so no entry is touched when an arc goes in.
+
+Memo writes and drops go on the trail like every other mutation, so
+`undo_to(mark)` restores exactly the memo that was valid at `mark`.
+`find_blocking_pair` stays the uncached computation behind the memo.
+
 Node ids, signed predicates and ground atoms are hashed on every lookup
 of the search, so each computes its hash once, at construction.
 
@@ -21,7 +37,9 @@ thread-safe across tasks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Union
+from functools import partial
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 from .syntax import FolpError
 
@@ -187,13 +205,13 @@ class ExtendedForest:
         """Deterministic order: roots first (declaration order), then the
         anonymous interiors of each tree in preorder."""
         yield from self._root_nodes
+        children = self._children
         for root in self._root_nodes:
-            yield from self._interior(root)
-
-    def _interior(self, node: NodeId) -> Iterator[NodeId]:
-        for child in self._children[node]:
-            yield child
-            yield from self._interior(child)
+            stack = children[root][::-1]
+            while stack:
+                node = stack.pop()
+                yield node
+                stack.extend(reversed(children[node]))
 
     def add_child(self, node: NodeId) -> NodeId:
         if node not in self._children:
@@ -261,6 +279,20 @@ class ExtendedForest:
     def arcs_from(self, node: NodeId) -> list[ArcId]:
         return [(node, y) for y in self.successors(node)]
 
+    def has_children(self, node: NodeId) -> bool:
+        return bool(self._children.get(node))
+
+    def out_degree(self, node: NodeId) -> int:
+        return len(self._children.get(node, ())) + len(self._es.get(node, ()))
+
+    def subtree(self, node: NodeId) -> list[NodeId]:
+        """The node and all its tree descendants, in no particular order."""
+        children = self._children
+        out = [node]
+        for y in out:
+            out.extend(children[y])
+        return out
+
     def node_count(self) -> int:
         return len(self._children)
 
@@ -275,11 +307,16 @@ class DependencyGraph:
     of the answer: adding an arc can only create paths, so it drops the
     memoized misses; undoing an arc can only break paths, so it drops the
     memoized hits. Adding or removing an isolated vertex changes no path
-    between other vertices, so it drops neither."""
+    between other vertices, so it drops neither.
+
+    The arc count is kept as a counter. Arcs only ever leave through the
+    trail, so a count read later on the same branch is equal exactly
+    when no arc was added since."""
 
     def __init__(self, trail: Trail):
         self.trail = trail
         self._succ: dict[GroundAtom, list[GroundAtom]] = {}
+        self._arc_count = 0
         self._by_node: dict[NodeId, list[GroundAtom]] = {}
         self._reachable: set[tuple[GroundAtom, GroundAtom]] = set()
         self._unreachable: set[tuple[GroundAtom, GroundAtom]] = set()
@@ -296,7 +333,7 @@ class DependencyGraph:
                 yield (src, dst)
 
     def arc_count(self) -> int:
-        return sum(len(t) for t in self._succ.values())
+        return self._arc_count
 
     def unary_atoms(self, node: NodeId) -> list[GroundAtom]:
         """The vertices p(node), in insertion order."""
@@ -325,10 +362,12 @@ class DependencyGraph:
         if dst in self._succ[src]:
             return
         self._succ[src].append(dst)
+        self._arc_count += 1
         self._unreachable.clear()
 
         def undo() -> None:
             self._succ[src].remove(dst)
+            self._arc_count -= 1
             self._reachable.clear()
 
         self.trail.push(undo)
@@ -430,11 +469,24 @@ def naive_reachable(
     return dst in closure
 
 
+_NO_ENTRIES: Mapping = MappingProxyType({})
+
+
 class ForestState:
     """Extended forest plus contents and the dependency graph.
 
     Invariant kept by `insert`: the graph's vertices are exactly the
-    positive content entries (as ground atoms over nodes and arcs)."""
+    positive content entries (as ground atoms over nodes and arcs).
+
+    Blocking and the equal-ancestor count are memoized per node (see the
+    module docstring): `_blocking` maps a node to `_UNBLOCKED`, or to the
+    graph's arc count when the node was found blocked; `_equal` maps it
+    to its equal-ancestor count. Most small searches never ask about a
+    node below a root, so the memo's containers are made by its first
+    write; until then both maps are the shared empty `_NO_ENTRIES`."""
+
+    _blocking: Mapping[NodeId, int] = _NO_ENTRIES
+    _equal: Mapping[NodeId, int] = _NO_ENTRIES
 
     def __init__(
         self,
@@ -484,6 +536,11 @@ class ForestState:
         self.trail.push(undo)
         if sp.positive:
             self.g.add_vertex(self.atom_for(key, sp.name))
+        # a leaf without memo entries, the common case, has nothing to drop
+        if key.__class__ is NodeId and (
+            key in self._blocking or key in self._equal or self.forest.has_children(key)
+        ):
+            self._forget_subtree(key)
         return True
 
     def add_dependency(self, src: GroundAtom, dst: GroundAtom) -> None:
@@ -505,11 +562,13 @@ class ForestState:
     def find_blocking_pair(self, x: NodeId) -> Optional[NodeId]:
         """Nearest anonymous ancestor y with ct(x) included in ct(y) and an
         empty non-free path set from y-atoms to x-atoms."""
-        content_x = self.content(x)
+        ct = self.ct
+        constants = self.forest.constants
+        content_x = ct.get(x, _NO_CONTENT)
         for y in x.ancestors():
-            if self.forest.is_constant_node(y):
+            if not y.path and y.root in constants:
                 continue
-            if content_x <= self.content(y) and not self.g.paths_set(
+            if content_x <= ct.get(y, _NO_CONTENT) and not self.g.paths_set(
                 y, x, self.free_preds
             ):
                 return y
@@ -517,13 +576,56 @@ class ForestState:
 
     def equal_ancestor_count(self, x: NodeId) -> int:
         """Proper ancestors of x whose content equals ct(x): the measure
-        the redundancy bound limits."""
-        content = self.content(x)
-        ct = self.ct
-        return sum(1 for y in x.ancestors() if ct.get(y, _NO_CONTENT) == content)
+        the redundancy bound limits. Memoized."""
+        if not x.path:
+            return 0
+        equal = self._equal.get(x)
+        if equal is None:
+            content = self.content(x)
+            ct = self.ct
+            equal = sum(1 for y in x.ancestors() if ct.get(y, _NO_CONTENT) == content)
+            self._remember("_equal", x, None, equal)
+        return equal
 
     def is_blocked(self, x: NodeId) -> bool:
-        return self.find_blocking_pair(x) is not None
+        """Whether x has a blocking pair; memoized `find_blocking_pair`.
+        A root has no ancestors, so it is never blocked."""
+        if not x.path:
+            return False
+        blocking = self._blocking.get(x)
+        if blocking == _UNBLOCKED:
+            return False
+        arcs = self.g.arc_count()
+        if blocking == arcs:
+            return True
+        blocked = self.find_blocking_pair(x) is not None
+        self._remember("_blocking", x, blocking, arcs if blocked else _UNBLOCKED)
+        return blocked
+
+    def _remember(self, name: str, x: NodeId, old: Optional[int], new: int) -> None:
+        """Replace the entry `old` (None: absent) of x in the memo `name`
+        by `new`."""
+        memo = self.__dict__.get(name)
+        if memo is None:
+            self._blocking, self._equal = {}, {}
+            # (memo, node, value to restore or None) per memo change, all
+            # undone by one callable that does not refer back to the state
+            self._memo_log: list = []
+            self._undo_memo = partial(_undo_memo_change, self._memo_log)
+            memo = self.__dict__[name]
+        memo[x] = new
+        self._memo_log += (memo, x, old)
+        self.trail.push(self._undo_memo)
+
+    def _forget_subtree(self, node: NodeId) -> None:
+        """Drop the memo entries of a node whose content grew and of its
+        descendants, whose ancestor contents it changed."""
+        memos = (self._blocking, self._equal)
+        for y in self.forest.subtree(node):
+            for memo in memos:
+                if y in memo:
+                    self._memo_log += (memo, y, memo.pop(y))
+                    self.trail.push(self._undo_memo)
 
     def blocked_nodes(self) -> list[NodeId]:
         return [x for x in self.forest.nodes() if self.is_blocked(x)]
@@ -577,6 +679,21 @@ class ForestState:
 
 
 _NO_CONTENT: frozenset = frozenset()
+
+
+def _undo_memo_change(log: list) -> None:
+    """Undo the newest change logged by `ForestState._remember` or
+    `ForestState._forget_subtree`."""
+    old = log.pop()
+    x = log.pop()
+    memo = log.pop()
+    if old is None:
+        del memo[x]
+    else:
+        memo[x] = old
+
+# blocking memo value of an unblocked node; others are arc counts
+_UNBLOCKED = -1
 
 
 def _key_str(key: Key) -> str:

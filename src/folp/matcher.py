@@ -227,7 +227,7 @@ class A2CompletionStructure(ForestState):
     # -- scheduling --------------------------------------------------------
 
     def check_budget(self) -> None:
-        if self.deadline is not None and time.monotonic() > self.deadline:
+        if self.deadline is not None and time.monotonic() >= self.deadline:
             raise EngineBudgetError("time limit exceeded")
         if self.max_tasks is not None and self.stats.tasks > self.max_tasks:
             raise EngineBudgetError("task budget exceeded")
@@ -326,6 +326,9 @@ def check_sat_a2(
                     depth_used=depth,
                 )
             pruned_any = pruned_any or cs.pruned
+            # the undo closures tie a structure into reference cycles;
+            # undone, the failed one is freed at once, not by the collector
+            cs.trail.undo_to(0)
         if not pruned_any:
             return Verdict(
                 VerdictKind.UNSAT,

@@ -106,10 +106,21 @@ class RuleKind(str, Enum):
 
 @dataclass(frozen=True)
 class Rule:
+    """A rule of the program. Rules key the shape caches, so the hash of
+    the whole rule tree is computed once, at construction (the value of
+    the generated `hash((kind, head, body))`)."""
+
     kind: RuleKind
     head: Optional[Atom]
     body: tuple[BodyItem, ...]
     line: int = field(default=0, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.kind, self.head, self.body)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_fact(self) -> bool:

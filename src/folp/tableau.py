@@ -13,6 +13,16 @@ undoable mutations. Choice order: rules in program order, groundings
 preferring existing successors, then fresh successors, then constants;
 sign choices take the negative branch first. Runs are deterministic.
 
+Each task is the first applicable expansion in node order (a "ToDo
+list" agenda, as in description-logic tableau reasoners): the scan
+skips children of unsaturated nodes and blocked nodes, and raises the
+redundancy clash at a saturated node with too many equal-content
+ancestors. It derives nothing afresh that no mutation changed:
+saturation is two counter reads, kept by `set_status` (expanded entries
+per key, and per node the outgoing arcs whose binary entries are all
+expanded); blocking and the equal-ancestor count come from the memo of
+`ForestState`, which content inserts and dependency arcs invalidate.
+
 Verdicts: without an explicit depth bound the driver deepens iteratively
 and reports UNSAT only from an exhausted search in which the bound never
 pruned anything, which makes UNSAT sound. With an explicit bound,
@@ -196,8 +206,9 @@ class A1CompletionStructure(ForestState):
     The status map tracks every content entry; negative non-free entries
     additionally carry a ledger of already refuted rule instances, so a
     fresh successor re-arms them for the new instances only. Per key, the
-    number of expanded entries is kept beside the map, which makes the
-    saturation test a few counter reads."""
+    number of expanded entries is kept beside the map, and per node the
+    number of outgoing arcs whose binary entries are all expanded, which
+    makes the saturation test two counter reads."""
 
     algorithm = "a1"
 
@@ -232,6 +243,9 @@ class A1CompletionStructure(ForestState):
         self.pruned = False
         self.st: dict[tuple[Key, Signed], str] = {}
         self.expanded: dict[Key, int] = {}
+        self.full_arcs: dict[NodeId, int] = {}
+        self._n_upreds = len(program.upreds)
+        self._n_bpreds = len(program.bpreds)
         self.handled: dict[tuple[Key, Signed], set] = {}
         if pred is not None:
             self.insert_tracked(self.epsilon, Signed(pred, True))
@@ -243,8 +257,15 @@ class A1CompletionStructure(ForestState):
         old = self.st.get(skey)
         self.st[skey] = value
         delta = (value == EXP) - (old == EXP)
+        full = 0
         if delta:
-            self.expanded[key] = self.expanded.get(key, 0) + delta
+            count = self.expanded.get(key, 0) + delta
+            self.expanded[key] = count
+            if key.__class__ is tuple:
+                n_bpreds = self._n_bpreds
+                full = (count == n_bpreds) - (count - delta == n_bpreds)
+                if full:
+                    self.full_arcs[key[0]] = self.full_arcs.get(key[0], 0) + full
 
         def undo() -> None:
             if old is None:
@@ -252,7 +273,9 @@ class A1CompletionStructure(ForestState):
             else:
                 self.st[skey] = old
             if delta:
-                self.expanded[key] -= delta
+                self.expanded[skey[0]] -= delta
+                if full:
+                    self.full_arcs[skey[0][0]] -= full
 
         self.trail.push(undo)
 
@@ -298,19 +321,19 @@ class A1CompletionStructure(ForestState):
         """Every unary predicate decided and expanded at x, every binary
         predicate decided and expanded on every outgoing arc.
 
-        Read off the expanded-entry counts: statuses are only set on
-        content entries, and a node (arc) content holds at most one sign
-        of each unary (binary) predicate and nothing else, so all of them
-        are decided and expanded exactly when as many entries as there
-        are predicates are expanded."""
-        expanded = self.expanded
-        if expanded.get(x, 0) != len(self.program.upreds):
+        Read off the counters: statuses are only set on content entries,
+        and a node (arc) content holds at most one sign of each unary
+        (binary) predicate and nothing else, so all of them are decided
+        and expanded exactly when as many entries as there are predicates
+        are expanded. `full_arcs` counts the arcs from x in that state;
+        it never sees an arc without statuses, so without binary
+        predicates, when every arc is trivially full, it is not read."""
+        if self.expanded.get(x, 0) != self._n_upreds:
             return False
-        n_bpreds = len(self.program.bpreds)
-        for arc in self.forest.arcs_from(x):
-            if expanded.get(arc, 0) != n_bpreds:
-                return False
-        return True
+        return (
+            not self._n_bpreds
+            or self.full_arcs.get(x, 0) == self.forest.out_degree(x)
+        )
 
     def is_redundant_node(self, x: NodeId) -> bool:
         """Saturated, unblocked, and owning at least k equal-content
@@ -744,38 +767,27 @@ class A1CompletionStructure(ForestState):
         return None
 
     def check_budget(self) -> None:
-        if self.deadline is not None and time.monotonic() > self.deadline:
+        if self.deadline is not None and time.monotonic() >= self.deadline:
             raise EngineBudgetError("time limit exceeded")
         if self.max_tasks is not None and self.stats.tasks > self.max_tasks:
             raise EngineBudgetError("task budget exceeded")
 
     def next_task(self) -> Optional[Task]:
+        """The first task in node order, or a redundancy clash. Blocking,
+        saturation and the equal-ancestor count are read from the memo
+        and counters, so a scan re-derives only what changed."""
         self.check_budget()
-        # no mutation happens during one scan, so blocking and saturation
-        # can be derived once per node
-        blocked: dict[NodeId, bool] = {}
-        saturated: dict[NodeId, bool] = {}
-
-        def is_blocked(x: NodeId) -> bool:
-            if x not in blocked:
-                blocked[x] = self.is_blocked(x)
-            return blocked[x]
-
-        def is_saturated(x: NodeId) -> bool:
-            if x not in saturated:
-                saturated[x] = self.is_saturated(x)
-            return saturated[x]
-
         for x in self.forest.nodes():
             parent = x.parent()
-            if parent is not None and not is_saturated(parent):
+            if parent is not None and not self.is_saturated(parent):
                 continue
-            if is_blocked(x):
+            if self.is_blocked(x):
                 continue
-            task = None if is_saturated(x) else self.node_task(x)
-            if task is not None:
-                return task
-            if is_saturated(x) and not is_blocked(x):
+            if not self.is_saturated(x):
+                task = self.node_task(x)
+                if task is not None:
+                    return task
+            else:
                 equal = self.equal_ancestor_count(x)
                 if equal >= self.k:
                     self.stats.redundancy_events.append(
@@ -948,6 +960,9 @@ def check_sat_a1(
                     depth_used=depth,
                 )
             pruned_any = pruned_any or cs.pruned
+            # the undo closures tie a structure into reference cycles;
+            # undone, the failed one is freed at once, not by the collector
+            cs.trail.undo_to(0)
         if not pruned_any:
             return Verdict(
                 VerdictKind.UNSAT,

@@ -1,8 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL
-line with its wall time, plus a cross-check of the direct engine's
-incremental bookkeeping over the same corpus. The random corpus is
-seeded, so every run exercises identical programs."""
+line with its wall time, plus a cross-check of both engines' incremental
+bookkeeping over the same corpus. The random corpus is seeded and
+budgeted by tasks, so every run exercises identical programs; a test
+pins its hash."""
 
+import hashlib
 import json
 import time
 from contextlib import contextmanager
@@ -11,13 +13,14 @@ from pathlib import Path
 
 import pytest
 
-from folp import tableau, units as units_module
+from folp import matcher, tableau, units as units_module
 from folp.forest import Signed, StructureError
 from folp.matcher import check_sat_a2
 from folp.oracle import bounded_sat, is_answer_set
-from folp.syntax import Program, eliminate_constraints
+from folp.syntax import Program, eliminate_constraints, parse_program
 from folp.tableau import RedundancyPolicy, VerdictKind, check_sat_a1, redundancy_bound
 from folp.units import (
+    compile_units,
     enumerate_unit_completions,
     is_redundant_ucs,
     passes_a1_completion_check,
@@ -27,9 +30,10 @@ from folp.units import (
 
 from conftest import GOLDEN, PROGRAMS
 from corpus import bench_family, corpus
-from reference import saturation_checked_a1
+from reference import checked_a1, checked_a2
 
 CORPUS_SEED = 20260810
+CORPUS_SHA256 = "f20548a8fd9c856c336d6a86a002313a2d4462d896bef57b6053af320cff8618"
 BASELINE = Path(__file__).resolve().parent / "perf_baseline.json"
 
 
@@ -85,7 +89,6 @@ def test_criterion_1_membership_satisfiability(membership, membership_t):
             ("support", ("x", "a")),
             ("support", ("x", "b")),
         }
-        from folp.units import compile_units
 
         v1 = check_sat_a1(membership_t, "smember")
         cache = compile_units(membership_t).cache
@@ -108,7 +111,6 @@ def test_criterion_2_loop_unsatisfiability(membership_loop):
     with criterion(2, "the self-support loop is UNSAT with the redundancy clash at the 6th node"):
         start = time.monotonic()
         assert redundancy_bound(len(membership_loop.upreds)) == 5
-        from folp.units import compile_units
 
         v1 = check_sat_a1(membership_loop, "smember")
         cache = compile_units(membership_loop).cache
@@ -262,15 +264,34 @@ def test_criterion_8_compiled_engine_amortizes(tmp_path, capsys):
         if not BASELINE.exists():
             BASELINE.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
         assert a2_total <= a1_total, record
+        # the same claim in work instead of seconds, which no machine moves
+        family = eliminate_constraints(parse_program(bench_family()))
+        cache = compile_units(family).cache
+        a1_tasks = sum(check_sat_a1(family, p).stats.tasks for p in family.upreds)
+        a2_tasks = sum(check_sat_a2(family, p, cache).stats.tasks for p in family.upreds)
+        print(f"ACCEPTANCE 8 tasks: a1 {a1_tasks}, a2 {a2_tasks}")
+        assert a2_tasks < a1_tasks
+
+
+def test_corpus_is_pinned():
+    """The acceptance corpus is the same programs on every machine and
+    under every hash seed: its candidates are budgeted by tasks, not by
+    wall-clock time."""
+    programs = corpus(count=50, seed=CORPUS_SEED)
+    text = "".join(program.canonical_text() for program in programs)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CORPUS_SHA256
 
 
 def test_counter_saturation_matches_recomputation_on_corpus(corpus_run, monkeypatch):
-    """At every task selection of every corpus search, unit enumeration
-    included, the counter-based saturation test agrees with a full
-    recomputation, and the searches come out as before."""
-    checked = saturation_checked_a1()
+    """At every task selection of every corpus search of both engines,
+    unit enumeration included, the saturation counters and the blocking
+    memo agree with a full recomputation, and the searches come out as
+    before."""
+    checked = checked_a1()
+    checked2 = checked_a2()
     monkeypatch.setattr(tableau, "A1CompletionStructure", checked)
     monkeypatch.setattr(units_module, "A1CompletionStructure", checked)
+    monkeypatch.setattr(matcher, "A2CompletionStructure", checked2)
     policy = RedundancyPolicy(k_override=5, time_limit=120)
     entries, _ = corpus_run
     for entry in entries:
@@ -278,4 +299,7 @@ def test_counter_saturation_matches_recomputation_on_corpus(corpus_run, monkeypa
         for pred, verdict in entry.a1.items():
             again = check_sat_a1(entry.transformed, pred, policy)
             assert again.to_record() == verdict.to_record()
-    assert checked.checks > 0
+        for pred, verdict in entry.a2.items():
+            again = check_sat_a2(entry.transformed, pred, entry.cache, policy)
+            assert again.to_record() == verdict.to_record()
+    assert checked.checks > 0 and checked2.checks > 0

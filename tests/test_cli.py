@@ -171,6 +171,17 @@ def test_bench_records_timeouts_without_failing(tmp_path, capsys):
     assert row["status"] == "timeout"
 
 
+def test_bench_zero_timeout_times_out(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "chain.folp").write_text((PROGRAMS / "choice_chain.folp").read_text())
+    code, out, _ = run(capsys, "bench", str(corpus), "--format", "machine",
+                       "--timeout", "0")
+    assert code == 0
+    (row,) = records(out)
+    assert row["status"] == "timeout"
+
+
 def test_export_dot_matches_golden(tmp_path, capsys):
     from conftest import GOLDEN
 

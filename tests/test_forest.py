@@ -3,6 +3,7 @@ import random
 import pytest
 
 from folp.forest import (
+    ClashError,
     DependencyGraph,
     ForestState,
     GroundAtom,
@@ -241,6 +242,69 @@ def test_blocking_pair_found_and_broken_by_paths():
     assert state.find_blocking_pair(child) == x
     state.g.add_arc(atom("p", x), atom("p", child))
     assert state.find_blocking_pair(child) is None
+
+
+def _memo(state):
+    return dict(state._blocking), dict(state._equal)
+
+
+def test_blocking_memo_restored_by_undo():
+    """Seeded random content inserts, dependency arcs, new children,
+    memo reads and undos on one state: after `undo_to(mark)` the memo is
+    exactly the memo at `mark`; every read, and after every step every
+    entry still in force (a "blocked" one while the arc count is the one
+    it recorded), agrees with a fresh computation."""
+    rng = random.Random(11)
+    undos = 0
+    for _ in range(40):
+        state = ForestState(["x", "a"], ["a"], frozenset({"r"}))
+        nodes = [NodeId("x"), NodeId("a")]
+        history = [(state.trail.mark(), _memo(state))]
+        for _ in range(rng.randint(10, 60)):
+            roll = rng.random()
+            if roll < 0.15 and len(history) > 1:
+                mark, memo = history[rng.randrange(len(history))]
+                state.trail.undo_to(mark)
+                assert _memo(state) == memo
+                undos += 1
+                history = [h for h in history if h[0] <= mark]
+                nodes = [n for n in nodes if state.forest.has_node(n)]
+            elif roll < 0.3:
+                nodes.append(state.forest.add_child(rng.choice(nodes)))
+            elif roll < 0.55:
+                try:
+                    state.insert(
+                        rng.choice(nodes), Signed(rng.choice("pqr"), rng.random() < 0.7)
+                    )
+                except ClashError:
+                    pass
+            elif roll < 0.7:
+                # from an ancestor down, the direction that can unblock
+                low = rng.choice(nodes)
+                high = rng.choice([low, *low.ancestors()])
+                state.g.add_arc(
+                    atom(rng.choice("pqr"), high), atom(rng.choice("pqr"), low)
+                )
+            else:
+                for node in rng.sample(nodes, rng.randint(1, len(nodes))):
+                    pair = state.find_blocking_pair(node)
+                    assert state.is_blocked(node) == (pair is not None)
+                    state.equal_ancestor_count(node)
+            history.append((state.trail.mark(), _memo(state)))
+            for node in nodes:
+                blocking = state._blocking.get(node)
+                equal = state._equal.get(node)
+                pair = state.find_blocking_pair(node)
+                if blocking == -1:
+                    assert pair is None
+                elif blocking == state.g.arc_count():
+                    assert pair is not None
+                if equal is not None:
+                    content = state.content(node)
+                    assert equal == sum(
+                        1 for y in node.ancestors() if state.content(y) == content
+                    )
+    assert undos > 50
 
 
 def test_induced_interpretation_of_a_flat_structure():

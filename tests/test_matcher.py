@@ -1,11 +1,14 @@
 import pytest
 
+from folp import matcher
 from folp.forest import NodeId, Signed, StructureError
 from folp.matcher import A2CompletionStructure, check_sat_a2, local_satisfies
 from folp.oracle import bounded_sat, is_answer_set
 from folp.syntax import parse_program
 from folp.tableau import EXP, RedundancyPolicy, VerdictKind
 from folp.units import CacheMismatchError, compile_units, passes_a1_completion_check
+
+from reference import checked_a2
 
 P, NOT_Q = Signed("p", True), Signed("q", False)
 
@@ -190,10 +193,15 @@ FAMILY_GOAL_A2 = {
 }
 
 
-def test_hard_search_is_pinned(hard):
+def test_hard_search_is_pinned(hard, monkeypatch):
+    """Pinned verdict record; at every task selection the blocking memo
+    agrees with a full recomputation at every node."""
+    checked = checked_a2()
+    monkeypatch.setattr(matcher, "A2CompletionStructure", checked)
     cache = compile_units(hard).cache
     verdict = check_sat_a2(hard, "p", cache, RedundancyPolicy(k_override=5))
     assert verdict.to_record() == HARD_P_A2
+    assert checked.checks > HARD_P_A2["tasks"]
 
 
 def test_family_goal_search_is_pinned(family):

@@ -27,6 +27,15 @@ def test_parse_fact_with_constant():
     assert program.constants == ("a",)
 
 
+def test_rule_hash_is_the_field_tuple_hash():
+    program = parse_program("p(X) :- f(X,Y), not q(Y).\nf(X,Y) v not f(X,Y).\n")
+    for rule in program.rules:
+        assert hash(rule) == hash((rule.kind, rule.head, rule.body))
+        moved = Rule(rule.kind, rule.head, rule.body, rule.line + 7)
+        assert moved == rule and hash(moved) == hash(rule)
+        assert "_hash" not in repr(rule)
+
+
 def test_parse_free_binary_rule():
     program = parse_program("support(X,Y) v not support(X,Y).\n")
     rule = program.rules[0]

@@ -15,7 +15,7 @@ from folp.tableau import (
     redundancy_bound,
 )
 
-from reference import saturation_checked_a1
+from reference import checked_a1
 
 FIG_ATOMS = {
     ("smember", ("x",)),
@@ -339,15 +339,19 @@ FAMILY_GOAL_A1 = {
 
 def test_hard_search_is_pinned_and_saturation_matches_reference(hard, monkeypatch):
     """The hard program's exhaustive search, task for task: the verdict
-    record is pinned, and at every task selection the counter-based
-    saturation test agrees with a full recomputation at every node."""
-    checked = saturation_checked_a1()
+    record is pinned, and at every task selection the saturation
+    counters and the blocking memo agree with a full recomputation at
+    every node."""
+    checked = checked_a1()
     monkeypatch.setattr(tableau, "A1CompletionStructure", checked)
     verdict = check_sat_a1(hard, "p", RedundancyPolicy(k_override=5))
     assert verdict.to_record() == HARD_P_A1
     assert checked.checks > 13169
 
 
-def test_family_goal_search_is_pinned(family):
+def test_family_goal_search_is_pinned(family, monkeypatch):
+    checked = checked_a1()
+    monkeypatch.setattr(tableau, "A1CompletionStructure", checked)
     verdict = check_sat_a1(family, "goal")
     assert verdict.to_record() == FAMILY_GOAL_A1
+    assert checked.checks > 8125
