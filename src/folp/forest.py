@@ -18,14 +18,35 @@ memo exact under forward mutations:
 
 - new content at a node drops the entries of that node and of its whole
   subtree (a node's facts read its own content and its ancestors');
-- a new dependency arc invalidates only the entries that say "blocked":
-  an arc can only create paths, so an unblocked node stays unblocked. A
-  "blocked" entry records the graph's arc count and counts as unknown
-  once the count has moved, so no entry is touched when an arc goes in.
+- under the direct engine, a new dependency arc invalidates only the
+  entries that say "blocked": an arc can only create paths, so an
+  unblocked node stays unblocked. A "blocked" entry records the graph's
+  arc count and counts as unknown once the count has moved, so no entry
+  is touched when an arc goes in.
+
+Under the compiled engine (`arc_stable_blocking`) a "blocked" entry
+lapses only by the first rule, never by new arcs. There a node is
+grafted at most once, after its parent and never while blocked, and the
+graft at z adds only arcs whose source is an atom over z (p(z) or
+f(z, s)) and whose target is over z, a new child of z or a constant.
+Let y be the anonymous ancestor that blocks x, y = a0, a1, ..., ak = x
+the chain between them. Every a_i below y is an anonymous non-root
+node, which no extra arc targets, so every arc into an atom over a_i is
+added by the graft at a_i or at its parent, and every arc into an arc
+atom f(y, s) by the graft at y. Any path from an atom p(y) to an atom
+q(x) ends in a part that starts at some p'(y) and uses only such arcs:
+arcs of the grafts at y, ..., a(k-1), all made by the time x was
+created, and of the graft at x, which a blocked x never gets (an
+expanded x got it before the entry was written). Such a part would
+already have existed when x was found blocked, so no new arc makes
+one, and y, whose content and x's are unchanged while the entry
+stands, still blocks x.
 
 Memo writes and drops go on the trail like every other mutation, so
 `undo_to(mark)` restores exactly the memo that was valid at `mark`.
-`find_blocking_pair` stays the uncached computation behind the memo.
+`find_blocking_pair` stays the uncached computation behind the memo; it
+asks `DependencyGraph.connects`, one search from all atoms of the
+candidate blocker, instead of building the path set pair by pair.
 
 Node ids, signed predicates and ground atoms are hashed on every lookup
 of the search, so each computes its hash once, at construction.
@@ -279,6 +300,9 @@ class ExtendedForest:
     def arcs_from(self, node: NodeId) -> list[ArcId]:
         return [(node, y) for y in self.successors(node)]
 
+    def child_count(self, node: NodeId) -> int:
+        return len(self._children.get(node, ()))
+
     def has_children(self, node: NodeId) -> bool:
         return bool(self._children.get(node))
 
@@ -417,6 +441,30 @@ class DependencyGraph:
             if self.reaches(p, q)
         }
 
+    def connects(self, y: NodeId, x: NodeId, free_preds: frozenset[str]) -> bool:
+        """Whether `paths_set(y, x, free_preds)` is non-empty: one search
+        from all atoms p(y) at once, stopping at the first q(x) with q not
+        free."""
+        sources = self._by_node.get(y)
+        if not sources:
+            return False
+        sinks = {a for a in self._by_node.get(x, ()) if a.pred not in free_preds}
+        if not sinks:
+            return False
+        seen = set(sources)
+        if not sinks.isdisjoint(seen):
+            return True
+        succ = self._succ
+        stack = list(sources)
+        while stack:
+            for nxt in succ[stack.pop()]:
+                if nxt not in seen:
+                    if nxt in sinks:
+                        return True
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return False
+
     def has_cycle(self) -> bool:
         WHITE, GREY, BLACK = 0, 1, 2
         color = {v: WHITE for v in self._succ}
@@ -479,14 +527,18 @@ class ForestState:
     positive content entries (as ground atoms over nodes and arcs).
 
     Blocking and the equal-ancestor count are memoized per node (see the
-    module docstring): `_blocking` maps a node to `_UNBLOCKED`, or to the
-    graph's arc count when the node was found blocked; `_equal` maps it
-    to its equal-ancestor count. Most small searches never ask about a
-    node below a root, so the memo's containers are made by its first
-    write; until then both maps are the shared empty `_NO_ENTRIES`."""
+    module docstring): `_blocking` maps a node to `_UNBLOCKED`, or, when
+    the node was found blocked, to the graph's arc count (`_ARC_STABLE`
+    with `arc_stable_blocking`); `_equal` maps it to its equal-ancestor
+    count. Most small searches never ask about a node below a root, so
+    the memo's containers are made by its first write; until then both
+    maps are the shared empty `_NO_ENTRIES`."""
 
     _blocking: Mapping[NodeId, int] = _NO_ENTRIES
     _equal: Mapping[NodeId, int] = _NO_ENTRIES
+    # whether new dependency arcs leave a blocked node blocked (see the
+    # module docstring); True only for the compiled engine
+    arc_stable_blocking = False
 
     def __init__(
         self,
@@ -568,7 +620,7 @@ class ForestState:
         for y in x.ancestors():
             if not y.path and y.root in constants:
                 continue
-            if content_x <= ct.get(y, _NO_CONTENT) and not self.g.paths_set(
+            if content_x <= ct.get(y, _NO_CONTENT) and not self.g.connects(
                 y, x, self.free_preds
             ):
                 return y
@@ -595,11 +647,11 @@ class ForestState:
         blocking = self._blocking.get(x)
         if blocking == _UNBLOCKED:
             return False
-        arcs = self.g.arc_count()
-        if blocking == arcs:
+        stamp = _ARC_STABLE if self.arc_stable_blocking else self.g.arc_count()
+        if blocking == stamp:
             return True
         blocked = self.find_blocking_pair(x) is not None
-        self._remember("_blocking", x, blocking, arcs if blocked else _UNBLOCKED)
+        self._remember("_blocking", x, blocking, stamp if blocked else _UNBLOCKED)
         return blocked
 
     def _remember(self, name: str, x: NodeId, old: Optional[int], new: int) -> None:
@@ -692,8 +744,10 @@ def _undo_memo_change(log: list) -> None:
     else:
         memo[x] = old
 
-# blocking memo value of an unblocked node; others are arc counts
+# blocking memo value of an unblocked node, and of a blocked one when
+# new arcs cannot unblock it; others are arc counts
 _UNBLOCKED = -1
+_ARC_STABLE = -2
 
 
 def _key_str(key: Key) -> str:

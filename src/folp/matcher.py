@@ -6,7 +6,10 @@ an unexpanded node is matched against every cached unit whose root fits
 it (anonymous roots fit anonymous nodes, a constant root only its own
 constant) and whose saturated root content covers the node's accumulated
 requirements. Blocking and the redundancy bound are shared with the
-direct engine.
+direct engine; because a node is grafted at most once and never while
+blocked, new dependency arcs cannot unblock a node here, so the blocking
+memo keeps its "blocked" entries across grafts (`arc_stable_blocking`,
+argued in the `forest` module docstring).
 
 Units may impose content on constants through their extra arcs. An
 unexpanded constant accrues those requirements, constraining its later
@@ -54,7 +57,7 @@ from .units import UnitCache, UnitCompletionStructure
 def local_satisfies(uc: UnitCompletionStructure, required: Iterable[Signed]) -> bool:
     """A unit locally satisfies a set of signed unary predicates iff the
     set is included in its root content."""
-    return set(required) <= uc.root_content
+    return uc.root_content.issuperset(required)
 
 
 class A2CompletionStructure(ForestState):
@@ -63,6 +66,7 @@ class A2CompletionStructure(ForestState):
     total content of its unit's saturated root."""
 
     algorithm = "a2"
+    arc_stable_blocking = True
 
     def __init__(
         self,
@@ -123,9 +127,10 @@ class A2CompletionStructure(ForestState):
 
     # -- the Match rule --------------------------------------------------
 
-    def expand_cs(self, x: NodeId, uc: UnitCompletionStructure) -> None:
+    def expand_cs(self, x: NodeId, uc: UnitCompletionStructure) -> list[NodeId]:
         """Graft the unit onto x: copy successors, contents, and
         dependency arcs under the relabeling of the unit root to x.
+        Returns the nodes standing for the unit's successors, in order.
         Raises ClashError on the first contradicting content entry or
         cycle-closing arc."""
         if uc.root_constant is not None and NodeId(uc.root_constant) != x:
@@ -167,6 +172,7 @@ class A2CompletionStructure(ForestState):
                 self.insert(node, sp)
         for a, b in g_arcs:
             self.add_dependency(self._atom(token_node, a), self._atom(token_node, b))
+        return [token_node[succ.target] for succ in uc.successors]
 
     @staticmethod
     def _atom(token_node: dict, atom) -> GroundAtom:
@@ -179,25 +185,26 @@ class A2CompletionStructure(ForestState):
         satisfies ct(x), least constraining first."""
         constant = x.root if self.forest.is_constant_node(x) else None
         content = self.content(x)
+        too_deep = self.max_depth is not None and x.depth + 1 > self.max_depth
         alternatives = []
         for uc in self.cache.candidates_for(constant):
-            if not local_satisfies(uc, content):
+            if not content <= uc.root_content:  # local_satisfies, inlined
                 continue
-            if uc.tree_successors:
-                if self.max_depth is not None and x.depth + 1 > self.max_depth:
-                    self.pruned = True
-                    continue
+            if too_deep and uc.tree_successors:
+                self.pruned = True
+                continue
             self.stats.units_tried += 1
             alternatives.append(
                 Alternative(
-                    f"match {x} with unit {uc.sort_key()[:3]}",
+                    "match {} with unit {}",
+                    (x, uc.sort_key()[:3]),
                     lambda x=x, uc=uc: self._apply_match(x, uc),
                 )
             )
         return alternatives
 
     def _apply_match(self, x: NodeId, uc: UnitCompletionStructure) -> None:
-        self.expand_cs(x, uc)
+        successors = self.expand_cs(x, uc)
         self.stats.matches += 1
         self.stats.units_used.add(uc.sort_key())
         self._redundancy_clash(x)
@@ -206,19 +213,13 @@ class A2CompletionStructure(ForestState):
         # and theirs are fixed: an unblocked node can never become
         # blocked later (path sets only grow), and accrued constant
         # contents only grow, shrinking their candidate sets.
-        for succ in uc.successors:
-            node = (
-                NodeId(succ.target)
-                if succ.is_constant
-                else x.child(succ.target)
-            )
+        for node in successors:
             if self.is_expanded(node) or self.is_blocked(node):
                 continue
             constant = node.root if self.forest.is_constant_node(node) else None
             content = self.content(node)
             if not any(
-                local_satisfies(u, content)
-                for u in self.cache.candidates_for(constant)
+                content <= u.root_content for u in self.cache.candidates_for(constant)
             ):
                 raise ClashError(
                     f"successor {node} of {x} is unblocked and matches no unit"
@@ -253,7 +254,7 @@ class A2CompletionStructure(ForestState):
         for x in self.forest.nodes():
             if self.is_expanded(x) or self.is_blocked(x):
                 continue
-            return Task(f"match {x}", self.match(x))
+            return Task("match {}", (x,), self.match(x))
         return None
 
     def is_complete_clash_free(self) -> bool:
@@ -269,16 +270,6 @@ class A2CompletionStructure(ForestState):
             if self.is_redundant_node(x):
                 return False
         return True
-
-
-def expand_cs(cs: A2CompletionStructure, x: NodeId, uc: UnitCompletionStructure) -> None:
-    """Graft `uc` onto node `x` of `cs` (see A2CompletionStructure.expand_cs)."""
-    cs.expand_cs(x, uc)
-
-
-def match(cs: A2CompletionStructure, x: NodeId) -> list[Alternative]:
-    """Applicable unit choices for node `x` (see A2CompletionStructure.match)."""
-    return cs.match(x)
 
 
 def check_sat_a2(

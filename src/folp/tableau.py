@@ -22,6 +22,15 @@ saturation is two counter reads, kept by `set_status` (expanded entries
 per key, and per node the outgoing arcs whose binary entries are all
 expanded); blocking and the equal-ancestor count come from the memo of
 `ForestState`, which content inserts and dependency arcs invalidate.
+A negative unary obligation is refuted one rule instance at a time, and
+the ground instances, each with its ground body, are computed once per
+node, predicate and number of tree children (`_instances`): a negative
+step scans them for the first one its ledger does not hold. The cache
+needs no trail entries, because the instances read only the node's
+children and the constants, and a node with n children always has the
+children x.1 ... x.n, also after backtracking. Positive expansion is
+not cached: its groundings depend on the depth bound, and computing
+them records whether the bound pruned anything.
 
 Verdicts: without an explicit depth bound the driver deepens iteratively
 and reports UNSAT only from an exhausted search in which the bound never
@@ -181,19 +190,34 @@ def signed_of(lit: Literal) -> Signed:
     return Signed(lit.atom.pred, lit.positive)
 
 
-@dataclass
+@dataclass(slots=True)
 class Alternative:
-    description: str
+    """One branch of a task. Few descriptions are ever read, so the text
+    is formatted from `template` and `args` only when `description` is."""
+
+    template: str
+    args: tuple
     apply_fn: Callable[[], None]
+
+    @property
+    def description(self) -> str:
+        return self.template.format(*self.args)
 
     def apply(self) -> None:
         self.apply_fn()
 
 
-@dataclass
+@dataclass(slots=True)
 class Task:
-    description: str
+    """The alternatives of one expansion; `description` as in Alternative."""
+
+    template: str
+    args: tuple
     alternatives: list[Alternative]
+
+    @property
+    def description(self) -> str:
+        return self.template.format(*self.args)
 
 
 # grounding target descriptors: ("node", NodeId) or ("fresh", position)
@@ -205,10 +229,11 @@ class A1CompletionStructure(ForestState):
 
     The status map tracks every content entry; negative non-free entries
     additionally carry a ledger of already refuted rule instances, so a
-    fresh successor re-arms them for the new instances only. Per key, the
-    number of expanded entries is kept beside the map, and per node the
-    number of outgoing arcs whose binary entries are all expanded, which
-    makes the saturation test two counter reads."""
+    fresh successor re-arms them for the new instances only; the
+    instances themselves are cached (see the module docstring). Per key,
+    the number of expanded entries is kept beside the map, and per node
+    the number of outgoing arcs whose binary entries are all expanded,
+    which makes the saturation test two counter reads."""
 
     algorithm = "a1"
 
@@ -247,6 +272,7 @@ class A1CompletionStructure(ForestState):
         self._n_upreds = len(program.upreds)
         self._n_bpreds = len(program.bpreds)
         self.handled: dict[tuple[Key, Signed], set] = {}
+        self._instance_cache: dict[tuple[NodeId, str, int], list] = {}
         if pred is not None:
             self.insert_tracked(self.epsilon, Signed(pred, True))
 
@@ -446,7 +472,7 @@ class A1CompletionStructure(ForestState):
                 if all(self._head_matches_node(t, x) for t in rule.head.args):
                     alternatives.append(
                         Alternative(
-                            f"{p} at {x} by choice rule",
+                            "{} at {} by choice rule", (p, x),
                             lambda x=x, sp=sp: self.set_status(x, sp, EXP),
                         )
                     )
@@ -457,7 +483,7 @@ class A1CompletionStructure(ForestState):
             for binding in self._groundings(x, shape):
                 alternatives.append(
                     Alternative(
-                        f"{p} at {x} by rule line {rule.line}",
+                        "{} at {} by rule line {}", (p, x, rule.line),
                         lambda x=x, sp=sp, shape=shape, binding=binding: (
                             self._apply_unary_positive(x, sp, shape, binding)
                         ),
@@ -515,21 +541,20 @@ class A1CompletionStructure(ForestState):
         alternative closes the obligation."""
         sp = Signed(p, False)
         okey = (x, sp)
-        pending = self._pending_instances(x, p, okey)
-        if not pending:
+        pending = self._first_pending(x, p, okey)
+        if pending is None:
             return [
                 Alternative(
-                    f"not {p} at {x}: all instances refuted",
+                    "not {} at {}: all instances refuted", (p, x),
                     lambda: self.set_status(x, sp, EXP),
                 )
             ]
-        instance_key, shape, targets = pending[0]
-        ground_literals = self._ground_body(x, shape, targets)
+        instance_key, ground_literals = pending
         for key, lit_sp in ground_literals:
             if lit_sp.negated() in self.content(key):
                 return [
                     Alternative(
-                        f"not {p} at {x}: instance already refuted",
+                        "not {} at {}: instance already refuted", (p, x),
                         lambda okey=okey, ik=instance_key: self._finish_instance(
                             okey, ik
                         ),
@@ -541,7 +566,7 @@ class A1CompletionStructure(ForestState):
                 continue  # the complement would contradict present content
             alternatives.append(
                 Alternative(
-                    f"not {p} at {x}: refute {lit_sp} at {key}",
+                    "not {} at {}: refute {} at {}", (p, x, lit_sp, key),
                     lambda okey=okey, ik=instance_key, key=key, comp=lit_sp.negated(): (
                         self._apply_refutation(okey, ik, key, comp)
                     ),
@@ -549,20 +574,41 @@ class A1CompletionStructure(ForestState):
             )
         return alternatives
 
-    def _pending_instances(self, x: NodeId, p: str, okey) -> list:
-        handled = self.handled_set(okey)
-        pending = []
-        for rule_index, rule in enumerate(self.program.rules_for_head(p)):
-            if rule.kind is RuleKind.FREE:
-                continue  # a choice rule never forces the atom
-            shape = unary_shape(rule)
-            if not self._head_matches_node(shape.head_term, x):
-                continue
-            for targets in self._instance_groundings(x, shape):
-                instance_key = (rule_index, targets)
-                if instance_key not in handled:
-                    pending.append((instance_key, shape, targets))
-        return pending
+    def _instances(self, x: NodeId, p: str) -> list:
+        """(instance key, ground body) of every rule instance defining p
+        at x, in refutation order. Cached per (x, p, number of tree
+        children of x): the instances read only the children and the
+        constants, and undoing `add_child` restores the child counter,
+        so x with n children always has the children x.1 ... x.n."""
+        cache_key = (x, p, self.forest.child_count(x))
+        instances = self._instance_cache.get(cache_key)
+        if instances is None:
+            instances = []
+            for rule_index, rule in enumerate(self.program.rules_for_head(p)):
+                if rule.kind is RuleKind.FREE:
+                    continue  # a choice rule never forces the atom
+                shape = unary_shape(rule)
+                if not self._head_matches_node(shape.head_term, x):
+                    continue
+                for targets in self._instance_groundings(x, shape):
+                    instances.append(
+                        ((rule_index, targets), self._ground_body(x, shape, targets))
+                    )
+            self._instance_cache[cache_key] = instances
+        return instances
+
+    def _first_pending(self, x: NodeId, p: str, okey) -> Optional[tuple]:
+        """The first instance of `_instances(x, p)` that the ledger of
+        the obligation `okey` does not hold yet; None when all are
+        refuted."""
+        instances = self._instances(x, p)
+        handled = self.handled.get(okey)
+        if not handled:
+            return instances[0] if instances else None
+        for instance in instances:
+            if instance[0] not in handled:
+                return instance
+        return None
 
     def _ground_body(
         self, x: NodeId, shape: UnaryShape, targets: tuple[NodeId, ...]
@@ -579,9 +625,9 @@ class A1CompletionStructure(ForestState):
 
     def _finish_instance(self, okey, instance_key) -> None:
         self._mark_handled(okey, instance_key)
-        x = okey[0]
-        if not self._pending_instances(x, okey[1].name, okey):
-            self.set_status(x, okey[1], EXP)
+        x, sp = okey
+        if self._first_pending(x, sp.name, okey) is None:
+            self.set_status(x, sp, EXP)
 
     def _apply_refutation(self, okey, instance_key, key: Key, comp: Signed) -> None:
         if isinstance(key, tuple):
@@ -596,11 +642,11 @@ class A1CompletionStructure(ForestState):
             if not self.decided(x, q):
                 return [
                     Alternative(
-                        f"choose not {q} at {x}",
+                        "choose not {} at {}", (q, x),
                         lambda x=x, q=q: self.insert_tracked(x, Signed(q, False)),
                     ),
                     Alternative(
-                        f"choose {q} at {x}",
+                        "choose {} at {}", (q, x),
                         lambda x=x, q=q: self.insert_tracked(x, Signed(q, True)),
                     ),
                 ]
@@ -617,7 +663,7 @@ class A1CompletionStructure(ForestState):
                 ) and self._head_matches_node(rule.head.args[1], y):
                     alternatives.append(
                         Alternative(
-                            f"{f} on {x}->{y} by choice rule",
+                            "{} on {}->{} by choice rule", (f, x, y),
                             lambda arc=arc, sp=sp: self.set_status(arc, sp, EXP),
                         )
                     )
@@ -630,7 +676,7 @@ class A1CompletionStructure(ForestState):
                 continue
             alternatives.append(
                 Alternative(
-                    f"{f} on {x}->{y} by rule line {rule.line}",
+                    "{} on {}->{} by rule line {}", (f, x, y, rule.line),
                     lambda arc=arc, sp=sp, shape=shape: self._apply_binary_positive(
                         arc, sp, shape
                     ),
@@ -680,7 +726,7 @@ class A1CompletionStructure(ForestState):
         if not pending:
             return [
                 Alternative(
-                    f"not {f} on {x}->{y}: all instances refuted",
+                    "not {} on {}->{}: all instances refuted", (f, x, y),
                     lambda: self.set_status(arc, sp, EXP),
                 )
             ]
@@ -702,7 +748,7 @@ class A1CompletionStructure(ForestState):
         for key, lit_sp in literals:
             if lit_sp.negated() in self.content(key):
                 return [
-                    Alternative(f"not {f} on {x}->{y}: already refuted", finish)
+                    Alternative("not {} on {}->{}: already refuted", (f, x, y), finish)
                 ]
         def refute(key: Key, comp: Signed) -> None:
             self.insert_tracked(key, comp)
@@ -714,7 +760,7 @@ class A1CompletionStructure(ForestState):
                 continue
             alternatives.append(
                 Alternative(
-                    f"not {f} on {x}->{y}: refute {lit_sp} at {key}",
+                    "not {} on {}->{}: refute {} at {}", (f, x, y, lit_sp, key),
                     lambda key=key, comp=lit_sp.negated(): refute(key, comp),
                 )
             )
@@ -725,11 +771,11 @@ class A1CompletionStructure(ForestState):
             if not self.decided(arc, f):
                 return [
                     Alternative(
-                        f"choose not {f} on {arc[0]}->{arc[1]}",
+                        "choose not {} on {}->{}", (f, arc[0], arc[1]),
                         lambda arc=arc, f=f: self.insert_tracked(arc, Signed(f, False)),
                     ),
                     Alternative(
-                        f"choose {f} on {arc[0]}->{arc[1]}",
+                        "choose {} on {}->{}", (f, arc[0], arc[1]),
                         lambda arc=arc, f=f: self.insert_tracked(arc, Signed(f, True)),
                     ),
                 ]
@@ -747,7 +793,7 @@ class A1CompletionStructure(ForestState):
                 alts = self.expand_unary_positive(x, sp.name)
             else:
                 alts = self.expand_unary_negative(x, sp.name)
-            return Task(f"expand {sp} at {x}", alts)
+            return Task("expand {} at {}", (sp, x), alts)
         for arc in self.forest.arcs_from(x):
             for sp in sorted(self.content(arc), key=signed_sort_key):
                 if self.st.get((arc, sp)) != UNEXP:
@@ -756,14 +802,14 @@ class A1CompletionStructure(ForestState):
                     alts = self.expand_binary_positive(arc, sp.name)
                 else:
                     alts = self.expand_binary_negative(arc, sp.name)
-                return Task(f"expand {sp} on {arc[0]}->{arc[1]}", alts)
+                return Task("expand {} on {}->{}", (sp, arc[0], arc[1]), alts)
         choice = self.choose_unary(x)
         if choice:
-            return Task(f"choose unary at {x}", choice)
+            return Task("choose unary at {}", (x,), choice)
         for arc in self.forest.arcs_from(x):
             choice = self.choose_binary(arc)
             if choice:
-                return Task(f"choose binary on {arc[0]}->{arc[1]}", choice)
+                return Task("choose binary on {}->{}", (arc[0], arc[1]), choice)
         return None
 
     def check_budget(self) -> None:
@@ -950,6 +996,8 @@ def check_sat_a1(
             )
             found = run_search(cs, cs.next_task, stats, cs.is_complete_clash_free)
             if found:
+                # the witness expands nothing more; callers may keep many
+                cs._instance_cache.clear()
                 return Verdict(
                     VerdictKind.SAT,
                     "a1",

@@ -1,12 +1,15 @@
 """Full-recomputation references for the search's incremental bookkeeping.
 
 The engines keep saturation as counters updated on every status change,
-and blocking and the equal-ancestor count in a per-node memo; the
+blocking and the equal-ancestor count in a per-node memo, and (a1) the
+ground rule instances of each negative obligation in a cache; the
 functions here derive the same facts from scratch, so tests can compare
 the two at every step of a real search.
 """
 
+from folp.forest import Signed
 from folp.matcher import A2CompletionStructure
+from folp.syntax import RuleKind, unary_shape
 from folp.tableau import EXP, A1CompletionStructure
 
 
@@ -39,14 +42,50 @@ def assert_memo_agrees(cs, x) -> None:
     assert cs.equal_ancestor_count(x) == reference_equal_ancestor_count(cs, x), str(x)
 
 
+def reference_pending_instances(cs: A1CompletionStructure, x, p: str, okey) -> list:
+    """(instance key, shape, targets) of every rule instance defining p
+    at x that the ledger of `okey` does not hold, in refutation order,
+    grounded afresh."""
+    handled = cs.handled_set(okey)
+    pending = []
+    for rule_index, rule in enumerate(cs.program.rules_for_head(p)):
+        if rule.kind is RuleKind.FREE:
+            continue  # a choice rule never forces the atom
+        shape = unary_shape(rule)
+        if not cs._head_matches_node(shape.head_term, x):
+            continue
+        for targets in cs._instance_groundings(x, shape):
+            instance_key = (rule_index, targets)
+            if instance_key not in handled:
+                pending.append((instance_key, shape, targets))
+    return pending
+
+
+def assert_first_pending_agrees(cs: A1CompletionStructure, okey) -> None:
+    """The cached first pending instance of the negative obligation
+    `okey` is the first of a fresh full re-grounding, ground body
+    included."""
+    x, sp = okey
+    pending = reference_pending_instances(cs, x, sp.name, okey)
+    first = cs._first_pending(x, sp.name, okey)
+    if not pending:
+        assert first is None, (str(x), sp)
+        return
+    instance_key, shape, targets = pending[0]
+    assert first == (instance_key, cs._ground_body(x, shape, targets)), (str(x), sp)
+
+
 def checked_a1() -> type:
     """A fresh subclass of the direct engine's structure that, before
     every task selection, asserts at every node that the memo and the
-    saturation counters agree with the references; `checks` counts the
-    nodes compared."""
+    saturation counters agree with the references, and at every
+    negative unary expansion and every refuted instance that the
+    instance cache does; `checks` counts the nodes compared,
+    `pending_checks` the obligations."""
 
     class CheckedA1(A1CompletionStructure):
         checks = 0
+        pending_checks = 0
 
         def next_task(self):
             for x in self.forest.nodes():
@@ -55,12 +94,24 @@ def checked_a1() -> type:
                 CheckedA1.checks += 1
             return super().next_task()
 
+        def expand_unary_negative(self, x, p):
+            okey = (x, Signed(p, False))
+            assert_first_pending_agrees(self, okey)
+            CheckedA1.pending_checks += 1
+            return super().expand_unary_negative(x, p)
+
+        def _finish_instance(self, okey, instance_key):
+            super()._finish_instance(okey, instance_key)
+            assert_first_pending_agrees(self, okey)
+            CheckedA1.pending_checks += 1
+
     return CheckedA1
 
 
 def checked_a2() -> type:
     """The same for the compiled engine's structure, which shares the
-    memo but has no saturation counters."""
+    memo, keeps "blocked" entries across new arcs, and has no saturation
+    counters."""
 
     class CheckedA2(A2CompletionStructure):
         checks = 0

@@ -166,6 +166,36 @@ def test_reaches_agrees_with_recomputation_across_undo():
                     assert g.reaches(a, b) == naive_reachable(arcs, a, b, vertices)
 
 
+def test_connects_agrees_with_paths_set_across_undo():
+    """The one-search blocking test answers whether the path set is
+    empty, on seeded random graphs over the unary and arc atoms of a few
+    nodes, with free predicates, after every arc insertion and undo."""
+    rng = random.Random(31)
+    nodes = [NodeId("x"), NodeId("x", (1,)), NodeId("x", (1, 1)), NodeId("a")]
+    free = frozenset({"r"})
+    found = 0
+    for _ in range(30):
+        vertices = [atom(p, n) for p in "pqr" for n in nodes]
+        vertices += [atom("f", a, b) for a, b in zip(nodes, nodes[1:])]
+        trail = Trail()
+        g = DependencyGraph(trail)
+        marks = [trail.mark()]
+        for _ in range(rng.randint(5, 40)):
+            if rng.random() < 0.25 and len(marks) > 1:
+                mark = rng.choice(marks)
+                trail.undo_to(mark)
+                marks = [m for m in marks if m <= mark]
+            else:
+                g.add_arc(rng.choice(vertices), rng.choice(vertices))
+                marks.append(trail.mark())
+            for y in nodes:
+                for x in nodes:
+                    expected = bool(g.paths_set(y, x, free))
+                    assert g.connects(y, x, free) == expected, (y, x)
+                    found += expected
+    assert found > 100
+
+
 def test_closes_cycle_agrees_with_has_cycle():
     """On an acyclic graph, the insertion-time test predicts exactly
     whether the full search finds a cycle once the arc is in."""

@@ -82,6 +82,9 @@ def test_match_offers_every_unit_for_an_empty_node(choice_chain, chain_cache):
     anonymous = [u for u in chain_cache.units if u.root_constant is None]
     task_alts = cs.match(cs.epsilon)
     assert len(task_alts) == len(anonymous)
+    assert [a.description for a in task_alts] == [
+        f"match x with unit {u.sort_key()[:3]}" for u in chain_cache.candidates_for(None)
+    ]
 
 
 def test_match_candidates_respect_content(choice_chain, chain_cache):
@@ -204,6 +207,12 @@ def test_hard_search_is_pinned(hard, monkeypatch):
     assert checked.checks > HARD_P_A2["tasks"]
 
 
-def test_family_goal_search_is_pinned(family):
+def test_family_goal_search_is_pinned(family, monkeypatch):
+    """Pinned verdict record; the blocking memo, whose "blocked" entries
+    survive new arcs under this engine, agrees with a full recomputation
+    at every node before every task."""
+    checked = checked_a2()
+    monkeypatch.setattr(matcher, "A2CompletionStructure", checked)
     verdict = check_sat_a2(family, "goal", compile_units(family).cache)
     assert verdict.to_record() == FAMILY_GOAL_A2
+    assert checked.checks > FAMILY_GOAL_A2["tasks"]

@@ -15,7 +15,7 @@ from folp.tableau import (
     redundancy_bound,
 )
 
-from reference import checked_a1
+from reference import assert_first_pending_agrees, checked_a1, reference_pending_instances
 
 FIG_ATOMS = {
     ("smember", ("x",)),
@@ -158,7 +158,7 @@ def test_expand_unary_negative_vacuous_without_instances():
     x = cs.epsilon  # anonymous; the fact defines p only at constant a
     cs.insert_tracked(x, Signed("p", False))
     (alternative,) = cs.expand_unary_negative(x, "p")
-    assert "all instances refuted" in alternative.description
+    assert alternative.description == "not p at x: all instances refuted"
     alternative.apply()
     assert cs.status(x, Signed("p", False)) == EXP
 
@@ -339,14 +339,16 @@ FAMILY_GOAL_A1 = {
 
 def test_hard_search_is_pinned_and_saturation_matches_reference(hard, monkeypatch):
     """The hard program's exhaustive search, task for task: the verdict
-    record is pinned, and at every task selection the saturation
-    counters and the blocking memo agree with a full recomputation at
-    every node."""
+    record is pinned, at every task selection the saturation counters
+    and the blocking memo agree with a full recomputation at every node,
+    and at every negative expansion the cached first pending instance
+    agrees with a fresh re-grounding."""
     checked = checked_a1()
     monkeypatch.setattr(tableau, "A1CompletionStructure", checked)
     verdict = check_sat_a1(hard, "p", RedundancyPolicy(k_override=5))
     assert verdict.to_record() == HARD_P_A1
     assert checked.checks > 13169
+    assert checked.pending_checks > 0
 
 
 def test_family_goal_search_is_pinned(family, monkeypatch):
@@ -355,3 +357,36 @@ def test_family_goal_search_is_pinned(family, monkeypatch):
     verdict = check_sat_a1(family, "goal")
     assert verdict.to_record() == FAMILY_GOAL_A1
     assert checked.checks > 8125
+    assert checked.pending_checks > 4000
+
+
+def test_instance_cache_survives_undoing_and_recreating_a_child():
+    """The instances of x with n children are cached under n: after the
+    n-th child is undone and created again, the cached entry is reused
+    and still names x's current children and constants."""
+    program = parse_program("p(X) :- f(X,Y), q(Y), not r(Y).\nr(a).\n")
+    cs = A1CompletionStructure(program)
+    x = cs.epsilon
+    okey = (x, Signed("p", False))
+    cs.insert_tracked(x, okey[1])
+    mark = cs.trail.mark()
+    child = cs.forest.add_child(x)
+    with_child = cs._instances(x, "p")
+    assert [key for key, _ in with_child] == [(0, (child,)), (0, (NodeId("a"),))]
+    assert_first_pending_agrees(cs, okey)
+    (refute_f, *_) = cs.expand_unary_negative(x, "p")
+    refute_f.apply()
+    assert cs._first_pending(x, "p", okey)[0] == (0, (NodeId("a"),))
+    assert_first_pending_agrees(cs, okey)
+
+    cs.trail.undo_to(mark)
+    assert not cs.forest.has_node(child)
+    assert [key for key, _ in cs._instances(x, "p")] == [(0, (NodeId("a"),))]
+    assert_first_pending_agrees(cs, okey)
+
+    again = cs.forest.add_child(x)
+    assert again == child and again is not child
+    assert cs._instances(x, "p") is with_child
+    assert cs._first_pending(x, "p", okey)[0] == (0, (again,))
+    assert_first_pending_agrees(cs, okey)
+    assert reference_pending_instances(cs, x, "p", okey)[0][2] == (again,)
