@@ -159,18 +159,24 @@ def cmd_check(args) -> int:
     return verdicts[0].exit_code
 
 
+# (label, verdict record field) of the counts in a text verdict line
+_STAT_FIELDS = (
+    ("nodes", "nodes_created"),
+    ("choices", "choice_points"),
+    ("backtracks", "backtracks"),
+    ("depth", "max_depth"),
+    ("units-tried", "units_tried"),
+    ("matches", "unit_matches"),
+    ("reuse", "unit_reuse"),
+)
+
+
 def _stat_line(verdict: Verdict) -> str:
-    s = verdict.stats
-    parts = [
-        f"nodes={s.nodes_created}",
-        f"choices={s.choice_points}",
-        f"backtracks={s.backtracks}",
-        f"depth={s.max_depth_seen}",
-    ]
-    if verdict.algorithm == "a2":
-        parts += [f"units-tried={s.units_tried}", f"matches={s.matches}",
-                  f"reuse={s.reuse_count}"]
-    return " ".join(parts)
+    """The counts the verdict record holds (unit counts only for a2)."""
+    record = verdict.to_record()
+    return " ".join(
+        f"{label}={record[name]}" for label, name in _STAT_FIELDS if name in record
+    )
 
 
 def cmd_compile_units(args) -> int:

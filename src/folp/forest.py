@@ -197,6 +197,10 @@ class Trail:
         while len(self._log) > mark:
             self._log.pop()()
 
+    def clear(self) -> None:
+        """Forget every closure: what was done can no longer be undone."""
+        self._log.clear()
+
 
 class ExtendedForest:
     """Trees over the root constants (plus possibly one anonymous root)

@@ -22,36 +22,31 @@ graft), and the completion audit searches the whole graph once more.
 A graft copies contents and arcs in a fixed order, so where it stops on
 a clash does not depend on the hash seed.
 
-Search order and verdict semantics mirror the direct engine: ε first,
-then constants in declaration order, then leftmost-first successors;
-candidate units are tried least constraining first (fewest successors,
-then smallest path sets).
+The driver, the redundancy clash and the completion audit are those of
+`tableau.CompletionStructure` and `tableau.decide`; a node is saturated
+here once a unit is grafted onto it. The search expands the leftmost
+unexpanded unblocked node; candidate units are tried least constraining
+first (fewest successors, then smallest path sets).
 """
 
 from __future__ import annotations
 
-import time
+from functools import partial
 from typing import Iterable, Optional
 
-from .forest import ClashError, ForestState, GroundAtom, NodeId, Signed
+from .forest import ClashError, NodeId, Signed
 from .syntax import Program
 from .tableau import (
-    EXP,
-    UNEXP,
     Alternative,
-    EngineBudgetError,
+    CompletionStructure,
     RedundancyPolicy,
-    SearchStats,
     Task,
     Verdict,
-    VerdictKind,
     _check_engine_input,
-    _depth_schedule,
-    anonymous_root_name,
-    redundancy_bound,
-    run_search,
+    decide,
+    run_search,  # unused here; perfbench's tracer wraps matcher.run_search
 )
-from .units import UnitCache, UnitCompletionStructure
+from .units import UnitCache, UnitCompletionStructure, ground_atom
 
 
 def local_satisfies(uc: UnitCompletionStructure, required: Iterable[Signed]) -> bool:
@@ -60,10 +55,11 @@ def local_satisfies(uc: UnitCompletionStructure, required: Iterable[Signed]) -> 
     return uc.root_content.issuperset(required)
 
 
-class A2CompletionStructure(ForestState):
+class A2CompletionStructure(CompletionStructure):
     """Tableau state for the compiled engine: the status function ranges
-    over nodes, not content entries; an expanded node's content is the
-    total content of its unit's saturated root."""
+    over nodes, not content entries. A node is saturated once a unit is
+    grafted onto it, because its content is then the total content of
+    the unit's saturated root."""
 
     algorithm = "a2"
     arc_stable_blocking = True
@@ -74,56 +70,16 @@ class A2CompletionStructure(ForestState):
         cache: UnitCache,
         *,
         pred: Optional[str] = None,
-        epsilon: Optional[str] = None,
-        k: Optional[int] = None,
-        max_depth: Optional[int] = None,
-        stats: Optional[SearchStats] = None,
-        deadline: Optional[float] = None,
-        max_tasks: Optional[int] = None,
+        **options,
     ):
-        if epsilon is None:
-            anon = anonymous_root_name(program.constants)
-            roots = [anon] + list(program.constants)
-            self.epsilon = NodeId(anon)
-        else:
-            if epsilon not in program.constants:
-                raise ValueError(f"unknown constant {epsilon!r}")
-            roots = list(program.constants)
-            self.epsilon = NodeId(epsilon)
-        super().__init__(roots, program.constants, program.free_preds)
-        self.program = program
+        super().__init__(program, **options)
         self.cache = cache
-        self.k = k if k is not None else redundancy_bound(len(program.upreds))
-        self.max_depth = max_depth
-        self.stats = stats if stats is not None else SearchStats()
-        self.deadline = deadline
-        self.max_tasks = max_tasks
-        self.pruned = False
-        self.st: dict[NodeId, str] = {
-            node: UNEXP for node in self.forest.nodes()
-        }
+        self.grafted: set[NodeId] = set()
         if pred is not None:
             self.insert(self.epsilon, Signed(pred, True))
 
-    def set_node_status(self, node: NodeId, value: str) -> None:
-        old = self.st.get(node)
-        self.st[node] = value
-
-        def undo() -> None:
-            if old is None:
-                del self.st[node]
-            else:
-                self.st[node] = old
-
-        self.trail.push(undo)
-
-    def is_expanded(self, node: NodeId) -> bool:
-        return self.st.get(node) == EXP
-
-    def is_redundant_node(self, x: NodeId) -> bool:
-        if not self.is_expanded(x) or self.is_blocked(x):
-            return False
-        return self.equal_ancestor_count(x) >= self.k
+    def is_saturated(self, node: NodeId) -> bool:
+        return node in self.grafted
 
     # -- the Match rule --------------------------------------------------
 
@@ -143,7 +99,8 @@ class A2CompletionStructure(ForestState):
             )
         if not local_satisfies(uc, self.content(x)):
             raise ValueError(f"unit does not locally satisfy the content of {x}")
-        self.set_node_status(x, EXP)
+        self.grafted.add(x)
+        self.trail.push(partial(self.grafted.discard, x))
         root_content, successors, g_arcs = uc.graft_order()
         for sp in root_content:
             self.insert(x, sp)
@@ -160,7 +117,6 @@ class A2CompletionStructure(ForestState):
                 self.stats.max_depth_seen = max(
                     self.stats.max_depth_seen, node.depth
                 )
-                self.set_node_status(node, UNEXP)
             token_node[succ.target] = node
             if succ.has_arc:
                 arc = (x, node)
@@ -171,14 +127,8 @@ class A2CompletionStructure(ForestState):
                 # no-ops or raises: its content is total
                 self.insert(node, sp)
         for a, b in g_arcs:
-            self.add_dependency(self._atom(token_node, a), self._atom(token_node, b))
+            self.add_dependency(ground_atom(token_node, a), ground_atom(token_node, b))
         return [token_node[succ.target] for succ in uc.successors]
-
-    @staticmethod
-    def _atom(token_node: dict, atom) -> GroundAtom:
-        pred, tokens = atom
-        nodes = tuple(token_node[t] for t in tokens)
-        return GroundAtom(pred, nodes)
 
     def match(self, x: NodeId) -> list[Alternative]:
         """One branch per cached unit with a compatible root that locally
@@ -207,14 +157,19 @@ class A2CompletionStructure(ForestState):
         successors = self.expand_cs(x, uc)
         self.stats.matches += 1
         self.stats.units_used.add(uc.sort_key())
-        self._redundancy_clash(x)
+        # an expanded node's content and ancestors are fixed, so the
+        # bound is checked once, right after its match
+        if not self.is_blocked(x):
+            equal = self.equal_ancestor_count(x)
+            if equal >= self.k:
+                self.redundancy_clash(x, equal)
         # Fail fast on successors no unit can ever cover. Sound because an
         # existing node's ancestors are already expanded, so its content
         # and theirs are fixed: an unblocked node can never become
         # blocked later (path sets only grow), and accrued constant
         # contents only grow, shrinking their candidate sets.
         for node in successors:
-            if self.is_expanded(node) or self.is_blocked(node):
+            if self.is_saturated(node) or self.is_blocked(node):
                 continue
             constant = node.root if self.forest.is_constant_node(node) else None
             content = self.content(node)
@@ -227,49 +182,13 @@ class A2CompletionStructure(ForestState):
 
     # -- scheduling --------------------------------------------------------
 
-    def check_budget(self) -> None:
-        if self.deadline is not None and time.monotonic() >= self.deadline:
-            raise EngineBudgetError("time limit exceeded")
-        if self.max_tasks is not None and self.stats.tasks > self.max_tasks:
-            raise EngineBudgetError("task budget exceeded")
-
-    def _redundancy_clash(self, x: NodeId) -> None:
-        """An expanded node's content and ancestors are fixed, so the
-        bound is checked once right after its match; the completion audit
-        re-checks every node against the final blocking statuses."""
-        if not self.is_blocked(x):
-            equal = self.equal_ancestor_count(x)
-            if equal >= self.k:
-                self.stats.redundancy_events.append(
-                    {
-                        "node": str(x),
-                        "equal_ancestors": equal,
-                        "chain_position": equal + 1,
-                    }
-                )
-                raise ClashError(f"redundant node {x} ({equal} equal ancestors)")
-
     def next_task(self) -> Optional[Task]:
         self.check_budget()
         for x in self.forest.nodes():
-            if self.is_expanded(x) or self.is_blocked(x):
+            if self.is_saturated(x) or self.is_blocked(x):
                 continue
             return Task("match {}", (x,), self.match(x))
         return None
-
-    def is_complete_clash_free(self) -> bool:
-        """No redundant node and no unblocked unexpanded node; the merged
-        dependency graph must additionally be acyclic (see the module
-        docstring), and blocking is re-derived from scratch."""
-        if self.g.has_cycle():
-            return False
-        for x in self.forest.nodes():
-            blocked = self.is_blocked(x)
-            if not self.is_expanded(x) and not blocked:
-                return False
-            if self.is_redundant_node(x):
-                return False
-        return True
 
 
 def check_sat_a2(
@@ -278,64 +197,15 @@ def check_sat_a2(
     cache: UnitCache,
     policy: Optional[RedundancyPolicy] = None,
 ) -> Verdict:
-    """Satisfiability of a unary predicate by the compiled engine. The
-    cache must have been compiled from the same (constraint-free)
-    program; a fingerprint mismatch is an error. Verdict semantics match
-    the direct engine."""
-    policy = policy or RedundancyPolicy()
+    """Satisfiability of a unary predicate by the compiled engine (see
+    `tableau.decide`). The cache must have been compiled from the same
+    (constraint-free) program; a fingerprint mismatch is an error."""
     _check_engine_input(program, pred)
     cache.verify(program)
-    k = policy.effective_k(program)
-    stats = SearchStats()
-    deadline = (
-        time.monotonic() + policy.time_limit if policy.time_limit is not None else None
+    # the class is looked up per structure, so tests can substitute it
+    return decide(
+        program,
+        pred,
+        policy or RedundancyPolicy(),
+        lambda **options: A2CompletionStructure(program, cache, **options),
     )
-    epsilon_choices: list[Optional[str]] = [None] + list(program.constants)
-    for depth in _depth_schedule(policy.max_depth):
-        pruned_any = False
-        for epsilon in epsilon_choices:
-            cs = A2CompletionStructure(
-                program,
-                cache,
-                pred=pred,
-                epsilon=epsilon,
-                k=k,
-                max_depth=depth,
-                stats=stats,
-                deadline=deadline,
-                max_tasks=policy.max_tasks,
-            )
-            found = run_search(cs, cs.next_task, stats, cs.is_complete_clash_free)
-            if found:
-                return Verdict(
-                    VerdictKind.SAT,
-                    "a2",
-                    pred,
-                    stats,
-                    witness=cs,
-                    bounded_incomplete=policy.bounded_incomplete,
-                    depth_used=depth,
-                )
-            pruned_any = pruned_any or cs.pruned
-            # the undo closures tie a structure into reference cycles;
-            # undone, the failed one is freed at once, not by the collector
-            cs.trail.undo_to(0)
-        if not pruned_any:
-            return Verdict(
-                VerdictKind.UNSAT,
-                "a2",
-                pred,
-                stats,
-                bounded_incomplete=policy.bounded_incomplete,
-                depth_used=depth,
-            )
-        if policy.max_depth is not None:
-            return Verdict(
-                VerdictKind.DEPTH_BOUNDED_UNKNOWN,
-                "a2",
-                pred,
-                stats,
-                bounded_incomplete=True,
-                depth_used=depth,
-            )
-    raise AssertionError("unreachable: the depth schedule is infinite")

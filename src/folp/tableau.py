@@ -1,10 +1,17 @@
-"""The direct tableau engine (algorithm a1).
+"""The search core of both engines and the direct tableau engine (a1).
 
-Builds completion structures by justifying every signed predicate in
-node and arc contents with the program rules: positive entries by
-enforcing the body of one defining rule instance, negative entries by
-refuting every defining rule instance, undecided predicates by explicit
-sign choice. Blocking stops expansion below a node subsumed by an
+As in the paper, the optimised algorithm is the same tableau with a
+different expansion step: both engines share `CompletionStructure`
+(roots, options and budgets, the redundancy clash, the completion audit)
+and the driver `decide` (depth schedule, root choices, `run_search`,
+verdict); each supplies only its task (`next_task`) and its notion of a
+saturated node.
+
+The direct engine builds completion structures by justifying every
+signed predicate in node and arc contents with the program rules:
+positive entries by enforcing the body of one defining rule instance,
+negative entries by refuting every defining rule instance, undecided
+predicates by explicit sign choice. Blocking stops expansion below a node subsumed by an
 ancestor; the redundancy bound turns overly long equal-content chains
 into a clash.
 
@@ -36,7 +43,9 @@ Verdicts: without an explicit depth bound the driver deepens iteratively
 and reports UNSAT only from an exhausted search in which the bound never
 pruned anything, which makes UNSAT sound. With an explicit bound,
 exhaustion after pruning yields DEPTH_BOUNDED_UNKNOWN. A redundancy
-override below the sound bound marks the verdict bounded-incomplete.
+override below the sound bound marks the verdict bounded-incomplete. A
+SAT witness keeps no undo log (`keep_as_witness`): it is never
+backtracked, and callers may keep many.
 """
 
 from __future__ import annotations
@@ -45,7 +54,8 @@ import itertools
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Optional
+from functools import partial
+from typing import Callable, Iterable, Iterator, NoReturn, Optional
 
 from .forest import (
     ArcId,
@@ -224,24 +234,48 @@ class Task:
 _Desc = tuple
 
 
-class A1CompletionStructure(ForestState):
-    """Tableau state for the direct engine.
+def _bindings(
+    shape: UnaryShape,
+    variable_targets: Callable[[int], list],
+    constant_target: Callable[[str], object],
+) -> list[tuple]:
+    """Every choice of targets for the successor terms of a rule that
+    keeps its inequalities: the variable at position i ranges over
+    `variable_targets(i)`, a constant c stands for `constant_target(c)`."""
+    per_term = [
+        variable_targets(i) if spec.term.is_variable else [constant_target(spec.term.name)]
+        for i, spec in enumerate(shape.successors)
+    ]
+    if not shape.inequalities:
+        return list(itertools.product(*per_term))
+    position = {spec.term: i for i, spec in enumerate(shape.successors)}
+    out = []
+    for combo in itertools.product(*per_term):
 
-    The status map tracks every content entry; negative non-free entries
-    additionally carry a ledger of already refuted rule instances, so a
-    fresh successor re-arms them for the new instances only; the
-    instances themselves are cached (see the module docstring). Per key,
-    the number of expanded entries is kept beside the map, and per node
-    the number of outgoing arcs whose binary entries are all expanded,
-    which makes the saturation test two counter reads."""
+        def resolve(term, combo=combo):
+            if term.is_variable:
+                return combo[position[term]]
+            return constant_target(term.name)
 
-    algorithm = "a1"
+        for ineq in shape.inequalities:
+            if resolve(ineq.left) == resolve(ineq.right):
+                break
+        else:
+            out.append(combo)
+    return out
+
+
+class CompletionStructure(ForestState):
+    """The state both engines share (see the module docstring). Without
+    `epsilon` an anonymous root ε stands beside the constants, otherwise
+    the named constant is ε; an engine inserts the goal predicate at ε."""
+
+    algorithm: str
 
     def __init__(
         self,
         program: Program,
         *,
-        pred: Optional[str] = None,
         epsilon: Optional[str] = None,
         k: Optional[int] = None,
         max_depth: Optional[int] = None,
@@ -266,6 +300,64 @@ class A1CompletionStructure(ForestState):
         self.deadline = deadline
         self.max_tasks = max_tasks
         self.pruned = False
+
+    def is_saturated(self, x: NodeId) -> bool:
+        raise NotImplementedError
+
+    def check_budget(self) -> None:
+        if self.deadline is not None and time.monotonic() >= self.deadline:
+            raise EngineBudgetError("time limit exceeded")
+        if self.max_tasks is not None and self.stats.tasks > self.max_tasks:
+            raise EngineBudgetError("task budget exceeded")
+
+    def redundancy_clash(self, x: NodeId, equal: int) -> NoReturn:
+        """Record and raise the redundancy clash of a saturated node x
+        with `equal` >= k equal-content ancestors. The caller has found x
+        unblocked; asking again would cost the direct engine's scan."""
+        self.stats.redundancy_events.append(
+            {"node": str(x), "equal_ancestors": equal, "chain_position": equal + 1}
+        )
+        raise ClashError(f"redundant node {x} ({equal} equal ancestors)")
+
+    def is_redundant_node(self, x: NodeId) -> bool:
+        """Saturated, unblocked, and owning at least k equal-content
+        ancestors. A blocked node is never redundant."""
+        if not self.is_saturated(x) or self.is_blocked(x):
+            return False
+        return self.equal_ancestor_count(x) >= self.k
+
+    def is_complete_clash_free(self) -> bool:
+        """Acyclic dependency graph, every unblocked node saturated and
+        not redundant; blocking is read from the exact memo."""
+        if self.g.has_cycle():
+            return False
+        for x in self.forest.nodes():
+            if self.is_blocked(x):
+                continue
+            if not self.is_saturated(x) or self.is_redundant_node(x):
+                return False
+        return True
+
+    def keep_as_witness(self) -> None:
+        """Drop what only the search needs (see the module docstring)."""
+        self.trail.clear()
+
+
+class A1CompletionStructure(CompletionStructure):
+    """Tableau state for the direct engine.
+
+    The status map tracks every content entry; negative non-free entries
+    additionally carry a ledger of already refuted rule instances, so a
+    fresh successor re-arms them for the new instances only; the
+    instances themselves are cached (see the module docstring). Per key,
+    the number of expanded entries is kept beside the map, and per node
+    the number of outgoing arcs whose binary entries are all expanded,
+    which makes the saturation test two counter reads."""
+
+    algorithm = "a1"
+
+    def __init__(self, program: Program, *, pred: Optional[str] = None, **options):
+        super().__init__(program, **options)
         self.st: dict[tuple[Key, Signed], str] = {}
         self.expanded: dict[Key, int] = {}
         self.full_arcs: dict[NodeId, int] = {}
@@ -361,16 +453,6 @@ class A1CompletionStructure(ForestState):
             or self.full_arcs.get(x, 0) == self.forest.out_degree(x)
         )
 
-    def is_redundant_node(self, x: NodeId) -> bool:
-        """Saturated, unblocked, and owning at least k equal-content
-        ancestors. Blocking is checked first: a blocked node is never
-        redundant."""
-        if not self.is_saturated(x):
-            return False
-        if self.is_blocked(x):
-            return False
-        return self.equal_ancestor_count(x) >= self.k
-
     # -- grounding helpers ------------------------------------------------
 
     def _head_matches_node(self, term, x: NodeId) -> bool:
@@ -402,56 +484,15 @@ class A1CompletionStructure(ForestState):
         connecting literal gets refuted)."""
         return self.forest.children(x) + [NodeId(c) for c in self.program.constants]
 
-    @staticmethod
-    def _ineqs_ok(shape: UnaryShape, resolve) -> bool:
-        for ineq in shape.inequalities:
-            if resolve(ineq.left) == resolve(ineq.right):
-                return False
-        return True
-
     def _groundings(self, x: NodeId, shape: UnaryShape) -> list[tuple[_Desc, ...]]:
-        per_term: list[list[_Desc]] = []
-        position: dict = {}
-        for i, spec in enumerate(shape.successors):
-            position[spec.term] = i
-            if spec.term.is_variable:
-                per_term.append(self._positive_candidates(x, i))
-            else:
-                per_term.append([("node", NodeId(spec.term.name))])
-        out = []
-        for combo in itertools.product(*per_term):
-
-            def resolve(term, combo=combo):
-                if term.is_variable:
-                    return combo[position[term]]
-                return ("node", NodeId(term.name))
-
-            if self._ineqs_ok(shape, resolve):
-                out.append(combo)
-        return out
+        return _bindings(
+            shape, partial(self._positive_candidates, x), lambda c: ("node", NodeId(c))
+        )
 
     def _instance_groundings(
         self, x: NodeId, shape: UnaryShape
     ) -> list[tuple[NodeId, ...]]:
-        per_term: list[list[NodeId]] = []
-        position: dict = {}
-        for i, spec in enumerate(shape.successors):
-            position[spec.term] = i
-            if spec.term.is_variable:
-                per_term.append(self._instance_candidates(x))
-            else:
-                per_term.append([NodeId(spec.term.name)])
-        out = []
-        for combo in itertools.product(*per_term):
-
-            def resolve(term, combo=combo):
-                if term.is_variable:
-                    return combo[position[term]]
-                return NodeId(term.name)
-
-            if self._ineqs_ok(shape, resolve):
-                out.append(combo)
-        return out
+        return _bindings(shape, lambda i: self._instance_candidates(x), NodeId)
 
     def _ensure_arc(self, x: NodeId, y: NodeId) -> None:
         if y.parent() == x:
@@ -550,29 +591,31 @@ class A1CompletionStructure(ForestState):
                 )
             ]
         instance_key, ground_literals = pending
-        for key, lit_sp in ground_literals:
+        return self._refutations(
+            "not {} at {}", (p, x), ground_literals,
+            partial(self._finish_instance, okey, instance_key),
+            partial(self._apply_refutation, okey, instance_key),
+        )
+
+    def _refutations(
+        self, head: str, args: tuple, literals: list, finish, refute
+    ) -> list[Alternative]:
+        """The ways to refute one ground rule instance with body
+        `literals`: `finish()` closes it when a literal is already false,
+        else `refute(key, complement)` for each literal whose complement
+        fits the content. `head` and `args` describe the obligation."""
+        for key, lit_sp in literals:
             if lit_sp.negated() in self.content(key):
-                return [
-                    Alternative(
-                        "not {} at {}: instance already refuted", (p, x),
-                        lambda okey=okey, ik=instance_key: self._finish_instance(
-                            okey, ik
-                        ),
-                    )
-                ]
-        alternatives = []
-        for key, lit_sp in ground_literals:
-            if lit_sp in self.content(key):
-                continue  # the complement would contradict present content
-            alternatives.append(
-                Alternative(
-                    "not {} at {}: refute {} at {}", (p, x, lit_sp, key),
-                    lambda okey=okey, ik=instance_key, key=key, comp=lit_sp.negated(): (
-                        self._apply_refutation(okey, ik, key, comp)
-                    ),
-                )
+                return [Alternative(head + ": instance already refuted", args, finish)]
+        return [
+            Alternative(
+                head + ": refute {} at {}", (*args, lit_sp, key),
+                partial(refute, key, lit_sp.negated()),
             )
-        return alternatives
+            for key, lit_sp in literals
+            # the complement would contradict present content
+            if lit_sp not in self.content(key)
+        ]
 
     def _instances(self, x: NodeId, p: str) -> list:
         """(instance key, ground body) of every rule instance defining p
@@ -636,18 +679,21 @@ class A1CompletionStructure(ForestState):
         self._finish_instance(okey, instance_key)
 
     def choose_unary(self, x: NodeId) -> list[Alternative]:
-        """Inject a sign for the first undecided unary predicate;
-        negative branch first."""
-        for q in self.program.upreds:
-            if not self.decided(x, q):
+        return self._choose(x, self.program.upreds, "at {}", (x,))
+
+    def _choose(self, key: Key, names, where: str, args: tuple) -> list[Alternative]:
+        """Inject a sign for the first of `names` undecided at key;
+        negative branch first. `where` and `args` describe key."""
+        for name in names:
+            if not self.decided(key, name):
                 return [
                     Alternative(
-                        "choose not {} at {}", (q, x),
-                        lambda x=x, q=q: self.insert_tracked(x, Signed(q, False)),
+                        "choose not {} " + where, (name, *args),
+                        partial(self.insert_tracked, key, Signed(name, False)),
                     ),
                     Alternative(
-                        "choose {} at {}", (q, x),
-                        lambda x=x, q=q: self.insert_tracked(x, Signed(q, True)),
+                        "choose {} " + where, (name, *args),
+                        partial(self.insert_tracked, key, Signed(name, True)),
                     ),
                 ]
         return []
@@ -684,22 +730,22 @@ class A1CompletionStructure(ForestState):
             )
         return alternatives
 
-    def _apply_binary_positive(self, arc: ArcId, sp: Signed, shape: BinaryShape):
+    @staticmethod
+    def _binary_body(arc: ArcId, shape: BinaryShape) -> list[tuple[Key, Signed]]:
         x, y = arc
-        head_atom = GroundAtom(sp.name, (x, y))
+        return (
+            [(x, signed_of(lit)) for lit in shape.beta]
+            + [(arc, signed_of(lit)) for lit in shape.gamma]
+            + [(y, signed_of(lit)) for lit in shape.delta]
+        )
+
+    def _apply_binary_positive(self, arc: ArcId, sp: Signed, shape: BinaryShape):
+        head_atom = GroundAtom(sp.name, arc)
         body_positive: list[GroundAtom] = []
-        for lit in shape.beta:
-            self.insert_tracked(x, signed_of(lit))
-            if lit.positive:
-                body_positive.append(GroundAtom(lit.atom.pred, (x,)))
-        for lit in shape.gamma:
-            self.insert_tracked(arc, signed_of(lit))
-            if lit.positive:
-                body_positive.append(GroundAtom(lit.atom.pred, (x, y)))
-        for lit in shape.delta:
-            self.insert_tracked(y, signed_of(lit))
-            if lit.positive:
-                body_positive.append(GroundAtom(lit.atom.pred, (y,)))
+        for key, lit_sp in self._binary_body(arc, shape):
+            self.insert_tracked(key, lit_sp)
+            if lit_sp.positive:
+                body_positive.append(self.atom_for(key, lit_sp.name))
         self.set_status(arc, sp, EXP)
         for atom in body_positive:
             self.add_dependency(head_atom, atom)
@@ -732,54 +778,21 @@ class A1CompletionStructure(ForestState):
             ]
         rule_index, shape = pending[0]
         last = len(pending) == 1
-        literals: list[tuple[Key, Signed]] = []
-        for lit in shape.beta:
-            literals.append((x, signed_of(lit)))
-        for lit in shape.gamma:
-            literals.append((arc, signed_of(lit)))
-        for lit in shape.delta:
-            literals.append((y, signed_of(lit)))
+        literals = self._binary_body(arc, shape)
 
-        def finish(ik=rule_index) -> None:
-            self._mark_handled(okey, ik)
+        def finish() -> None:
+            self._mark_handled(okey, rule_index)
             if last:
                 self.set_status(arc, sp, EXP)
 
-        for key, lit_sp in literals:
-            if lit_sp.negated() in self.content(key):
-                return [
-                    Alternative("not {} on {}->{}: already refuted", (f, x, y), finish)
-                ]
         def refute(key: Key, comp: Signed) -> None:
             self.insert_tracked(key, comp)
             finish()
 
-        alternatives = []
-        for key, lit_sp in literals:
-            if lit_sp in self.content(key):
-                continue
-            alternatives.append(
-                Alternative(
-                    "not {} on {}->{}: refute {} at {}", (f, x, y, lit_sp, key),
-                    lambda key=key, comp=lit_sp.negated(): refute(key, comp),
-                )
-            )
-        return alternatives
+        return self._refutations("not {} on {}->{}", (f, x, y), literals, finish, refute)
 
     def choose_binary(self, arc: ArcId) -> list[Alternative]:
-        for f in self.program.bpreds:
-            if not self.decided(arc, f):
-                return [
-                    Alternative(
-                        "choose not {} on {}->{}", (f, arc[0], arc[1]),
-                        lambda arc=arc, f=f: self.insert_tracked(arc, Signed(f, False)),
-                    ),
-                    Alternative(
-                        "choose {} on {}->{}", (f, arc[0], arc[1]),
-                        lambda arc=arc, f=f: self.insert_tracked(arc, Signed(f, True)),
-                    ),
-                ]
-        return []
+        return self._choose(arc, self.program.bpreds, "on {}->{}", arc)
 
     # -- task discovery ----------------------------------------------------
 
@@ -812,12 +825,6 @@ class A1CompletionStructure(ForestState):
                 return Task("choose binary on {}->{}", (arc[0], arc[1]), choice)
         return None
 
-    def check_budget(self) -> None:
-        if self.deadline is not None and time.monotonic() >= self.deadline:
-            raise EngineBudgetError("time limit exceeded")
-        if self.max_tasks is not None and self.stats.tasks > self.max_tasks:
-            raise EngineBudgetError("task budget exceeded")
-
     def next_task(self) -> Optional[Task]:
         """The first task in node order, or a redundancy clash. Blocking,
         saturation and the equal-ancestor count are read from the memo
@@ -836,16 +843,7 @@ class A1CompletionStructure(ForestState):
             else:
                 equal = self.equal_ancestor_count(x)
                 if equal >= self.k:
-                    self.stats.redundancy_events.append(
-                        {
-                            "node": str(x),
-                            "equal_ancestors": equal,
-                            "chain_position": equal + 1,
-                        }
-                    )
-                    raise ClashError(
-                        f"redundant node {x} ({equal} equal ancestors)"
-                    )
+                    self.redundancy_clash(x, equal)
         return None
 
     # -- final audit ---------------------------------------------------------
@@ -861,20 +859,14 @@ class A1CompletionStructure(ForestState):
         return True
 
     def is_complete_clash_free(self) -> bool:
-        """Re-derive every clash-freeness condition from scratch on the
-        final structure: acyclic dependency graph, every node blocked or
-        saturated, no redundant nodes."""
-        if self.g.has_cycle():
-            return False
+        """The shared audit; the direct engine's structures also keep
+        every tree arc of a saturated node positive."""
         assert self.arc_positivity_ok()
-        for x in self.forest.nodes():
-            if self.is_blocked(x):
-                continue
-            if not self.is_saturated(x):
-                return False
-            if self.is_redundant_node(x):
-                return False
-        return True
+        return super().is_complete_clash_free()
+
+    def keep_as_witness(self) -> None:
+        super().keep_as_witness()
+        self._instance_cache.clear()
 
 
 # ----------------------------------------------------------------------
@@ -906,15 +898,9 @@ def run_search(
         return [trail.mark(), iter(task.alternatives)]
 
     frame = make_frame()
-    if frame == "complete":
-        if on_complete():
-            return True
-        trail.undo_to(base)
-        return False
-    if frame == "clash":
-        trail.undo_to(base)
-        return False
-    stack = [frame]
+    if frame == "complete" and on_complete():
+        return True
+    stack = [frame] if frame.__class__ is list else []
     while stack:
         top = stack[-1]
         trail.undo_to(top[0])
@@ -964,28 +950,26 @@ def _depth_schedule(explicit: Optional[int]) -> Iterator[Optional[int]]:
         depth = max(1, depth * 2)
 
 
-def check_sat_a1(
-    program: Program, pred: str, policy: Optional[RedundancyPolicy] = None
+def decide(
+    program: Program,
+    pred: str,
+    policy: RedundancyPolicy,
+    new_structure: Callable[..., CompletionStructure],
 ) -> Verdict:
-    """Satisfiability of a unary predicate by the direct tableau engine.
-
-    Tries an anonymous root first, then each constant as the root where
-    the predicate must hold. Without an explicit depth bound the driver
-    deepens iteratively; see the module docstring for verdict semantics.
-    """
-    policy = policy or RedundancyPolicy()
-    _check_engine_input(program, pred)
+    """Satisfiability of `pred` by the engine whose structures
+    `new_structure(pred=, epsilon=, k=, max_depth=, stats=, deadline=,
+    max_tasks=)` builds. Each depth round tries an anonymous root, then
+    each constant as the root where `pred` must hold; see the module
+    docstring for verdict semantics."""
     k = policy.effective_k(program)
     stats = SearchStats()
     deadline = (
         time.monotonic() + policy.time_limit if policy.time_limit is not None else None
     )
-    epsilon_choices: list[Optional[str]] = [None] + list(program.constants)
     for depth in _depth_schedule(policy.max_depth):
         pruned_any = False
-        for epsilon in epsilon_choices:
-            cs = A1CompletionStructure(
-                program,
+        for epsilon in [None, *program.constants]:
+            cs = new_structure(
                 pred=pred,
                 epsilon=epsilon,
                 k=k,
@@ -994,13 +978,11 @@ def check_sat_a1(
                 deadline=deadline,
                 max_tasks=policy.max_tasks,
             )
-            found = run_search(cs, cs.next_task, stats, cs.is_complete_clash_free)
-            if found:
-                # the witness expands nothing more; callers may keep many
-                cs._instance_cache.clear()
+            if run_search(cs, cs.next_task, stats, cs.is_complete_clash_free):
+                cs.keep_as_witness()
                 return Verdict(
                     VerdictKind.SAT,
-                    "a1",
+                    cs.algorithm,
                     pred,
                     stats,
                     witness=cs,
@@ -1011,22 +993,30 @@ def check_sat_a1(
             # the undo closures tie a structure into reference cycles;
             # undone, the failed one is freed at once, not by the collector
             cs.trail.undo_to(0)
-        if not pruned_any:
-            return Verdict(
-                VerdictKind.UNSAT,
-                "a1",
-                pred,
-                stats,
-                bounded_incomplete=policy.bounded_incomplete,
-                depth_used=depth,
-            )
-        if policy.max_depth is not None:
-            return Verdict(
-                VerdictKind.DEPTH_BOUNDED_UNKNOWN,
-                "a1",
-                pred,
-                stats,
-                bounded_incomplete=True,
-                depth_used=depth,
-            )
+        if pruned_any and policy.max_depth is None:
+            continue
+        # an explicit bound is bounded-incomplete, so is DEPTH_BOUNDED_UNKNOWN
+        return Verdict(
+            VerdictKind.DEPTH_BOUNDED_UNKNOWN if pruned_any else VerdictKind.UNSAT,
+            cs.algorithm,
+            pred,
+            stats,
+            bounded_incomplete=policy.bounded_incomplete,
+            depth_used=depth,
+        )
     raise AssertionError("unreachable: the depth schedule is infinite")
+
+
+def check_sat_a1(
+    program: Program, pred: str, policy: Optional[RedundancyPolicy] = None
+) -> Verdict:
+    """Satisfiability of a unary predicate by the direct tableau engine
+    (see `decide`)."""
+    _check_engine_input(program, pred)
+    # the class is looked up per structure, so tests can substitute it
+    return decide(
+        program,
+        pred,
+        policy or RedundancyPolicy(),
+        lambda **options: A1CompletionStructure(program, **options),
+    )

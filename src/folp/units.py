@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .forest import NodeId, Signed, signed_sort_key
+from .forest import GroundAtom, NodeId, Signed, signed_sort_key
 from .syntax import FolpError, Program
 from .tableau import (
     EXP,
@@ -55,6 +55,12 @@ def _atom_key(atom: UAtom):
 
 def _arc_key(arc: tuple[UAtom, UAtom]):
     return (_atom_key(arc[0]), _atom_key(arc[1]))
+
+
+def ground_atom(token_node: dict, atom: UAtom) -> GroundAtom:
+    """The atom of a unit over the nodes its tokens stand for."""
+    pred, tokens = atom
+    return GroundAtom(pred, tuple(token_node[t] for t in tokens))
 
 
 def _content_key(content: frozenset[Signed]):
@@ -682,15 +688,7 @@ def unit_as_structure(program: Program, uc: UnitCompletionStructure) -> A1Comple
         for sp in succ.node_content:
             cs.insert_tracked(node, sp)
     for a, b in uc.g_arcs:
-        src = cs.atom_for(
-            token_node[a[1][0]] if len(a[1]) == 1 else (token_node[a[1][0]], token_node[a[1][1]]),
-            a[0],
-        )
-        dst = cs.atom_for(
-            token_node[b[1][0]] if len(b[1]) == 1 else (token_node[b[1][0]], token_node[b[1][1]]),
-            b[0],
-        )
-        cs.g.add_arc(src, dst)
+        cs.g.add_arc(ground_atom(token_node, a), ground_atom(token_node, b))
     return cs
 
 

@@ -6,6 +6,7 @@ pins its hash."""
 
 import hashlib
 import json
+import statistics
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -243,16 +244,21 @@ def test_criterion_8_compiled_engine_amortizes(tmp_path, capsys):
         family_dir = tmp_path / "family"
         family_dir.mkdir()
         (family_dir / "family.folp").write_text(bench_family())
-        code = main(["bench", str(family_dir), "--format", "machine"])
-        out = capsys.readouterr().out
-        assert code == 0
-        (row,) = [json.loads(line) for line in out.splitlines() if line.strip()]
-        assert row["status"] == "ok"
-        assert row["agree"] is True
-        verdicts = dict(part.split("=") for part in row["verdicts"].split())
-        assert len(verdicts) == 5
-        a1_total = row["a1_seconds"]
-        a2_total = row["a2_compile_seconds"] + row["a2_query_seconds"]
+        # one timed run flips the gate on a noisy machine; three do not
+        a1_runs, a2_runs = [], []
+        for _ in range(3):
+            code = main(["bench", str(family_dir), "--format", "machine"])
+            out = capsys.readouterr().out
+            assert code == 0
+            (row,) = [json.loads(line) for line in out.splitlines() if line.strip()]
+            assert row["status"] == "ok"
+            assert row["agree"] is True
+            verdicts = dict(part.split("=") for part in row["verdicts"].split())
+            assert len(verdicts) == 5
+            a1_runs.append(row["a1_seconds"])
+            a2_runs.append(row["a2_compile_seconds"] + row["a2_query_seconds"])
+        a1_total = statistics.median(a1_runs)
+        a2_total = statistics.median(a2_runs)
         record = {
             "a1_seconds": a1_total,
             "a2_total_seconds": round(a2_total, 4),

@@ -28,6 +28,25 @@ def test_check_satisfiable_exits_zero(capsys):
     assert "oracle accepts witness: yes" in out
 
 
+def test_check_text_stat_lines_are_pinned(capsys):
+    """The bracketed counts of the text verdict lines name the fields of
+    the verdict record; only a2 reports unit counts."""
+    code, out, _ = run(capsys, "check", MEMBERSHIP, "smember", "--alg", "both")
+    assert code == 0
+    assert [line for line in out.splitlines() if "[" in line] == [
+        "a1: SAT  [nodes=0 choices=29 backtracks=62 depth=0]",
+        "a2: SAT  [nodes=0 choices=1 backtracks=0 depth=0"
+        " units-tried=5 matches=5 reuse=0]",
+    ]
+    code, out, _ = run(capsys, "check", LOOP, "smember", "--alg", "both")
+    assert code == 1
+    assert [line for line in out.splitlines() if "[" in line] == [
+        "a1: UNSAT  [nodes=13 choices=0 backtracks=17 depth=6]",
+        "a2: UNSAT  [nodes=13 choices=0 backtracks=17 depth=6"
+        " units-tried=13 matches=13 reuse=12]",
+    ]
+
+
 def test_check_unsatisfiable_exits_one(capsys):
     code, out, _ = run(capsys, "check", LOOP, "smember")
     assert code == 1

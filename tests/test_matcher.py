@@ -5,7 +5,7 @@ from folp.forest import NodeId, Signed, StructureError
 from folp.matcher import A2CompletionStructure, check_sat_a2, local_satisfies
 from folp.oracle import bounded_sat, is_answer_set
 from folp.syntax import parse_program
-from folp.tableau import EXP, RedundancyPolicy, VerdictKind
+from folp.tableau import RedundancyPolicy, VerdictKind
 from folp.units import CacheMismatchError, compile_units, passes_a1_completion_check
 
 from reference import checked_a2
@@ -41,7 +41,7 @@ def test_expand_cs_grafts_the_unit(choice_chain, chain_cache):
     unit = final_chain_unit(chain_cache)
     cs.expand_cs(x, unit)
     child = x.child(1)
-    assert cs.st[x] == EXP
+    assert cs.is_saturated(x)
     assert cs.content(x) == {P, NOT_Q}
     assert cs.content(child) == {P, NOT_Q}
     assert cs.content((x, child)) == {Signed("f", True)}
@@ -74,7 +74,7 @@ def test_expand_cs_successor_free_constant_unit():
     before = cs.forest.node_count()
     cs.expand_cs(NodeId("a"), unit)
     assert cs.forest.node_count() == before
-    assert cs.st[NodeId("a")] == EXP
+    assert cs.is_saturated(NodeId("a"))
 
 
 def test_match_offers_every_unit_for_an_empty_node(choice_chain, chain_cache):
@@ -134,7 +134,7 @@ def test_membership_model_found_by_matching(membership, membership_t, membership
     # every expanded node carries total content copied from a saturated
     # unit root
     for node in verdict.witness.forest.nodes():
-        if verdict.witness.is_expanded(node):
+        if verdict.witness.is_saturated(node):
             decided = {sp.name for sp in verdict.witness.content(node)}
             assert decided == set(membership_t.upreds)
 

@@ -1,7 +1,8 @@
 import pytest
 
 from folp import tableau
-from folp.forest import NodeId, Signed, StructureError
+from folp.forest import NodeId, Signed, StructureError, Trail
+from folp.matcher import check_sat_a2
 from folp.oracle import bounded_sat, is_answer_set
 from folp.syntax import eliminate_constraints, parse_program
 from folp.tableau import (
@@ -14,6 +15,7 @@ from folp.tableau import (
     check_sat_a1,
     redundancy_bound,
 )
+from folp.units import compile_units
 
 from reference import assert_first_pending_agrees, checked_a1, reference_pending_instances
 
@@ -390,3 +392,54 @@ def test_instance_cache_survives_undoing_and_recreating_a_child():
     assert cs._first_pending(x, "p", okey)[0] == (0, (again,))
     assert_first_pending_agrees(cs, okey)
     assert reference_pending_instances(cs, x, "p", okey)[0][2] == (again,)
+
+
+# ----------------------------------------------------------------------
+# The driver both engines share
+
+
+def solver(engine: str, program):
+    """check_sat of the engine on the program, with a cache for a2."""
+    if engine == "a1":
+        return lambda pred, policy=None: check_sat_a1(program, pred, policy)
+    cache = compile_units(program).cache
+    return lambda pred, policy=None: check_sat_a2(program, pred, cache, policy)
+
+
+@pytest.mark.parametrize("engine", ["a1", "a2"])
+def test_driver_bounds_and_budgets(engine, membership_t, membership_loop):
+    loop = solver(engine, membership_loop)
+    verdict = loop("smember", RedundancyPolicy(max_depth=2))
+    assert verdict.kind is VerdictKind.DEPTH_BOUNDED_UNKNOWN
+    assert verdict.bounded_incomplete
+    assert (verdict.algorithm, verdict.depth_used) == (engine, 2)
+    assert loop("smember").kind is VerdictKind.UNSAT
+
+    member = solver(engine, membership_t)
+    with pytest.raises(EngineBudgetError, match="task budget"):
+        member("smember", RedundancyPolicy(max_tasks=3))
+    with pytest.raises(EngineBudgetError, match="time limit"):
+        member("smember", RedundancyPolicy(time_limit=0))
+    assert not member("smember").bounded_incomplete
+    verdict = member("smember", RedundancyPolicy(k_override=5))
+    assert verdict.kind is VerdictKind.SAT
+    assert verdict.bounded_incomplete
+
+
+@pytest.mark.parametrize("engine", ["a1", "a2"])
+@pytest.mark.parametrize("fixture, pred", [("membership_t", "smember"), ("choice_chain", "p")])
+def test_sat_witness_drops_its_undo_log(engine, fixture, pred, request, monkeypatch):
+    """A SAT witness is never backtracked, so it keeps no undo closures;
+    it reads as it would with them."""
+    solve = solver(engine, request.getfixturevalue(fixture))
+    witness = solve(pred).witness
+    assert witness.trail.mark() == 0
+    dot, blocked = witness.to_dot(), witness.blocked_nodes()
+
+    monkeypatch.setattr(Trail, "clear", lambda trail: None)
+    kept = solve(pred).witness
+    assert kept.trail.mark() > 0
+    assert kept.to_dot() == dot
+    assert kept.blocked_nodes() == blocked
+    if not blocked:
+        assert kept.induced_interpretation() == witness.induced_interpretation()
