@@ -2,9 +2,9 @@
 oracle-backed verification, benchmarking, and DOT export.
 
 Exit codes: 0 satisfiable, 1 unsatisfiable, 2 depth-bounded unknown,
-3 input error (missing file, parse or validation failure, bad usage),
-4 engine disagreement or verification inconsistency, 5 resource budget
-exceeded.
+3 input error (missing file, parse or validation failure, malformed
+cache, bad usage), 4 engine disagreement or verification inconsistency,
+5 resource budget exceeded.
 
 Machine-readable output is one JSON record per line with sorted keys;
 verdict records carry no wall-clock fields, so byte-identical inputs
@@ -19,7 +19,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Optional
+from typing import NoReturn, Optional
 
 from . import oracle
 from .forest import StructureError
@@ -49,12 +49,32 @@ EXIT_DISAGREEMENT = 4
 EXIT_BUDGET = 5
 
 
-class _InputError(Exception):
-    pass
+class _InputError(FolpError):
+    """Bad input or usage, reported like every FolpError (exit 3)."""
 
 
-def _load_program(path: str) -> tuple[Program, Program]:
-    """Returns (original, constraint-free) or raises _InputError."""
+class _Parser(argparse.ArgumentParser):
+    """Bad usage is an input error (exit 3), not argparse's exit 2."""
+
+    def error(self, message: str) -> NoReturn:
+        raise _InputError(f"{self.format_usage()}{self.prog}: error: {message}")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+def _load_program(
+    path: str, predicate: Optional[str] = None
+) -> tuple[Program, Program]:
+    """Returns (original, constraint-free) or raises _InputError, also
+    when `predicate` is given and is not a unary predicate."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
@@ -68,6 +88,8 @@ def _load_program(path: str) -> tuple[Program, Program]:
     if violations:
         details = "\n".join(f"  {v}" for v in violations)
         raise _InputError(f"not a valid forest logic program ({path}):\n{details}")
+    if predicate is not None and predicate not in program.upreds:
+        raise _InputError(f"{predicate!r} is not a unary predicate")
     return program, eliminate_constraints(program)
 
 
@@ -125,9 +147,7 @@ def _a2_cache(args, transformed: Program):
 
 
 def cmd_check(args) -> int:
-    original, transformed = _load_program(args.program)
-    if args.predicate not in original.upreds:
-        raise _InputError(f"{args.predicate!r} is not a unary predicate")
+    original, transformed = _load_program(args.program, args.predicate)
     policy = _policy(args)
     verdicts: list[Verdict] = []
     if args.alg in ("a1", "both"):
@@ -197,9 +217,7 @@ def cmd_compile_units(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    original, transformed = _load_program(args.program)
-    if args.predicate not in original.upreds:
-        raise _InputError(f"{args.predicate!r} is not a unary predicate")
+    original, transformed = _load_program(args.program, args.predicate)
     policy = _policy(args)
     v1 = check_sat_a1(transformed, args.predicate, policy)
     cache = _a2_cache(args, transformed)
@@ -321,7 +339,7 @@ def cmd_bench(args) -> int:
                 disagreement = True
         except EngineBudgetError:
             row["status"] = "timeout"
-        except (_InputError, FolpError) as err:
+        except FolpError as err:
             row["status"] = "error"
             row["verdicts"] = str(err).splitlines()[0]
         rows.append(row)
@@ -336,9 +354,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    original, transformed = _load_program(args.program)
-    if args.predicate not in original.upreds:
-        raise _InputError(f"{args.predicate!r} is not a unary predicate")
+    _, transformed = _load_program(args.program, args.predicate)
     policy = _policy(args)
     if args.alg == "a2":
         cache = _a2_cache(args, transformed)
@@ -357,7 +373,7 @@ def cmd_export_dot(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="folp",
         description="Satisfiability reasoner for forest logic programs "
         "under the open answer set semantics.",
@@ -369,9 +385,9 @@ def _build_parser() -> argparse.ArgumentParser:
         if pred:
             p.add_argument("predicate", help="unary predicate to check")
         p.add_argument("--format", choices=["text", "machine"], default="text")
-        p.add_argument("--redundancy-k", type=int, default=None,
+        p.add_argument("--redundancy-k", type=_positive_int, default=None,
                        help="override the redundancy bound (bounded-incomplete)")
-        p.add_argument("--max-depth", type=int, default=None,
+        p.add_argument("--max-depth", type=_positive_int, default=None,
                        help="explicit depth bound; exhaustion after pruning "
                        "reports DEPTH_BOUNDED_UNKNOWN")
         p.add_argument("--time-limit", type=float, default=None,
@@ -404,7 +420,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="compare the engines over a corpus directory")
     p.add_argument("corpus", help="directory of .folp files")
     p.add_argument("--format", choices=["text", "machine"], default="text")
-    p.add_argument("--redundancy-k", type=int, default=None)
+    p.add_argument("--redundancy-k", type=_positive_int, default=None)
     p.add_argument("--timeout", type=float, default=None,
                    help="time budget in seconds of each query of each engine "
                    "and of each unit compilation; every such call gets its "
@@ -422,13 +438,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
-    except _InputError as err:
-        print(str(err), file=sys.stderr)
-        return EXIT_INPUT
     except EngineBudgetError as err:
         print(f"resource budget exceeded: {err}", file=sys.stderr)
         return EXIT_BUDGET

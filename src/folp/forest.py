@@ -5,9 +5,10 @@ roots), node/arc content maps over signed predicates, the ground-atom
 dependency graph, and trail-based undo.
 
 The graph indexes its unary atoms by node, so a blocking check reads the
-atoms of two nodes without scanning every vertex. Reachability answers
-are memoized across tasks: a path found stays valid until an arc is
-undone, a path missed until an arc is added. The engines keep the graph
+atoms of two nodes without scanning every vertex. It keeps no
+reachability memo: every question, whether a new arc would close a
+cycle or whether an ancestor's atoms reach a node's, is one search
+from a set of sources to a set of sinks. The engines keep the graph
 acyclic by testing each new arc before inserting it (`closes_cycle`);
 `has_cycle` is a full search kept for completion audits.
 
@@ -297,10 +298,6 @@ class ExtendedForest:
             for target in self._es.get(node, ()):
                 yield (node, target)
 
-    def arcs(self) -> Iterator[ArcId]:
-        yield from self.tree_arcs()
-        yield from self.es_arcs()
-
     def arcs_from(self, node: NodeId) -> list[ArcId]:
         return [(node, y) for y in self.successors(node)]
 
@@ -331,11 +328,9 @@ class DependencyGraph:
     Unary atoms are also kept in per-node buckets, in insertion order, so
     the atoms of one node are found without a scan of all vertices.
 
-    Reachability is memoized per (source, sink) across mutations, by sign
-    of the answer: adding an arc can only create paths, so it drops the
-    memoized misses; undoing an arc can only break paths, so it drops the
-    memoized hits. Adding or removing an isolated vertex changes no path
-    between other vertices, so it drops neither.
+    Every reachability query runs `_reach`, one depth-first search from
+    a set of sources that stops at the first sink; nothing is memoized
+    between queries.
 
     The arc count is kept as a counter. Arcs only ever leave through the
     trail, so a count read later on the same branch is equal exactly
@@ -346,14 +341,9 @@ class DependencyGraph:
         self._succ: dict[GroundAtom, list[GroundAtom]] = {}
         self._arc_count = 0
         self._by_node: dict[NodeId, list[GroundAtom]] = {}
-        self._reachable: set[tuple[GroundAtom, GroundAtom]] = set()
-        self._unreachable: set[tuple[GroundAtom, GroundAtom]] = set()
 
     def vertices(self) -> list[GroundAtom]:
         return list(self._succ.keys())
-
-    def has_vertex(self, atom: GroundAtom) -> bool:
-        return atom in self._succ
 
     def arcs(self) -> Iterator[tuple[GroundAtom, GroundAtom]]:
         for src, targets in self._succ.items():
@@ -391,12 +381,10 @@ class DependencyGraph:
             return
         self._succ[src].append(dst)
         self._arc_count += 1
-        self._unreachable.clear()
 
         def undo() -> None:
             self._succ[src].remove(dst)
             self._arc_count -= 1
-            self._reachable.clear()
 
         self.trail.push(undo)
 
@@ -405,32 +393,11 @@ class DependencyGraph:
         close a cycle: exactly when dst already reaches src."""
         return src == dst or self.reaches(dst, src)
 
-    def successors(self, atom: GroundAtom) -> list[GroundAtom]:
-        return list(self._succ.get(atom, ()))
-
     def reaches(self, src: GroundAtom, dst: GroundAtom) -> bool:
         """Reflexive-transitive reachability."""
         if src == dst:
             return src in self._succ
-        key = (src, dst)
-        if key in self._reachable:
-            return True
-        if key in self._unreachable:
-            return False
-        seen = {src}
-        stack = [src]
-        found = False
-        while stack:
-            for nxt in self._succ.get(stack.pop(), ()):
-                if nxt == dst:
-                    found = True
-                    stack.clear()
-                    break
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        (self._reachable if found else self._unreachable).add(key)
-        return found
+        return src in self._succ and self._reach((src,), {dst})
 
     def paths_set(
         self, y: NodeId, x: NodeId, free_preds: frozenset[str]
@@ -453,8 +420,11 @@ class DependencyGraph:
         if not sources:
             return False
         sinks = {a for a in self._by_node.get(x, ()) if a.pred not in free_preds}
-        if not sinks:
-            return False
+        return bool(sinks) and self._reach(sources, sinks)
+
+    def _reach(self, sources, sinks) -> bool:
+        """Whether some vertex of `sources` reaches some atom of `sinks`;
+        a source that is itself a sink counts."""
         seen = set(sources)
         if not sinks.isdisjoint(seen):
             return True

@@ -29,15 +29,17 @@ saturation is two counter reads, kept by `set_status` (expanded entries
 per key, and per node the outgoing arcs whose binary entries are all
 expanded); blocking and the equal-ancestor count come from the memo of
 `ForestState`, which content inserts and dependency arcs invalidate.
-A negative unary obligation is refuted one rule instance at a time, and
-the ground instances, each with its ground body, are computed once per
+A negative obligation is refuted one rule instance at a time, and the
+ground instances, each with its ground body, are computed once per
 node, predicate and number of tree children (`_instances`): a negative
-step scans them for the first one its ledger does not hold. The cache
-needs no trail entries, because the instances read only the node's
-children and the constants, and a node with n children always has the
-children x.1 ... x.n, also after backtracking. Positive expansion is
-not cached: its groundings depend on the depth bound, and computing
-them records whether the bound pruned anything.
+step scans them for the first one its ledger does not hold. Node and
+arc obligations share this path and its ledger; an arc has one
+instance per defining rule. The cache needs no trail entries, because
+the instances read only the node's children and the constants, and a
+node with n children always has the children x.1 ... x.n, also after
+backtracking. Positive expansion is not cached: its groundings depend
+on the depth bound, and computing them records whether the bound
+pruned anything.
 
 Verdicts: without an explicit depth bound the driver deepens iteratively
 and reports UNSAT only from an exhausted search in which the bound never
@@ -577,74 +579,83 @@ class A1CompletionStructure(CompletionStructure):
             self.add_dependency(head_atom, atom)
 
     def expand_unary_negative(self, x: NodeId, p: str) -> list[Alternative]:
-        """Refutation choices for the first pending instance of a rule
-        defining p at x; with nothing pending, a single bookkeeping
-        alternative closes the obligation."""
-        sp = Signed(p, False)
-        okey = (x, sp)
-        pending = self._first_pending(x, p, okey)
+        return self._expand_negative(x, p, "not {} at {}", (p, x))
+
+    def _expand_negative(
+        self, key: Key, name: str, head: str, args: tuple
+    ) -> list[Alternative]:
+        """The ways to refute the first pending instance of a rule
+        defining `name` at the node or arc `key`: `_finish_instance` when
+        a literal of its body is already false, else `_apply_refutation`
+        of each literal whose complement fits the content. With nothing
+        pending, a single bookkeeping alternative closes the obligation.
+        `head` and `args` describe the obligation."""
+        sp = Signed(name, False)
+        okey = (key, sp)
+        pending = self._first_pending(key, name, okey)
         if pending is None:
             return [
                 Alternative(
-                    "not {} at {}: all instances refuted", (p, x),
-                    lambda: self.set_status(x, sp, EXP),
+                    head + ": all instances refuted", args,
+                    lambda: self.set_status(key, sp, EXP),
                 )
             ]
-        instance_key, ground_literals = pending
-        return self._refutations(
-            "not {} at {}", (p, x), ground_literals,
-            partial(self._finish_instance, okey, instance_key),
-            partial(self._apply_refutation, okey, instance_key),
-        )
-
-    def _refutations(
-        self, head: str, args: tuple, literals: list, finish, refute
-    ) -> list[Alternative]:
-        """The ways to refute one ground rule instance with body
-        `literals`: `finish()` closes it when a literal is already false,
-        else `refute(key, complement)` for each literal whose complement
-        fits the content. `head` and `args` describe the obligation."""
-        for key, lit_sp in literals:
-            if lit_sp.negated() in self.content(key):
-                return [Alternative(head + ": instance already refuted", args, finish)]
+        instance_key, literals = pending
+        for lit_key, lit_sp in literals:
+            if lit_sp.negated() in self.content(lit_key):
+                return [
+                    Alternative(
+                        head + ": instance already refuted", args,
+                        partial(self._finish_instance, okey, instance_key),
+                    )
+                ]
         return [
             Alternative(
-                head + ": refute {} at {}", (*args, lit_sp, key),
-                partial(refute, key, lit_sp.negated()),
+                head + ": refute {} at {}", (*args, lit_sp, lit_key),
+                partial(
+                    self._apply_refutation, okey, instance_key, lit_key, lit_sp.negated()
+                ),
             )
-            for key, lit_sp in literals
+            for lit_key, lit_sp in literals
             # the complement would contradict present content
-            if lit_sp not in self.content(key)
+            if lit_sp not in self.content(lit_key)
         ]
 
-    def _instances(self, x: NodeId, p: str) -> list:
+    def _instances(self, key: Key, p: str) -> list:
         """(instance key, ground body) of every rule instance defining p
-        at x, in refutation order. Cached per (x, p, number of tree
-        children of x): the instances read only the children and the
+        at the node or arc `key`, in refutation order. An arc's ends are
+        fixed, so it has one instance per rule, keyed by the rule's
+        index. Cached per (key, p, number of tree children of key; 0 for
+        an arc): a node's instances read only its children and the
         constants, and undoing `add_child` restores the child counter,
         so x with n children always has the children x.1 ... x.n."""
-        cache_key = (x, p, self.forest.child_count(x))
+        cache_key = (key, p, self.forest.child_count(key))
         instances = self._instance_cache.get(cache_key)
         if instances is None:
             instances = []
             for rule_index, rule in enumerate(self.program.rules_for_head(p)):
                 if rule.kind is RuleKind.FREE:
                     continue  # a choice rule never forces the atom
-                shape = unary_shape(rule)
-                if not self._head_matches_node(shape.head_term, x):
+                if key.__class__ is tuple:
+                    shape = binary_shape(rule)
+                    if all(map(self._head_matches_node, (shape.s, shape.t), key)):
+                        instances.append((rule_index, self._binary_body(key, shape)))
                     continue
-                for targets in self._instance_groundings(x, shape):
+                shape = unary_shape(rule)
+                if not self._head_matches_node(shape.head_term, key):
+                    continue
+                for targets in self._instance_groundings(key, shape):
                     instances.append(
-                        ((rule_index, targets), self._ground_body(x, shape, targets))
+                        ((rule_index, targets), self._ground_body(key, shape, targets))
                     )
             self._instance_cache[cache_key] = instances
         return instances
 
-    def _first_pending(self, x: NodeId, p: str, okey) -> Optional[tuple]:
-        """The first instance of `_instances(x, p)` that the ledger of
+    def _first_pending(self, key: Key, p: str, okey) -> Optional[tuple]:
+        """The first instance of `_instances(key, p)` that the ledger of
         the obligation `okey` does not hold yet; None when all are
         refuted."""
-        instances = self._instances(x, p)
+        instances = self._instances(key, p)
         handled = self.handled.get(okey)
         if not handled:
             return instances[0] if instances else None
@@ -668,9 +679,9 @@ class A1CompletionStructure(CompletionStructure):
 
     def _finish_instance(self, okey, instance_key) -> None:
         self._mark_handled(okey, instance_key)
-        x, sp = okey
-        if self._first_pending(x, sp.name, okey) is None:
-            self.set_status(x, sp, EXP)
+        key, sp = okey
+        if self._first_pending(key, sp.name, okey) is None:
+            self.set_status(key, sp, EXP)
 
     def _apply_refutation(self, okey, instance_key, key: Key, comp: Signed) -> None:
         if isinstance(key, tuple):
@@ -704,9 +715,7 @@ class A1CompletionStructure(CompletionStructure):
         alternatives: list[Alternative] = []
         for rule in self.program.rules_for_head(f):
             if rule.kind is RuleKind.FREE:
-                if self._head_matches_node(
-                    rule.head.args[0], x
-                ) and self._head_matches_node(rule.head.args[1], y):
+                if all(map(self._head_matches_node, rule.head.args, arc)):
                     alternatives.append(
                         Alternative(
                             "{} on {}->{} by choice rule", (f, x, y),
@@ -715,10 +724,7 @@ class A1CompletionStructure(CompletionStructure):
                     )
                 continue
             shape = binary_shape(rule)
-            if not (
-                self._head_matches_node(shape.s, x)
-                and self._head_matches_node(shape.t, y)
-            ):
+            if not all(map(self._head_matches_node, (shape.s, shape.t), arc)):
                 continue
             alternatives.append(
                 Alternative(
@@ -751,45 +757,7 @@ class A1CompletionStructure(CompletionStructure):
             self.add_dependency(head_atom, atom)
 
     def expand_binary_negative(self, arc: ArcId, f: str) -> list[Alternative]:
-        """Both arc endpoints are fixed, so each defining rule contributes
-        at most one instance to refute."""
-        x, y = arc
-        sp = Signed(f, False)
-        okey = (arc, sp)
-        handled = self.handled_set(okey)
-        pending = []
-        for rule_index, rule in enumerate(self.program.rules_for_head(f)):
-            if rule.kind is RuleKind.FREE:
-                continue
-            shape = binary_shape(rule)
-            if not (
-                self._head_matches_node(shape.s, x)
-                and self._head_matches_node(shape.t, y)
-            ):
-                continue
-            if rule_index not in handled:
-                pending.append((rule_index, shape))
-        if not pending:
-            return [
-                Alternative(
-                    "not {} on {}->{}: all instances refuted", (f, x, y),
-                    lambda: self.set_status(arc, sp, EXP),
-                )
-            ]
-        rule_index, shape = pending[0]
-        last = len(pending) == 1
-        literals = self._binary_body(arc, shape)
-
-        def finish() -> None:
-            self._mark_handled(okey, rule_index)
-            if last:
-                self.set_status(arc, sp, EXP)
-
-        def refute(key: Key, comp: Signed) -> None:
-            self.insert_tracked(key, comp)
-            finish()
-
-        return self._refutations("not {} on {}->{}", (f, x, y), literals, finish, refute)
+        return self._expand_negative(arc, f, "not {} on {}->{}", (f, *arc))
 
     def choose_binary(self, arc: ArcId) -> list[Alternative]:
         return self._choose(arc, self.program.bpreds, "on {}->{}", arc)

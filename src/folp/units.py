@@ -133,10 +133,6 @@ class UnitCompletionStructure:
     def tree_successors(self) -> tuple[UnitSuccessor, ...]:
         return tuple(s for s in self.successors if not s.is_constant)
 
-    @property
-    def constant_successors(self) -> tuple[UnitSuccessor, ...]:
-        return tuple(s for s in self.successors if s.is_constant)
-
     def non_blocked(self) -> tuple[UnitSuccessor, ...]:
         return tuple(s for s in self.successors if not s.blocked)
 
@@ -243,7 +239,9 @@ def _snapshot(cs: A1CompletionStructure, program: Program) -> UnitCompletionStru
             child_signature(child_token[child]),
         )
 
-    ordered = sorted(children, key=child_order_key)
+    # each child's key holds its path set, which its successor reuses
+    keys = {child: child_order_key(child) for child in children}
+    ordered = sorted(children, key=keys.__getitem__)
     renumber = {child_token[c]: i + 1 for i, c in enumerate(ordered)}
 
     def relabel(atom: UAtom) -> UAtom:
@@ -260,7 +258,7 @@ def _snapshot(cs: A1CompletionStructure, program: Program) -> UnitCompletionStru
     anonymous_root = cs.epsilon.root not in program.constants
     for i, child in enumerate(ordered):
         node_content = cs.content_of_node(child)
-        paths = frozenset(cs.g.paths_set(eps, child, program.free_preds))
+        paths = frozenset(keys[child][2])
         blocked = anonymous_root and node_content <= root_content and not paths
         successors.append(
             UnitSuccessor(
@@ -567,12 +565,22 @@ def save_cache(cache: UnitCache, path) -> None:
 
 def load_cache(path, program: Optional[Program] = None) -> UnitCache:
     """Parse a cache file; with a program given, reject a fingerprint
-    mismatch."""
+    mismatch. An unreadable or malformed file raises CacheFormatError."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
+            cache = _parse_cache(handle.read().splitlines())
     except OSError as err:
         raise CacheFormatError(str(err)) from err
+    except ValueError as err:
+        # bytes that do not decode, a number that does not parse, or a
+        # field that does not split into its parts
+        raise CacheFormatError(f"malformed cache file: {err}") from err
+    if program is not None:
+        cache.verify(program)
+    return cache
+
+
+def _parse_cache(lines: list[str]) -> UnitCache:
     cursor = 0
 
     def take() -> str:
@@ -653,10 +661,7 @@ def load_cache(path, program: Optional[Program] = None) -> UnitCache:
                 final=final_text == "yes",
             )
         )
-    cache = UnitCache(fingerprint, tuple(units))
-    if program is not None:
-        cache.verify(program)
-    return cache
+    return UnitCache(fingerprint, tuple(units))
 
 
 # ----------------------------------------------------------------------

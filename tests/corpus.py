@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 
 from folp.matcher import check_sat_a2
-from folp.oracle import OracleBudgetError, Universe, _GroundIndex, bounded_sat
+from folp.oracle import OracleBudgetError, Universe, _GroundIndex
 from folp.syntax import Program, eliminate_constraints, parse_program, validate_folp
 from folp.tableau import EngineBudgetError, RedundancyPolicy, check_sat_a1
 from folp.units import compile_units

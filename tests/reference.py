@@ -9,7 +9,7 @@ the two at every step of a real search.
 
 from folp.forest import Signed
 from folp.matcher import A2CompletionStructure
-from folp.syntax import RuleKind, unary_shape
+from folp.syntax import RuleKind, binary_shape, unary_shape
 from folp.tableau import EXP, A1CompletionStructure
 
 
@@ -44,13 +44,22 @@ def assert_memo_agrees(cs, x) -> None:
 
 def reference_pending_instances(cs: A1CompletionStructure, x, p: str, okey) -> list:
     """(instance key, shape, targets) of every rule instance defining p
-    at x that the ledger of `okey` does not hold, in refutation order,
-    grounded afresh."""
+    at the node or arc x that the ledger of `okey` does not hold, in
+    refutation order, grounded afresh. An arc's ends are fixed: it has
+    one instance per rule, keyed by the rule's index, targets None."""
     handled = cs.handled_set(okey)
     pending = []
     for rule_index, rule in enumerate(cs.program.rules_for_head(p)):
         if rule.kind is RuleKind.FREE:
             continue  # a choice rule never forces the atom
+        if isinstance(x, tuple):
+            shape = binary_shape(rule)
+            fits = cs._head_matches_node(shape.s, x[0]) and cs._head_matches_node(
+                shape.t, x[1]
+            )
+            if fits and rule_index not in handled:
+                pending.append((rule_index, shape, None))
+            continue
         shape = unary_shape(rule)
         if not cs._head_matches_node(shape.head_term, x):
             continue
@@ -72,15 +81,19 @@ def assert_first_pending_agrees(cs: A1CompletionStructure, okey) -> None:
         assert first is None, (str(x), sp)
         return
     instance_key, shape, targets = pending[0]
-    assert first == (instance_key, cs._ground_body(x, shape, targets)), (str(x), sp)
+    if targets is None:
+        body = cs._binary_body(x, shape)
+    else:
+        body = cs._ground_body(x, shape, targets)
+    assert first == (instance_key, body), (str(x), sp)
 
 
 def checked_a1() -> type:
     """A fresh subclass of the direct engine's structure that, before
     every task selection, asserts at every node that the memo and the
     saturation counters agree with the references, and at every
-    negative unary expansion and every refuted instance that the
-    instance cache does; `checks` counts the nodes compared,
+    negative expansion, unary or binary, and every refuted instance that
+    the instance cache does; `checks` counts the nodes compared,
     `pending_checks` the obligations."""
 
     class CheckedA1(A1CompletionStructure):
@@ -99,6 +112,11 @@ def checked_a1() -> type:
             assert_first_pending_agrees(self, okey)
             CheckedA1.pending_checks += 1
             return super().expand_unary_negative(x, p)
+
+        def expand_binary_negative(self, arc, f):
+            assert_first_pending_agrees(self, (arc, Signed(f, False)))
+            CheckedA1.pending_checks += 1
+            return super().expand_binary_negative(arc, f)
 
         def _finish_instance(self, okey, instance_key):
             super()._finish_instance(okey, instance_key)

@@ -28,7 +28,7 @@ from folp.units import (
     save_cache,
 )
 
-from conftest import GOLDEN, PROGRAMS
+from conftest import GOLDEN
 from corpus import bench_family, corpus
 from reference import checked_a1, checked_a2
 

@@ -1,7 +1,5 @@
 import json
 
-import pytest
-
 from folp.cli import main
 
 from conftest import PROGRAMS
@@ -128,6 +126,42 @@ def test_check_a2_without_cache_requires_auto(capsys):
                        "--no-auto-cache")
     assert code == 3
     assert "--cache" in err
+
+
+def test_check_a2_malformed_cache_exits_three(tmp_path, capsys):
+    out_path = tmp_path / "chain.units"
+    run(capsys, "compile-units", CHAIN, "--out", str(out_path))
+    out_path.write_text(out_path.read_text().replace("count: 4", "count: many"))
+    code, out, err = run(capsys, "check", CHAIN, "p", "--alg", "a2",
+                         "--cache", str(out_path))
+    assert (code, out) == (3, "")
+    assert "malformed cache file" in err
+
+
+def test_usage_errors_exit_three(capsys):
+    """Bad usage is an input error (exit 3), reported in one message:
+    neither argparse's exit 2 (DEPTH_BOUNDED_UNKNOWN) nor a ValueError
+    traceback (exit 1, UNSAT)."""
+    for argv, message in [
+        (["check", MEMBERSHIP], "required: predicate"),
+        (["check", MEMBERSHIP, "smember", "--max-depth", "two"], "--max-depth"),
+        (["check", MEMBERSHIP, "smember", "--max-depth", "0"], "--max-depth"),
+        (["check", MEMBERSHIP, "smember", "--redundancy-k", "0"], "--redundancy-k"),
+        (["bench", str(PROGRAMS), "--redundancy-k", "0"], "--redundancy-k"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        (line,) = [line for line in err.splitlines() if "error:" in line]
+        assert message in line, argv
+
+
+def test_help_exits_zero(capsys):
+    try:
+        main(["check", "--help"])
+    except SystemExit as exit_:
+        code = exit_.code
+    assert code == 0
+    assert "usage: folp check" in capsys.readouterr().out
 
 
 def test_verify_consistent_on_membership(capsys):

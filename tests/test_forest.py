@@ -139,8 +139,8 @@ def test_reaches_cache_invalidated_by_new_arcs():
 
 
 def test_reaches_agrees_with_recomputation_across_undo():
-    """The memo keeps hits across insertions and misses across undos;
-    every answer must still match a recomputation on the current arcs."""
+    """After every arc insertion and every undo, each answer matches a
+    recomputation on the current arcs."""
     rng = random.Random(23)
     for _ in range(20):
         n = rng.randint(2, 9)
@@ -168,8 +168,9 @@ def test_reaches_agrees_with_recomputation_across_undo():
 
 def test_connects_agrees_with_paths_set_across_undo():
     """The one-search blocking test answers whether the path set is
-    empty, on seeded random graphs over the unary and arc atoms of a few
-    nodes, with free predicates, after every arc insertion and undo."""
+    empty, and the path set is a recomputation's, on seeded random graphs
+    over the unary and arc atoms of a few nodes, with free predicates,
+    after every arc insertion and undo."""
     rng = random.Random(31)
     nodes = [NodeId("x"), NodeId("x", (1,)), NodeId("x", (1, 1)), NodeId("a")]
     free = frozenset({"r"})
@@ -179,18 +180,27 @@ def test_connects_agrees_with_paths_set_across_undo():
         vertices += [atom("f", a, b) for a, b in zip(nodes, nodes[1:])]
         trail = Trail()
         g = DependencyGraph(trail)
-        marks = [trail.mark()]
+        history = [(trail.mark(), [])]
         for _ in range(rng.randint(5, 40)):
-            if rng.random() < 0.25 and len(marks) > 1:
-                mark = rng.choice(marks)
+            if rng.random() < 0.25 and len(history) > 1:
+                mark = rng.choice(history)[0]
                 trail.undo_to(mark)
-                marks = [m for m in marks if m <= mark]
+                history = [h for h in history if h[0] <= mark]
             else:
-                g.add_arc(rng.choice(vertices), rng.choice(vertices))
-                marks.append(trail.mark())
+                a, b = rng.choice(vertices), rng.choice(vertices)
+                g.add_arc(a, b)
+                history.append((trail.mark(), history[-1][1] + [(a, b)]))
+            arcs = history[-1][1]
             for y in nodes:
                 for x in nodes:
-                    expected = bool(g.paths_set(y, x, free))
+                    paths = g.paths_set(y, x, free)
+                    assert paths == {
+                        (p, q)
+                        for p in "pqr"
+                        for q in "pq"
+                        if naive_reachable(arcs, atom(p, y), atom(q, x))
+                    }, (y, x)
+                    expected = bool(paths)
                     assert g.connects(y, x, free) == expected, (y, x)
                     found += expected
     assert found > 100

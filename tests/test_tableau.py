@@ -4,7 +4,7 @@ from folp import tableau
 from folp.forest import NodeId, Signed, StructureError, Trail
 from folp.matcher import check_sat_a2
 from folp.oracle import bounded_sat, is_answer_set
-from folp.syntax import eliminate_constraints, parse_program
+from folp.syntax import parse_program
 from folp.tableau import (
     EXP,
     UNEXP,
@@ -210,6 +210,48 @@ def test_expand_negative_vacuous_for_undefined_predicates():
     assert "all instances refuted" in alternative.description
     alternative.apply()
     assert cs.status((x, child), Signed("f", False)) == EXP
+
+
+ARC_REFUTATION = (
+    "p(X) :- h(X,Y), not q(Y).\n"
+    "g(X,Y) :- s(X), f(X,Y), not r(Y).\n"
+    "g(X,Y) :- f(X,Y), q(Y).\n"
+    "h(X,Y) v not h(X,Y).\n"
+    "f(X,Y) v not f(X,Y).\n"
+    "q(X) :- g(X,Y), r(Y).\n"
+    "r(X) v not r(X).\n"
+    "s(X) v not s(X).\n"
+)
+
+
+def test_arc_obligations_share_the_instance_path(monkeypatch):
+    """A negative arc obligation is refuted one rule at a time through
+    the instance cache and ledger of the node obligations; in a whole
+    search, each of its pending instances agrees with a fresh grounding."""
+    program = parse_program(ARC_REFUTATION)
+    cs = A1CompletionStructure(program)
+    x = cs.epsilon
+    arc = (x, cs.forest.add_child(x))
+    okey = (arc, Signed("g", False))
+    cs.insert_tracked(arc, okey[1])
+    assert [key for key, _ in cs._instances(arc, "g")] == [0, 1]
+    assert_first_pending_agrees(cs, okey)
+    refute_s, refute_f, refute_not_r = cs.expand_binary_negative(arc, "g")
+    refute_not_r.apply()
+    assert cs.handled_set(okey) == {0}
+    assert cs.status(arc, okey[1]) == UNEXP
+    assert_first_pending_agrees(cs, okey)
+    refute_f, refute_q = cs.expand_binary_negative(arc, "g")
+    refute_f.apply()
+    assert cs.handled_set(okey) == {0, 1}
+    assert cs.status(arc, okey[1]) == EXP
+    assert Signed("f", False) in cs.content(arc)
+
+    checked = checked_a1()
+    monkeypatch.setattr(tableau, "A1CompletionStructure", checked)
+    verdict = check_sat_a1(program, "p", RedundancyPolicy(k_override=2))
+    assert verdict.kind is VerdictKind.SAT
+    assert checked.pending_checks > 0
 
 
 def test_is_saturated(membership_t):

@@ -7,7 +7,6 @@ from folp.syntax import parse_program
 from folp.units import (
     CacheFormatError,
     CacheMismatchError,
-    UnitCache,
     compile_units,
     enumerate_unit_completions,
     is_final,
@@ -204,6 +203,27 @@ def test_cache_rejects_garbage(tmp_path):
     path.write_text("not a cache\n")
     with pytest.raises(CacheFormatError):
         load_cache(path)
+
+
+@pytest.mark.parametrize(
+    "line, corrupted",
+    [
+        ("count: 4", "count: many"),
+        ("succ: @.1 arc open", "succ: @.x arc open"),
+        ("paths: p->p", "paths: p p"),
+        ("garc: p(@) -> f(@,@.1)", "garc: p(@) f(@,@.1)"),
+    ],
+)
+def test_cache_rejects_malformed_fields(tmp_path, choice_chain, line, corrupted):
+    """A field that does not parse is a format error, not a ValueError
+    that the command line would report as UNSAT (exit 1)."""
+    path = tmp_path / "chain.units"
+    save_cache(compile_units(choice_chain).cache, path)
+    text = path.read_text()
+    assert line + "\n" in text
+    path.write_text(text.replace(line + "\n", corrupted + "\n", 1))
+    with pytest.raises(CacheFormatError):
+        load_cache(path, choice_chain)
 
 
 def test_candidate_order_is_least_constraining_first(choice_chain):
