@@ -380,22 +380,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, pred=True):
+    def common(p, engine=True):
+        # only a command that runs an engine takes a predicate and its options
         p.add_argument("program", help="program file (.folp)")
-        if pred:
+        if engine:
             p.add_argument("predicate", help="unary predicate to check")
+            p.add_argument("--redundancy-k", type=_positive_int, default=None,
+                           help="override the redundancy bound (bounded-incomplete)")
+            p.add_argument("--max-depth", type=_positive_int, default=None,
+                           help="explicit depth bound; exhaustion after pruning "
+                           "reports DEPTH_BOUNDED_UNKNOWN")
+            p.add_argument("--cache", default=None, help="unit cache file for a2")
+            p.add_argument("--auto-cache", action=argparse.BooleanOptionalAction,
+                           default=True,
+                           help="compile units on the fly when no cache is given")
         p.add_argument("--format", choices=["text", "machine"], default="text")
-        p.add_argument("--redundancy-k", type=_positive_int, default=None,
-                       help="override the redundancy bound (bounded-incomplete)")
-        p.add_argument("--max-depth", type=_positive_int, default=None,
-                       help="explicit depth bound; exhaustion after pruning "
-                       "reports DEPTH_BOUNDED_UNKNOWN")
         p.add_argument("--time-limit", type=float, default=None,
                        help="seconds before the engines abort")
-        p.add_argument("--cache", default=None, help="unit cache file for a2")
-        p.add_argument("--auto-cache", action=argparse.BooleanOptionalAction,
-                       default=True,
-                       help="compile units on the fly when no cache is given")
         p.add_argument("--deterministic", action="store_true",
                        help="single-task mode (always on in this build)")
 
@@ -406,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("compile-units", help="pre-compile the unit structure cache")
-    common(p, pred=False)
+    common(p, engine=False)
     p.add_argument("--out", default=None, help="cache path (default PROGRAM.units)")
     p.set_defaults(func=cmd_compile_units)
 

@@ -217,7 +217,6 @@ class ExtendedForest:
         self._children: dict[NodeId, list[NodeId]] = {
             root: [] for root in self._root_nodes
         }
-        self._next_index: dict[NodeId, int] = dict.fromkeys(self._root_nodes, 1)
         self._es: dict[NodeId, list[NodeId]] = {}
         self._es_set: set[ArcId] = set()
 
@@ -240,20 +239,18 @@ class ExtendedForest:
                 stack.extend(reversed(children[node]))
 
     def add_child(self, node: NodeId) -> NodeId:
-        if node not in self._children:
+        """A new last child of node. Children leave only by this undo,
+        last in first out, so the n-th child has the index n."""
+        children = self._children.get(node)
+        if children is None:
             raise StructureError(f"unknown node {node}")
-        index = self._next_index[node]
-        child = node.child(index)
-        self._next_index[node] = index + 1
-        self._children[node].append(child)
+        child = node.child(len(children) + 1)
+        children.append(child)
         self._children[child] = []
-        self._next_index[child] = 1
 
         def undo() -> None:
-            self._children[node].pop()
+            children.pop()
             del self._children[child]
-            del self._next_index[child]
-            self._next_index[node] = index
 
         self.trail.push(undo)
         return child

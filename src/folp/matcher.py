@@ -22,11 +22,14 @@ graft), and the completion audit searches the whole graph once more.
 A graft copies contents and arcs in a fixed order, so where it stops on
 a clash does not depend on the hash seed.
 
-The driver, the redundancy clash and the completion audit are those of
-`tableau.CompletionStructure` and `tableau.decide`; a node is saturated
-here once a unit is grafted onto it. The search expands the leftmost
-unexpanded unblocked node; candidate units are tried least constraining
-first (fewest successors, then smallest path sets).
+The driver, the task scan, the redundancy clash and the completion
+audit are those of `tableau.CompletionStructure` and `tableau.decide`;
+this engine supplies `node_task` (match the node) and `is_saturated`
+(grafted). A graft checks the redundancy bound at once, before the
+fail-fast test of its successors: the scan would raise the same clash,
+but only after that test and a scan up to the node. Candidate units are
+tried least constraining first (fewest successors, then smallest path
+sets).
 """
 
 from __future__ import annotations
@@ -158,11 +161,9 @@ class A2CompletionStructure(CompletionStructure):
         self.stats.matches += 1
         self.stats.units_used.add(uc.sort_key())
         # an expanded node's content and ancestors are fixed, so the
-        # bound is checked once, right after its match
+        # bound can be checked at once (see the module docstring)
         if not self.is_blocked(x):
-            equal = self.equal_ancestor_count(x)
-            if equal >= self.k:
-                self.redundancy_clash(x, equal)
+            self.redundancy_clash(x)
         # Fail fast on successors no unit can ever cover. Sound because an
         # existing node's ancestors are already expanded, so its content
         # and theirs are fixed: an unblocked node can never become
@@ -182,13 +183,12 @@ class A2CompletionStructure(CompletionStructure):
 
     # -- scheduling --------------------------------------------------------
 
-    def next_task(self) -> Optional[Task]:
-        self.check_budget()
-        for x in self.forest.nodes():
-            if self.is_saturated(x) or self.is_blocked(x):
-                continue
-            return Task("match {}", (x,), self.match(x))
-        return None
+    def node_task(self, x: NodeId) -> Task:
+        return Task("match {}", (x,), self.match(x))
+
+    # the shared scan, bound here too: perfbench's tracer wraps the
+    # engine class's own attribute
+    next_task = CompletionStructure.next_task
 
 
 def check_sat_a2(

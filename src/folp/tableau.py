@@ -2,10 +2,10 @@
 
 As in the paper, the optimised algorithm is the same tableau with a
 different expansion step: both engines share `CompletionStructure`
-(roots, options and budgets, the redundancy clash, the completion audit)
-and the driver `decide` (depth schedule, root choices, `run_search`,
-verdict); each supplies only its task (`next_task`) and its notion of a
-saturated node.
+(roots, options and budgets, the task scan `next_task`, the redundancy
+clash, the completion audit) and the driver `decide` (depth schedule,
+root choices, `run_search`, verdict); each supplies only the expansion
+of a node (`node_task`) and its notion of a saturated node.
 
 The direct engine builds completion structures by justifying every
 signed predicate in node and arc contents with the program rules:
@@ -20,11 +20,15 @@ undoable mutations. Choice order: rules in program order, groundings
 preferring existing successors, then fresh successors, then constants;
 sign choices take the negative branch first. Runs are deterministic.
 
-Each task is the first applicable expansion in node order (a "ToDo
-list" agenda, as in description-logic tableau reasoners): the scan
-skips children of unsaturated nodes and blocked nodes, and raises the
-redundancy clash at a saturated node with too many equal-content
-ancestors. It derives nothing afresh that no mutation changed:
+Each task expands the first unblocked unsaturated node in node order (a
+"ToDo list" agenda, as in description-logic tableau reasoners); a
+saturated unblocked node before it with k or more equal-content
+ancestors raises the redundancy clash instead. The scan tests no
+parent: a node with children is never blocked (children are made only
+while an unblocked node is expanded; then its content only grows, its
+ancestors' contents are total and new arcs only add paths), so each
+ancestor of the node reached, which comes before it, is saturated. The
+scan derives nothing afresh that no mutation changed:
 saturation is two counter reads, kept by `set_status` (expanded entries
 per key, and per node the outgoing arcs whose binary entries are all
 expanded); blocking and the equal-ancestor count come from the memo of
@@ -39,7 +43,10 @@ the instances read only the node's children and the constants, and a
 node with n children always has the children x.1 ... x.n, also after
 backtracking. Positive expansion is not cached: its groundings depend
 on the depth bound, and computing them records whether the bound
-pruned anything.
+pruned anything. Node and arc entries share one positive path as well
+(`_expand_positive`, `_apply_positive`); both sides take rule bodies
+from `_ground_body`, the positive one lazily, so that each fresh
+successor is made just before its own literals go in.
 
 Verdicts: without an explicit depth bound the driver deepens iteratively
 and reports UNSAT only from an exhausted search in which the bound never
@@ -57,7 +64,7 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from typing import Callable, Iterable, Iterator, NoReturn, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .forest import (
     ArcId,
@@ -235,6 +242,10 @@ class Task:
 # grounding target descriptors: ("node", NodeId) or ("fresh", position)
 _Desc = tuple
 
+# a refutation's description by the number of ends of the refuted key:
+# an arc reads (x,y), as `forest._key_str` writes it
+_REFUTE_AT = {1: ": refute {} at {}", 2: ": refute {} at ({},{})"}
+
 
 def _bindings(
     shape: UnaryShape,
@@ -306,16 +317,34 @@ class CompletionStructure(ForestState):
     def is_saturated(self, x: NodeId) -> bool:
         raise NotImplementedError
 
+    def node_task(self, x: NodeId) -> Optional[Task]:
+        raise NotImplementedError
+
     def check_budget(self) -> None:
         if self.deadline is not None and time.monotonic() >= self.deadline:
             raise EngineBudgetError("time limit exceeded")
         if self.max_tasks is not None and self.stats.tasks > self.max_tasks:
             raise EngineBudgetError("task budget exceeded")
 
-    def redundancy_clash(self, x: NodeId, equal: int) -> NoReturn:
-        """Record and raise the redundancy clash of a saturated node x
-        with `equal` >= k equal-content ancestors. The caller has found x
-        unblocked; asking again would cost the direct engine's scan."""
+    def next_task(self) -> Optional[Task]:
+        """The task of the first unblocked unsaturated node in node order,
+        or the redundancy clash before it (see the module docstring)."""
+        self.check_budget()
+        for x in self.forest.nodes():
+            if self.is_blocked(x):
+                continue
+            if not self.is_saturated(x):
+                return self.node_task(x)
+            self.redundancy_clash(x)
+        return None
+
+    def redundancy_clash(self, x: NodeId) -> None:
+        """Record and raise the redundancy clash of the saturated node x
+        if it has k or more equal-content ancestors. The caller has found
+        x unblocked; asking again would cost the direct engine's scan."""
+        equal = self.equal_ancestor_count(x)
+        if equal < self.k:
+            return
         self.stats.redundancy_events.append(
             {"node": str(x), "equal_ancestors": equal, "chain_position": equal + 1}
         )
@@ -480,12 +509,6 @@ class A1CompletionStructure(CompletionStructure):
                 out.append(("node", node))
         return out
 
-    def _instance_candidates(self, x: NodeId) -> list[NodeId]:
-        """Ground targets a rule instance may use at x: tree children and
-        all constants (absent extra arcs are created lazily when a
-        connecting literal gets refuted)."""
-        return self.forest.children(x) + [NodeId(c) for c in self.program.constants]
-
     def _groundings(self, x: NodeId, shape: UnaryShape) -> list[tuple[_Desc, ...]]:
         return _bindings(
             shape, partial(self._positive_candidates, x), lambda c: ("node", NodeId(c))
@@ -494,7 +517,11 @@ class A1CompletionStructure(CompletionStructure):
     def _instance_groundings(
         self, x: NodeId, shape: UnaryShape
     ) -> list[tuple[NodeId, ...]]:
-        return _bindings(shape, lambda i: self._instance_candidates(x), NodeId)
+        """The targets of a rule instance at x range over the tree
+        children and all constants (absent extra arcs are created lazily
+        when a connecting literal gets refuted)."""
+        targets = self.forest.children(x) + [NodeId(c) for c in self.program.constants]
+        return _bindings(shape, lambda i: targets, NodeId)
 
     def _ensure_arc(self, x: NodeId, y: NodeId) -> None:
         if y.parent() == x:
@@ -505,31 +532,41 @@ class A1CompletionStructure(CompletionStructure):
     # -- expansion rules ---------------------------------------------------
 
     def expand_unary_positive(self, x: NodeId, p: str) -> list[Alternative]:
-        """Choice points justifying p at x: one per defining rule whose
-        head term matches x and per admissible grounding of its successor
-        terms."""
-        sp = Signed(p, True)
+        return self._expand_positive(x, p, "{} at {}", (p, x))
+
+    def _expand_positive(
+        self, key: Key, name: str, head: str, args: tuple
+    ) -> list[Alternative]:
+        """Choice points justifying `name` at the node or arc `key`: one
+        per defining rule whose head terms fit key and, at a node, per
+        admissible grounding of its successor terms; a choice rule
+        justifies the atom with an empty body (its description leaves
+        the rule line out). `head` and `args` describe the obligation."""
+        sp = Signed(name, True)
+        arc = key.__class__ is tuple
+        ends = key if arc else (key,)
         alternatives: list[Alternative] = []
-        for rule in self.program.rules_for_head(p):
+        for rule in self.program.rules_for_head(name):
+            if not all(map(self._head_matches_node, rule.head.args, ends)):
+                continue
+            how = " by rule line {}"
             if rule.kind is RuleKind.FREE:
-                if all(self._head_matches_node(t, x) for t in rule.head.args):
-                    alternatives.append(
-                        Alternative(
-                            "{} at {} by choice rule", (p, x),
-                            lambda x=x, sp=sp: self.set_status(x, sp, EXP),
-                        )
-                    )
-                continue
-            shape = unary_shape(rule)
-            if not self._head_matches_node(shape.head_term, x):
-                continue
-            for binding in self._groundings(x, shape):
+                how, bodies = " by choice rule", [()]
+            elif arc:
+                bodies = [self._ground_body(key[0], binary_shape(rule), key[1:])]
+            else:
+                shape = unary_shape(rule)
+                # one-shot lazy bodies (run_search applies an alternative
+                # once): a fresh successor is made just before its literals
+                materialize = partial(self._materialize, key)
+                bodies = []
+                for binding in self._groundings(key, shape):
+                    bodies.append(self._ground_body(key, shape, map(materialize, binding)))
+            for body in bodies:
                 alternatives.append(
                     Alternative(
-                        "{} at {} by rule line {}", (p, x, rule.line),
-                        lambda x=x, sp=sp, shape=shape, binding=binding: (
-                            self._apply_unary_positive(x, sp, shape, binding)
-                        ),
+                        head + how, (*args, rule.line),
+                        partial(self._apply_positive, key, sp, body),
                     )
                 )
         return alternatives
@@ -554,27 +591,19 @@ class A1CompletionStructure(CompletionStructure):
             if self.st.get((x, sp)) == EXP:
                 self.set_status(x, sp, UNEXP)
 
-    def _apply_unary_positive(
-        self, x: NodeId, sp: Signed, shape: UnaryShape, binding: tuple[_Desc, ...]
+    def _apply_positive(
+        self, key: Key, sp: Signed, body: Iterable[tuple[Key, Signed]]
     ) -> None:
-        head_atom = GroundAtom(sp.name, (x,))
+        """Insert the ground body of a rule instance for sp at key, in
+        body order, then mark sp expanded and add its dependency arcs."""
         body_positive: list[GroundAtom] = []
-        for lit in shape.beta:
-            self.insert_tracked(x, signed_of(lit))
-            if lit.positive:
-                body_positive.append(GroundAtom(lit.atom.pred, (x,)))
-        for spec, desc in zip(shape.successors, binding):
-            y = self._materialize(x, desc)
-            arc = (x, y)
-            for lit in spec.gamma:
-                self.insert_tracked(arc, signed_of(lit))
-                if lit.positive:
-                    body_positive.append(GroundAtom(lit.atom.pred, (x, y)))
-            for lit in spec.delta:
-                self.insert_tracked(y, signed_of(lit))
-                if lit.positive:
-                    body_positive.append(GroundAtom(lit.atom.pred, (y,)))
-        self.set_status(x, sp, EXP)
+        for lit_key, lit_sp in body:
+            self.insert_tracked(lit_key, lit_sp)
+            if lit_sp.positive:
+                args = lit_key if lit_key.__class__ is tuple else (lit_key,)
+                body_positive.append(GroundAtom(lit_sp.name, args))
+        self.set_status(key, sp, EXP)
+        head_atom = self.atom_for(key, sp.name)
         for atom in body_positive:
             self.add_dependency(head_atom, atom)
 
@@ -609,17 +638,20 @@ class A1CompletionStructure(CompletionStructure):
                         partial(self._finish_instance, okey, instance_key),
                     )
                 ]
-        return [
-            Alternative(
-                head + ": refute {} at {}", (*args, lit_sp, lit_key),
-                partial(
-                    self._apply_refutation, okey, instance_key, lit_key, lit_sp.negated()
-                ),
+        alternatives = []
+        for lit_key, lit_sp in literals:
+            if lit_sp in self.content(lit_key):
+                continue  # the complement would contradict present content
+            ends = lit_key if lit_key.__class__ is tuple else (lit_key,)
+            alternatives.append(
+                Alternative(
+                    head + _REFUTE_AT[len(ends)], (*args, lit_sp, *ends),
+                    partial(
+                        self._apply_refutation, okey, instance_key, lit_key, lit_sp.negated()
+                    ),
+                )
             )
-            for lit_key, lit_sp in literals
-            # the complement would contradict present content
-            if lit_sp not in self.content(lit_key)
-        ]
+        return alternatives
 
     def _instances(self, key: Key, p: str) -> list:
         """(instance key, ground body) of every rule instance defining p
@@ -633,20 +665,20 @@ class A1CompletionStructure(CompletionStructure):
         instances = self._instance_cache.get(cache_key)
         if instances is None:
             instances = []
+            ends = key if key.__class__ is tuple else (key,)
             for rule_index, rule in enumerate(self.program.rules_for_head(p)):
                 if rule.kind is RuleKind.FREE:
                     continue  # a choice rule never forces the atom
+                if not all(map(self._head_matches_node, rule.head.args, ends)):
+                    continue
                 if key.__class__ is tuple:
-                    shape = binary_shape(rule)
-                    if all(map(self._head_matches_node, (shape.s, shape.t), key)):
-                        instances.append((rule_index, self._binary_body(key, shape)))
+                    body = self._ground_body(key[0], binary_shape(rule), key[1:])
+                    instances.append((rule_index, list(body)))
                     continue
                 shape = unary_shape(rule)
-                if not self._head_matches_node(shape.head_term, key):
-                    continue
                 for targets in self._instance_groundings(key, shape):
                     instances.append(
-                        ((rule_index, targets), self._ground_body(key, shape, targets))
+                        ((rule_index, targets), list(self._ground_body(key, shape, targets)))
                     )
             self._instance_cache[cache_key] = instances
         return instances
@@ -664,18 +696,24 @@ class A1CompletionStructure(CompletionStructure):
                 return instance
         return None
 
+    @staticmethod
     def _ground_body(
-        self, x: NodeId, shape: UnaryShape, targets: tuple[NodeId, ...]
-    ) -> list[tuple[Key, Signed]]:
-        out: list[tuple[Key, Signed]] = []
+        x: NodeId, shape: UnaryShape | BinaryShape, targets: Iterable[NodeId]
+    ) -> Iterator[tuple[Key, Signed]]:
+        """The body literals of a rule instance at x, or at the arc from x
+        to the one target of a binary rule, each with its node or arc:
+        beta, then per successor its gamma and its delta. A target is
+        taken from `targets` only when its successor's literals are due."""
         for lit in shape.beta:
-            out.append((x, signed_of(lit)))
-        for spec, y in zip(shape.successors, targets):
+            yield x, signed_of(lit)
+        # a binary shape has the gamma and delta of its one successor
+        specs = (shape,) if shape.__class__ is BinaryShape else shape.successors
+        for spec, y in zip(specs, targets):
+            arc = (x, y)
             for lit in spec.gamma:
-                out.append(((x, y), signed_of(lit)))
+                yield arc, signed_of(lit)
             for lit in spec.delta:
-                out.append((y, signed_of(lit)))
-        return out
+                yield y, signed_of(lit)
 
     def _finish_instance(self, okey, instance_key) -> None:
         self._mark_handled(okey, instance_key)
@@ -710,51 +748,7 @@ class A1CompletionStructure(CompletionStructure):
         return []
 
     def expand_binary_positive(self, arc: ArcId, f: str) -> list[Alternative]:
-        x, y = arc
-        sp = Signed(f, True)
-        alternatives: list[Alternative] = []
-        for rule in self.program.rules_for_head(f):
-            if rule.kind is RuleKind.FREE:
-                if all(map(self._head_matches_node, rule.head.args, arc)):
-                    alternatives.append(
-                        Alternative(
-                            "{} on {}->{} by choice rule", (f, x, y),
-                            lambda arc=arc, sp=sp: self.set_status(arc, sp, EXP),
-                        )
-                    )
-                continue
-            shape = binary_shape(rule)
-            if not all(map(self._head_matches_node, (shape.s, shape.t), arc)):
-                continue
-            alternatives.append(
-                Alternative(
-                    "{} on {}->{} by rule line {}", (f, x, y, rule.line),
-                    lambda arc=arc, sp=sp, shape=shape: self._apply_binary_positive(
-                        arc, sp, shape
-                    ),
-                )
-            )
-        return alternatives
-
-    @staticmethod
-    def _binary_body(arc: ArcId, shape: BinaryShape) -> list[tuple[Key, Signed]]:
-        x, y = arc
-        return (
-            [(x, signed_of(lit)) for lit in shape.beta]
-            + [(arc, signed_of(lit)) for lit in shape.gamma]
-            + [(y, signed_of(lit)) for lit in shape.delta]
-        )
-
-    def _apply_binary_positive(self, arc: ArcId, sp: Signed, shape: BinaryShape):
-        head_atom = GroundAtom(sp.name, arc)
-        body_positive: list[GroundAtom] = []
-        for key, lit_sp in self._binary_body(arc, shape):
-            self.insert_tracked(key, lit_sp)
-            if lit_sp.positive:
-                body_positive.append(self.atom_for(key, lit_sp.name))
-        self.set_status(arc, sp, EXP)
-        for atom in body_positive:
-            self.add_dependency(head_atom, atom)
+        return self._expand_positive(arc, f, "{} on {}->{}", (f, *arc))
 
     def expand_binary_negative(self, arc: ArcId, f: str) -> list[Alternative]:
         return self._expand_negative(arc, f, "not {} on {}->{}", (f, *arc))
@@ -793,26 +787,9 @@ class A1CompletionStructure(CompletionStructure):
                 return Task("choose binary on {}->{}", (arc[0], arc[1]), choice)
         return None
 
-    def next_task(self) -> Optional[Task]:
-        """The first task in node order, or a redundancy clash. Blocking,
-        saturation and the equal-ancestor count are read from the memo
-        and counters, so a scan re-derives only what changed."""
-        self.check_budget()
-        for x in self.forest.nodes():
-            parent = x.parent()
-            if parent is not None and not self.is_saturated(parent):
-                continue
-            if self.is_blocked(x):
-                continue
-            if not self.is_saturated(x):
-                task = self.node_task(x)
-                if task is not None:
-                    return task
-            else:
-                equal = self.equal_ancestor_count(x)
-                if equal >= self.k:
-                    self.redundancy_clash(x, equal)
-        return None
+    # the shared scan, bound here too: perfbench's tracer wraps the
+    # engine class's own attribute
+    next_task = CompletionStructure.next_task
 
     # -- final audit ---------------------------------------------------------
 

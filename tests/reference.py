@@ -81,10 +81,10 @@ def assert_first_pending_agrees(cs: A1CompletionStructure, okey) -> None:
         assert first is None, (str(x), sp)
         return
     instance_key, shape, targets = pending[0]
-    if targets is None:
-        body = cs._binary_body(x, shape)
+    if targets is None:  # an arc: the rule's one target is its second end
+        body = list(cs._ground_body(x[0], shape, x[1:]))
     else:
-        body = cs._ground_body(x, shape, targets)
+        body = list(cs._ground_body(x, shape, targets))
     assert first == (instance_key, body), (str(x), sp)
 
 

@@ -1,6 +1,10 @@
 import json
 
 from folp.cli import main
+from folp.matcher import check_sat_a2
+from folp.syntax import eliminate_constraints, parse_program
+from folp.tableau import check_sat_a1
+from folp.units import compile_units
 
 from conftest import PROGRAMS
 
@@ -153,6 +157,66 @@ def test_usage_errors_exit_three(capsys):
         assert (code, out) == (3, ""), argv
         (line,) = [line for line in err.splitlines() if "error:" in line]
         assert message in line, argv
+
+
+def test_compile_units_rejects_engine_options(tmp_path, capsys):
+    """compile-units runs no engine, so the options of an engine run are
+    usage errors there instead of being ignored."""
+    out_path = str(tmp_path / "chain.units")
+    for option in (["--redundancy-k", "2"], ["--max-depth", "2"],
+                   ["--cache", "nonexistent"], ["--no-auto-cache"], ["--auto-cache"]):
+        code, out, err = run(capsys, "compile-units", CHAIN, "--out", out_path, *option)
+        assert (code, out) == (3, ""), option
+        assert "unrecognized arguments: " + " ".join(option) in err, option
+    assert not (tmp_path / "chain.units").exists()
+    code, _, _ = run(capsys, "compile-units", CHAIN, "--out", out_path,
+                     "--time-limit", "60", "--deterministic")
+    assert code == 0
+
+
+def test_check_time_limit_zero_exits_five(capsys):
+    code, out, err = run(capsys, "check", MEMBERSHIP, "smember", "--time-limit", "0")
+    assert (code, out) == (5, "")
+    assert err == "resource budget exceeded: time limit exceeded\n"
+
+
+# a program whose a1 and a2 witnesses for r differ
+CHOICE_AT_A = "p(a) v not p(a).\nq(X) :- p(X).\nr(X) :- not p(X).\n"
+
+
+def _witness_dots():
+    """The DOT text of the a1 and of the a2 witness for r."""
+    transformed = eliminate_constraints(parse_program(CHOICE_AT_A))
+    cache = compile_units(transformed).cache
+    a1 = check_sat_a1(transformed, "r").witness.to_dot()
+    return a1, check_sat_a2(transformed, "r", cache).witness.to_dot()
+
+
+def test_check_dot_writes_the_last_witness(tmp_path, capsys):
+    program = tmp_path / "choice.folp"
+    program.write_text(CHOICE_AT_A)
+    a1_dot, a2_dot = _witness_dots()
+    assert a1_dot != a2_dot
+    dot_path = tmp_path / "witness.dot"
+    code, _, _ = run(capsys, "check", str(program), "r", "--alg", "a1",
+                     "--dot", str(dot_path))
+    assert code == 0
+    assert dot_path.read_text() == a1_dot
+    code, _, _ = run(capsys, "check", str(program), "r", "--dot", str(dot_path))
+    assert code == 0
+    assert dot_path.read_text() == a2_dot
+    unsat_path = tmp_path / "none.dot"
+    code, _, _ = run(capsys, "check", LOOP, "smember", "--dot", str(unsat_path))
+    assert code == 1
+    assert not unsat_path.exists()
+
+
+def test_export_dot_a2_prints_the_a2_witness(tmp_path, capsys):
+    program = tmp_path / "choice.folp"
+    program.write_text(CHOICE_AT_A)
+    code, out, _ = run(capsys, "export-dot", str(program), "r", "--alg", "a2")
+    assert code == 0
+    assert out == _witness_dots()[1]
 
 
 def test_help_exits_zero(capsys):

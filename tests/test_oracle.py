@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from folp import oracle
 from folp.oracle import (
     GroundProgram,
     GroundRule,
@@ -260,3 +261,62 @@ def test_universe_naming_avoids_constant_collisions():
     program = parse_program("p(u1).\n")
     universe = Universe.for_program(program, 2)
     assert universe.elements == ("u1", "u2")
+
+
+def _random_scan_input(rng):
+    """Input of one universe's candidate scan, shaped as
+    `_answer_sets_for_universe` builds it: at most 63 atom bits, choice
+    rules only on relevant atoms, negative bodies and constraint
+    negations only over relevant atoms."""
+    n_atoms = rng.randint(1, 63)
+    atoms = [1 << g for g in range(n_atoms)]
+    rel_bits = sorted(rng.sample(range(n_atoms), rng.randint(0, min(8, n_atoms))))
+    relevant = [1 << g for g in rel_bits]
+
+    def mask(bits, most):
+        return sum(rng.sample(bits, min(rng.randint(0, most), len(bits))))
+
+    derive = [(bit, 0, bit, 0) for bit in relevant if rng.random() < 0.5]
+    derive += [
+        (rng.choice(atoms), mask(atoms, 3), 0, mask(relevant, 2))
+        for _ in range(rng.randint(0, 12))
+    ]
+    constraints = [(mask(atoms, 2), mask(relevant, 1)) for _ in range(rng.randint(0, 2))]
+    return len(rel_bits), rel_bits, derive, constraints
+
+
+def test_python_scan_agrees_with_numpy_scan():
+    """The pure-Python scan, the only one for universes of more than 63
+    atoms, finds the numpy scan's models, in its order."""
+    rng = random.Random(20261018)
+    with_models = 0
+    for _ in range(300):
+        scan_input = _random_scan_input(rng)
+        models = oracle._scan_python(*scan_input)
+        assert models == oracle._scan_numpy(*scan_input), scan_input
+        with_models += bool(models)
+    assert with_models > 100
+
+
+def test_answer_sets_beyond_63_atoms_use_the_python_scan(monkeypatch):
+    chain = "".join(f"p{i + 1}(X) :- p{i}(X).\n" for i in range(2, 9))
+    program = parse_program(
+        "c(a) v not c(a).\nd(a) v not d(a).\np1(X) :- c(X).\n"
+        "p2(X) :- p1(X), not d(X).\n" + chain
+    )
+    universe = Universe.for_program(program, 6)
+    assert len(program.upreds) * len(universe.elements) == 66
+
+    def numpy_scan(*scan_input):
+        raise AssertionError("the numpy scan cannot hold more than 63 atoms")
+
+    monkeypatch.setattr(oracle, "_scan_numpy", numpy_scan)
+    found = answer_sets(program, universe)
+    assert all(is_answer_set(program, interp) for interp in found)
+    choices = {
+        (("c", ("a",)) in interp.atoms, ("d", ("a",)) in interp.atoms)
+        for interp in found
+    }
+    assert len(found) == 4 and len(choices) == 4
+    (p9_holds,) = [i for i in found if ("p9", ("a",)) in i.atoms]
+    assert ("c", ("a",)) in p9_holds.atoms and ("d", ("a",)) not in p9_holds.atoms

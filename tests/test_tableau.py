@@ -4,7 +4,7 @@ from folp import tableau
 from folp.forest import NodeId, Signed, StructureError, Trail
 from folp.matcher import check_sat_a2
 from folp.oracle import bounded_sat, is_answer_set
-from folp.syntax import parse_program
+from folp.syntax import RuleKind, parse_program
 from folp.tableau import (
     EXP,
     UNEXP,
@@ -381,6 +381,29 @@ FAMILY_GOAL_A1 = {
 }
 
 
+def test_refutation_descriptions_write_arcs_as_forest_keys():
+    """A refuted literal on an arc reads (x,x.1), as contents and clash
+    messages write arcs; the arguments stay unformatted until read."""
+    program = parse_program(ARC_REFUTATION)
+    cs = A1CompletionStructure(program)
+    x = cs.epsilon
+    child = cs.forest.add_child(x)
+    arc = (x, child)
+    cs.insert_tracked(arc, Signed("g", False))
+    alternatives = cs.expand_binary_negative(arc, "g")
+    assert [a.description for a in alternatives] == [
+        "not g on x->x.1: refute s at x",
+        "not g on x->x.1: refute f at (x,x.1)",
+        "not g on x->x.1: refute not r at x.1",
+    ]
+    assert alternatives[1].args == ("g", x, child, Signed("f", True), x, child)
+    cs.insert_tracked(x, Signed("p", False))
+    assert [a.description for a in cs.expand_unary_negative(x, "p")] == [
+        "not p at x: refute h at (x,x.1)",
+        "not p at x: refute not q at x.1",
+    ]
+
+
 def test_hard_search_is_pinned_and_saturation_matches_reference(hard, monkeypatch):
     """The hard program's exhaustive search, task for task: the verdict
     record is pinned, at every task selection the saturation counters
@@ -434,6 +457,97 @@ def test_instance_cache_survives_undoing_and_recreating_a_child():
     assert cs._first_pending(x, "p", okey)[0] == (0, (again,))
     assert_first_pending_agrees(cs, okey)
     assert reference_pending_instances(cs, x, "p", okey)[0][2] == (again,)
+
+
+# ----------------------------------------------------------------------
+# Constant-headed choice rules: `p(a) v not p(a).` makes p non-free, so
+# p(a) is justified by the choice rule (or another rule) and "not p" at
+# a refutes the other rules only.
+
+CHOICE_RULE_PROGRAMS = [
+    (
+        "p(a) v not p(a).\nq(X) :- p(X).\nr(X) :- not p(X).\n",
+        {"p": "SAT", "q": "SAT", "r": "SAT"},
+    ),
+    (
+        "f(a,b) v not f(a,b).\ng(X) :- f(X,Y), h(Y).\nh(b).\n"
+        "u(X) :- f(X,Y), not h(Y).\n",
+        {"g": "SAT", "h": "SAT", "u": "UNSAT"},
+    ),
+    (
+        "p(a) v not p(a).\ns(X) :- p(X), not t(X).\nt(a).\n",
+        {"p": "SAT", "s": "UNSAT", "t": "SAT"},
+    ),
+    (
+        "p(a) v not p(a).\np(X) :- q(X).\nq(X) :- f(X,Y), p(Y).\n"
+        "f(X,Y) v not f(X,Y).\n",
+        {"p": "SAT", "q": "SAT"},
+    ),
+    (
+        "f(a,a) v not f(a,a).\nf(X,Y) :- e(X,Y), k(Y).\ne(X,Y) v not e(X,Y).\n"
+        "k(a).\ngo(X) :- f(X,Y), not m(Y).\nm(X) :- not k(X).\n",
+        {"k": "SAT", "go": "SAT", "m": "SAT"},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "text, verdicts", CHOICE_RULE_PROGRAMS,
+    ids=["unary", "binary", "unary-unsat", "unary-and-rule", "binary-and-rule"],
+)
+def test_constant_headed_choice_rules_agree_with_the_oracle(text, verdicts):
+    program = parse_program(text)
+    constant_choices = {
+        rule.head.pred
+        for rule in program.rules
+        if rule.kind is RuleKind.FREE and not any(t.is_variable for t in rule.head.args)
+    }
+    assert constant_choices and not constant_choices & program.free_preds
+    assert sorted(program.upreds) == sorted(verdicts)
+    cache = compile_units(program).cache
+    for pred, expected in verdicts.items():
+        for verdict in (check_sat_a1(program, pred), check_sat_a2(program, pred, cache)):
+            assert verdict.kind.value == expected, (verdict.algorithm, pred)
+            if verdict.witness is not None:
+                model = verdict.witness.induced_interpretation()
+                assert is_answer_set(program, model), (verdict.algorithm, pred)
+        assert (bounded_sat(program, pred, 3) is not None) == (expected == "SAT"), pred
+
+
+def test_choice_rule_alternatives_at_constants():
+    text, _ = CHOICE_RULE_PROGRAMS[3]
+    cs = A1CompletionStructure(parse_program(text))
+    a, p = NodeId("a"), Signed("p", True)
+    assert [alt.description for alt in cs.expand_unary_positive(a, "p")] == [
+        "p at a by choice rule",
+        "p at a by rule line 2",
+    ]
+    assert [alt.description for alt in cs.expand_unary_positive(cs.epsilon, "p")] == [
+        "p at x by rule line 2",
+    ]
+    cs.insert_tracked(a, p)
+    by_choice, _ = cs.expand_unary_positive(a, "p")
+    by_choice.apply()
+    assert cs.status(a, p) == EXP and cs.content(a) == {p}
+    assert cs.g.arc_count() == 0
+    # the choice rule never forces p(a), so "not p" at a refutes rule 2 only
+    cs = A1CompletionStructure(parse_program(text))
+    cs.insert_tracked(a, Signed("p", False))
+    assert [key for key, _ in cs._instances(a, "p")] == [(1, ())]
+    assert [alt.description for alt in cs.expand_unary_negative(a, "p")] == [
+        "not p at a: refute q at a",
+    ]
+
+    text, _ = CHOICE_RULE_PROGRAMS[1]
+    cs = A1CompletionStructure(parse_program(text))
+    arc = (NodeId("a"), NodeId("b"))
+    cs.forest.add_es(*arc)
+    cs.insert_tracked(arc, Signed("f", True))
+    assert [alt.description for alt in cs.expand_binary_positive(arc, "f")] == [
+        "f on a->b by choice rule",
+    ]
+    assert cs.expand_binary_positive((cs.epsilon, NodeId("b")), "f") == []
+    assert cs._instances(arc, "f") == []
 
 
 # ----------------------------------------------------------------------
