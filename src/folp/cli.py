@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -67,6 +68,18 @@ def _positive_int(text: str) -> int:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+def _seconds(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number of seconds >= 0, got {text!r}"
+        )
     return value
 
 
@@ -395,7 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            default=True,
                            help="compile units on the fly when no cache is given")
         p.add_argument("--format", choices=["text", "machine"], default="text")
-        p.add_argument("--time-limit", type=float, default=None,
+        p.add_argument("--time-limit", type=_seconds, default=None,
                        help="seconds before the engines abort")
         p.add_argument("--deterministic", action="store_true",
                        help="single-task mode (always on in this build)")
@@ -413,16 +426,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="cross-check both engines against the oracle")
     common(p)
-    p.add_argument("--max-universe", type=int, default=3,
+    p.add_argument("--max-universe", type=_positive_int, default=3,
                    help="largest universe size for the bounded oracle")
-    p.add_argument("--oracle-budget", type=int, default=oracle.DEFAULT_BUDGET)
+    p.add_argument("--oracle-budget", type=_positive_int,
+                   default=oracle.DEFAULT_BUDGET,
+                   help="largest number of reduct candidates per universe")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="compare the engines over a corpus directory")
     p.add_argument("corpus", help="directory of .folp files")
     p.add_argument("--format", choices=["text", "machine"], default="text")
     p.add_argument("--redundancy-k", type=_positive_int, default=None)
-    p.add_argument("--timeout", type=float, default=None,
+    p.add_argument("--timeout", type=_seconds, default=None,
                    help="time budget in seconds of each query of each engine "
                    "and of each unit compilation; every such call gets its "
                    "own deadline")

@@ -12,12 +12,27 @@ require larger (or infinite) universes.
 Candidate checks share nothing mutable; enumeration per universe is
 exhaustive, and results are merged with a deterministic tie-break
 (smallest universe, then smallest interpretation, then lexicographic).
+
+Within one universe the answer sets are bit masks over the sorted ground
+atoms, so a mask's atoms in bit order are its atoms in sorted order.
+`answer_sets` sorts every answer set by (cardinality, sorted atoms);
+`bounded_sat` computes the first of them that holds a `pred` atom on
+the masks alone: it keeps the masks that meet the `pred` atoms' mask,
+then those with the fewest set bits, and returns the one whose atom list
+is least, the only interpretation it builds.
+
+The candidate scan runs in pure Python when the universe has more than
+63 ground atoms (the numpy scan packs a candidate into one uint64) or
+at most `PYTHON_SCAN_MAX_RELEVANT` relevant atoms (at most 64
+candidates, where numpy's per-call cost outweighs its work); numpy
+scans the rest.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Optional
 
 import numpy as np
@@ -35,6 +50,9 @@ from .syntax import (
 OAtom = tuple[str, tuple[str, ...]]
 
 DEFAULT_BUDGET = 2**22
+
+# Relevant-atom count up to which the pure-Python scan is the faster one.
+PYTHON_SCAN_MAX_RELEVANT = 6
 
 
 class OracleBudgetError(FolpError):
@@ -131,42 +149,72 @@ def _rule_variables(rule: Rule) -> list[Term]:
     return seen
 
 
+def _template(rule: Rule):
+    """The rule with every term written as a position in `values +
+    constants`, where `values` holds a substitution's elements in
+    `_rule_variables` order and `constants` the rule's constants.
+
+    Returns (variable count, constants, pick, head, pos, neg, unequal):
+    `pick` maps `values + constants` to the arguments of the head and
+    then of each body literal, one flat tuple; an atom is (predicate,
+    start, end) of its arguments there; `unequal` holds the position
+    pairs of the inequalities."""
+    variables = _rule_variables(rule)
+    slots = {term.name: i for i, term in enumerate(variables)}
+    constants: list[str] = []
+    positions: list[int] = []
+
+    def slot(term: Term) -> int:
+        if term.name not in slots:
+            slots[term.name] = len(slots)
+            constants.append(term.name)
+        return slots[term.name]
+
+    def atom(a) -> tuple[str, int, int]:
+        start = len(positions)
+        positions.extend(slot(t) for t in a.args)
+        return a.pred, start, len(positions)
+
+    head = atom(rule.head) if rule.head is not None else None
+    pos, neg, unequal = [], [], []
+    for item in rule.body:
+        if isinstance(item, Inequality):
+            unequal.append((slot(item.left), slot(item.right)))
+        else:
+            (pos if item.positive else neg).append(atom(item.atom))
+    if len(positions) >= 2:
+        pick = itemgetter(*positions)
+    else:  # itemgetter of one position returns the bare element
+        pick = lambda values: tuple(values[i] for i in positions)  # noqa: E731
+    return (
+        len(variables), tuple(constants), pick, head, tuple(pos), tuple(neg),
+        tuple(unequal),
+    )
+
+
 def ground(program: Program, universe: Universe) -> GroundProgram:
     """All substitutions of variables by universe elements. Inequalities
     between distinct elements are dropped as satisfied; an instance with
     an inequality between equal elements is dropped entirely."""
     out: list[GroundRule] = []
-    seen: set[GroundRule] = set()
+    seen: set[tuple] = set()
     for rule in program.rules:
-        variables = _rule_variables(rule)
-        for values in itertools.product(universe.elements, repeat=len(variables)):
-            subst = dict(zip(variables, values))
-
-            def g(term: Term) -> str:
-                return subst[term] if term.is_variable else term.name
-
-            ok = True
-            pos: list[OAtom] = []
-            neg: list[OAtom] = []
-            for item in rule.body:
-                if isinstance(item, Inequality):
-                    if g(item.left) == g(item.right):
-                        ok = False
-                        break
-                    continue
-                ground_atom = (item.atom.pred, tuple(g(t) for t in item.atom.args))
-                (pos if item.positive else neg).append(ground_atom)
-            if not ok:
+        n_vars, constants, pick, head, pos, neg, unequal = _template(rule)
+        choice = rule.kind is RuleKind.FREE
+        for values in itertools.product(universe.elements, repeat=n_vars):
+            values += constants
+            if unequal and any(values[i] == values[j] for i, j in unequal):
                 continue
-            head = None
-            if rule.head is not None:
-                head = (rule.head.pred, tuple(g(t) for t in rule.head.args))
-            gr = GroundRule(
-                head, tuple(pos), tuple(neg), choice=rule.kind is RuleKind.FREE
+            args = pick(values)
+            key = (
+                None if head is None else (head[0], args[head[1] : head[2]]),
+                tuple([(p, args[start:end]) for p, start, end in pos]),
+                tuple([(p, args[start:end]) for p, start, end in neg]),
+                choice,
             )
-            if gr not in seen:
-                seen.add(gr)
-                out.append(gr)
+            if key not in seen:
+                seen.add(key)
+                out.append(GroundRule(*key))
     return GroundProgram(tuple(out))
 
 
@@ -278,10 +326,16 @@ class _GroundIndex:
             m |= 1 << self.index[a]
         return m
 
+    def atoms_of(self, mask: int) -> list[OAtom]:
+        """The atoms of a mask in bit order, which is sorted order."""
+        return [a for i, a in enumerate(self.atoms) if mask >> i & 1]
 
-def _answer_sets_for_universe(
+
+def _model_masks(
     program: Program, universe: Universe, budget: int
-) -> list[frozenset[OAtom]]:
+) -> tuple[_GroundIndex, list[int]]:
+    """The grounding's index and the answer sets over the universe as
+    masks of its atom bits, in scan order."""
     idx = _GroundIndex(program, universe)
     n_rel = len(idx.relevant)
     if 2**n_rel > budget:
@@ -303,15 +357,11 @@ def _answer_sets_for_universe(
                 (idx.mask([rule.head]), idx.mask(rule.pos), 0, idx.mask(rule.neg))
             )
 
-    if len(idx.atoms) <= 63:
-        models = _scan_numpy(n_rel, rel_bits, derive, constraints)
-    else:
+    if len(idx.atoms) > 63 or n_rel <= PYTHON_SCAN_MAX_RELEVANT:
         models = _scan_python(n_rel, rel_bits, derive, constraints)
-    out = []
-    for m in models:
-        out.append(frozenset(a for a in idx.atoms if m >> idx.index[a] & 1))
-    out.sort(key=lambda s: (len(s), sorted(s)))
-    return out
+    else:
+        models = _scan_numpy(n_rel, rel_bits, derive, constraints)
+    return idx, models
 
 
 def _scan_numpy(n_rel, rel_bits, derive, constraints) -> list[int]:
@@ -387,10 +437,10 @@ def answer_sets(
 ) -> list[OpenInterpretation]:
     """All open answer sets over the given universe, sorted by
     (cardinality, atom listing)."""
-    return [
-        OpenInterpretation(universe, atoms)
-        for atoms in _answer_sets_for_universe(program, universe, budget)
-    ]
+    idx, models = _model_masks(program, universe, budget)
+    found = [frozenset(idx.atoms_of(m)) for m in models]
+    found.sort(key=lambda s: (len(s), sorted(s)))
+    return [OpenInterpretation(universe, atoms) for atoms in found]
 
 
 def bounded_sat(
@@ -411,11 +461,13 @@ def bounded_sat(
         raise ValueError(f"max_size {max_size} below the minimum {min_size}")
     for size in range(min_size, max_size + 1):
         universe = Universe.for_program(program, size)
-        witnesses = [
-            interp
-            for interp in answer_sets(program, universe, budget)
-            if any(atom[0] == pred for atom in interp.atoms)
-        ]
-        if witnesses:
-            return witnesses[0]
+        idx, models = _model_masks(program, universe, budget)
+        pred_mask = idx.mask(a for a in idx.atoms if a[0] == pred)
+        hits = [m for m in models if m & pred_mask]
+        if hits:
+            fewest = min(m.bit_count() for m in hits)
+            # atom lists in bit order are sorted, so `min` compares them
+            # as `sorted` would the sets
+            atoms = min(idx.atoms_of(m) for m in hits if m.bit_count() == fewest)
+            return OpenInterpretation(universe, frozenset(atoms))
     return None

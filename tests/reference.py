@@ -1,15 +1,22 @@
-"""Full-recomputation references for the search's incremental bookkeeping.
+"""Full-recomputation references for the search's incremental bookkeeping
+and for the oracle's shortcuts.
 
 The engines keep saturation as counters updated on every status change,
 blocking and the equal-ancestor count in a per-node memo, and (a1) the
 ground rule instances of each negative obligation in a cache; the
 functions here derive the same facts from scratch, so tests can compare
-the two at every step of a real search.
+the two at every step of a real search. The oracle grounds rules through
+argument-position templates and picks `bounded_sat`'s witness on bit
+masks; `reference_ground` and `reference_bounded_sat` are the plain
+substitution route and the definition.
 """
+
+import itertools
 
 from folp.forest import Signed
 from folp.matcher import A2CompletionStructure
-from folp.syntax import RuleKind, binary_shape, unary_shape
+from folp.oracle import GroundProgram, GroundRule, Universe, _rule_variables, answer_sets
+from folp.syntax import Inequality, RuleKind, binary_shape, unary_shape
 from folp.tableau import EXP, A1CompletionStructure
 
 
@@ -141,3 +148,53 @@ def checked_a2() -> type:
             return super().next_task()
 
     return CheckedA2
+
+
+def reference_ground(program, universe) -> GroundProgram:
+    """`oracle.ground` by plain substitution, as the seed grounded: every
+    assignment of universe elements to the rule's variables, each term
+    looked up in the assignment, instances with an inequality between
+    equal elements dropped, repeated instances kept once, in first-seen
+    order."""
+    out: list[GroundRule] = []
+    seen: set[GroundRule] = set()
+    for rule in program.rules:
+        variables = _rule_variables(rule)
+        for values in itertools.product(universe.elements, repeat=len(variables)):
+            subst = dict(zip(variables, values))
+
+            def g(term) -> str:
+                return subst[term] if term.is_variable else term.name
+
+            ok = True
+            pos = []
+            neg = []
+            for item in rule.body:
+                if isinstance(item, Inequality):
+                    if g(item.left) == g(item.right):
+                        ok = False
+                        break
+                    continue
+                ground_atom = (item.atom.pred, tuple(g(t) for t in item.atom.args))
+                (pos if item.positive else neg).append(ground_atom)
+            if not ok:
+                continue
+            head = None
+            if rule.head is not None:
+                head = (rule.head.pred, tuple(g(t) for t in rule.head.args))
+            gr = GroundRule(head, tuple(pos), tuple(neg), choice=rule.kind is RuleKind.FREE)
+            if gr not in seen:
+                seen.add(gr)
+                out.append(gr)
+    return GroundProgram(tuple(out))
+
+
+def reference_bounded_sat(program, pred: str, max_size: int):
+    """`oracle.bounded_sat` by its definition: the first answer set, in
+    `answer_sets` order, that holds a `pred` atom, over universe sizes
+    from the constant count (at least one) up to `max_size`."""
+    for size in range(max(1, len(program.constants)), max_size + 1):
+        for interp in answer_sets(program, Universe.for_program(program, size)):
+            if any(atom[0] == pred for atom in interp.atoms):
+                return interp
+    return None

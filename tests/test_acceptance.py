@@ -30,10 +30,11 @@ from folp.units import (
 
 from conftest import GOLDEN
 from corpus import bench_family, corpus
-from reference import checked_a1, checked_a2
+from reference import checked_a1, checked_a2, reference_bounded_sat
 
 CORPUS_SEED = 20260810
 CORPUS_SHA256 = "f20548a8fd9c856c336d6a86a002313a2d4462d896bef57b6053af320cff8618"
+ORACLE_SIZE = 3
 
 
 @contextmanager
@@ -73,7 +74,7 @@ def corpus_run():
         for pred in program.upreds:
             entry.a1[pred] = check_sat_a1(transformed, pred, policy)
             entry.a2[pred] = check_sat_a2(transformed, pred, cache, policy)
-            entry.oracle[pred] = bounded_sat(program, pred, 3)
+            entry.oracle[pred] = bounded_sat(program, pred, ORACLE_SIZE)
         entries.append(entry)
     return entries, time.monotonic() - start
 
@@ -282,6 +283,21 @@ def test_corpus_is_pinned():
     programs = corpus(count=50, seed=CORPUS_SEED)
     text = "".join(program.canonical_text() for program in programs)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CORPUS_SHA256
+
+
+def test_oracle_witnesses_match_their_definition_on_corpus(corpus_run):
+    """Every bounded-oracle answer of the corpus run is the first answer
+    set, in `answer_sets` order, that holds an atom of the predicate,
+    over universes up to the oracle size."""
+    entries, _ = corpus_run
+    queries = witnesses = 0
+    for entry in entries:
+        for pred in entry.program.upreds:
+            expected = reference_bounded_sat(entry.program, pred, ORACLE_SIZE)
+            assert entry.oracle[pred] == expected, (pred, entry.program.canonical_text())
+            queries += 1
+            witnesses += expected is not None
+    assert queries >= 50 and witnesses >= 10
 
 
 def test_counter_saturation_matches_recomputation_on_corpus(corpus_run, monkeypatch):

@@ -180,6 +180,45 @@ def test_check_time_limit_zero_exits_five(capsys):
     assert err == "resource budget exceeded: time limit exceeded\n"
 
 
+def test_time_budgets_must_be_finite_and_non_negative(tmp_path, capsys):
+    """A time budget that is negative, not a number or infinite is bad
+    usage (exit 3) on every command that takes one, instead of running
+    unlimited (nan, inf) or reporting an exceeded budget (-1)."""
+    commands = [
+        (["check", MEMBERSHIP, "smember"], "--time-limit"),
+        (["verify", MEMBERSHIP, "smember"], "--time-limit"),
+        (["export-dot", MEMBERSHIP, "smember"], "--time-limit"),
+        (["compile-units", CHAIN, "--out", str(tmp_path / "chain.units")], "--time-limit"),
+        (["bench", str(PROGRAMS)], "--timeout"),
+    ]
+    for argv, option in commands:
+        for value in ("nan", "inf", "-inf", "-1", "-0.5", "soon"):
+            code, out, err = run(capsys, *argv, f"{option}={value}")
+            assert (code, out) == (3, ""), (argv, value)
+            (line,) = [line for line in err.splitlines() if "error:" in line]
+            assert f"argument {option}: expected a finite number of seconds >= 0" in line
+    assert not (tmp_path / "chain.units").exists()
+    code, _, _ = run(capsys, "check", MEMBERSHIP, "smember", "--time-limit", "1e3")
+    assert code == 0
+
+
+def test_verify_oracle_options_must_be_positive(capsys):
+    """--oracle-budget and --max-universe below 1 are bad usage (exit 3),
+    not an oracle that reports budget-exceeded or a universe bound that
+    silently becomes the constant count."""
+    for option in ("--oracle-budget", "--max-universe"):
+        for value in ("-3", "0", "two"):
+            code, out, err = run(capsys, "verify", MEMBERSHIP, "smember", option, value)
+            assert (code, out) == (3, ""), (option, value)
+            (line,) = [line for line in err.splitlines() if "error:" in line]
+            assert f"argument {option}: expected an integer >= 1" in line
+    code, out, _ = run(capsys, "verify", MEMBERSHIP, "smember", "--format", "machine",
+                       "--oracle-budget", "8", "--max-universe", "1")
+    assert code == 0
+    (rec,) = records(out)
+    assert (rec["oracle"], rec["oracle_max_size"]) == ("budget-exceeded", 2)
+
+
 # a program whose a1 and a2 witnesses for r differ
 CHOICE_AT_A = "p(a) v not p(a).\nq(X) :- p(X).\nr(X) :- not p(X).\n"
 

@@ -18,7 +18,10 @@ from folp.oracle import (
     least_model,
     satisfies_rule,
 )
-from folp.syntax import parse_program
+from folp.syntax import Inequality, parse_program
+
+from conftest import PROGRAMS
+from reference import reference_bounded_sat, reference_ground
 
 FIG_MODEL = frozenset(
     {
@@ -265,7 +268,7 @@ def test_universe_naming_avoids_constant_collisions():
 
 def _random_scan_input(rng):
     """Input of one universe's candidate scan, shaped as
-    `_answer_sets_for_universe` builds it: at most 63 atom bits, choice
+    `_model_masks` builds it: at most 63 atom bits, choice
     rules only on relevant atoms, negative bodies and constraint
     negations only over relevant atoms."""
     n_atoms = rng.randint(1, 63)
@@ -320,3 +323,154 @@ def test_answer_sets_beyond_63_atoms_use_the_python_scan(monkeypatch):
     assert len(found) == 4 and len(choices) == 4
     (p9_holds,) = [i for i in found if ("p9", ("a",)) in i.atoms]
     assert ("c", ("a",)) in p9_holds.atoms and ("d", ("a",)) not in p9_holds.atoms
+
+
+def _scan_guard(name):
+    def scan(*scan_input):
+        raise AssertionError(f"{name} scan chosen for {scan_input[0]} relevant atoms")
+
+    return scan
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_scan_choice_follows_the_relevant_atom_count(monkeypatch, extra):
+    """At most PYTHON_SCAN_MAX_RELEVANT relevant atoms (here: as many
+    free atoms) take the pure-Python scan, one more takes numpy, both
+    within 63 atoms; every candidate is an answer set either way."""
+    n = oracle.PYTHON_SCAN_MAX_RELEVANT + extra
+    facts = "".join(f"d(e{i}).\n" for i in range(1, n + 1))
+    program = parse_program("c(X) v not c(X).\n" + facts)
+    universe = Universe.for_program(program, n)  # the n constants only
+    unused = "_scan_numpy" if extra == 0 else "_scan_python"
+    monkeypatch.setattr(oracle, unused, _scan_guard(unused))
+    found = answer_sets(program, universe)
+    assert len(found) == 2**n
+    assert all(is_answer_set(program, interp) for interp in found)
+    witness = bounded_sat(program, "c", n)
+    assert witness.atoms == {("c", ("e1",))} | {("d", (e,)) for e in universe}
+
+
+def _random_grounding_program(rng):
+    """A random program (not necessarily a forest logic program) over
+    unary p, q, r and binary f, g with terms X, Y, Z, a, b: constants in
+    heads and bodies, inequalities against constants, variables that
+    occur only in an inequality (their instances repeat), free rules,
+    constraints and repeated rules."""
+    terms = ("X", "Y", "Z", "a", "b")
+
+    def atom():
+        if rng.random() < 0.5:
+            return f"{rng.choice('pqr')}({rng.choice(terms)})"
+        return f"{rng.choice('fg')}({rng.choice(terms)},{rng.choice(terms)})"
+
+    lines = []
+    for _ in range(rng.randint(1, 6)):
+        if lines and rng.random() < 0.15:
+            lines.append(rng.choice(lines))
+            continue
+        body = [("not " if rng.random() < 0.3 else "") + atom()
+                for _ in range(rng.randint(0, 3))]
+        body += [f"{rng.choice('XYZ')} != {rng.choice(terms)}"
+                 for _ in range(rng.randint(0, 2))]
+        kind = rng.random()
+        if kind < 0.15:
+            head = atom()
+            lines.append(f"{head} v not {head}.")
+        elif kind < 0.3 and body:
+            lines.append(f":- {', '.join(body)}.")
+        else:
+            lines.append(f"{atom()} :- {', '.join(body)}." if body else f"{atom()}.")
+    return parse_program("\n".join(lines) + "\n")
+
+
+def _variables_only_in_inequalities(rule):
+    atoms = [rule.head] if rule.head is not None else []
+    atoms += [item.atom for item in rule.body if not isinstance(item, Inequality)]
+    return set(oracle._rule_variables(rule)) - {t for a in atoms for t in a.args}
+
+
+def test_ground_matches_the_substitution_route():
+    """The template grounding returns the plain substitution route's
+    rules, in its order, on seeded random programs at every universe
+    size from the constant count to the count plus two."""
+    rng = random.Random(20261019)
+    repeated = constant_inequalities = 0
+    for _ in range(300):
+        program = _random_grounding_program(rng)
+        lowest = max(1, len(program.constants))
+        for size in range(lowest, lowest + 3):
+            universe = Universe.for_program(program, size)
+            assert ground(program, universe) == reference_ground(program, universe), (
+                program.rules, size)
+        repeated += len(set(program.rules)) < len(program.rules) or any(
+            _variables_only_in_inequalities(rule) for rule in program.rules
+        )
+        constant_inequalities += any(
+            not item.right.is_variable
+            for rule in program.rules
+            for item in rule.body
+            if isinstance(item, Inequality)
+        )
+    assert repeated > 200 and constant_inequalities > 100
+
+
+# z(a) sorts after w(b): the model of the scan's first candidate set
+# {z(a)} is {w(b), z(a)}, and the least witness is {w(a), z(b)}
+SCAN_ORDER_IS_NOT_ATOM_ORDER = (
+    "z(a) v not z(a).\nz(b) v not z(b).\nw(b) :- z(a).\nw(a) :- z(b).\n"
+)
+
+
+def test_bounded_sat_is_the_first_answer_set_with_the_predicate():
+    """The witness is the definition's: the first answer set in
+    `answer_sets` order holding a `pred` atom, smallest universe first,
+    on the shipped programs and on programs whose witnesses tie on
+    cardinality."""
+    cases = []
+    for path in sorted(PROGRAMS.glob("*.folp")):
+        program = parse_program(path.read_text())
+        cases += [(program, pred, 3) for pred in sorted(program.upreds)]
+    for text, pred, size in [
+        ("q(X) :- f(X,Y), f(X,Z), Y != Z.\nf(X,Y) v not f(X,Y).\n", "q", 2),
+        ("p(X) v not p(X).\nq(a).\nq(b).\n", "p", 2),
+        ("p(X) v not p(X).\nq(X) v not q(X).\n", "p", 3),
+        (SCAN_ORDER_IS_NOT_ATOM_ORDER, "w", 2),
+    ]:
+        cases.append((parse_program(text), pred, size))
+    witnesses = 0
+    for program, pred, size in cases:
+        witness = bounded_sat(program, pred, size)
+        assert witness == reference_bounded_sat(program, pred, size), pred
+        witnesses += witness is not None
+    assert witnesses >= len(cases) - 2
+
+
+def test_bounded_sat_breaks_ties_by_cardinality_then_atoms():
+    """Among witnesses of one universe the fewest atoms win, then the
+    least sorted atom list: {r(b)} beats the lexicographically smaller
+    {a(a), c(a), r(a)}; of the two three-atom witnesses of q the one on
+    u1 wins; and {w(a), z(b)} beats {w(b), z(a)}, which the scan finds
+    first."""
+    program = parse_program(SCAN_ORDER_IS_NOT_ATOM_ORDER)
+    universe = Universe.for_program(program, 2)
+    scanned = [
+        interp.atoms for interp in answer_sets(program, universe)
+        if any(atom[0] == "w" for atom in interp.atoms)
+    ]
+    tied = [{("w", ("a",)), ("z", ("b",))}, {("w", ("b",)), ("z", ("a",))}]
+    assert scanned[:2] == tied
+    idx, models = oracle._model_masks(program, universe, oracle.DEFAULT_BUDGET)
+    assert [set(idx.atoms_of(m)) for m in models if m.bit_count() == 2] == tied[::-1]
+    assert bounded_sat(program, "w", 2).atoms == scanned[0]
+    program = parse_program(
+        "a(a) v not a(a).\nc(a) v not c(a).\nz(b) v not z(b).\n"
+        "r(a) :- a(a), c(a).\nr(b) :- not z(b).\n"
+    )
+    assert bounded_sat(program, "r", 2).atoms == {("r", ("b",))}
+    program = parse_program("q(X) :- f(X,Y), f(X,Z), Y != Z.\nf(X,Y) v not f(X,Y).\n")
+    tied = [s.atoms for s in answer_sets(program, Universe.for_program(program, 2))
+            if ("q", ("u1",)) in s.atoms or ("q", ("u2",)) in s.atoms]
+    assert [len(s) for s in tied[:2]] == [3, 3]
+    assert bounded_sat(program, "q", 2).format_witness() == (
+        "element u1\nelement u2\natom f(u1,u1)\natom f(u1,u2)\natom q(u1)\n"
+    )
