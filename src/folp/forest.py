@@ -49,8 +49,31 @@ Memo writes and drops go on the trail like every other mutation, so
 asks `DependencyGraph.connects`, one search from all atoms of the
 candidate blocker, instead of building the path set pair by pair.
 
-Node ids, signed predicates and ground atoms are hashed on every lookup
-of the search, so each computes its hash once, at construction.
+Node ids, signed predicates and ground atoms are interned: one value is
+one object, made on first use and kept in a module table, so `==` and
+`hash` are the identity defaults of `object` and every dict and set
+lookup of the search is an identity hit with no Python call. A search
+meets few distinct values (on the benchmark workloads at most 38 node
+ids, 16 signed predicates and 145 atoms), so the tables are never
+emptied. Set iteration order over these values follows memory
+addresses and may change from run to run, so no result may depend on
+it. Where the engines iterate such sets:
+
+- contents (`content`, `content_of_node`, a unit's contents) are sorted
+  before they reach a task, a description or a file (`node_task`,
+  `format_content`, `units._content_key`, `UnitCompletionStructure.
+  graft_order`); `_rearm_negatives`, `units.unit_as_structure` and
+  `positive_atoms` (whose atoms `induced_interpretation` hands to a
+  witness that sorts them) visit them unsorted, but only to set statuses
+  or insert entries that cannot clash, whose end state is the same in
+  any order;
+- blocking, `matcher.local_satisfies`, the refutation ledgers, the
+  grafted set and the extra-arc set only test subsets and membership;
+- `paths_set` walks the per-node atom buckets, lists in insertion order,
+  and returns predicate-name pairs, which `units._snapshot` sorts;
+  `_reach` walks lists and keeps its `seen` set for membership only;
+- the contents map and the dependency graph are dicts, which keep
+  insertion order.
 
 A state instance is confined to one search task; nothing here is
 thread-safe across tasks.
@@ -58,8 +81,7 @@ thread-safe across tasks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, total_ordering
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
@@ -74,24 +96,80 @@ class ClashError(FolpError):
     """A clash on the current branch: contradiction, cycle, or redundancy."""
 
 
-@dataclass(frozen=True, order=True)
-class NodeId:
-    """A node c.i1.i2...: a root name plus a path of positive integers.
+class _Interned:
+    """Base of the interned value types: one object per value, so the
+    identity `==` and `hash` of `object` are value equality and hashing.
+    Fields are set once, when the value is first made, and are read-only
+    to callers; copies and pickles go back through the constructor."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__name__}({fields})"
+
+
+def _ordered(cls):
+    """Order the values of an interned class by their field tuples."""
+
+    def __lt__(self, other):
+        if other.__class__ is not cls:
+            return NotImplemented
+        return self._values() < other._values()
+
+    cls.__lt__ = __lt__
+    return total_ordering(cls)
+
+
+def _make(cls, **fields):
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+# the intern tables: one object per value, never freed (a search meets
+# few distinct values; see the module docstring)
+_NODE_IDS: dict[tuple[str, tuple[int, ...]], "NodeId"] = {}
+_SIGNED: dict[str, tuple["Signed", "Signed"]] = {}
+_GROUND_ATOMS: dict[tuple[str, tuple["NodeId", ...]], "GroundAtom"] = {}
+
+
+@_ordered
+class NodeId(_Interned):
+    """A node c.i1.i2...: a root name plus a path of positive integers,
+    ordered by (root, path).
 
     Prefix closure holds by construction: children are only ever created
-    under existing nodes. A node keeps the parent object it was made
-    from, so the ancestors of a forest node are the forest's own ids,
-    which dictionaries find by identity."""
+    under existing nodes. A node id is interned, keeps its parent, made
+    with it, and the children asked of it, so `child(i)` is the same
+    object whenever it is asked for."""
 
-    root: str
-    path: tuple[int, ...] = ()
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("root", "path", "_parent", "_children")
+    _fields = ("root", "path")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.root, self.path)))
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, root: str, path: tuple[int, ...] = ()) -> "NodeId":
+        node = _NODE_IDS.get((root, path))
+        if node is None:
+            parent = NodeId(root, path[:-1]) if path else None
+            node = _NODE_IDS.setdefault(
+                (root, path),
+                _make(cls, root=root, path=path, _parent=parent, _children={}),
+            )
+        return node
 
     @property
     def is_root(self) -> bool:
@@ -102,25 +180,20 @@ class NodeId:
         return len(self.path)
 
     def parent(self) -> Optional["NodeId"]:
-        if not self.path:
-            return None
-        parent = self.__dict__.get("_parent")
-        if parent is None:
-            parent = NodeId(self.root, self.path[:-1])
-            object.__setattr__(self, "_parent", parent)
-        return parent
+        return self._parent
 
     def child(self, index: int) -> "NodeId":
-        child = NodeId(self.root, self.path + (index,))
-        object.__setattr__(child, "_parent", self)
+        child = self._children.get(index)
+        if child is None:
+            child = self._children.setdefault(index, NodeId(self.root, self.path + (index,)))
         return child
 
     def ancestors(self) -> Iterator["NodeId"]:
         """Proper ancestors, nearest first."""
-        node = self.parent()
+        node = self._parent
         while node is not None:
             yield node
-            node = node.parent()
+            node = node._parent
 
     def is_proper_prefix_of(self, other: "NodeId") -> bool:
         return (
@@ -137,25 +210,33 @@ ArcId = tuple[NodeId, NodeId]
 Key = Union[NodeId, ArcId]
 
 
-@dataclass(frozen=True)
-class Signed:
-    """A predicate symbol or its negation-as-failure."""
+class Signed(_Interned):
+    """A predicate symbol or its negation-as-failure. Interned; both
+    signs of a name are made together, so `negated()` is a field read."""
 
-    name: str
-    positive: bool
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("name", "positive", "_negation")
+    _fields = ("name", "positive")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.name, self.positive)))
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, name: str, positive: bool) -> "Signed":
+        pair = _SIGNED.get(name) or signed_pair(name)
+        return pair[1] if positive else pair[0]
 
     def negated(self) -> "Signed":
-        return Signed(self.name, not self.positive)
+        return self._negation
 
     def __str__(self) -> str:
         return self.name if self.positive else f"not {self.name}"
+
+
+def signed_pair(name: str) -> tuple[Signed, Signed]:
+    """The two signs of `name`, negative first (indexed by `positive`)."""
+    pair = _SIGNED.get(name)
+    if pair is None:
+        negative = _make(Signed, name=name, positive=False)
+        positive = _make(Signed, name=name, positive=True, _negation=negative)
+        object.__setattr__(negative, "_negation", positive)
+        pair = _SIGNED.setdefault(name, (negative, positive))
+    return pair
 
 
 def signed_sort_key(sp: Signed) -> tuple[str, int]:
@@ -166,17 +247,18 @@ def format_content(content: Iterable[Signed]) -> str:
     return "{" + ", ".join(str(sp) for sp in sorted(content, key=signed_sort_key)) + "}"
 
 
-@dataclass(frozen=True, order=True)
-class GroundAtom:
-    pred: str
-    args: tuple[NodeId, ...]
-    _hash: int = field(init=False, repr=False, compare=False)
+@_ordered
+class GroundAtom(_Interned):
+    """A predicate over a tuple of node ids, ordered by (pred, args). Interned."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.pred, self.args)))
+    __slots__ = ("pred", "args")
+    _fields = ("pred", "args")
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, pred: str, args: tuple[NodeId, ...]) -> "GroundAtom":
+        atom = _GROUND_ATOMS.get((pred, args))
+        if atom is None:
+            atom = _GROUND_ATOMS.setdefault((pred, args), _make(cls, pred=pred, args=args))
+        return atom
 
     def __str__(self) -> str:
         return f"{self.pred}({','.join(str(a) for a in self.args)})"

@@ -20,7 +20,7 @@ have rejected, so a cycle is treated as a clash here too: each grafted
 arc is tested as it is inserted (the graph is acyclic before every
 graft), and the completion audit searches the whole graph once more.
 A graft copies contents and arcs in a fixed order, so where it stops on
-a clash does not depend on the hash seed.
+a clash does not depend on set iteration order.
 
 The driver, the task scan, the redundancy clash and the completion
 audit are those of `tableau.CompletionStructure` and `tableau.decide`;

@@ -195,12 +195,17 @@ def _template(rule: Rule):
 def ground(program: Program, universe: Universe) -> GroundProgram:
     """All substitutions of variables by universe elements. Inequalities
     between distinct elements are dropped as satisfied; an instance with
-    an inequality between equal elements is dropped entirely."""
+    an inequality between equal elements is dropped entirely. The rule
+    templates are compiled on the first call for a program and kept on
+    it (`Program.ground_templates`): its rules never change."""
+    templates = program.ground_templates
+    if templates is None:
+        templates = program.ground_templates = tuple(
+            (*_template(rule), rule.kind is RuleKind.FREE) for rule in program.rules
+        )
     out: list[GroundRule] = []
     seen: set[tuple] = set()
-    for rule in program.rules:
-        n_vars, constants, pick, head, pos, neg, unequal = _template(rule)
-        choice = rule.kind is RuleKind.FREE
+    for n_vars, constants, pick, head, pos, neg, unequal, choice in templates:
         for values in itertools.product(universe.elements, repeat=n_vars):
             values += constants
             if unequal and any(values[i] == values[j] for i, j in unequal):

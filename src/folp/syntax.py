@@ -213,6 +213,9 @@ class Program:
         self.free_preds: frozenset[str] = frozenset(free)
         self._by_head = {p: tuple(rs) for p, rs in by_head.items()}
         self._fingerprint: Optional[str] = None
+        # the rules compiled for `oracle.ground`, made by its first call
+        # on this program and kept, like the fingerprint
+        self.ground_templates: Optional[tuple] = None
 
     def rules_for_head(self, pred: str) -> tuple[Rule, ...]:
         return self._by_head.get(pred, ())

@@ -74,6 +74,7 @@ from .forest import (
     Key,
     NodeId,
     Signed,
+    signed_pair,
     signed_sort_key,
 )
 from .syntax import (
@@ -461,8 +462,7 @@ class A1CompletionStructure(CompletionStructure):
         return self.handled.get(okey, set())
 
     def decided(self, key: Key, name: str) -> bool:
-        content = self.content(key)
-        return Signed(name, True) in content or Signed(name, False) in content
+        return not self.content(key).isdisjoint(signed_pair(name))
 
     # -- saturation and applicability ------------------------------------
 

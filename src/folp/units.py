@@ -158,7 +158,7 @@ class UnitCompletionStructure:
         successor, and dependency arcs, each content and the arcs sorted.
         Grafting stops at the first contradiction or cycle, so the work
         it does before stopping must not follow set iteration order,
-        which changes with the hash seed."""
+        which changes with the hash seed and with memory addresses."""
         order = self.__dict__.get("_graft")
         if order is None:
             order = (

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 from folp.cli import main
 from folp.matcher import check_sat_a2
@@ -6,7 +9,7 @@ from folp.syntax import eliminate_constraints, parse_program
 from folp.tableau import check_sat_a1
 from folp.units import compile_units
 
-from conftest import PROGRAMS
+from conftest import PROGRAMS, ROOT
 
 MEMBERSHIP = str(PROGRAMS / "membership.folp")
 LOOP = str(PROGRAMS / "membership_loop.folp")
@@ -353,3 +356,47 @@ def test_export_dot_unsat_reports_verdict(capsys):
     code, out, err = run(capsys, "export-dot", LOOP, "smember")
     assert code == 1
     assert "UNSAT" in err
+
+
+# Runs every program of programs/ through check, export-dot and
+# compile-units in one process and prints what they wrote.
+_ALL_COMMANDS = """
+import contextlib, io, pathlib, sys
+from folp.cli import main
+from folp.syntax import parse_program
+
+programs, out = pathlib.Path(sys.argv[1]), sys.argv[2]
+for path in sorted(programs.glob("*.folp")):
+    runs = [["compile-units", str(path), "--format", "machine", "--out", out]]
+    for pred in parse_program(path.read_text()).upreds:
+        runs.append(["check", str(path), pred, "--auto-cache", "--format", "machine"])
+        runs += [["export-dot", str(path), pred, "--alg", alg, "--auto-cache"]
+                 for alg in ("a1", "a2")]
+    for argv in runs:
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text), contextlib.redirect_stderr(text):
+            code = main(argv)
+        print(" ".join(argv[:3]), code, text.getvalue(), sep="\\n")
+        if argv[0] == "compile-units":
+            print(pathlib.Path(out).read_text())
+"""
+
+
+def test_cli_output_is_the_same_under_two_hash_seeds(tmp_path):
+    """Interned node ids, signed predicates and ground atoms hash by
+    identity, so set order follows memory addresses as well as the hash
+    seed; no output may follow either."""
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src"), env.get("PYTHONPATH", "")]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", _ALL_COMMANDS, str(PROGRAMS), str(tmp_path / "units")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert "digraph forest" in outputs[0] and "folp-units 1" in outputs[0]
+    assert outputs[0] == outputs[1]

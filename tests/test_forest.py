@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -251,16 +253,23 @@ def test_unary_buckets_follow_undo():
     assert g.vertices() == [atom("p", x), GroundAtom("f", (x, child)), atom("q", child)]
 
 
-def test_cached_hashes_match_field_tuples():
+def test_equal_values_are_one_object():
     x = NodeId("x", (1, 2))
     sp = Signed("p", False)
     ga = GroundAtom("f", (x, NodeId("a")))
-    assert hash(x) == hash(("x", (1, 2)))
-    assert hash(sp) == hash(("p", False))
-    assert hash(ga) == hash(("f", (x, NodeId("a"))))
-    assert x == NodeId("x", (1, 2)) and x.child(3).parent() == x
-    assert NodeId("x", (1,)) < x < NodeId("y")
+    assert NodeId("x", (1, 2)) is x and NodeId("x").child(1).child(2) is x
+    assert Signed("p", False) is sp and sp.negated().negated() is sp
+    assert sp.negated() is Signed("p", True)
+    assert GroundAtom("f", (NodeId("x", (1, 2)), NodeId("a"))) is ga
+    assert copy.deepcopy(ga) is ga and pickle.loads(pickle.dumps(sp)) is sp
+    assert x.child(3).parent() is x and x.parent() is NodeId("x", (1,))
+    assert NodeId("x").parent() is None
+    assert NodeId("x", (1,)) < x < NodeId("y") and not x < x
     assert repr(sp) == "Signed(name='p', positive=False)"
+    assert repr(x) == "NodeId(root='x', path=(1, 2))"
+    assert repr(ga) == f"GroundAtom(pred='f', args=({x!r}, {NodeId('a')!r}))"
+    with pytest.raises(AttributeError):
+        x.root = "y"
 
 
 def test_blocking_pair_requires_anonymous_ancestor():

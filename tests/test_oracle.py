@@ -421,6 +421,23 @@ SCAN_ORDER_IS_NOT_ATOM_ORDER = (
 )
 
 
+def test_ground_compiles_templates_once_per_program(membership):
+    """The templates the first `ground` call compiles serve every later
+    universe: each grounding equals that of a freshly parsed copy, whose
+    templates are compiled anew, and the plain substitution route."""
+    text = membership.canonical_text() + "q(X) v not q(X).\nr(X) :- not q(X), s(a).\n"
+    program = parse_program(text)
+    assert program.ground_templates is None
+    ground(program, u("a", "b"))
+    templates = program.ground_templates
+    for elements in (("a", "b", "u1"), ("a", "b")):
+        universe = u(*elements)
+        got = ground(program, universe)
+        assert got == ground(parse_program(text), universe)
+        assert got == reference_ground(program, universe)
+    assert program.ground_templates is templates
+
+
 def test_bounded_sat_is_the_first_answer_set_with_the_predicate():
     """The witness is the definition's: the first answer set in
     `answer_sets` order holding a `pred` atom, smallest universe first,

@@ -430,7 +430,8 @@ def test_family_goal_search_is_pinned(family, monkeypatch):
 def test_instance_cache_survives_undoing_and_recreating_a_child():
     """The instances of x with n children are cached under n: after the
     n-th child is undone and created again, the cached entry is reused
-    and still names x's current children and constants."""
+    and still names x's current children, the same node id object, and
+    constants."""
     program = parse_program("p(X) :- f(X,Y), q(Y), not r(Y).\nr(a).\n")
     cs = A1CompletionStructure(program)
     x = cs.epsilon
@@ -452,7 +453,7 @@ def test_instance_cache_survives_undoing_and_recreating_a_child():
     assert_first_pending_agrees(cs, okey)
 
     again = cs.forest.add_child(x)
-    assert again == child and again is not child
+    assert again is child
     assert cs._instances(x, "p") is with_child
     assert cs._first_pending(x, "p", okey)[0] == (0, (again,))
     assert_first_pending_agrees(cs, okey)
