@@ -2,9 +2,10 @@
 oracle-backed verification, benchmarking, and DOT export.
 
 Exit codes: 0 satisfiable, 1 unsatisfiable, 2 depth-bounded unknown,
-3 input error (missing file, parse or validation failure, malformed
-cache, bad usage), 4 engine disagreement or verification inconsistency,
-5 resource budget exceeded.
+3 input error (missing or non-UTF-8 file, parse or validation failure,
+malformed cache, bad usage such as a bench corpus that is not a
+directory), 4 engine disagreement or verification inconsistency, 5
+resource budget exceeded.
 
 Machine-readable output is one JSON record per line with sorted keys;
 verdict records carry no wall-clock fields, so byte-identical inputs
@@ -90,7 +91,7 @@ def _load_program(
     when `predicate` is given and is not a unary predicate."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise _InputError(f"cannot read {path}: {err}") from err
     try:
         program = parse_program(text)
@@ -317,7 +318,10 @@ _BENCH_COLUMNS = [
 
 
 def cmd_bench(args) -> int:
-    corpus = sorted(Path(args.corpus).glob("*.folp"))
+    corpus_dir = Path(args.corpus)
+    if not corpus_dir.is_dir():
+        raise _InputError(f"corpus {args.corpus} is not a directory")
+    corpus = sorted(corpus_dir.glob("*.folp"))
     rows: list[dict] = []
     disagreement = False
     for path in corpus:

@@ -14,34 +14,40 @@ acyclic by testing each new arc before inserting it (`closes_cycle`);
 
 Blocking and the equal-content ancestor count are memoized per node,
 because the engines ask for them at every node before every task while
-few of the facts they rest on change in between. Two rules keep the
-memo exact under forward mutations:
+few of the facts they rest on change in between. One rule keeps the
+memo exact in both engines: new content at a node drops the entries of
+that node and of its whole subtree (a node's facts read its own content
+and its ancestors'). No entry lapses when a dependency arc goes in.
 
-- new content at a node drops the entries of that node and of its whole
-  subtree (a node's facts read its own content and its ancestors');
-- under the direct engine, a new dependency arc invalidates only the
-  entries that say "blocked": an arc can only create paths, so an
-  unblocked node stays unblocked. A "blocked" entry records the graph's
-  arc count and counts as unknown once the count has moved, so no entry
-  is touched when an arc goes in.
+An arc can only create paths, so an unblocked node stays unblocked. A
+"blocked" entry stays exact as well. Both engines add arcs only while
+they expand a node z: from an atom over z (p(z) or f(z, s)) to an atom
+over z, a child of z or a constant. Let y be the anonymous ancestor
+that blocks x, and y = a0, a1, ..., ak = x the chain between them.
+Every a_i below y is an anonymous non-root node, which no extra arc
+targets, so every arc into an atom over a_i comes from the expansion of
+a_i or of its parent, and every arc into an arc atom f(y, s) from the
+expansion of y. Any path from an atom p(y) to an atom q(x) thus ends in
+a part that starts at some p'(y) and uses only arcs from the expansion
+of a chain node. No such part existed when the entry was written, and
+none is made while it stands:
 
-Under the compiled engine (`arc_stable_blocking`) a "blocked" entry
-lapses only by the first rule, never by new arcs. There a node is
-grafted at most once, after its parent and never while blocked, and the
-graft at z adds only arcs whose source is an atom over z (p(z) or
-f(z, s)) and whose target is over z, a new child of z or a constant.
-Let y be the anonymous ancestor that blocks x, y = a0, a1, ..., ak = x
-the chain between them. Every a_i below y is an anonymous non-root
-node, which no extra arc targets, so every arc into an atom over a_i is
-added by the graft at a_i or at its parent, and every arc into an arc
-atom f(y, s) by the graft at y. Any path from an atom p(y) to an atom
-q(x) ends in a part that starts at some p'(y) and uses only such arcs:
-arcs of the grafts at y, ..., a(k-1), all made by the time x was
-created, and of the graft at x, which a blocked x never gets (an
-expanded x got it before the entry was written). Such a part would
-already have existed when x was found blocked, so no new arc makes
-one, and y, whose content and x's are unchanged while the entry
-stands, still blocks x.
+- the engines read, and so write, the memo only at a node whose proper
+  ancestors are all saturated. `next_task` reaches x only once every
+  node before it in node order, its ancestors among them, is blocked or
+  saturated, and a node with children is never blocked. A graft reads
+  at the successors of the node it has just grafted. The completion
+  audit and `blocked_nodes` on a witness read a structure with no task
+  left;
+- a blocked x is never expanded, and a saturated chain node is expanded
+  again only after content is added at it, which drops the entry. Under
+  the compiled engine a node is grafted at most once, after every
+  ancestor. Under the direct engine a saturated node becomes unsaturated
+  only by new content at it or by a new arc from it, which only its own
+  expansion makes (`_rearm_negatives` runs only there too).
+
+So y, whose content and x's are unchanged while the entry stands, still
+blocks x.
 
 Memo writes and drops go on the trail like every other mutation, so
 `undo_to(mark)` restores exactly the memo that was valid at `mark`.
@@ -409,16 +415,11 @@ class DependencyGraph:
 
     Every reachability query runs `_reach`, one depth-first search from
     a set of sources that stops at the first sink; nothing is memoized
-    between queries.
-
-    The arc count is kept as a counter. Arcs only ever leave through the
-    trail, so a count read later on the same branch is equal exactly
-    when no arc was added since."""
+    between queries."""
 
     def __init__(self, trail: Trail):
         self.trail = trail
         self._succ: dict[GroundAtom, list[GroundAtom]] = {}
-        self._arc_count = 0
         self._by_node: dict[NodeId, list[GroundAtom]] = {}
 
     def vertices(self) -> list[GroundAtom]:
@@ -428,9 +429,6 @@ class DependencyGraph:
         for src, targets in self._succ.items():
             for dst in targets:
                 yield (src, dst)
-
-    def arc_count(self) -> int:
-        return self._arc_count
 
     def unary_atoms(self, node: NodeId) -> list[GroundAtom]:
         """The vertices p(node), in insertion order."""
@@ -459,13 +457,7 @@ class DependencyGraph:
         if dst in self._succ[src]:
             return
         self._succ[src].append(dst)
-        self._arc_count += 1
-
-        def undo() -> None:
-            self._succ[src].remove(dst)
-            self._arc_count -= 1
-
-        self.trail.push(undo)
+        self.trail.push(partial(self._succ[src].remove, dst))
 
     def closes_cycle(self, src: GroundAtom, dst: GroundAtom) -> bool:
         """Whether adding src -> dst to this graph, if acyclic, would
@@ -545,31 +537,6 @@ class DependencyGraph:
         return False
 
 
-def naive_reachable(
-    arcs: Iterable[tuple[GroundAtom, GroundAtom]],
-    src: GroundAtom,
-    dst: GroundAtom,
-    vertices: Iterable[GroundAtom] = (),
-) -> bool:
-    """Transitive-closure recomputation used as a test oracle for reaches."""
-    adjacency: dict[GroundAtom, set[GroundAtom]] = {}
-    vertices = set(vertices)
-    for a, b in arcs:
-        adjacency.setdefault(a, set()).add(b)
-        vertices.update((a, b))
-    if src == dst:
-        return src in vertices
-    closure = {src}
-    frontier = [src]
-    while frontier:
-        node = frontier.pop()
-        for nxt in adjacency.get(node, ()):
-            if nxt not in closure:
-                closure.add(nxt)
-                frontier.append(nxt)
-    return dst in closure
-
-
 _NO_ENTRIES: Mapping = MappingProxyType({})
 
 
@@ -580,18 +547,13 @@ class ForestState:
     positive content entries (as ground atoms over nodes and arcs).
 
     Blocking and the equal-ancestor count are memoized per node (see the
-    module docstring): `_blocking` maps a node to `_UNBLOCKED`, or, when
-    the node was found blocked, to the graph's arc count (`_ARC_STABLE`
-    with `arc_stable_blocking`); `_equal` maps it to its equal-ancestor
-    count. Most small searches never ask about a node below a root, so
-    the memo's containers are made by its first write; until then both
-    maps are the shared empty `_NO_ENTRIES`."""
+    module docstring): `_blocking` maps a node to whether it is blocked,
+    `_equal` to its equal-ancestor count. Most small searches never ask
+    about a node below a root, so the memo's containers are made by its
+    first write; until then both maps are the shared empty `_NO_ENTRIES`."""
 
-    _blocking: Mapping[NodeId, int] = _NO_ENTRIES
+    _blocking: Mapping[NodeId, bool] = _NO_ENTRIES
     _equal: Mapping[NodeId, int] = _NO_ENTRIES
-    # whether new dependency arcs leave a blocked node blocked (see the
-    # module docstring); True only for the compiled engine
-    arc_stable_blocking = False
 
     def __init__(
         self,
@@ -689,7 +651,7 @@ class ForestState:
             content = self.content(x)
             ct = self.ct
             equal = sum(1 for y in x.ancestors() if ct.get(y, _NO_CONTENT) == content)
-            self._remember("_equal", x, None, equal)
+            self._remember("_equal", x, equal)
         return equal
 
     def is_blocked(self, x: NodeId) -> bool:
@@ -697,19 +659,14 @@ class ForestState:
         A root has no ancestors, so it is never blocked."""
         if not x.path:
             return False
-        blocking = self._blocking.get(x)
-        if blocking == _UNBLOCKED:
-            return False
-        stamp = _ARC_STABLE if self.arc_stable_blocking else self.g.arc_count()
-        if blocking == stamp:
-            return True
-        blocked = self.find_blocking_pair(x) is not None
-        self._remember("_blocking", x, blocking, stamp if blocked else _UNBLOCKED)
+        blocked = self._blocking.get(x)
+        if blocked is None:
+            blocked = self.find_blocking_pair(x) is not None
+            self._remember("_blocking", x, blocked)
         return blocked
 
-    def _remember(self, name: str, x: NodeId, old: Optional[int], new: int) -> None:
-        """Replace the entry `old` (None: absent) of x in the memo `name`
-        by `new`."""
+    def _remember(self, name: str, x: NodeId, value) -> None:
+        """Enter `value` for x, which has no entry, in the memo `name`."""
         memo = self.__dict__.get(name)
         if memo is None:
             self._blocking, self._equal = {}, {}
@@ -718,8 +675,8 @@ class ForestState:
             self._memo_log: list = []
             self._undo_memo = partial(_undo_memo_change, self._memo_log)
             memo = self.__dict__[name]
-        memo[x] = new
-        self._memo_log += (memo, x, old)
+        memo[x] = value
+        self._memo_log += (memo, x, None)
         self.trail.push(self._undo_memo)
 
     def _forget_subtree(self, node: NodeId) -> None:
@@ -796,11 +753,6 @@ def _undo_memo_change(log: list) -> None:
         del memo[x]
     else:
         memo[x] = old
-
-# blocking memo value of an unblocked node, and of a blocked one when
-# new arcs cannot unblock it; others are arc counts
-_UNBLOCKED = -1
-_ARC_STABLE = -2
 
 
 def _key_str(key: Key) -> str:

@@ -5,11 +5,10 @@ structures onto them instead of replaying individual rule applications:
 an unexpanded node is matched against every cached unit whose root fits
 it (anonymous roots fit anonymous nodes, a constant root only its own
 constant) and whose saturated root content covers the node's accumulated
-requirements. Blocking and the redundancy bound are shared with the
-direct engine; because a node is grafted at most once and never while
-blocked, new dependency arcs cannot unblock a node here, so the blocking
-memo keeps its "blocked" entries across grafts (`arc_stable_blocking`,
-argued in the `forest` module docstring).
+requirements. Blocking, its memo and the redundancy bound are shared
+with the direct engine: a node is grafted at most once, after its
+ancestors and never while blocked, which is all the memo's argument in
+the `forest` module docstring asks of this engine.
 
 Units may impose content on constants through their extra arcs. An
 unexpanded constant accrues those requirements, constraining its later
@@ -65,7 +64,6 @@ class A2CompletionStructure(CompletionStructure):
     the unit's saturated root."""
 
     algorithm = "a2"
-    arc_stable_blocking = True
 
     def __init__(
         self,
@@ -161,9 +159,10 @@ class A2CompletionStructure(CompletionStructure):
         self.stats.matches += 1
         self.stats.units_used.add(uc.sort_key())
         # an expanded node's content and ancestors are fixed, so the
-        # bound can be checked at once (see the module docstring)
-        if not self.is_blocked(x):
-            self.redundancy_clash(x)
+        # bound can be checked at once (see the module docstring); the
+        # scan found x unblocked, and a graft only adds content at x and
+        # paths, so x is still unblocked
+        self.redundancy_clash(x)
         # Fail fast on successors no unit can ever cover. Sound because an
         # existing node's ancestors are already expanded, so its content
         # and theirs are fixed: an unblocked node can never become

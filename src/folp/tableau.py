@@ -32,7 +32,7 @@ scan derives nothing afresh that no mutation changed:
 saturation is two counter reads, kept by `set_status` (expanded entries
 per key, and per node the outgoing arcs whose binary entries are all
 expanded); blocking and the equal-ancestor count come from the memo of
-`ForestState`, which content inserts and dependency arcs invalidate.
+`ForestState`, which only content inserts invalidate.
 A negative obligation is refuted one rule instance at a time, and the
 ground instances, each with its ground body, are computed once per
 node, predicate and number of tree children (`_instances`): a negative
@@ -360,13 +360,25 @@ class CompletionStructure(ForestState):
 
     def is_complete_clash_free(self) -> bool:
         """Acyclic dependency graph, every unblocked node saturated and
-        not redundant; blocking is read from the exact memo."""
+        not redundant; blocking is read from the exact memo. Both engines'
+        structures also keep every tree arc of a saturated node positive."""
+        assert self.arc_positivity_ok()
         if self.g.has_cycle():
             return False
         for x in self.forest.nodes():
             if self.is_blocked(x):
                 continue
             if not self.is_saturated(x) or self.is_redundant_node(x):
+                return False
+        return True
+
+    def arc_positivity_ok(self) -> bool:
+        """Every tree arc of a saturated source carries a positive binary
+        predicate (a tree successor exists only to support such an atom)."""
+        for x, y in self.forest.tree_arcs():
+            if not self.is_saturated(x):
+                continue
+            if not any(sp.positive for sp in self.content((x, y))):
                 return False
         return True
 
@@ -790,24 +802,6 @@ class A1CompletionStructure(CompletionStructure):
     # the shared scan, bound here too: perfbench's tracer wraps the
     # engine class's own attribute
     next_task = CompletionStructure.next_task
-
-    # -- final audit ---------------------------------------------------------
-
-    def arc_positivity_ok(self) -> bool:
-        """Every tree arc of a saturated source carries a positive binary
-        predicate (a tree successor exists only to support such an atom)."""
-        for x, y in self.forest.tree_arcs():
-            if not self.is_saturated(x):
-                continue
-            if not any(sp.positive for sp in self.content((x, y))):
-                return False
-        return True
-
-    def is_complete_clash_free(self) -> bool:
-        """The shared audit; the direct engine's structures also keep
-        every tree arc of a saturated node positive."""
-        assert self.arc_positivity_ok()
-        return super().is_complete_clash_free()
 
     def keep_as_witness(self) -> None:
         super().keep_as_witness()

@@ -127,7 +127,11 @@ class UnitCompletionStructure:
     root_content: frozenset[Signed]
     successors: tuple[UnitSuccessor, ...]
     g_arcs: frozenset[tuple[UAtom, UAtom]]
-    final: bool
+
+    @property
+    def final(self) -> bool:
+        """See `is_final`."""
+        return is_final(self)
 
     @property
     def tree_successors(self) -> tuple[UnitSuccessor, ...]:
@@ -304,19 +308,11 @@ def _snapshot(cs: A1CompletionStructure, program: Program) -> UnitCompletionStru
         )
     # tree successors stay in canonical target order; constant
     # attachments follow the (ordered) constant inventory
-    unit = UnitCompletionStructure(
+    return UnitCompletionStructure(
         root_constant=None if anonymous_root else cs.epsilon.root,
         root_content=root_content,
         successors=tuple(successors),
         g_arcs=g_arcs,
-        final=False,
-    )
-    return UnitCompletionStructure(
-        unit.root_constant,
-        unit.root_content,
-        unit.successors,
-        unit.g_arcs,
-        final=is_final(unit),
     )
 
 
@@ -652,15 +648,17 @@ def _parse_cache(lines: list[str]) -> UnitCache:
                 g_arcs.add((_parse_uatom(left), _parse_uatom(right)))
             else:
                 raise CacheFormatError(f"unexpected line {line!r}")
-        units.append(
-            UnitCompletionStructure(
-                root_constant=root_token,
-                root_content=root_content,
-                successors=tuple(successors),
-                g_arcs=frozenset(g_arcs),
-                final=final_text == "yes",
-            )
+        unit = UnitCompletionStructure(
+            root_constant=root_token,
+            root_content=root_content,
+            successors=tuple(successors),
+            g_arcs=frozenset(g_arcs),
         )
+        if unit.final != (final_text == "yes"):
+            raise CacheFormatError(
+                f"final flag {final_text!r} disagrees with the unit's successors"
+            )
+        units.append(unit)
     return UnitCache(fingerprint, tuple(units))
 
 

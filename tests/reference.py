@@ -5,7 +5,8 @@ The engines keep saturation as counters updated on every status change,
 blocking and the equal-ancestor count in a per-node memo, and (a1) the
 ground rule instances of each negative obligation in a cache; the
 functions here derive the same facts from scratch, so tests can compare
-the two at every step of a real search. The oracle grounds rules through
+the two at every step of a real search; `naive_reachable` recomputes the
+dependency graph's reachability. The oracle grounds rules through
 argument-position templates and picks `bounded_sat`'s witness on bit
 masks; `reference_ground` and `reference_bounded_sat` are the plain
 substitution route and the definition.
@@ -135,8 +136,7 @@ def checked_a1() -> type:
 
 def checked_a2() -> type:
     """The same for the compiled engine's structure, which shares the
-    memo, keeps "blocked" entries across new arcs, and has no saturation
-    counters."""
+    memo and its one rule and has no saturation counters."""
 
     class CheckedA2(A2CompletionStructure):
         checks = 0
@@ -148,6 +148,27 @@ def checked_a2() -> type:
             return super().next_task()
 
     return CheckedA2
+
+
+def naive_reachable(arcs, src, dst, vertices=()) -> bool:
+    """Transitive-closure recomputation used as a test oracle for
+    `DependencyGraph.reaches`."""
+    adjacency: dict = {}
+    vertices = set(vertices)
+    for a, b in arcs:
+        adjacency.setdefault(a, set()).add(b)
+        vertices.update((a, b))
+    if src == dst:
+        return src in vertices
+    closure = {src}
+    frontier = [src]
+    while frontier:
+        node = frontier.pop()
+        for nxt in adjacency.get(node, ()):
+            if nxt not in closure:
+                closure.add(nxt)
+                frontier.append(nxt)
+    return dst in closure
 
 
 def reference_ground(program, universe) -> GroundProgram:

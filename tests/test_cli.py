@@ -70,6 +70,28 @@ def test_check_missing_file_exits_three(capsys):
     assert "cannot read" in err
 
 
+def test_program_not_utf8_exits_three_and_is_a_bench_error(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    path = corpus / "latin1.folp"
+    path.write_bytes("p(X) :- q(X). % caf\xe9\n".encode("latin-1"))
+    code, _, err = run(capsys, "check", str(path), "p")
+    assert code == 3
+    assert "cannot read" in err
+    code, out, _ = run(capsys, "bench", str(corpus), "--format", "machine")
+    assert code == 0
+    (row,) = records(out)
+    assert row["status"] == "error" and "cannot read" in row["verdicts"]
+
+
+def test_bench_corpus_not_a_directory_exits_three(tmp_path, capsys):
+    code, out, err = run(capsys, "bench", str(tmp_path / "no" / "such"))
+    assert code == 3 and out == ""
+    assert "not a directory" in err
+    code, out, _ = run(capsys, "bench", MEMBERSHIP)
+    assert code == 3 and out == ""
+
+
 def test_check_parse_error_exits_three(tmp_path, capsys):
     path = tmp_path / "broken.folp"
     path.write_text("p(X) :- q(X\n")

@@ -13,8 +13,8 @@ from folp.forest import (
     Signed,
     StructureError,
     Trail,
-    naive_reachable,
 )
+from reference import naive_reachable
 
 
 def atom(pred, *names):
@@ -297,63 +297,94 @@ def _memo(state):
     return dict(state._blocking), dict(state._equal)
 
 
+def _expand(state, rng, z, closed):
+    """One random expansion step at z, as the engines make one: new
+    children of z, content at z, a child of z or a constant (which
+    reopens that node), extra arcs from z to the constant, and dependency
+    arcs from an atom over z or one of its arcs to an atom over z, one
+    of its arcs, a child of z or the constant. Then z may close."""
+    a = NodeId("a")
+    for _ in range(rng.randint(1, 4)):
+        roll = rng.random()
+        children = state.forest.children(z)
+        if roll < 0.2:
+            state.forest.add_child(z)
+        elif roll < 0.3:
+            if not state.forest.has_es(z, a):
+                state.forest.add_es(z, a)
+        elif roll < 0.6:
+            node = rng.choice([z, *children, a])
+            try:
+                if state.insert(node, Signed(rng.choice("pqr"), rng.random() < 0.7)):
+                    closed.discard(node)
+            except ClashError:
+                pass
+        else:
+            arc_atoms = [GroundAtom("f", (z, s)) for s in state.forest.successors(z)]
+            sources = [atom(p, z) for p in "pqr"] + arc_atoms
+            targets = [atom(p, n) for p in "pqr" for n in (z, *children, a)] + arc_atoms
+            try:
+                state.add_dependency(rng.choice(sources), rng.choice(targets))
+            except ClashError:
+                pass
+    if rng.random() < 0.5:
+        closed.add(z)
+
+
 def test_blocking_memo_restored_by_undo():
-    """Seeded random content inserts, dependency arcs, new children,
-    memo reads and undos on one state: after `undo_to(mark)` the memo is
-    exactly the memo at `mark`; every read, and after every step every
-    entry still in force (a "blocked" one while the arc count is the one
-    it recorded), agrees with a fresh computation."""
+    """Seeded random walks on one state that keep the engines'
+    discipline: each step expands one open, unblocked node whose proper
+    ancestors are all closed (`_expand`), reads the memo at nodes whose
+    proper ancestors are all closed, or undoes to an earlier mark. After
+    `undo_to(mark)` the memo is exactly the memo at `mark`; every read,
+    and after every step every entry in force, "blocked" ones included,
+    agrees with a fresh computation."""
     rng = random.Random(11)
-    undos = 0
+    undos = blocked = 0
     for _ in range(40):
         state = ForestState(["x", "a"], ["a"], frozenset({"r"}))
-        nodes = [NodeId("x"), NodeId("a")]
-        history = [(state.trail.mark(), _memo(state))]
+        closed: set = set()
+        history = [(state.trail.mark(), _memo(state), set())]
+
+        def readable(node):
+            return all(y in closed for y in node.ancestors())
+
         for _ in range(rng.randint(10, 60)):
             roll = rng.random()
             if roll < 0.15 and len(history) > 1:
-                mark, memo = history[rng.randrange(len(history))]
+                mark, memo, was_closed = history[rng.randrange(len(history))]
                 state.trail.undo_to(mark)
                 assert _memo(state) == memo
+                closed = set(was_closed)
                 undos += 1
                 history = [h for h in history if h[0] <= mark]
-                nodes = [n for n in nodes if state.forest.has_node(n)]
-            elif roll < 0.3:
-                nodes.append(state.forest.add_child(rng.choice(nodes)))
-            elif roll < 0.55:
-                try:
-                    state.insert(
-                        rng.choice(nodes), Signed(rng.choice("pqr"), rng.random() < 0.7)
-                    )
-                except ClashError:
-                    pass
             elif roll < 0.7:
-                # from an ancestor down, the direction that can unblock
-                low = rng.choice(nodes)
-                high = rng.choice([low, *low.ancestors()])
-                state.g.add_arc(
-                    atom(rng.choice("pqr"), high), atom(rng.choice("pqr"), low)
-                )
+                expandable = [
+                    z
+                    for z in state.forest.nodes()
+                    if z not in closed and readable(z) and not state.is_blocked(z)
+                ]
+                if expandable:
+                    _expand(state, rng, rng.choice(expandable), closed)
             else:
+                nodes = [n for n in state.forest.nodes() if readable(n)]
                 for node in rng.sample(nodes, rng.randint(1, len(nodes))):
                     pair = state.find_blocking_pair(node)
                     assert state.is_blocked(node) == (pair is not None)
                     state.equal_ancestor_count(node)
-            history.append((state.trail.mark(), _memo(state)))
-            for node in nodes:
-                blocking = state._blocking.get(node)
+            history.append((state.trail.mark(), _memo(state), set(closed)))
+            for node in state.forest.nodes():
+                entry = state._blocking.get(node)
+                if entry is not None:
+                    assert entry == (state.find_blocking_pair(node) is not None)
+                    blocked += entry
                 equal = state._equal.get(node)
-                pair = state.find_blocking_pair(node)
-                if blocking == -1:
-                    assert pair is None
-                elif blocking == state.g.arc_count():
-                    assert pair is not None
                 if equal is not None:
                     content = state.content(node)
                     assert equal == sum(
                         1 for y in node.ancestors() if state.content(y) == content
                     )
-    assert undos > 50
+    assert undos > 50 and blocked > 50
 
 
 def test_induced_interpretation_of_a_flat_structure():

@@ -212,11 +212,13 @@ def test_cache_rejects_garbage(tmp_path):
         ("succ: @.1 arc open", "succ: @.x arc open"),
         ("paths: p->p", "paths: p p"),
         ("garc: p(@) -> f(@,@.1)", "garc: p(@) f(@,@.1)"),
+        ("final: no", "final: yes"),
     ],
 )
 def test_cache_rejects_malformed_fields(tmp_path, choice_chain, line, corrupted):
-    """A field that does not parse is a format error, not a ValueError
-    that the command line would report as UNSAT (exit 1)."""
+    """A field that does not parse, or a final flag that disagrees with
+    the unit's successors, is a format error, not a ValueError that the
+    command line would report as UNSAT (exit 1)."""
     path = tmp_path / "chain.units"
     save_cache(compile_units(choice_chain).cache, path)
     text = path.read_text()
