@@ -13,7 +13,7 @@ from .forest import (
     Signed,
     StructureError,
 )
-from .matcher import A2CompletionStructure, check_sat_a2, local_satisfies
+from .matcher import A2CompletionStructure, check_sat_a2
 from .oracle import (
     OpenInterpretation,
     OracleBudgetError,

@@ -2,10 +2,10 @@
 oracle-backed verification, benchmarking, and DOT export.
 
 Exit codes: 0 satisfiable, 1 unsatisfiable, 2 depth-bounded unknown,
-3 input error (missing or non-UTF-8 file, parse or validation failure,
-malformed cache, bad usage such as a bench corpus that is not a
-directory), 4 engine disagreement or verification inconsistency, 5
-resource budget exceeded.
+3 input error (missing or non-UTF-8 file, an output path that cannot be
+written, parse or validation failure, malformed cache, bad usage such as
+a bench corpus that is not a directory), 4 engine disagreement or
+verification inconsistency, 5 resource budget exceeded.
 
 Machine-readable output is one JSON record per line with sorted keys;
 verdict records carry no wall-clock fields, so byte-identical inputs
@@ -20,6 +20,7 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import NoReturn, Optional
 
@@ -107,6 +108,16 @@ def _load_program(
     return program, eliminate_constraints(program)
 
 
+@contextmanager
+def _writing(path):
+    """An output path that cannot be written, such as one in a missing
+    directory, is an input error (exit 3)."""
+    try:
+        yield
+    except OSError as err:
+        raise _InputError(f"cannot write {path}: {err}") from err
+
+
 def _policy(args) -> RedundancyPolicy:
     return RedundancyPolicy(
         k_override=args.redundancy_k,
@@ -189,7 +200,8 @@ def cmd_check(args) -> int:
         )
         return EXIT_DISAGREEMENT
     if args.dot and verdicts and verdicts[-1].witness is not None:
-        Path(args.dot).write_text(verdicts[-1].witness.to_dot(), encoding="utf-8")
+        with _writing(args.dot):
+            Path(args.dot).write_text(verdicts[-1].witness.to_dot(), encoding="utf-8")
     return verdicts[0].exit_code
 
 
@@ -217,7 +229,8 @@ def cmd_compile_units(args) -> int:
     _, transformed = _load_program(args.program)
     summary: CompileSummary = compile_units(transformed, time_limit=args.time_limit)
     out = args.out or (args.program + ".units")
-    save_cache(summary.cache, out)
+    with _writing(out):
+        save_cache(summary.cache, out)
     record = summary.to_record()
     record["path"] = str(out)
     _emit(
@@ -383,7 +396,8 @@ def cmd_export_dot(args) -> int:
         return verdict.exit_code
     dot = verdict.witness.to_dot()
     if args.out:
-        Path(args.out).write_text(dot, encoding="utf-8")
+        with _writing(args.out):
+            Path(args.out).write_text(dot, encoding="utf-8")
     else:
         print(dot, end="")
     return 0

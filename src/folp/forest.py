@@ -68,13 +68,13 @@ it. Where the engines iterate such sets:
 - contents (`content`, `content_of_node`, a unit's contents) are sorted
   before they reach a task, a description or a file (`node_task`,
   `format_content`, `units._content_key`, `UnitCompletionStructure.
-  graft_order`); `_rearm_negatives`, `units.unit_as_structure` and
-  `positive_atoms` (whose atoms `induced_interpretation` hands to a
-  witness that sorts them) visit them unsorted, but only to set statuses
-  or insert entries that cannot clash, whose end state is the same in
-  any order;
-- blocking, `matcher.local_satisfies`, the refutation ledgers, the
-  grafted set and the extra-arc set only test subsets and membership;
+  graft_order`); `_rearm_negatives` visits them unsorted, but only to
+  set statuses, whose end state is the same in any order, and
+  `positive_atoms` hands its atoms to `induced_interpretation`, whose
+  witness sorts them;
+- blocking, `A2CompletionStructure.covering`, the refutation ledgers,
+  the grafted set and the extra-arc set only test subsets and
+  membership;
 - `paths_set` walks the per-node atom buckets, lists in insertion order,
   and returns predicate-name pairs, which `units._snapshot` sorts;
   `_reach` walks lists and keeps its `seen` set for membership only;
@@ -200,13 +200,6 @@ class NodeId(_Interned):
         while node is not None:
             yield node
             node = node._parent
-
-    def is_proper_prefix_of(self, other: "NodeId") -> bool:
-        return (
-            self.root == other.root
-            and len(self.path) < len(other.path)
-            and other.path[: len(self.path)] == self.path
-        )
 
     def __str__(self) -> str:
         return ".".join([self.root, *map(str, self.path)])
@@ -402,9 +395,6 @@ class ExtendedForest:
         for y in out:
             out.extend(children[y])
         return out
-
-    def node_count(self) -> int:
-        return len(self._children)
 
 
 class DependencyGraph:

@@ -34,7 +34,7 @@ sets).
 from __future__ import annotations
 
 from functools import partial
-from typing import Iterable, Optional
+from typing import Iterator, Optional
 
 from .forest import ClashError, NodeId, Signed
 from .syntax import Program
@@ -49,12 +49,6 @@ from .tableau import (
     run_search,  # unused here; perfbench's tracer wraps matcher.run_search
 )
 from .units import UnitCache, UnitCompletionStructure, ground_atom
-
-
-def local_satisfies(uc: UnitCompletionStructure, required: Iterable[Signed]) -> bool:
-    """A unit locally satisfies a set of signed unary predicates iff the
-    set is included in its root content."""
-    return uc.root_content.issuperset(required)
 
 
 class A2CompletionStructure(CompletionStructure):
@@ -98,7 +92,7 @@ class A2CompletionStructure(CompletionStructure):
             raise ValueError(
                 f"anonymously rooted unit cannot expand the constant {x}"
             )
-        if not local_satisfies(uc, self.content(x)):
+        if not self.content(x) <= uc.root_content:
             raise ValueError(f"unit does not locally satisfy the content of {x}")
         self.grafted.add(x)
         self.trail.push(partial(self.grafted.discard, x))
@@ -131,16 +125,20 @@ class A2CompletionStructure(CompletionStructure):
             self.add_dependency(ground_atom(token_node, a), ground_atom(token_node, b))
         return [token_node[succ.target] for succ in uc.successors]
 
-    def match(self, x: NodeId) -> list[Alternative]:
-        """One branch per cached unit with a compatible root that locally
-        satisfies ct(x), least constraining first."""
+    def covering(self, x: NodeId) -> Iterator[UnitCompletionStructure]:
+        """The cached units whose root fits x and whose root content
+        includes ct(x), least constraining first."""
         constant = x.root if self.forest.is_constant_node(x) else None
         content = self.content(x)
+        for uc in self.cache.candidates_for(constant):
+            if content <= uc.root_content:
+                yield uc
+
+    def match(self, x: NodeId) -> list[Alternative]:
+        """One branch per covering unit (see `covering`)."""
         too_deep = self.max_depth is not None and x.depth + 1 > self.max_depth
         alternatives = []
-        for uc in self.cache.candidates_for(constant):
-            if not content <= uc.root_content:  # local_satisfies, inlined
-                continue
+        for uc in self.covering(x):
             if too_deep and uc.tree_successors:
                 self.pruned = True
                 continue
@@ -171,11 +169,7 @@ class A2CompletionStructure(CompletionStructure):
         for node in successors:
             if self.is_saturated(node) or self.is_blocked(node):
                 continue
-            constant = node.root if self.forest.is_constant_node(node) else None
-            content = self.content(node)
-            if not any(
-                content <= u.root_content for u in self.cache.candidates_for(constant)
-            ):
+            if next(self.covering(node), None) is None:
                 raise ClashError(
                     f"successor {node} of {x} is unblocked and matches no unit"
                 )

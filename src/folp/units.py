@@ -14,14 +14,12 @@ merged set.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Union
 
 from .forest import GroundAtom, NodeId, Signed, signed_sort_key
 from .syntax import FolpError, Program
 from .tableau import (
-    EXP,
     A1CompletionStructure,
     SearchStats,
     run_search,
@@ -199,117 +197,88 @@ def is_final(uc: UnitCompletionStructure) -> bool:
 def _snapshot(cs: A1CompletionStructure, program: Program) -> UnitCompletionStructure:
     eps = cs.epsilon
     root_content = cs.content_of_node(eps)
+    anonymous_root = eps.root not in program.constants
     children = cs.forest.children(eps)
-    child_token = {child: child.path[-1] for child in children}
-
-    raw_arcs: list[tuple[UAtom, UAtom]] = []
+    token: dict[NodeId, Token] = {eps: None, **{c: c.path[-1] for c in children}}
 
     def tokenize(node: NodeId) -> Token:
-        if node == eps:
-            return None
-        if node in child_token:
-            return child_token[node]
+        if node in token:
+            return token[node]
         assert node.is_root and node.root in program.constants, node
         return node.root
 
-    for src, dst in cs.g.arcs():
-        raw_arcs.append(
-            (
-                (src.pred, tuple(tokenize(n) for n in src.args)),
-                (dst.pred, tuple(tokenize(n) for n in dst.args)),
-            )
+    raw_arcs: list[tuple[UAtom, UAtom]] = [
+        (
+            (src.pred, tuple(tokenize(n) for n in src.args)),
+            (dst.pred, tuple(tokenize(n) for n in dst.args)),
+        )
+        for src, dst in cs.g.arcs()
+    ]
+
+    def successor(target, node: NodeId, has_arc: bool = True) -> UnitSuccessor:
+        # an arc's content exists only with its arc; a self-arc on a
+        # constant root carries binary content but imposes nothing beyond
+        # the root content itself
+        if node == eps:
+            node_content = paths = frozenset()
+        else:
+            node_content = cs.content_of_node(node)
+            paths = frozenset(cs.g.paths_set(eps, node, program.free_preds))
+        return UnitSuccessor(
+            target=target,
+            has_arc=has_arc,
+            arc_content=frozenset(cs.content((eps, node))),
+            node_content=node_content,
+            paths=paths,
+            # a tree child is blocked by an anonymous root that includes
+            # its content with no path between them
+            blocked=anonymous_root
+            and not node.is_root
+            and node_content <= root_content
+            and not paths,
         )
 
-    def child_signature(token: int):
-        patterns = []
-        for a, b in raw_arcs:
-            if token in a[1] or token in b[1]:
-                sub_a = (a[0], tuple("SELF" if t == token else t for t in a[1]))
-                sub_b = (b[0], tuple("SELF" if t == token else t for t in b[1]))
-                patterns.append((_fmt_sig(sub_a), _fmt_sig(sub_b)))
-        return tuple(sorted(patterns))
-
-    def _fmt_sig(atom):
-        return (atom[0], tuple(str(t) for t in atom[1]))
+    def signature(token: int):
+        # the child's dependency arcs, with the child itself renamed
+        return tuple(
+            sorted(
+                tuple(
+                    (pred, tuple("SELF" if t == token else str(t) for t in tokens))
+                    for pred, tokens in arc
+                )
+                for arc in raw_arcs
+                if token in arc[0][1] or token in arc[1][1]
+            )
+        )
 
     # the renumbering key and the emission order must coincide, so that
     # canonical targets 1..n match the order children are recreated in
     # when the unit is grafted onto a node
-    def child_order_key(child: NodeId):
-        return (
-            _content_key(cs.content_of_node(child)),
-            _content_key(frozenset(cs.content((eps, child)))),
-            tuple(sorted(cs.g.paths_set(eps, child, program.free_preds))),
-            child_signature(child_token[child]),
-        )
+    tree = sorted(
+        (successor(token[child], child) for child in children),
+        key=lambda s: (
+            _content_key(s.node_content),
+            _content_key(s.arc_content),
+            tuple(sorted(s.paths)),
+            signature(s.target),
+        ),
+    )
+    renumber = {s.target: i + 1 for i, s in enumerate(tree)}
+    successors = [replace(s, target=renumber[s.target]) for s in tree]
+    g_arcs = frozenset(
+        tuple((pred, tuple(renumber.get(t, t) for t in tokens)) for pred, tokens in arc)
+        for arc in raw_arcs
+    )
 
-    # each child's key holds its path set, which its successor reuses
-    keys = {child: child_order_key(child) for child in children}
-    ordered = sorted(children, key=keys.__getitem__)
-    renumber = {child_token[c]: i + 1 for i, c in enumerate(ordered)}
-
-    def relabel(atom: UAtom) -> UAtom:
-        return (
-            atom[0],
-            tuple(
-                renumber[t] if isinstance(t, int) else t for t in atom[1]
-            ),
-        )
-
-    g_arcs = frozenset((relabel(a), relabel(b)) for a, b in raw_arcs)
-
-    successors: list[UnitSuccessor] = []
-    anonymous_root = cs.epsilon.root not in program.constants
-    for i, child in enumerate(ordered):
-        node_content = cs.content_of_node(child)
-        paths = frozenset(keys[child][2])
-        blocked = anonymous_root and node_content <= root_content and not paths
-        successors.append(
-            UnitSuccessor(
-                target=i + 1,
-                has_arc=True,
-                arc_content=frozenset(cs.content((eps, child))),
-                node_content=node_content,
-                paths=paths,
-                blocked=blocked,
-            )
-        )
+    # tree successors stay in canonical target order; constant
+    # attachments follow the (ordered) constant inventory
     for c in program.constants:
         node = NodeId(c)
         has_arc = cs.forest.has_es(eps, node)
-        if node == eps:
-            # a self-arc on a constant root carries binary content but
-            # imposes nothing beyond the root content itself
-            if has_arc:
-                successors.append(
-                    UnitSuccessor(
-                        target=c,
-                        has_arc=True,
-                        arc_content=frozenset(cs.content((eps, node))),
-                        node_content=frozenset(),
-                        paths=frozenset(),
-                        blocked=False,
-                    )
-                )
-            continue
-        node_content = cs.content_of_node(node)
-        if not has_arc and not node_content:
-            continue
-        paths = frozenset(cs.g.paths_set(eps, node, program.free_preds))
-        successors.append(
-            UnitSuccessor(
-                target=c,
-                has_arc=has_arc,
-                arc_content=frozenset(cs.content((eps, node))) if has_arc else frozenset(),
-                node_content=node_content,
-                paths=paths,
-                blocked=False,
-            )
-        )
-    # tree successors stay in canonical target order; constant
-    # attachments follow the (ordered) constant inventory
+        if has_arc or (node != eps and cs.content(node)):
+            successors.append(successor(c, node, has_arc))
     return UnitCompletionStructure(
-        root_constant=None if anonymous_root else cs.epsilon.root,
+        root_constant=None if anonymous_root else eps.root,
         root_content=root_content,
         successors=tuple(successors),
         g_arcs=g_arcs,
@@ -372,57 +341,35 @@ def is_redundant_ucs(
     root content, with uc2's non-blocked successors injectable into uc1's
     successors under content and path-set inclusion, the comparison being
     strict overall. Strictness holds when some inclusion is strict or uc2
-    has strictly fewer non-blocked successors; constants may only map to
-    the same constant. The roots must coincide exactly because the
-    matching engine fits anonymous roots only to anonymous nodes."""
+    has strictly fewer non-blocked successors; a constant maps only to the
+    same constant, a tree successor only to a tree successor. The roots
+    must coincide exactly because the matching engine fits anonymous
+    roots only to anonymous nodes."""
     if uc1 is uc2 or uc1.sort_key() == uc2.sort_key():
         return False
-    if uc2.root_constant != uc1.root_constant:
+    if uc2.root_constant != uc1.root_constant or uc2.root_content != uc1.root_content:
         return False
-    if uc1.root_content != uc2.root_content:
-        return False
-    nb2 = uc2.non_blocked()
-    nb1_count = len(uc1.non_blocked())
-    count_gap = len(nb2) < nb1_count
+    # constants first: each has at most one image, so a miss fails early
+    sources = sorted(uc2.non_blocked(), key=lambda s: not s.is_constant)
+    return _injects(sources, uc1.successors, set(), len(sources) < len(uc1.non_blocked()))
 
-    strict_fixed = False
-    for succ in nb2:
-        if not succ.is_constant:
+
+def _injects(sources, targets, used: set[int], strict: bool) -> bool:
+    """Whether `sources` map one to one onto the targets outside `used`
+    (a constant onto itself, a tree successor onto a tree successor) under
+    content and path-set inclusion, some inclusion strict unless `strict`."""
+    if not sources:
+        return strict
+    s = sources[0]
+    for j, t in enumerate(targets):
+        if j in used or (t.target != s.target if s.is_constant else t.is_constant):
             continue
-        target = next(
-            (t for t in uc1.successors if t.target == succ.target), None
-        )
-        if target is None:
-            return False
-        if not (
-            succ.node_content <= target.node_content and succ.paths <= target.paths
-        ):
-            return False
-        if succ.node_content < target.node_content or succ.paths < target.paths:
-            strict_fixed = True
-
-    tree2 = [s for s in nb2 if not s.is_constant]
-    tree1 = list(uc1.tree_successors)
-    if len(tree2) > len(tree1):
-        return False
-    for chosen in itertools.permutations(range(len(tree1)), len(tree2)):
-        ok = True
-        strict = strict_fixed
-        for succ, idx in zip(tree2, chosen):
-            target = tree1[idx]
-            if not (
-                succ.node_content <= target.node_content
-                and succ.paths <= target.paths
-            ):
-                ok = False
-                break
-            if (
-                succ.node_content < target.node_content
-                or succ.paths < target.paths
-            ):
-                strict = True
-        if ok and (strict or count_gap):
-            return True
+        if s.node_content <= t.node_content and s.paths <= t.paths:
+            used.add(j)
+            strict_here = strict or s.node_content < t.node_content or s.paths < t.paths
+            if _injects(sources[1:], targets, used, strict_here):
+                return True
+            used.discard(j)
     return False
 
 
@@ -660,56 +607,3 @@ def _parse_cache(lines: list[str]) -> UnitCache:
             )
         units.append(unit)
     return UnitCache(fingerprint, tuple(units))
-
-
-# ----------------------------------------------------------------------
-# Completion check used by the compiled-block invariants
-
-
-def unit_as_structure(program: Program, uc: UnitCompletionStructure) -> A1CompletionStructure:
-    """Rebuild a live tableau structure from a unit: the root and its
-    arcs are expanded, successor contents are unexpanded obligations."""
-    cs = A1CompletionStructure(program, pred=None, epsilon=uc.root_constant)
-    eps = cs.epsilon
-    for sp in uc.root_content:
-        cs.insert_tracked(eps, sp)
-        cs.set_status(eps, sp, EXP)
-    token_node: dict[Token, NodeId] = {None: eps}
-    for succ in uc.successors:
-        if succ.is_constant:
-            node = NodeId(succ.target)
-            if succ.has_arc:
-                cs.forest.add_es(eps, node)
-        else:
-            node = cs.forest.add_child(eps)
-            assert node.path[-1] == succ.target
-        token_node[succ.target] = node
-        arc = (eps, node)
-        for sp in succ.arc_content:
-            cs.insert_tracked(arc, sp)
-            cs.set_status(arc, sp, EXP)
-        for sp in succ.node_content:
-            cs.insert_tracked(node, sp)
-    for a, b in uc.g_arcs:
-        cs.g.add_arc(ground_atom(token_node, a), ground_atom(token_node, b))
-    return cs
-
-
-def passes_a1_completion_check(program: Program, uc: UnitCompletionStructure) -> bool:
-    """The clash-free completeness conditions of the direct engine,
-    applied to a unit: acyclic dependencies, no redundant node, and every
-    node saturated, blocked, or content-free with no outgoing arcs."""
-    cs = unit_as_structure(program, uc)
-    if cs.g.has_cycle():
-        return False
-    for x in cs.forest.nodes():
-        if cs.is_blocked(x):
-            continue
-        if cs.is_saturated(x):
-            if cs.is_redundant_node(x):
-                return False
-            continue
-        if not cs.content(x) and not cs.forest.arcs_from(x):
-            continue
-        return False
-    return True

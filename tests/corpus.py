@@ -163,3 +163,18 @@ def bench_family(variants: int = 8) -> str:
     lines.append("base(X) v not base(X).")
     lines.append("f(X,Y) v not f(X,Y).")
     return "\n".join(dict.fromkeys(lines)) + "\n"
+
+
+def unit_family(n: int) -> str:
+    """P_n: a free binary f, free unary a0..a{n-1}, rules
+    g_i(X) :- f(X,Y), a_i(Y), f(X,Z), a_{i+1}(Z), Y != Z for i < n-1, and
+    goal(X) :- g0(X), not a0(X). Its unit count grows fast with n (96
+    enumerated at n = 3, 2,368 at n = 4)."""
+    lines = ["f(X,Y) v not f(X,Y)."]
+    lines += [f"a{i}(X) v not a{i}(X)." for i in range(n)]
+    lines += [
+        f"g{i}(X) :- f(X,Y), a{i}(Y), f(X,Z), a{i + 1}(Z), Y != Z."
+        for i in range(n - 1)
+    ]
+    lines.append("goal(X) :- g0(X), not a0(X).")
+    return "\n".join(lines) + "\n"

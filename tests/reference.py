@@ -9,16 +9,20 @@ the two at every step of a real search; `naive_reachable` recomputes the
 dependency graph's reachability. The oracle grounds rules through
 argument-position templates and picks `bounded_sat`'s witness on bit
 masks; `reference_ground` and `reference_bounded_sat` are the plain
-substitution route and the definition.
+substitution route and the definition. Unit redundancy is decided by a
+backtracking injection; `reference_is_redundant_ucs` tries every
+permutation. `unit_as_structure` and `passes_a1_completion_check` hold a
+unit to the direct engine's completion conditions.
 """
 
 import itertools
 
-from folp.forest import Signed
+from folp.forest import NodeId, Signed
 from folp.matcher import A2CompletionStructure
 from folp.oracle import GroundProgram, GroundRule, Universe, _rule_variables, answer_sets
 from folp.syntax import Inequality, RuleKind, binary_shape, unary_shape
 from folp.tableau import EXP, A1CompletionStructure
+from folp.units import ground_atom
 
 
 def reference_is_saturated(cs: A1CompletionStructure, x) -> bool:
@@ -219,3 +223,97 @@ def reference_bounded_sat(program, pred: str, max_size: int):
             if any(atom[0] == pred for atom in interp.atoms):
                 return interp
     return None
+
+
+def reference_is_redundant_ucs(uc1, uc2) -> bool:
+    """`units.is_redundant_ucs` by exhaustive search: constants checked
+    one by one against the same constant, then every injection of uc2's
+    non-blocked tree successors into uc1's tree successors tried as a
+    permutation."""
+    if uc1 is uc2 or uc1.sort_key() == uc2.sort_key():
+        return False
+    if uc2.root_constant != uc1.root_constant:
+        return False
+    if uc1.root_content != uc2.root_content:
+        return False
+    nb2 = uc2.non_blocked()
+    count_gap = len(nb2) < len(uc1.non_blocked())
+
+    strict_fixed = False
+    for succ in nb2:
+        if not succ.is_constant:
+            continue
+        target = next((t for t in uc1.successors if t.target == succ.target), None)
+        if target is None:
+            return False
+        if not (succ.node_content <= target.node_content and succ.paths <= target.paths):
+            return False
+        if succ.node_content < target.node_content or succ.paths < target.paths:
+            strict_fixed = True
+
+    tree2 = [s for s in nb2 if not s.is_constant]
+    tree1 = list(uc1.tree_successors)
+    if len(tree2) > len(tree1):
+        return False
+    for chosen in itertools.permutations(range(len(tree1)), len(tree2)):
+        ok = True
+        strict = strict_fixed
+        for succ, idx in zip(tree2, chosen):
+            target = tree1[idx]
+            if not (succ.node_content <= target.node_content and succ.paths <= target.paths):
+                ok = False
+                break
+            if succ.node_content < target.node_content or succ.paths < target.paths:
+                strict = True
+        if ok and (strict or count_gap):
+            return True
+    return False
+
+
+def unit_as_structure(program, uc) -> A1CompletionStructure:
+    """Rebuild a live tableau structure from a unit: the root and its
+    arcs are expanded, successor contents are unexpanded obligations."""
+    cs = A1CompletionStructure(program, pred=None, epsilon=uc.root_constant)
+    eps = cs.epsilon
+    for sp in uc.root_content:
+        cs.insert_tracked(eps, sp)
+        cs.set_status(eps, sp, EXP)
+    token_node = {None: eps}
+    for succ in uc.successors:
+        if succ.is_constant:
+            node = NodeId(succ.target)
+            if succ.has_arc:
+                cs.forest.add_es(eps, node)
+        else:
+            node = cs.forest.add_child(eps)
+            assert node.path[-1] == succ.target
+        token_node[succ.target] = node
+        arc = (eps, node)
+        for sp in succ.arc_content:
+            cs.insert_tracked(arc, sp)
+            cs.set_status(arc, sp, EXP)
+        for sp in succ.node_content:
+            cs.insert_tracked(node, sp)
+    for a, b in uc.g_arcs:
+        cs.g.add_arc(ground_atom(token_node, a), ground_atom(token_node, b))
+    return cs
+
+
+def passes_a1_completion_check(program, uc) -> bool:
+    """The clash-free completeness conditions of the direct engine,
+    applied to a unit: acyclic dependencies, no redundant node, and every
+    node saturated, blocked, or content-free with no outgoing arcs."""
+    cs = unit_as_structure(program, uc)
+    if cs.g.has_cycle():
+        return False
+    for x in cs.forest.nodes():
+        if cs.is_blocked(x):
+            continue
+        if cs.is_saturated(x):
+            if cs.is_redundant_node(x):
+                return False
+            continue
+        if not cs.content(x) and not cs.forest.arcs_from(x):
+            continue
+        return False
+    return True

@@ -23,14 +23,19 @@ from folp.units import (
     compile_units,
     enumerate_unit_completions,
     is_redundant_ucs,
-    passes_a1_completion_check,
     prune_redundant,
     save_cache,
 )
 
 from conftest import GOLDEN
-from corpus import bench_family, corpus
-from reference import checked_a1, checked_a2, reference_bounded_sat
+from corpus import bench_family, corpus, unit_family
+from reference import (
+    checked_a1,
+    checked_a2,
+    passes_a1_completion_check,
+    reference_bounded_sat,
+    reference_is_redundant_ucs,
+)
 
 CORPUS_SEED = 20260810
 CORPUS_SHA256 = "f20548a8fd9c856c336d6a86a002313a2d4462d896bef57b6053af320cff8618"
@@ -236,6 +241,28 @@ def test_criterion_7_redundancy_is_a_strict_partial_order(corpus_run):
                 for b in retained:
                     if a is not b:
                         assert not is_redundant_ucs(a, b)
+
+
+def test_redundancy_search_agrees_with_permutations(
+    corpus_run, choice_chain, membership_t, membership_loop
+):
+    """The backtracking injection of `is_redundant_ucs` gives the verdict
+    of the exhaustive permutation search on every ordered pair of
+    enumerated units of the corpus, `programs/*.folp` and P_3."""
+    unit_family_3 = enumerate_unit_completions(parse_program(unit_family(3)))
+    assert len(unit_family_3) == 96
+    unit_sets = [entry.units for entry in corpus_run[0]] + [
+        enumerate_unit_completions(program)
+        for program in (choice_chain, membership_t, membership_loop)
+    ] + [unit_family_3]
+    related = 0
+    for units in unit_sets:
+        for a in units:
+            for b in units:
+                expected = reference_is_redundant_ucs(a, b)
+                assert is_redundant_ucs(a, b) == expected, (a, b)
+                related += expected
+    assert related > 0
 
 
 def test_criterion_8_compiled_engine_amortizes(tmp_path, capsys):

@@ -92,6 +92,42 @@ def test_bench_corpus_not_a_directory_exits_three(tmp_path, capsys):
     assert code == 3 and out == ""
 
 
+def test_output_path_in_a_missing_directory_exits_three(tmp_path, capsys):
+    """An output file that cannot be written is an input error with one
+    message, not a traceback with the UNSAT code."""
+    missing = tmp_path / "no" / "such"
+    for argv in (
+        ["check", MEMBERSHIP, "smember", "--dot", str(missing / "w.dot")],
+        ["export-dot", MEMBERSHIP, "smember", "--out", str(missing / "w.dot")],
+        ["compile-units", MEMBERSHIP, "--out", str(missing / "m.units")],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 3, argv
+        assert err.count("cannot write") == 1 and str(missing) in err, argv
+    assert not missing.exists()
+
+
+def test_verify_with_a_constant_named_x(tmp_path, capsys):
+    """A constant named x moves the anonymous root to x1, and r's
+    inequality holds a constant; both engines and the oracle agree."""
+    path = tmp_path / "x.folp"
+    path.write_text(
+        "p(x).\n"
+        "f(X,Y) v not f(X,Y).\n"
+        "q(X) :- f(X,Y), p(Y).\n"
+        "r(X) :- f(X,Y), f(X,x), p(Y), Y != x.\n"
+    )
+    for pred, verdict in (("p", "SAT"), ("q", "SAT"), ("r", "UNSAT")):
+        code, out, _ = run(capsys, "verify", str(path), pred, "--format", "machine")
+        (record,) = records(out)
+        assert code == 0 and record["consistent"], record
+        assert (record["a1"], record["a2"]) == (verdict, verdict), record
+    code, out, _ = run(capsys, "check", str(path), "q", "--format", "machine")
+    assert code == 0
+    witnesses = [r for r in records(out) if r["record"] == "witness"]
+    assert [w["elements"] for w in witnesses] == [["x1", "x"], ["x1", "x"]]
+
+
 def test_check_parse_error_exits_three(tmp_path, capsys):
     path = tmp_path / "broken.folp"
     path.write_text("p(X) :- q(X\n")

@@ -28,8 +28,9 @@ def test_node_ids_and_ancestors():
     assert str(grand) == "x.1.2"
     assert grand.parent() == child
     assert list(grand.ancestors()) == [child, x]
-    assert x.is_proper_prefix_of(grand)
-    assert not grand.is_proper_prefix_of(x)
+    # each id extends its parent's path on the same root
+    assert (x.path, child.path, grand.path) == ((), (1,), (1, 2))
+    assert grand.root == child.root == x.root == "x"
 
 
 def test_child_numbering_and_tree_arcs():

@@ -2,13 +2,13 @@ import pytest
 
 from folp import matcher
 from folp.forest import NodeId, Signed, StructureError
-from folp.matcher import A2CompletionStructure, check_sat_a2, local_satisfies
+from folp.matcher import A2CompletionStructure, check_sat_a2
 from folp.oracle import bounded_sat, is_answer_set
 from folp.syntax import parse_program
 from folp.tableau import RedundancyPolicy, VerdictKind
-from folp.units import CacheMismatchError, compile_units, passes_a1_completion_check
+from folp.units import CacheMismatchError, compile_units
 
-from reference import checked_a2
+from reference import checked_a2, passes_a1_completion_check
 
 P, NOT_Q = Signed("p", True), Signed("q", False)
 
@@ -28,11 +28,28 @@ def final_chain_unit(chain_cache):
     return unit
 
 
-def test_local_satisfies(chain_cache):
-    unit = final_chain_unit(chain_cache)
-    assert local_satisfies(unit, {P, NOT_Q})
-    assert not local_satisfies(unit, {Signed("q", True)})
-    assert local_satisfies(unit, set())
+def test_covering_fits_the_root_covers_the_content_and_keeps_match_order(
+    membership_t, membership_cache
+):
+    """`covering` yields the units rooted like the node whose root content
+    includes the node's content, in `candidates_for` order."""
+    program = parse_program("q(X) v not q(X).\np(a).\n")
+    cache = compile_units(program).cache
+    cs = A2CompletionStructure(program, cache, pred="q")
+    x, a = cs.epsilon, NodeId("a")
+    cs.insert(a, Signed("q", True))
+    (anonymous,) = cs.covering(x)
+    (a_rooted,) = cs.covering(a)
+    # an anonymous unit covers {q} too, but only a's own units fit a
+    assert anonymous.root_constant is None and a_rooted.root_constant == "a"
+    assert Signed("q", True) in anonymous.root_content & a_rooted.root_content
+    assert len(cache.candidates_for(None)) == len(cache.candidates_for("a")) == 2
+
+    cs = A2CompletionStructure(membership_t, membership_cache, pred="smember")
+    candidates = membership_cache.candidates_for(None)
+    covering = list(cs.covering(cs.epsilon))
+    assert covering == [u for u in candidates if Signed("smember", True) in u.root_content]
+    assert 1 < len(covering) < len(candidates)
 
 
 def test_expand_cs_grafts_the_unit(choice_chain, chain_cache):
@@ -71,9 +88,9 @@ def test_expand_cs_successor_free_constant_unit():
     (unit,) = [u for u in cache.units if u.root_constant == "a"]
     assert not unit.successors
     cs = A2CompletionStructure(program, cache, pred="p", epsilon="a")
-    before = cs.forest.node_count()
+    before = list(cs.forest.nodes())
     cs.expand_cs(NodeId("a"), unit)
-    assert cs.forest.node_count() == before
+    assert list(cs.forest.nodes()) == before
     assert cs.is_saturated(NodeId("a"))
 
 
@@ -89,11 +106,7 @@ def test_match_offers_every_unit_for_an_empty_node(choice_chain, chain_cache):
 
 def test_match_candidates_respect_content(choice_chain, chain_cache):
     cs = A2CompletionStructure(choice_chain, chain_cache, pred="q")
-    covering = [
-        u
-        for u in chain_cache.units
-        if local_satisfies(u, {Signed("q", True)})
-    ]
+    covering = [u for u in chain_cache.units if Signed("q", True) in u.root_content]
     assert len(cs.match(cs.epsilon)) == len(covering)
 
 

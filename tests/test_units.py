@@ -12,10 +12,11 @@ from folp.units import (
     is_final,
     is_redundant_ucs,
     load_cache,
-    passes_a1_completion_check,
     prune_redundant,
     save_cache,
 )
+
+from reference import passes_a1_completion_check
 
 P, NOT_Q = Signed("p", True), Signed("q", False)
 PQ = frozenset({P, NOT_Q})
