@@ -2,7 +2,9 @@
 
 Extended forests (one tree per root constant plus extra arcs back to
 roots), node/arc content maps over signed predicates, the ground-atom
-dependency graph, and trail-based undo.
+dependency graph, and trail-based undo. Node order, roots first and then
+each tree in preorder, has one step, `ExtendedForest.next_node`, O(depth)
+from any node; `nodes` walks it and `precedes` compares in it.
 
 The graph indexes its unary atoms by node, so a blocking check reads the
 atoms of two nodes without scanning every vertex. It keeps no
@@ -13,11 +15,14 @@ acyclic by testing each new arc before inserting it (`closes_cycle`);
 `has_cycle` is a full search kept for completion audits.
 
 Blocking and the equal-content ancestor count are memoized per node,
-because the engines ask for them at every node before every task while
-few of the facts they rest on change in between. One rule keeps the
-memo exact in both engines: new content at a node drops the entries of
-that node and of its whole subtree (a node's facts read its own content
-and its ancestors'). No entry lapses when a dependency arc goes in.
+because the task scan asks for them again and again while few of the
+facts they rest on change in between. One rule keeps the memo exact in
+both engines: new content at a node drops every entry of its proper
+descendants and its own equal-ancestor count and "blocked" entry (a
+node's facts read its own content and its ancestors'). Its own
+"unblocked" entry stays: new content at x only makes ct(x) included in
+ct(y) harder to meet, and its new atoms only add sinks to the path
+search. No entry lapses when a dependency arc goes in.
 
 An arc can only create paths, so an unblocked node stays unblocked. A
 "blocked" entry stays exact as well. Both engines add arcs only while
@@ -35,10 +40,11 @@ none is made while it stands:
 - the engines read, and so write, the memo only at a node whose proper
   ancestors are all saturated. `next_task` reaches x only once every
   node before it in node order, its ancestors among them, is blocked or
-  saturated, and a node with children is never blocked. A graft reads
-  at the successors of the node it has just grafted. The completion
-  audit and `blocked_nodes` on a witness read a structure with no task
-  left;
+  saturated (those before its resume point by the argument in the
+  `tableau` docstring, the others by the scan itself), and a node with
+  children is never blocked. A graft reads at the successors of the
+  node it has just grafted. The completion audit and `blocked_nodes` on
+  a witness read a structure with no task left;
 - a blocked x is never expanded, and a saturated chain node is expanded
   again only after content is added at it, which drops the entry. Under
   the compiled engine a node is grafted at most once, after every
@@ -292,7 +298,11 @@ class ExtendedForest:
         self.trail = trail
         self.roots: tuple[str, ...] = tuple(roots)
         self.constants: frozenset[str] = frozenset(constants)
-        if len(set(self.roots)) != len(self.roots):
+        if not self.roots:
+            raise StructureError("a forest needs a root")
+        # each root's position in node order; a repeated name shrinks the map
+        self._rank = dict(zip(self.roots, range(len(self.roots))))
+        if len(self._rank) != len(self.roots):
             raise StructureError("duplicate root names")
         self._root_nodes = tuple(NodeId(r) for r in self.roots)
         self._children: dict[NodeId, list[NodeId]] = {
@@ -308,16 +318,51 @@ class ExtendedForest:
         return node in self._children
 
     def nodes(self) -> Iterator[NodeId]:
-        """Deterministic order: roots first (declaration order), then the
-        anonymous interiors of each tree in preorder."""
-        yield from self._root_nodes
+        """Node order: roots first (declaration order), then the
+        anonymous interiors of each tree in preorder. `next_node` is its
+        step and `precedes` compares in it."""
+        step = self.next_node
+        node: Optional[NodeId] = self._root_nodes[0]
+        while node is not None:
+            yield node
+            node = step(node)
+
+    def next_node(self, node: NodeId) -> Optional[NodeId]:
+        """The node after `node` in node order, or None after the last.
+        O(depth): the n-th child has the index n, so the next sibling of
+        a non-root y is `children[parent][y.path[-1]]`."""
+        roots = self._root_nodes
         children = self._children
-        for root in self._root_nodes:
-            stack = children[root][::-1]
-            while stack:
-                node = stack.pop()
-                yield node
-                stack.extend(reversed(children[node]))
+        if node.path:
+            below = children[node]
+            if below:
+                return below[0]
+            while node.path:
+                parent = node._parent
+                siblings = children[parent]
+                if node.path[-1] < len(siblings):
+                    return siblings[node.path[-1]]
+                node = parent
+            start = self._rank[node.root] + 1  # the trees after this one
+        else:
+            start = self._rank[node.root] + 1
+            if start < len(roots):
+                return roots[start]
+            start = 0  # after the last root, the first tree's interior
+        for i in range(start, len(roots)):
+            below = children[roots[i]]
+            if below:
+                return below[0]
+        return None
+
+    def precedes(self, a: NodeId, b: NodeId) -> bool:
+        """Whether node a comes before node b in node order: every root
+        before every interior, and preorder is the order of paths."""
+        if a.root == b.root:
+            return a.path < b.path
+        if bool(a.path) != bool(b.path):
+            return not a.path
+        return self._rank[a.root] < self._rank[b.root]
 
     def add_child(self, node: NodeId) -> NodeId:
         """A new last child of node. Children leave only by this undo,
@@ -538,9 +583,18 @@ class ForestState:
 
     Blocking and the equal-ancestor count are memoized per node (see the
     module docstring): `_blocking` maps a node to whether it is blocked,
-    `_equal` to its equal-ancestor count. Most small searches never ask
-    about a node below a root, so the memo's containers are made by its
-    first write; until then both maps are the shared empty `_NO_ENTRIES`."""
+    `_equal` to its equal-ancestor count. New content at a node drops
+    its descendants' entries and its own, except its own "unblocked"
+    entry. Most small searches never ask about a node below a root, so
+    the memo's containers are made by its first write; until then both
+    maps are the shared empty `_NO_ENTRIES`.
+
+    `resume` is the resume point of the engines' task scan (see the
+    `tableau` docstring), at first the first root: `insert` moves it
+    back to a node that gets content before it. That cut covers node
+    content only; callers change arcs, statuses and children only at
+    the point or after it. Like the memo, it changes through the
+    trail."""
 
     _blocking: Mapping[NodeId, bool] = _NO_ENTRIES
     _equal: Mapping[NodeId, int] = _NO_ENTRIES
@@ -556,6 +610,7 @@ class ForestState:
         self.g = DependencyGraph(self.trail)
         self.free_preds = free_preds
         self.ct: dict[Key, set[Signed]] = {}
+        self.resume: NodeId = self.forest._root_nodes[0]
 
     def content(self, key: Key) -> set[Signed]:
         return self.ct.get(key, set())
@@ -593,12 +648,18 @@ class ForestState:
         self.trail.push(undo)
         if sp.positive:
             self.g.add_vertex(self.atom_for(key, sp.name))
-        # a leaf without memo entries, the common case, has nothing to drop
-        if key.__class__ is NodeId and (
-            key in self._blocking or key in self._equal or self.forest.has_children(key)
-        ):
-            self._forget_subtree(key)
+        if key.__class__ is NodeId:
+            # a leaf without memo entries, the common case, has nothing to drop
+            if self._blocking.get(key) or key in self._equal or self.forest.has_children(key):
+                self._forget_subtree(key)
+            if key is not self.resume and self.forest.precedes(key, self.resume):
+                self.resume_at(key)
         return True
+
+    def resume_at(self, node: NodeId) -> None:
+        """Move the scan's resume point to `node`, undoably."""
+        self.trail.push(partial(setattr, self, "resume", self.resume))
+        self.resume = node
 
     def add_dependency(self, src: GroundAtom, dst: GroundAtom) -> None:
         """Add src -> dst to the dependency graph, which the engines keep
@@ -670,14 +731,19 @@ class ForestState:
         self.trail.push(self._undo_memo)
 
     def _forget_subtree(self, node: NodeId) -> None:
-        """Drop the memo entries of a node whose content grew and of its
-        descendants, whose ancestor contents it changed."""
-        memos = (self._blocking, self._equal)
+        """Drop the memo entries of a node whose content grew, except its
+        "unblocked" entry, and those of its descendants, whose ancestor
+        contents it changed."""
+        blocking, equal = self._blocking, self._equal
         for y in self.forest.subtree(node):
-            for memo in memos:
-                if y in memo:
-                    self._memo_log += (memo, y, memo.pop(y))
-                    self.trail.push(self._undo_memo)
+            if y in blocking and (blocking[y] or y is not node):
+                self._forget(blocking, y)
+            if y in equal:
+                self._forget(equal, y)
+
+    def _forget(self, memo: dict, y: NodeId) -> None:
+        self._memo_log += (memo, y, memo.pop(y))
+        self.trail.push(self._undo_memo)
 
     def blocked_nodes(self) -> list[NodeId]:
         return [x for x in self.forest.nodes() if self.is_blocked(x)]

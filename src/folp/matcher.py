@@ -25,10 +25,12 @@ The driver, the task scan, the redundancy clash and the completion
 audit are those of `tableau.CompletionStructure` and `tableau.decide`;
 this engine supplies `node_task` (match the node) and `is_saturated`
 (grafted). A graft checks the redundancy bound at once, before the
-fail-fast test of its successors: the scan would raise the same clash,
-but only after that test and a scan up to the node. Candidate units are
-tried least constraining first (fewest successors, then smallest path
-sets).
+fail-fast test of its successors: the next scan, which resumes at the
+grafted node, would raise the same clash, but only after that test.
+Grafts add content only at the grafted node and its successors, so on
+one branch the scan does not walk the grafted prefix again. Candidate
+units are tried least constraining first (fewest successors, then
+smallest path sets).
 """
 
 from __future__ import annotations

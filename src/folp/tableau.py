@@ -27,12 +27,37 @@ ancestors raises the redundancy clash instead. The scan tests no
 parent: a node with children is never blocked (children are made only
 while an unblocked node is expanded; then its content only grows, its
 ancestors' contents are total and new arcs only add paths), so each
-ancestor of the node reached, which comes before it, is saturated. The
-scan derives nothing afresh that no mutation changed:
-saturation is two counter reads, kept by `set_status` (expanded entries
-per key, and per node the outgoing arcs whose binary entries are all
-expanded); blocking and the equal-ancestor count come from the memo of
-`ForestState`, which only content inserts invalidate.
+ancestor of the node reached, which comes before it, is saturated.
+
+The scan starts at a resume point, `ForestState.resume`: the first node
+in node order it has not passed, so every node before it is blocked, or
+saturated with fewer than k equal-content ancestors. `next_task` moves
+the point to the node it picks, through the trail, so backtracking
+restores it with the rest of the state. A node before the point stays
+as the scan left it until content is added at it or at an ancestor,
+which comes before it too: a blocked node stays blocked (the memo
+argument of the `forest` docstring), its equal-ancestor count and the
+bound k are fixed, and a saturated node turns unsaturated only by
+content at it or by a change at its arcs, its statuses or its children.
+`insert` covers node content only: it cuts the point back to a node that
+gets content before it. Everything else rests on a precondition that
+callers keep: a node's outgoing arcs (their content included), its
+statuses and its children change only at the resume point or after it. The engines
+keep it, because they change these only at the node being expanded,
+which is at the point, and `checked_next_task` in the tests confirms
+it at every selection. In the engines' searches the cut never fires
+either: content goes to the expanded node and its successors, which
+come after it or are constant roots, and a root before the point is
+saturated, with total unary content, so new content there is a
+contradiction. New children come after the node being expanded.
+
+The scan derives nothing afresh that no mutation changed: it reads
+nothing before the resume point; saturation is two counter reads, kept
+by `set_status` (expanded entries per key, and per node the outgoing
+arcs whose binary entries are all expanded); blocking and the
+equal-ancestor count come from the memo of `ForestState`, which only
+content inserts invalidate.
+
 A negative obligation is refuted one rule instance at a time, and the
 ground instances, each with its ground body, are computed once per
 node, predicate and number of tree children (`_instances`): a negative
@@ -329,14 +354,19 @@ class CompletionStructure(ForestState):
 
     def next_task(self) -> Optional[Task]:
         """The task of the first unblocked unsaturated node in node order,
-        or the redundancy clash before it (see the module docstring)."""
+        or the redundancy clash before it; the scan starts at the resume
+        point and moves it to the node it picks (see the module
+        docstring)."""
         self.check_budget()
-        for x in self.forest.nodes():
-            if self.is_blocked(x):
-                continue
-            if not self.is_saturated(x):
-                return self.node_task(x)
-            self.redundancy_clash(x)
+        x = self.resume
+        while x is not None:
+            if not self.is_blocked(x):
+                if not self.is_saturated(x):
+                    if x is not self.resume:
+                        self.resume_at(x)
+                    return self.node_task(x)
+                self.redundancy_clash(x)
+            x = self.forest.next_node(x)
         return None
 
     def redundancy_clash(self, x: NodeId) -> None:

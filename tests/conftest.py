@@ -53,5 +53,19 @@ def hard():
 
 
 @pytest.fixture(scope="session")
+def deep():
+    """A chain program, constraints eliminated: r is UNSAT only once the
+    forest is k + 1 deep, so at k = 28 its search scans long chains."""
+    return eliminate_constraints(
+        parse_program(
+            "f(X,Y) v not f(X,Y).\n"
+            ":- p(X), f(X,Y).\n"
+            "r(X) :- p(X).\n"
+            "r(X) :- f(X,Y), r(Y).\n"
+        )
+    )
+
+
+@pytest.fixture(scope="session")
 def family():
     return parse_program(bench_family())

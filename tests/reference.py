@@ -2,11 +2,13 @@
 and for the oracle's shortcuts.
 
 The engines keep saturation as counters updated on every status change,
-blocking and the equal-ancestor count in a per-node memo, and (a1) the
-ground rule instances of each negative obligation in a cache; the
-functions here derive the same facts from scratch, so tests can compare
-the two at every step of a real search; `naive_reachable` recomputes the
-dependency graph's reachability. The oracle grounds rules through
+blocking and the equal-ancestor count in a per-node memo, the task scan's
+resume point, and (a1) the ground rule instances of each negative
+obligation in a cache; the functions here derive the same facts from
+scratch, so tests can compare the two at every step of a real search
+(`reference_scan` is the full scan from the first root, with nothing
+memoized); `naive_reachable` recomputes the dependency graph's
+reachability. The oracle grounds rules through
 argument-position templates and picks `bounded_sat`'s witness on bit
 masks; `reference_ground` and `reference_bounded_sat` are the plain
 substitution route and the definition. Unit redundancy is decided by a
@@ -17,7 +19,7 @@ unit to the direct engine's completion conditions.
 
 import itertools
 
-from folp.forest import NodeId, Signed
+from folp.forest import ClashError, NodeId, Signed
 from folp.matcher import A2CompletionStructure
 from folp.oracle import GroundProgram, GroundRule, Universe, _rule_variables, answer_sets
 from folp.syntax import Inequality, RuleKind, binary_shape, unary_shape
@@ -52,6 +54,57 @@ def assert_memo_agrees(cs, x) -> None:
     those a fresh computation gives."""
     assert cs.is_blocked(x) == (cs.find_blocking_pair(x) is not None), str(x)
     assert cs.equal_ancestor_count(x) == reference_equal_ancestor_count(cs, x), str(x)
+
+
+def reference_scan(cs, saturated) -> tuple:
+    """The task scan from the first root, uncached: blocking by
+    `find_blocking_pair`, the equal-ancestor count afresh, saturation by
+    `saturated(cs, x)`. Returns the outcome and the nodes read, in
+    order. The outcome is (x, False) for the first unblocked unsaturated
+    node x, (x, True) when a saturated unblocked node x before it has k
+    or more equal-content ancestors, and (None, False) when there is
+    neither; x is the last node read. Every node read must have all its
+    proper ancestors saturated."""
+    passed = []
+    for x in cs.forest.nodes():
+        assert all(saturated(cs, y) for y in x.ancestors()), str(x)
+        passed.append(x)
+        if cs.find_blocking_pair(x) is not None:
+            continue
+        if not saturated(cs, x):
+            return (x, False), passed
+        if reference_equal_ancestor_count(cs, x) >= cs.k:
+            return (x, True), passed
+    return (None, False), passed
+
+
+def checked_next_task(cs, saturated, scan):
+    """`scan()`, the engine's resumed task scan, checked against
+    `reference_scan`: both pick the same node (the resume point after
+    the scan), raise the redundancy clash at the same node, or find no
+    task. The memo is compared with a fresh computation only where the
+    engines may read it, at the nodes the reference scan passes. The
+    class of `cs` counts the selections in `scans` and the nodes at
+    which the memo was compared in `memo_checks`."""
+    (expected, clash), passed = reference_scan(cs, saturated)
+    for x in passed:
+        assert_memo_agrees(cs, x)
+    counts = type(cs)
+    counts.scans += 1
+    counts.memo_checks += len(passed)
+    events = len(cs.stats.redundancy_events)
+    try:
+        task = scan()
+    except ClashError:
+        assert clash, (str(expected), "clash")
+        assert [e["node"] for e in cs.stats.redundancy_events[events:]] == [str(expected)]
+        raise
+    assert not clash, (str(expected), "no clash")
+    if task is None:
+        assert expected is None, str(expected)
+    else:
+        assert cs.resume is expected, (str(cs.resume), str(expected))
+    return task
 
 
 def reference_pending_instances(cs: A1CompletionStructure, x, p: str, okey) -> list:
@@ -101,23 +154,23 @@ def assert_first_pending_agrees(cs: A1CompletionStructure, okey) -> None:
 
 
 def checked_a1() -> type:
-    """A fresh subclass of the direct engine's structure that, before
-    every task selection, asserts at every node that the memo and the
-    saturation counters agree with the references, and at every
-    negative expansion, unary or binary, and every refuted instance that
-    the instance cache does; `checks` counts the nodes compared,
-    `pending_checks` the obligations."""
+    """A fresh subclass of the direct engine's structure that, at every
+    task selection, asserts at every node that the saturation counters
+    agree with the reference and checks the scan and the memo
+    (`checked_next_task`), and at every negative expansion, unary or
+    binary, and every refuted instance that the instance cache agrees;
+    `checks` counts the nodes whose saturation was compared,
+    `pending_checks` the obligations, `scans` and `memo_checks` as in
+    `checked_next_task`."""
 
     class CheckedA1(A1CompletionStructure):
-        checks = 0
-        pending_checks = 0
+        checks = scans = memo_checks = pending_checks = 0
 
         def next_task(self):
             for x in self.forest.nodes():
-                assert_memo_agrees(self, x)
                 assert self.is_saturated(x) == reference_is_saturated(self, x), str(x)
                 CheckedA1.checks += 1
-            return super().next_task()
+            return checked_next_task(self, reference_is_saturated, super().next_task)
 
         def expand_unary_negative(self, x, p):
             okey = (x, Signed(p, False))
@@ -139,17 +192,18 @@ def checked_a1() -> type:
 
 
 def checked_a2() -> type:
-    """The same for the compiled engine's structure, which shares the
-    memo and its one rule and has no saturation counters."""
+    """The same scan and memo checks for the compiled engine's
+    structure, which shares the scan, the memo and its one rule and has
+    no saturation counters; `scans` and `memo_checks` as in
+    `checked_next_task`."""
 
     class CheckedA2(A2CompletionStructure):
-        checks = 0
+        scans = memo_checks = 0
 
         def next_task(self):
-            for x in self.forest.nodes():
-                assert_memo_agrees(self, x)
-                CheckedA2.checks += 1
-            return super().next_task()
+            return checked_next_task(
+                self, A2CompletionStructure.is_saturated, super().next_task
+            )
 
     return CheckedA2
 

@@ -329,9 +329,11 @@ def test_oracle_witnesses_match_their_definition_on_corpus(corpus_run):
 
 def test_counter_saturation_matches_recomputation_on_corpus(corpus_run, monkeypatch):
     """At every task selection of every corpus search of both engines,
-    unit enumeration included, the saturation counters and the blocking
-    memo agree with a full recomputation, so does the instance cache at
-    every negative expansion, and the searches come out as before."""
+    the resumed scan agrees with a full uncached scan, the blocking memo
+    with a full recomputation wherever the scan may read it and the
+    saturation counters with one at every node; the instance cache
+    agrees at every negative expansion, unit enumeration included, and
+    the searches come out as before."""
     checked = checked_a1()
     checked2 = checked_a2()
     monkeypatch.setattr(tableau, "A1CompletionStructure", checked)
@@ -347,5 +349,5 @@ def test_counter_saturation_matches_recomputation_on_corpus(corpus_run, monkeypa
         for pred, verdict in entry.a2.items():
             again = check_sat_a2(entry.transformed, pred, entry.cache, policy)
             assert again.to_record() == verdict.to_record()
-    assert checked.checks > 0 and checked2.checks > 0
+    assert checked.checks > 0 and checked.scans > 0 and checked2.scans > 0
     assert checked.pending_checks > 0

@@ -7,6 +7,7 @@ import pytest
 from folp.forest import (
     ClashError,
     DependencyGraph,
+    ExtendedForest,
     ForestState,
     GroundAtom,
     NodeId,
@@ -386,6 +387,112 @@ def test_blocking_memo_restored_by_undo():
                         1 for y in node.ancestors() if state.content(y) == content
                     )
     assert undos > 50 and blocked > 50
+
+
+def test_content_keeps_a_nodes_own_unblocked_entry_only():
+    """New content at a node drops its "blocked" entry and its
+    equal-ancestor count, and every entry below it, but keeps its own
+    "unblocked" entry, which the content cannot falsify."""
+    state = ForestState(["x"], [], frozenset())
+    x = NodeId("x")
+    child = state.forest.add_child(x)
+    grandchild = state.forest.add_child(child)
+    state.insert(x, Signed("p", True))
+    state.insert(child, Signed("q", True))
+    for node in (child, grandchild):
+        state.is_blocked(node)
+        state.equal_ancestor_count(node)
+    assert state._blocking == {child: False, grandchild: True}
+    state.insert(child, Signed("r", True))
+    assert state._blocking == {child: False} and state._equal == {}
+    assert not state.is_blocked(child) and state.is_blocked(grandchild)
+    state.insert(grandchild, Signed("s", True))
+    assert grandchild not in state._blocking
+    assert not state.is_blocked(grandchild)
+
+
+def _fresh_order(forest) -> list:
+    """Node order built afresh: the roots, then each tree's interior
+    depth first, children in index order."""
+    roots = [NodeId(r) for r in forest.roots]
+    order = list(roots)
+
+    def visit(node):
+        for child in forest.children(node):
+            order.append(child)
+            visit(child)
+
+    for root in roots:
+        visit(root)
+    return order
+
+
+def test_next_node_and_precedes_agree_with_a_fresh_walk():
+    """Over seeded sequences of `add_child` and `undo_to`, `nodes()`,
+    which walks the `next_node` step, and the `precedes` test follow
+    the order of a fresh depth-first walk, also with trees left empty
+    between others."""
+    rng = random.Random(5)
+    steps = 0
+    for _ in range(12):
+        forest = ExtendedForest(["x", "a", "b"], ["a", "b"], Trail())
+        marks = []
+        for _ in range(rng.randint(5, 40)):
+            order = _fresh_order(forest)
+            if rng.random() < 0.25 and marks:
+                i = rng.randrange(len(marks))
+                forest.trail.undo_to(marks[i])
+                del marks[i:]
+            else:
+                marks.append(forest.trail.mark())
+                forest.add_child(rng.choice(order))
+            order = _fresh_order(forest)
+            assert list(forest.nodes()) == order
+            for i, a in enumerate(order):
+                assert [forest.precedes(a, b) for b in order] == [i < j for j in range(len(order))]
+            steps += 1
+    assert steps > 100
+    with pytest.raises(StructureError):
+        ExtendedForest([], [], Trail())
+
+
+def test_resume_point_restored_by_undo_and_cut_by_earlier_content():
+    """Seeded walks that grow the forest, move the resume point on to a
+    later node as the scan does, and insert content at any node,
+    constant roots included: content at a node before the resume point
+    moves it back to that node, other content leaves it, and
+    `undo_to(mark)` restores the resume point valid at `mark`."""
+    rng = random.Random(7)
+    undos = constant_cuts = 0
+    for _ in range(30):
+        state = ForestState(["x", "a", "b"], ["a", "b"], frozenset())
+        assert state.resume == NodeId("x")
+        history = [(state.trail.mark(), state.resume)]
+        for _ in range(rng.randint(10, 50)):
+            order = _fresh_order(state.forest)
+            roll = rng.random()
+            if roll < 0.15 and len(history) > 1:
+                i = rng.randrange(len(history))
+                mark, resume = history[i]
+                state.trail.undo_to(mark)
+                assert state.resume is resume
+                del history[i + 1:]
+                undos += 1
+                continue
+            if roll < 0.4:
+                state.forest.add_child(rng.choice(order))
+            elif roll < 0.6:
+                later = order[order.index(state.resume) + 1:]
+                if later:
+                    state.resume_at(rng.choice(later))
+            else:
+                node, before = rng.choice(order), state.resume
+                if state.insert(node, Signed(rng.choice("pqrs"), True)):
+                    cut = order.index(node) < order.index(before)
+                    assert state.resume is (node if cut else before)
+                    constant_cuts += cut and node.is_root
+            history.append((state.trail.mark(), state.resume))
+    assert undos > 20 and constant_cuts > 20
 
 
 def test_induced_interpretation_of_a_flat_structure():

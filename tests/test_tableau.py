@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from folp import tableau
@@ -9,8 +11,10 @@ from folp.tableau import (
     EXP,
     UNEXP,
     A1CompletionStructure,
+    CompletionStructure,
     EngineBudgetError,
     RedundancyPolicy,
+    Task,
     VerdictKind,
     check_sat_a1,
     redundancy_bound,
@@ -407,14 +411,16 @@ def test_refutation_descriptions_write_arcs_as_forest_keys():
 def test_hard_search_is_pinned_and_saturation_matches_reference(hard, monkeypatch):
     """The hard program's exhaustive search, task for task: the verdict
     record is pinned, at every task selection the saturation counters
-    and the blocking memo agree with a full recomputation at every node,
-    and at every negative expansion the cached first pending instance
-    agrees with a fresh re-grounding."""
+    agree with a full recomputation at every node, the resumed scan with
+    a full uncached scan and the blocking memo with a full recomputation
+    at every node the scan may read it, and at every negative expansion
+    the cached first pending instance agrees with a fresh re-grounding."""
     checked = checked_a1()
     monkeypatch.setattr(tableau, "A1CompletionStructure", checked)
     verdict = check_sat_a1(hard, "p", RedundancyPolicy(k_override=5))
     assert verdict.to_record() == HARD_P_A1
     assert checked.checks > 13169
+    assert checked.scans > 0 and checked.memo_checks > 0
     assert checked.pending_checks > 0
 
 
@@ -424,7 +430,85 @@ def test_family_goal_search_is_pinned(family, monkeypatch):
     verdict = check_sat_a1(family, "goal")
     assert verdict.to_record() == FAMILY_GOAL_A1
     assert checked.checks > 8125
+    assert checked.scans > 0 and checked.memo_checks > 0
     assert checked.pending_checks > 4000
+
+
+# scan reads per query, pinned so that a scan that again starts from the
+# first root before every task fails here (it read 55,085 and 46,923 on
+# hard p, 3,830 and 3,457 over deep p and r)
+SCAN_READS = {
+    ("hard", "p"): {"is_saturated": 9427, "equal_ancestor_count": 1265},
+    ("deep", "p"): {"is_saturated": 1, "equal_ancestor_count": 0},
+    ("deep", "r"): {"is_saturated": 432, "equal_ancestor_count": 60},
+}
+
+
+def test_scan_reads_are_pinned(hard, deep, monkeypatch):
+    """The resumed scan's reads of saturation and of the equal-ancestor
+    count, counted inside `next_task` on the hard and deep searches."""
+    reads = Counter()
+
+    class Counting(A1CompletionStructure):
+        scanning = False
+
+        def next_task(self):
+            self.scanning = True
+            try:
+                return super().next_task()
+            finally:
+                self.scanning = False
+
+        def is_saturated(self, x):
+            reads["is_saturated"] += self.scanning
+            return super().is_saturated(x)
+
+        def equal_ancestor_count(self, x):
+            reads["equal_ancestor_count"] += self.scanning
+            return super().equal_ancestor_count(x)
+
+    monkeypatch.setattr(tableau, "A1CompletionStructure", Counting)
+    programs = {"hard": (hard, 5), "deep": (deep, 28)}
+    for (name, pred), expected in SCAN_READS.items():
+        program, k = programs[name]
+        reads.clear()
+        check_sat_a1(program, pred, RedundancyPolicy(k_override=k))
+        assert {key: reads[key] for key in expected} == expected, (name, pred)
+
+
+DONE, AGAIN = Signed("done", True), Signed("again", True)
+
+
+class _ScanOnly(CompletionStructure):
+    """The shared scan over a hand-built structure: a node is saturated
+    while it holds `done` and not `again`, and its task only names it."""
+
+    def is_saturated(self, x):
+        content = self.content(x)
+        return DONE in content and AGAIN not in content
+
+    def node_task(self, x):
+        return Task("at {}", (x,), [])
+
+
+def test_content_before_the_resume_point_makes_the_scan_pick_it_again():
+    """Once the scan has passed the constant a, new content at a cuts
+    the resume point back to it and the next scan picks a; undoing the
+    content restores the resume point and the pick."""
+    cs = _ScanOnly(parse_program("p(a).\n"))
+    x, a = cs.epsilon, NodeId("a")
+    cs.insert(x, DONE)
+    cs.insert(a, DONE)
+    child = cs.forest.add_child(x)
+    cs.insert(child, Signed("c", True))  # unblocked: x holds no c
+    assert cs.next_task().args == (child,) and cs.resume is child
+    mark = cs.trail.mark()
+    cs.insert(a, AGAIN)
+    assert cs.resume is a
+    assert cs.next_task().args == (a,) and cs.resume is a
+    cs.trail.undo_to(mark)
+    assert cs.resume is child
+    assert cs.next_task().args == (child,)
 
 
 def test_instance_cache_survives_undoing_and_recreating_a_child():
