@@ -9,23 +9,31 @@ tableau machinery and works on plain string universes. A returned `None`
 from `bounded_sat` is *not* an unsatisfiability proof; open domains may
 require larger (or infinite) universes.
 
-Candidate checks share nothing mutable; enumeration per universe is
-exhaustive, and results are merged with a deterministic tie-break
+Enumeration per universe is exhaustive, and results are merged with a deterministic tie-break
 (smallest universe, then smallest interpretation, then lexicographic).
 
-Within one universe the answer sets are bit masks over the sorted ground
-atoms, so a mask's atoms in bit order are its atoms in sorted order.
-`answer_sets` sorts every answer set by (cardinality, sorted atoms);
-`bounded_sat` computes the first of them that holds a `pred` atom on
-the masks alone: it keeps the masks that meet the `pred` atoms' mask,
-then those with the fewest set bits, and returns the one whose atom list
-is least, the only interpretation it builds.
+Within one universe the reduct depends on a candidate only through its
+relevant atoms (those under naf in some body, and free-rule heads), so there are 2^n_rel candidates for
+n_rel relevant atoms; `OracleBudgetError` is raised when that exceeds
+the budget. All candidates are evaluated at once, bit-sliced: each
+ground atom has a column, a Python int whose bit c says whether the
+atom is in the least model M_c of candidate c's reduct. Candidate c
+puts the i-th relevant atom into S exactly when bit i of c is set, so
+that atom's S column is a fixed pattern (2^i zeros, then 2^i ones,
+repeated). A ground rule fires under a condition column (a choice
+rule: its head's S column; any other rule: the AND of ~S over its
+negative atoms), and the least models are one fixpoint over all
+columns: `col[head] |= cond & col[p1] & ...` until no column changes.
+The answer sets are the candidates whose columns agree with S on every
+relevant atom and that violate no constraint.
 
-The candidate scan runs in pure Python when the universe has more than
-63 ground atoms (the numpy scan packs a candidate into one uint64) or
-at most `PYTHON_SCAN_MAX_RELEVANT` relevant atoms (at most 64
-candidates, where numpy's per-call cost outweighs its work); numpy
-scans the rest.
+An answer set is a bit mask over the sorted ground atoms, so a mask's
+atoms in bit order are its atoms in sorted order. `answer_sets` sorts
+every answer set by (cardinality, sorted atoms); `bounded_sat` computes
+the first of them that holds a `pred` atom on the columns alone: it
+keeps the candidates whose model holds a `pred` atom, then those with
+the fewest atoms (a bit-sliced counter over the columns), then the one
+whose sorted atom list is least, and builds only that interpretation.
 """
 
 from __future__ import annotations
@@ -34,8 +42,6 @@ import itertools
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Optional
-
-import numpy as np
 
 from .syntax import (
     FolpError,
@@ -50,9 +56,6 @@ from .syntax import (
 OAtom = tuple[str, tuple[str, ...]]
 
 DEFAULT_BUDGET = 2**22
-
-# Relevant-atom count up to which the pure-Python scan is the faster one.
-PYTHON_SCAN_MAX_RELEVANT = 6
 
 
 class OracleBudgetError(FolpError):
@@ -325,116 +328,100 @@ class _GroundIndex:
                 relevant.add(rule.head)
         self.relevant: list[OAtom] = sorted(relevant)
 
-    def mask(self, atoms: Iterable[OAtom]) -> int:
-        m = 0
-        for a in atoms:
-            m |= 1 << self.index[a]
-        return m
-
     def atoms_of(self, mask: int) -> list[OAtom]:
         """The atoms of a mask in bit order, which is sorted order."""
         return [a for i, a in enumerate(self.atoms) if mask >> i & 1]
 
 
-def _model_masks(
+def _ones(x: int) -> list[int]:
+    """The positions of the set bits of x, ascending."""
+    digits = bin(x)[:1:-1]  # least significant first
+    out = []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out
+
+
+def _columns(
     program: Program, universe: Universe, budget: int
-) -> tuple[_GroundIndex, list[int]]:
-    """The grounding's index and the answer sets over the universe as
-    masks of its atom bits, in scan order."""
+) -> tuple[_GroundIndex, list[int], int]:
+    """The grounding's index, the column of each of its atoms (bit c:
+    the atom is in the least model M_c of candidate c's reduct), and the
+    column of the candidates whose M_c is an answer set."""
     idx = _GroundIndex(program, universe)
     n_rel = len(idx.relevant)
     if 2**n_rel > budget:
         raise OracleBudgetError(
             f"{2 ** n_rel} reduct candidates exceed the budget of {budget}"
         )
-    rel_bits = [idx.index[a] for a in idx.relevant]
+    index = idx.index
+    full = (1 << 2**n_rel) - 1
+    s_col: dict[int, int] = {}  # atom position -> its S column
+    for i, atom in enumerate(idx.relevant):
+        h = 2**i
+        s_col[index[atom]] = (((1 << h) - 1) << h) * (full // ((1 << 2 * h) - 1))
 
-    derive = []  # (head_bit, pos_mask, sel_have, sel_lack) over global bits
-    constraints = []  # (pos_mask, neg_mask)
+    col = [0] * len(idx.atoms)
+    rules = []  # (head, cond, positive body), all atom positions but cond
+    constraints = []  # (positive body, S columns of the negative body)
     for rule in idx.gp.rules:
+        pos = [index[a] for a in rule.pos]
         if rule.head is None:
-            constraints.append((idx.mask(rule.pos), idx.mask(rule.neg)))
-        elif rule.choice:
-            bit = idx.mask([rule.head])
-            derive.append((bit, 0, bit, 0))
+            constraints.append((pos, [s_col[index[a]] for a in rule.neg]))
+            continue
+        head = index[rule.head]
+        if head in pos:
+            continue  # never fires before its head holds
+        if rule.choice:
+            cond = s_col[head]
         else:
-            derive.append(
-                (idx.mask([rule.head]), idx.mask(rule.pos), 0, idx.mask(rule.neg))
-            )
+            cond = full
+            for a in rule.neg:
+                cond &= ~s_col[index[a]]
+        if pos:
+            rules.append((head, cond, pos))
+        else:
+            col[head] |= cond
 
-    if len(idx.atoms) > 63 or n_rel <= PYTHON_SCAN_MAX_RELEVANT:
-        models = _scan_python(n_rel, rel_bits, derive, constraints)
-    else:
-        models = _scan_numpy(n_rel, rel_bits, derive, constraints)
-    return idx, models
-
-
-def _scan_numpy(n_rel, rel_bits, derive, constraints) -> list[int]:
-    u64 = np.uint64
-    count = 1 << n_rel
-    compact = np.arange(count, dtype=u64)
-    # scatter compact S bits onto the global atom bit positions
-    s_global = np.zeros(count, dtype=u64)
-    for i, g in enumerate(rel_bits):
-        s_global |= ((compact >> u64(i)) & u64(1)) << u64(g)
-    model = np.zeros(count, dtype=u64)
-    rules = [
-        (u64(h), u64(p), u64(sh), u64(sl)) for (h, p, sh, sl) in derive
-    ]
     changed = True
     while changed:
         changed = False
-        for head, pos, sel_have, sel_lack in rules:
-            fire = (
-                ((s_global & sel_have) == sel_have)
-                & ((s_global & sel_lack) == u64(0))
-                & ((model & pos) == pos)
-                & ((model & head) != head)
-            )
-            if fire.any():
-                model[fire] |= head
+        for head, cond, pos in rules:
+            fire = cond
+            for p in pos:
+                fire &= col[p]
+            old = col[head]
+            if fire | old != old:
+                col[head] = fire | old
                 changed = True
-    rel_mask = u64(0)
-    for g in rel_bits:
-        rel_mask |= u64(1) << u64(g)
-    valid = (model & rel_mask) == s_global
-    for cpos, cneg in constraints:
-        violated = ((model & u64(cpos)) == u64(cpos)) & (
-            (model & u64(cneg)) == u64(0)
-        )
-        valid &= ~violated
-    return [int(m) for m in model[valid]]
+
+    valid = full
+    for position, s in s_col.items():
+        valid &= ~(col[position] ^ s)
+    for pos, neg in constraints:
+        body = valid
+        for p in pos:
+            body &= col[p]
+        for s in neg:
+            body &= ~s
+        valid &= ~body
+    return idx, col, valid
 
 
-def _scan_python(n_rel, rel_bits, derive, constraints) -> list[int]:
-    rel_mask = 0
-    for g in rel_bits:
-        rel_mask |= 1 << g
-    models = []
-    for compact in range(1 << n_rel):
-        s = 0
-        for i, g in enumerate(rel_bits):
-            if compact >> i & 1:
-                s |= 1 << g
-        active = [
-            (h, p)
-            for (h, p, sh, sl) in derive
-            if (s & sh) == sh and (s & sl) == 0
-        ]
-        m = 0
-        changed = True
-        while changed:
-            changed = False
-            for head, pos in active:
-                if (m & pos) == pos and (m & head) != head:
-                    m |= head
-                    changed = True
-        if (m & rel_mask) != s:
-            continue
-        if any((m & cp) == cp and (m & cn) == 0 for cp, cn in constraints):
-            continue
-        models.append(m)
-    return models
+def _model_masks(
+    program: Program, universe: Universe, budget: int
+) -> tuple[_GroundIndex, list[int]]:
+    """The grounding's index and the answer sets over the universe as
+    masks of its atom bits, in ascending candidate order."""
+    idx, col, valid = _columns(program, universe, budget)
+    masks = dict.fromkeys(_ones(valid), 0)
+    for i, column in enumerate(col):
+        bit = 1 << i
+        for c in _ones(column & valid):
+            masks[c] |= bit
+    return idx, list(masks.values())
 
 
 def answer_sets(
@@ -466,13 +453,35 @@ def bounded_sat(
         raise ValueError(f"max_size {max_size} below the minimum {min_size}")
     for size in range(min_size, max_size + 1):
         universe = Universe.for_program(program, size)
-        idx, models = _model_masks(program, universe, budget)
-        pred_mask = idx.mask(a for a in idx.atoms if a[0] == pred)
-        hits = [m for m in models if m & pred_mask]
-        if hits:
-            fewest = min(m.bit_count() for m in hits)
-            # atom lists in bit order are sorted, so `min` compares them
-            # as `sorted` would the sets
-            atoms = min(idx.atoms_of(m) for m in hits if m.bit_count() == fewest)
-            return OpenInterpretation(universe, frozenset(atoms))
+        idx, col, valid = _columns(program, universe, budget)
+        least = 0  # the candidates left: first those with a `pred` atom
+        for atom, column in zip(idx.atoms, col):
+            if atom[0] == pred:
+                least |= column
+        least &= valid
+        if not least:
+            continue
+        # a bit-sliced counter: bit c of count[j] is bit j of the number
+        # of atoms in M_c
+        count: list[int] = []
+        for column in col:
+            carry = column & least
+            for j, digit in enumerate(count):
+                if not carry:
+                    break
+                count[j], carry = digit ^ carry, digit & carry
+            if carry:
+                count.append(carry)
+        for digit in reversed(count):  # keep the fewest atoms
+            if least & ~digit:
+                least &= ~digit
+        # of equally many atoms, the least sorted list holds the least
+        # atom of the symmetric difference: keep the holders of each
+        # atom in turn
+        for column in col:
+            if least & column:
+                least &= column
+        c = least.bit_length() - 1
+        atoms = [a for a, column in zip(idx.atoms, col) if column >> c & 1]
+        return OpenInterpretation(universe, frozenset(atoms))
     return None

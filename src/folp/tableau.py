@@ -107,6 +107,7 @@ from .syntax import (
     FolpError,
     Literal,
     Program,
+    Rule,
     RuleKind,
     UnaryShape,
     binary_shape,
@@ -233,6 +234,21 @@ def anonymous_root_name(constants: Iterable[str]) -> str:
 
 def signed_of(lit: Literal) -> Signed:
     return Signed(lit.atom.pred, lit.positive)
+
+
+# a rule body's signed beta and, per successor, its signed gamma and delta
+_Signeds = tuple[Signed, ...]
+_SignedBody = tuple[_Signeds, tuple[tuple[_Signeds, _Signeds], ...]]
+
+
+def _signed_body(shape: UnaryShape | BinaryShape) -> _SignedBody:
+    """The literals of a rule's shape as signed predicates; a binary
+    shape has one successor."""
+    specs = (shape,) if shape.__class__ is BinaryShape else shape.successors
+    return tuple(map(signed_of, shape.beta)), tuple(
+        (tuple(map(signed_of, spec.gamma)), tuple(map(signed_of, spec.delta)))
+        for spec in specs
+    )
 
 
 @dataclass(slots=True)
@@ -390,27 +406,33 @@ class CompletionStructure(ForestState):
 
     def is_complete_clash_free(self) -> bool:
         """Acyclic dependency graph, every unblocked node saturated and
-        not redundant; blocking is read from the exact memo. Both engines'
-        structures also keep every tree arc of a saturated node positive."""
-        assert self.arc_positivity_ok()
-        if self.g.has_cycle():
-            return False
-        for x in self.forest.nodes():
-            if self.is_blocked(x):
-                continue
-            if not self.is_saturated(x) or self.is_redundant_node(x):
-                return False
-        return True
+        not redundant; blocking is read from the exact memo. One walk
+        over the nodes decides it and asserts `arc_positivity_ok` at
+        every saturated node; it reads blocking only until the first
+        node that fails."""
+        complete = not self.g.has_cycle()
+        forest = self.forest
+        for x in forest.nodes():
+            saturated = self.is_saturated(x)
+            assert not saturated or all(
+                self._positive_arc(x, y) for y in forest.children(x)
+            ), f"a tree arc from the saturated node {x} has no positive entry"
+            if complete and not self.is_blocked(x):
+                # saturated and not redundant (`is_redundant_node`)
+                complete = saturated and self.equal_ancestor_count(x) < self.k
+        return complete
 
     def arc_positivity_ok(self) -> bool:
         """Every tree arc of a saturated source carries a positive binary
         predicate (a tree successor exists only to support such an atom)."""
-        for x, y in self.forest.tree_arcs():
-            if not self.is_saturated(x):
-                continue
-            if not any(sp.positive for sp in self.content((x, y))):
-                return False
-        return True
+        return all(
+            self._positive_arc(x, y)
+            for x, y in self.forest.tree_arcs()
+            if self.is_saturated(x)
+        )
+
+    def _positive_arc(self, x: NodeId, y: NodeId) -> bool:
+        return any(sp.positive for sp in self.content((x, y)))
 
     def keep_as_witness(self) -> None:
         """Drop what only the search needs (see the module docstring)."""
@@ -439,6 +461,7 @@ class A1CompletionStructure(CompletionStructure):
         self._n_bpreds = len(program.bpreds)
         self.handled: dict[tuple[Key, Signed], set] = {}
         self._instance_cache: dict[tuple[NodeId, str, int], list] = {}
+        self._shapes: dict[Rule, tuple] = {}
         if pred is not None:
             self.insert_tracked(self.epsilon, Signed(pred, True))
 
@@ -595,15 +618,15 @@ class A1CompletionStructure(CompletionStructure):
             if rule.kind is RuleKind.FREE:
                 how, bodies = " by choice rule", [()]
             elif arc:
-                bodies = [self._ground_body(key[0], binary_shape(rule), key[1:])]
+                bodies = [self._ground_body(key[0], self._shape(rule)[1], key[1:])]
             else:
-                shape = unary_shape(rule)
+                shape, body = self._shape(rule)
                 # one-shot lazy bodies (run_search applies an alternative
                 # once): a fresh successor is made just before its literals
                 materialize = partial(self._materialize, key)
                 bodies = []
                 for binding in self._groundings(key, shape):
-                    bodies.append(self._ground_body(key, shape, map(materialize, binding)))
+                    bodies.append(self._ground_body(key, body, map(materialize, binding)))
             for body in bodies:
                 alternatives.append(
                     Alternative(
@@ -713,14 +736,13 @@ class A1CompletionStructure(CompletionStructure):
                     continue  # a choice rule never forces the atom
                 if not all(map(self._head_matches_node, rule.head.args, ends)):
                     continue
+                shape, body = self._shape(rule)
                 if key.__class__ is tuple:
-                    body = self._ground_body(key[0], binary_shape(rule), key[1:])
-                    instances.append((rule_index, list(body)))
+                    instances.append((rule_index, list(self._ground_body(key[0], body, key[1:]))))
                     continue
-                shape = unary_shape(rule)
                 for targets in self._instance_groundings(key, shape):
                     instances.append(
-                        ((rule_index, targets), list(self._ground_body(key, shape, targets)))
+                        ((rule_index, targets), list(self._ground_body(key, body, targets)))
                     )
             self._instance_cache[cache_key] = instances
         return instances
@@ -738,24 +760,35 @@ class A1CompletionStructure(CompletionStructure):
                 return instance
         return None
 
+    def _shape(self, rule: Rule) -> tuple[UnaryShape | BinaryShape, _SignedBody]:
+        """The shape of a unary or binary rule and its signed literals,
+        made once per rule and structure. The shape caches of `syntax`
+        compare a rule field by field with an equal one of an earlier
+        parse of the program; this table finds a rule by identity."""
+        entry = self._shapes.get(rule)
+        if entry is None:
+            shape = binary_shape(rule) if rule.kind is RuleKind.BINARY else unary_shape(rule)
+            entry = self._shapes[rule] = (shape, _signed_body(shape))
+        return entry
+
     @staticmethod
     def _ground_body(
-        x: NodeId, shape: UnaryShape | BinaryShape, targets: Iterable[NodeId]
+        x: NodeId, body: _SignedBody, targets: Iterable[NodeId]
     ) -> Iterator[tuple[Key, Signed]]:
         """The body literals of a rule instance at x, or at the arc from x
         to the one target of a binary rule, each with its node or arc:
-        beta, then per successor its gamma and its delta. A target is
-        taken from `targets` only when its successor's literals are due."""
-        for lit in shape.beta:
-            yield x, signed_of(lit)
-        # a binary shape has the gamma and delta of its one successor
-        specs = (shape,) if shape.__class__ is BinaryShape else shape.successors
-        for spec, y in zip(specs, targets):
+        beta, then per successor its gamma and its delta (`_signed_body`).
+        A target is taken from `targets` only when its successor's
+        literals are due."""
+        beta, successors = body
+        for sp in beta:
+            yield x, sp
+        for (gamma, delta), y in zip(successors, targets):
             arc = (x, y)
-            for lit in spec.gamma:
-                yield arc, signed_of(lit)
-            for lit in spec.delta:
-                yield y, signed_of(lit)
+            for sp in gamma:
+                yield arc, sp
+            for sp in delta:
+                yield y, sp
 
     def _finish_instance(self, okey, instance_key) -> None:
         self._mark_handled(okey, instance_key)

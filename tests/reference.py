@@ -8,21 +8,29 @@ obligation in a cache; the functions here derive the same facts from
 scratch, so tests can compare the two at every step of a real search
 (`reference_scan` is the full scan from the first root, with nothing
 memoized); `naive_reachable` recomputes the dependency graph's
-reachability. The oracle grounds rules through
-argument-position templates and picks `bounded_sat`'s witness on bit
-masks; `reference_ground` and `reference_bounded_sat` are the plain
-substitution route and the definition. Unit redundancy is decided by a
-backtracking injection; `reference_is_redundant_ucs` tries every
-permutation. `unit_as_structure` and `passes_a1_completion_check` hold a
-unit to the direct engine's completion conditions.
+reachability. The oracle grounds rules through argument-position
+templates, evaluates every reduct candidate at once in bit-sliced
+columns and picks `bounded_sat`'s witness on those columns;
+`reference_ground` is the plain substitution route,
+`reference_model_masks` the scan one candidate at a time, and
+`reference_bounded_sat` the definition on top of it. Unit redundancy is
+decided by a backtracking injection; `reference_is_redundant_ucs` tries
+every permutation. `unit_as_structure` and `passes_a1_completion_check`
+hold a unit to the direct engine's completion conditions.
 """
 
 import itertools
 
 from folp.forest import ClashError, NodeId, Signed
 from folp.matcher import A2CompletionStructure
-from folp.oracle import GroundProgram, GroundRule, Universe, _rule_variables, answer_sets
-from folp.syntax import Inequality, RuleKind, binary_shape, unary_shape
+from folp.oracle import (
+    GroundProgram,
+    GroundRule,
+    OpenInterpretation,
+    Universe,
+    _rule_variables,
+)
+from folp.syntax import BinaryShape, Inequality, RuleKind, binary_shape, unary_shape
 from folp.tableau import EXP, A1CompletionStructure
 from folp.units import ground_atom
 
@@ -147,10 +155,26 @@ def assert_first_pending_agrees(cs: A1CompletionStructure, okey) -> None:
         return
     instance_key, shape, targets = pending[0]
     if targets is None:  # an arc: the rule's one target is its second end
-        body = list(cs._ground_body(x[0], shape, x[1:]))
+        body = reference_ground_body(x[0], shape, x[1:])
     else:
-        body = list(cs._ground_body(x, shape, targets))
+        body = reference_ground_body(x, shape, targets)
     assert first == (instance_key, body), (str(x), sp)
+
+
+def reference_ground_body(x, shape, targets) -> list:
+    """The body literals of a rule instance at x (of a binary rule: at
+    the arc from x to its one target), each signed afresh from the shape
+    with its node or arc: beta, then per successor its gamma and its
+    delta."""
+    def signed(lit):
+        return Signed(lit.atom.pred, lit.positive)
+
+    body = [(x, signed(lit)) for lit in shape.beta]
+    specs = (shape,) if isinstance(shape, BinaryShape) else shape.successors
+    for spec, y in zip(specs, targets):
+        body += [((x, y), signed(lit)) for lit in spec.gamma]
+        body += [(y, signed(lit)) for lit in spec.delta]
+    return body
 
 
 def checked_a1() -> type:
@@ -268,14 +292,77 @@ def reference_ground(program, universe) -> GroundProgram:
     return GroundProgram(tuple(out))
 
 
+def reference_model_masks(program, universe) -> tuple[list, list[int]]:
+    """`oracle._model_masks` one candidate at a time, over the plain
+    substitution grounding. Returns the sorted ground atoms (those of the
+    grounding and every unary atom over the universe) and the answer
+    sets as masks of their bits: candidate c puts the i-th relevant atom
+    (under naf in some body, or a free-rule head) into S when bit i of c
+    is set; the rules active under S derive its least model M, which is
+    kept when it agrees with S on the relevant atoms and violates no
+    constraint; candidates in ascending order."""
+    gp = reference_ground(program, universe)
+    atoms = sorted(gp.atoms() | {(p, (e,)) for p in program.upreds for e in universe})
+    index = {a: i for i, a in enumerate(atoms)}
+
+    def mask(group) -> int:
+        m = 0
+        for a in group:
+            m |= 1 << index[a]
+        return m
+
+    relevant = sorted(
+        {a for rule in gp.rules for a in rule.neg}
+        | {rule.head for rule in gp.rules if rule.choice}
+    )
+    rel_bits = [index[a] for a in relevant]
+    rel_mask = mask(relevant)
+    derive = []  # (head_bit, pos_mask, sel_have, sel_lack)
+    constraints = []  # (pos_mask, neg_mask)
+    for rule in gp.rules:
+        if rule.head is None:
+            constraints.append((mask(rule.pos), mask(rule.neg)))
+        elif rule.choice:
+            bit = mask([rule.head])
+            derive.append((bit, 0, bit, 0))
+        else:
+            derive.append((mask([rule.head]), mask(rule.pos), 0, mask(rule.neg)))
+    models = []
+    for compact in range(1 << len(relevant)):
+        s = 0
+        for i, g in enumerate(rel_bits):
+            if compact >> i & 1:
+                s |= 1 << g
+        active = [(h, p) for (h, p, sh, sl) in derive if (s & sh) == sh and (s & sl) == 0]
+        m = 0
+        changed = True
+        while changed:
+            changed = False
+            for head, pos in active:
+                if (m & pos) == pos and (m & head) != head:
+                    m |= head
+                    changed = True
+        if (m & rel_mask) != s:
+            continue
+        if any((m & cp) == cp and (m & cn) == 0 for cp, cn in constraints):
+            continue
+        models.append(m)
+    return atoms, models
+
+
 def reference_bounded_sat(program, pred: str, max_size: int):
-    """`oracle.bounded_sat` by its definition: the first answer set, in
-    `answer_sets` order, that holds a `pred` atom, over universe sizes
-    from the constant count (at least one) up to `max_size`."""
+    """`oracle.bounded_sat` by its definition: the first answer set of
+    `reference_model_masks`, sorted by (cardinality, sorted atoms), that
+    holds a `pred` atom, over universe sizes from the constant count (at
+    least one) up to `max_size`."""
     for size in range(max(1, len(program.constants)), max_size + 1):
-        for interp in answer_sets(program, Universe.for_program(program, size)):
-            if any(atom[0] == pred for atom in interp.atoms):
-                return interp
+        universe = Universe.for_program(program, size)
+        atoms, models = reference_model_masks(program, universe)
+        found = [frozenset(a for i, a in enumerate(atoms) if m >> i & 1) for m in models]
+        found.sort(key=lambda s: (len(s), sorted(s)))
+        for interp in found:
+            if any(atom[0] == pred for atom in interp):
+                return OpenInterpretation(universe, interp)
     return None
 
 

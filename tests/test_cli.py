@@ -458,3 +458,16 @@ def test_cli_output_is_the_same_under_two_hash_seeds(tmp_path):
         outputs.append(proc.stdout)
     assert "digraph forest" in outputs[0] and "folp-units 1" in outputs[0]
     assert outputs[0] == outputs[1]
+
+
+def test_the_library_imports_no_numpy():
+    """numpy is a benchmark extra, not a dependency: importing the
+    library and its command line leaves it unloaded."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), env.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, folp, folp.cli; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

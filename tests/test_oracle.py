@@ -21,7 +21,7 @@ from folp.oracle import (
 from folp.syntax import Inequality, parse_program
 
 from conftest import PROGRAMS
-from reference import reference_bounded_sat, reference_ground
+from reference import reference_bounded_sat, reference_ground, reference_model_masks
 
 FIG_MODEL = frozenset(
     {
@@ -266,54 +266,17 @@ def test_universe_naming_avoids_constant_collisions():
     assert universe.elements == ("u1", "u2")
 
 
-def _random_scan_input(rng):
-    """Input of one universe's candidate scan, shaped as
-    `_model_masks` builds it: at most 63 atom bits, choice
-    rules only on relevant atoms, negative bodies and constraint
-    negations only over relevant atoms."""
-    n_atoms = rng.randint(1, 63)
-    atoms = [1 << g for g in range(n_atoms)]
-    rel_bits = sorted(rng.sample(range(n_atoms), rng.randint(0, min(8, n_atoms))))
-    relevant = [1 << g for g in rel_bits]
-
-    def mask(bits, most):
-        return sum(rng.sample(bits, min(rng.randint(0, most), len(bits))))
-
-    derive = [(bit, 0, bit, 0) for bit in relevant if rng.random() < 0.5]
-    derive += [
-        (rng.choice(atoms), mask(atoms, 3), 0, mask(relevant, 2))
-        for _ in range(rng.randint(0, 12))
-    ]
-    constraints = [(mask(atoms, 2), mask(relevant, 1)) for _ in range(rng.randint(0, 2))]
-    return len(rel_bits), rel_bits, derive, constraints
+# 11 unary predicates: 66 atoms over 6 elements
+BEYOND_63_ATOMS = (
+    "c(a) v not c(a).\nd(a) v not d(a).\np1(X) :- c(X).\np2(X) :- p1(X), not d(X).\n"
+    + "".join(f"p{i + 1}(X) :- p{i}(X).\n" for i in range(2, 9))
+)
 
 
-def test_python_scan_agrees_with_numpy_scan():
-    """The pure-Python scan, the only one for universes of more than 63
-    atoms, finds the numpy scan's models, in its order."""
-    rng = random.Random(20261018)
-    with_models = 0
-    for _ in range(300):
-        scan_input = _random_scan_input(rng)
-        models = oracle._scan_python(*scan_input)
-        assert models == oracle._scan_numpy(*scan_input), scan_input
-        with_models += bool(models)
-    assert with_models > 100
-
-
-def test_answer_sets_beyond_63_atoms_use_the_python_scan(monkeypatch):
-    chain = "".join(f"p{i + 1}(X) :- p{i}(X).\n" for i in range(2, 9))
-    program = parse_program(
-        "c(a) v not c(a).\nd(a) v not d(a).\np1(X) :- c(X).\n"
-        "p2(X) :- p1(X), not d(X).\n" + chain
-    )
+def test_answer_sets_beyond_63_atoms():
+    program = parse_program(BEYOND_63_ATOMS)
     universe = Universe.for_program(program, 6)
     assert len(program.upreds) * len(universe.elements) == 66
-
-    def numpy_scan(*scan_input):
-        raise AssertionError("the numpy scan cannot hold more than 63 atoms")
-
-    monkeypatch.setattr(oracle, "_scan_numpy", numpy_scan)
     found = answer_sets(program, universe)
     assert all(is_answer_set(program, interp) for interp in found)
     choices = {
@@ -325,29 +288,39 @@ def test_answer_sets_beyond_63_atoms_use_the_python_scan(monkeypatch):
     assert ("c", ("a",)) in p9_holds.atoms and ("d", ("a",)) not in p9_holds.atoms
 
 
-def _scan_guard(name):
-    def scan(*scan_input):
-        raise AssertionError(f"{name} scan chosen for {scan_input[0]} relevant atoms")
-
-    return scan
-
-
-@pytest.mark.parametrize("extra", [0, 1])
-def test_scan_choice_follows_the_relevant_atom_count(monkeypatch, extra):
-    """At most PYTHON_SCAN_MAX_RELEVANT relevant atoms (here: as many
-    free atoms) take the pure-Python scan, one more takes numpy, both
-    within 63 atoms; every candidate is an answer set either way."""
-    n = oracle.PYTHON_SCAN_MAX_RELEVANT + extra
+@pytest.mark.parametrize("n", [6, 7])
+def test_every_choice_of_free_atoms_is_an_answer_set(n):
+    """n free atoms over the n constants: all 2^n candidates are answer
+    sets, and the witness of c holds the least c atom."""
     facts = "".join(f"d(e{i}).\n" for i in range(1, n + 1))
     program = parse_program("c(X) v not c(X).\n" + facts)
     universe = Universe.for_program(program, n)  # the n constants only
-    unused = "_scan_numpy" if extra == 0 else "_scan_python"
-    monkeypatch.setattr(oracle, unused, _scan_guard(unused))
     found = answer_sets(program, universe)
     assert len(found) == 2**n
     assert all(is_answer_set(program, interp) for interp in found)
     witness = bounded_sat(program, "c", n)
     assert witness.atoms == {("c", ("e1",))} | {("d", (e,)) for e in universe}
+
+
+def test_sixteen_relevant_atoms():
+    """65,536 candidates: 8 elements with two free predicates each. A g
+    atom needs two c atoms, so the fewest atoms besides the facts are
+    four: {c(e1), c(e2), g(e1), g(e2)} and {c(e1), c(e2), g(e1), v(e2)}
+    among them, and the first is the least atom list (g before v). One
+    candidate fewer in the budget raises."""
+    facts = "".join(f"d(e{i}).\n" for i in range(1, 9))
+    program = parse_program(
+        "c(X) v not c(X).\nv(X) v not v(X).\n"
+        "g(X) :- c(X), c(Y), Y != X, not v(X).\n" + facts
+    )
+    with pytest.raises(OracleBudgetError):
+        bounded_sat(program, "g", 8, budget=2**16 - 1)
+    witness = bounded_sat(program, "g", 8, budget=2**16)
+    assert witness.atoms == (
+        {("c", ("e1",)), ("c", ("e2",)), ("g", ("e1",)), ("g", ("e2",))}
+        | {("d", (f"e{i}",)) for i in range(1, 9)}
+    )
+    assert is_answer_set(program, witness)
 
 
 def _random_grounding_program(rng):
@@ -412,6 +385,63 @@ def test_ground_matches_the_substitution_route():
             if isinstance(item, Inequality)
         )
     assert repeated > 200 and constant_inequalities > 100
+
+
+def _assert_kernel_matches_the_reference(program, universe) -> list[int]:
+    idx, masks = oracle._model_masks(program, universe, oracle.DEFAULT_BUDGET)
+    atoms, models = reference_model_masks(program, universe)
+    assert (idx.atoms, masks) == (atoms, models), (program.rules, universe)
+    return models
+
+
+def test_model_masks_match_the_reference_scan():
+    """The bit-sliced kernel finds the per-candidate scan's atoms and
+    answer-set masks, in its order, on seeded random programs at every
+    universe size from the constant count to the count plus two. The
+    reference scans candidates one by one, so universes with more than
+    2^10 candidates are left to the named cases."""
+    rng = random.Random(20261020)
+    checked = with_models = 0
+    for _ in range(300):
+        program = _random_grounding_program(rng)
+        lowest = max(1, len(program.constants))
+        for size in range(lowest, lowest + 3):
+            universe = Universe.for_program(program, size)
+            if len(oracle._GroundIndex(program, universe).relevant) > 10:
+                continue
+            models = _assert_kernel_matches_the_reference(program, universe)
+            checked += 1
+            with_models += bool(models)
+    assert checked > 500 and with_models > 200
+
+
+@pytest.mark.parametrize(
+    "text, size",
+    [
+        pytest.param(BEYOND_63_ATOMS, 6, id="beyond-63-atoms"),
+        pytest.param(  # p and q support each other, and only r breaks in
+            "p(X) :- q(X).\nq(X) :- p(X).\np(X) :- r(X), not s(X).\n"
+            "r(X) v not r(X).\ns(X) v not s(X).\nt(X) :- q(X), not r(X).\n",
+            2,
+            id="positive-cycle-through-two-heads",
+        ),
+        pytest.param(
+            "p(X) :- p(X), not q(X).\nq(X) v not q(X).\np(a) :- r(a).\n"
+            "r(X) v not r(X).\ns(X) :- p(X), not q(X).\n",
+            2,
+            id="head-in-its-own-body",
+        ),
+        pytest.param(
+            "p(X) v not p(X).\nq(X) v not q(X).\n:- p(X), not q(X).\n"
+            ":- q(a), q(b).\nr(X) :- q(X), not p(X).\n:- r(X), X != a.\n",
+            3,
+            id="constraints",
+        ),
+    ],
+)
+def test_model_masks_match_the_reference_on_named_cases(text, size):
+    program = parse_program(text)
+    assert _assert_kernel_matches_the_reference(program, Universe.for_program(program, size))
 
 
 # z(a) sorts after w(b): the model of the scan's first candidate set
