@@ -11,8 +11,10 @@ atoms of two nodes without scanning every vertex. It keeps no
 reachability memo: every question, whether a new arc would close a
 cycle or whether an ancestor's atoms reach a node's, is one search
 from a set of sources to a set of sinks. The engines keep the graph
-acyclic by testing each new arc before inserting it (`closes_cycle`);
-`has_cycle` is a full search kept for completion audits.
+acyclic by testing each new arc with `closes_cycle` before inserting it
+(the direct engine tests all arcs of a rule application before any of
+its mutations); `has_cycle` is a full search kept for completion
+audits.
 
 Blocking and the equal-content ancestor count are memoized per node,
 because the task scan asks for them again and again while few of the
@@ -106,6 +108,18 @@ class StructureError(FolpError):
 
 class ClashError(FolpError):
     """A clash on the current branch: contradiction, cycle, or redundancy."""
+
+
+def contradiction(key: Key, sp: Signed) -> ClashError:
+    """The clash of entering sp at the node or arc `key`, which holds its
+    negation."""
+    return ClashError(f"contradiction: {sp} and {sp.negated()} at {_key_str(key)}")
+
+
+def dependency_cycle(src: GroundAtom, dst: GroundAtom) -> ClashError:
+    """The clash of adding the dependency arc src -> dst, which closes a
+    cycle."""
+    return ClashError(f"dependency cycle: {src} -> {dst}")
 
 
 class _Interned:
@@ -528,6 +542,15 @@ class DependencyGraph:
         sinks = {a for a in self._by_node.get(x, ()) if a.pred not in free_preds}
         return bool(sinks) and self._reach(sources, sinks)
 
+    def reaches_node(self, sources: Iterable[GroundAtom], x: NodeId) -> bool:
+        """Whether some vertex among `sources` reaches a unary atom over x."""
+        sinks = self._by_node.get(x)
+        if not sinks:
+            return False
+        succ = self._succ
+        present = [a for a in sources if a in succ]
+        return bool(present) and self._reach(present, set(sinks))
+
     def _reach(self, sources, sinks) -> bool:
         """Whether some vertex of `sources` reaches some atom of `sinks`;
         a source that is itself a sink counts."""
@@ -639,7 +662,7 @@ class ForestState:
         if sp in content:
             return False
         if sp.negated() in content:
-            raise ClashError(f"contradiction: {sp} and {sp.negated()} at {_key_str(key)}")
+            raise contradiction(key, sp)
         content.add(sp)
 
         def undo() -> None:
@@ -666,7 +689,7 @@ class ForestState:
         acyclic; raises ClashError instead when the arc would close a
         cycle."""
         if self.g.closes_cycle(src, dst):
-            raise ClashError(f"dependency cycle: {src} -> {dst}")
+            raise dependency_cycle(src, dst)
         self.g.add_arc(src, dst)
 
     def positive_atoms(self) -> Iterator[GroundAtom]:
@@ -699,11 +722,14 @@ class ForestState:
             return 0
         equal = self._equal.get(x)
         if equal is None:
-            content = self.content(x)
-            ct = self.ct
-            equal = sum(1 for y in x.ancestors() if ct.get(y, _NO_CONTENT) == content)
+            equal = self.count_equal_ancestors(x, self.content(x))
             self._remember("_equal", x, equal)
         return equal
+
+    def count_equal_ancestors(self, x: NodeId, content) -> int:
+        """Proper ancestors of x whose content equals `content`, uncached."""
+        ct = self.ct
+        return sum(1 for y in x.ancestors() if ct.get(y, _NO_CONTENT) == content)
 
     def is_blocked(self, x: NodeId) -> bool:
         """Whether x has a blocking pair; memoized `find_blocking_pair`.

@@ -31,6 +31,33 @@ Grafts add content only at the grafted node and its successors, so on
 one branch the scan does not walk the grafted prefix again. Candidate
 units are tried least constraining first (fewest successors, then
 smallest path sets).
+
+A graft that would end in that redundancy clash is refuted before it
+changes anything (`_redundant_graft`). After the graft, x holds the
+unit's root content. So when k or more proper ancestors of x hold that
+content, the clash follows the graft, unless the graft clashes first.
+The graft of an ungrafted x can clash first in only two ways:
+
+- A contradiction at a constant successor. Nothing else can contradict:
+  ct(x) is included in the root content, a tree successor is fresh and
+  gets the unit's consistent content, and an arc from x has content only
+  from x's own graft. The pre-check tests each constant successor's node
+  content against the constant's content.
+- A dependency cycle through arcs already present. A unit's own arcs
+  are acyclic, and they all leave atoms over its root (unit enumeration
+  expands only the root). Atoms over x, over its arcs and over its new
+  children have no outgoing arcs before x is grafted. So a cycle must
+  run from an atom over a constant that a unit arc targets, through
+  present arcs, to an atom over x. The pre-check searches for such a
+  path.
+
+When either test finds something, the engine falls back to the graft,
+although a path need not close a cycle. A refuted graft records what
+the graft and the clash would have: `nodes_created` and
+`max_depth_seen` for its tree successors, the match, the unit used and
+the redundancy event. `expand_cs` returns None for it instead of
+raising, so each counted match is still one call of `expand_cs` that
+returns normally.
 """
 
 from __future__ import annotations
@@ -80,12 +107,16 @@ class A2CompletionStructure(CompletionStructure):
 
     # -- the Match rule --------------------------------------------------
 
-    def expand_cs(self, x: NodeId, uc: UnitCompletionStructure) -> list[NodeId]:
+    def expand_cs(
+        self, x: NodeId, uc: UnitCompletionStructure
+    ) -> Optional[list[NodeId]]:
         """Graft the unit onto x: copy successors, contents, and
         dependency arcs under the relabeling of the unit root to x.
         Returns the nodes standing for the unit's successors, in order.
         Raises ClashError on the first contradicting content entry or
-        cycle-closing arc."""
+        cycle-closing arc. Returns None instead, with only the graft's
+        node statistics recorded, when `_redundant_graft` finds that the
+        graft would end in the redundancy clash at x."""
         if uc.root_constant is not None and NodeId(uc.root_constant) != x:
             raise ValueError(
                 f"unit rooted at constant {uc.root_constant!r} cannot expand {x}"
@@ -96,6 +127,9 @@ class A2CompletionStructure(CompletionStructure):
             )
         if not self.content(x) <= uc.root_content:
             raise ValueError(f"unit does not locally satisfy the content of {x}")
+        if self._redundant_graft(x, uc):
+            self.count_children(x, len(uc.tree_successors))
+            return None
         self.grafted.add(x)
         self.trail.push(partial(self.grafted.discard, x))
         root_content, successors, g_arcs = uc.graft_order()
@@ -110,10 +144,7 @@ class A2CompletionStructure(CompletionStructure):
             else:
                 node = self.forest.add_child(x)
                 assert node.path[-1] == succ.target, "unit successors out of order"
-                self.stats.nodes_created += 1
-                self.stats.max_depth_seen = max(
-                    self.stats.max_depth_seen, node.depth
-                )
+                self.count_children(x, 1)
             token_node[succ.target] = node
             if succ.has_arc:
                 arc = (x, node)
@@ -126,6 +157,25 @@ class A2CompletionStructure(CompletionStructure):
         for a, b in g_arcs:
             self.add_dependency(ground_atom(token_node, a), ground_atom(token_node, b))
         return [token_node[succ.target] for succ in uc.successors]
+
+    def _redundant_graft(self, x: NodeId, uc: UnitCompletionStructure) -> bool:
+        """Whether grafting the unit onto the ungrafted x would end in the
+        redundancy clash at x with no clash before it: k or more proper
+        ancestors hold the unit's root content, no constant successor's
+        node content contradicts that constant's content, and no atom
+        over a constant that a unit arc targets reaches an atom over x
+        (see the module docstring). Reads the state, changes nothing."""
+        if self.count_equal_ancestors(x, uc.root_content) < self.k:
+            return False
+        ct = self.ct
+        for succ in uc.successors:
+            if succ.is_constant:
+                node = NodeId(succ.target)
+                # x's own content is the root content once that is in
+                present = uc.root_content if node is x else ct.get(node, ())
+                if any(sp.negated() in present for sp in succ.node_content):
+                    return False
+        return not self.g.reaches_node(uc.constant_targets(), x)
 
     def covering(self, x: NodeId) -> Iterator[UnitCompletionStructure]:
         """The cached units whose root fits x and whose root content
@@ -158,6 +208,9 @@ class A2CompletionStructure(CompletionStructure):
         successors = self.expand_cs(x, uc)
         self.stats.matches += 1
         self.stats.units_used.add(uc.sort_key())
+        if successors is None:
+            # refuted: x, with the unit's root content, would be redundant
+            raise self.redundant(x, self.count_equal_ancestors(x, uc.root_content))
         # an expanded node's content and ancestors are fixed, so the
         # bound can be checked at once (see the module docstring); the
         # scan found x unblocked, and a graft only adds content at x and

@@ -73,6 +73,33 @@ pruned anything. Node and arc entries share one positive path as well
 from `_ground_body`, the positive one lazily, so that each fresh
 successor is made just before its own literals go in.
 
+A positive rule application is refuted before it changes anything
+(`_refute_positive`), because most of them clash. Applying one inserts
+the ground body literal by literal, marks the head expanded, and adds
+one dependency arc from the head atom to each positive body atom. Only
+an insert (contradiction) or an arc (dependency cycle) can clash:
+making a successor adds no content, and a status never clashes.
+
+- A contradiction. The pre-check walks the literals in body order.
+  Literal i contradicts exactly when its negation is in the present
+  content of its node or arc, or among the earlier literals of the same
+  body. A fresh successor starts empty, and the pre-check names it by
+  the child id `add_child` will give it.
+- A dependency cycle. With no contradiction, the inserts add vertices
+  but no arcs, and every new arc leaves the head. So the arc to a
+  positive body atom closes a cycle exactly when that atom is the head,
+  or already reaches the head in the unchanged graph; the pre-check asks
+  that in body order, as the arcs would go in.
+- The statistics. An application records only the fresh successors it
+  makes (`nodes_created`, `max_depth_seen`). A contradiction at literal
+  i counts those made before i; a cycle counts them all. The clash
+  carries the message of the mutation it replaces
+  (`forest.contradiction`, `forest.dependency_cycle`).
+
+The pre-check decides both kinds exactly, so there is no fallback. An
+application that passes mutates as before, except that it adds its arcs
+with `DependencyGraph.add_arc`: none of them can close a cycle.
+
 Verdicts: without an explicit depth bound the driver deepens iteratively
 and reports UNSAT only from an exhausted search in which the bound never
 pruned anything, which makes UNSAT sound. With an explicit bound,
@@ -99,6 +126,8 @@ from .forest import (
     Key,
     NodeId,
     Signed,
+    contradiction,
+    dependency_cycle,
     signed_pair,
     signed_sort_key,
 )
@@ -284,6 +313,9 @@ class Task:
 # grounding target descriptors: ("node", NodeId) or ("fresh", position)
 _Desc = tuple
 
+# the signed body of a choice rule, which justifies its head alone
+_NO_BODY: _SignedBody = ((), ())
+
 # a refutation's description by the number of ends of the refuted key:
 # an arc reads (x,y), as `forest._key_str` writes it
 _REFUTE_AT = {1: ": refute {} at {}", 2: ": refute {} at ({},{})"}
@@ -390,25 +422,30 @@ class CompletionStructure(ForestState):
         if it has k or more equal-content ancestors. The caller has found
         x unblocked; asking again would cost the direct engine's scan."""
         equal = self.equal_ancestor_count(x)
-        if equal < self.k:
-            return
+        if equal >= self.k:
+            raise self.redundant(x, equal)
+
+    def redundant(self, x: NodeId, equal: int) -> ClashError:
+        """Record the redundancy event of x, which has `equal` (k or more)
+        equal-content ancestors, and return its clash to raise."""
         self.stats.redundancy_events.append(
             {"node": str(x), "equal_ancestors": equal, "chain_position": equal + 1}
         )
-        raise ClashError(f"redundant node {x} ({equal} equal ancestors)")
+        return ClashError(f"redundant node {x} ({equal} equal ancestors)")
 
-    def is_redundant_node(self, x: NodeId) -> bool:
-        """Saturated, unblocked, and owning at least k equal-content
-        ancestors. A blocked node is never redundant."""
-        if not self.is_saturated(x) or self.is_blocked(x):
-            return False
-        return self.equal_ancestor_count(x) >= self.k
+    def count_children(self, x: NodeId, count: int) -> None:
+        """Record `count` new tree children of x in the statistics."""
+        if count:
+            stats = self.stats
+            stats.nodes_created += count
+            stats.max_depth_seen = max(stats.max_depth_seen, x.depth + 1)
 
     def is_complete_clash_free(self) -> bool:
         """Acyclic dependency graph, every unblocked node saturated and
-        not redundant; blocking is read from the exact memo. One walk
-        over the nodes decides it and asserts `arc_positivity_ok` at
-        every saturated node; it reads blocking only until the first
+        without k or more equal-content ancestors; blocking is read from
+        the exact memo. One walk over the nodes decides it and asserts
+        at every saturated node that each tree arc from it carries a
+        positive binary entry; it reads blocking only until the first
         node that fails."""
         complete = not self.g.has_cycle()
         forest = self.forest
@@ -418,18 +455,8 @@ class CompletionStructure(ForestState):
                 self._positive_arc(x, y) for y in forest.children(x)
             ), f"a tree arc from the saturated node {x} has no positive entry"
             if complete and not self.is_blocked(x):
-                # saturated and not redundant (`is_redundant_node`)
                 complete = saturated and self.equal_ancestor_count(x) < self.k
         return complete
-
-    def arc_positivity_ok(self) -> bool:
-        """Every tree arc of a saturated source carries a positive binary
-        predicate (a tree successor exists only to support such an atom)."""
-        return all(
-            self._positive_arc(x, y)
-            for x, y in self.forest.tree_arcs()
-            if self.is_saturated(x)
-        )
 
     def _positive_arc(self, x: NodeId, y: NodeId) -> bool:
         return any(sp.positive for sp in self.content((x, y)))
@@ -616,22 +643,16 @@ class A1CompletionStructure(CompletionStructure):
                 continue
             how = " by rule line {}"
             if rule.kind is RuleKind.FREE:
-                how, bodies = " by choice rule", [()]
-            elif arc:
-                bodies = [self._ground_body(key[0], self._shape(rule)[1], key[1:])]
+                how, body, bindings = " by choice rule", _NO_BODY, [()]
             else:
                 shape, body = self._shape(rule)
-                # one-shot lazy bodies (run_search applies an alternative
-                # once): a fresh successor is made just before its literals
-                materialize = partial(self._materialize, key)
-                bodies = []
-                for binding in self._groundings(key, shape):
-                    bodies.append(self._ground_body(key, body, map(materialize, binding)))
-            for body in bodies:
+                # an arc's one successor is its second end
+                bindings = [(("node", key[1]),)] if arc else self._groundings(key, shape)
+            for binding in bindings:
                 alternatives.append(
                     Alternative(
                         head + how, (*args, rule.line),
-                        partial(self._apply_positive, key, sp, body),
+                        partial(self._apply_positive, key, sp, body, binding),
                     )
                 )
         return alternatives
@@ -639,8 +660,7 @@ class A1CompletionStructure(CompletionStructure):
     def _materialize(self, x: NodeId, desc: _Desc) -> NodeId:
         if desc[0] == "fresh":
             child = self.forest.add_child(x)
-            self.stats.nodes_created += 1
-            self.stats.max_depth_seen = max(self.stats.max_depth_seen, child.depth)
+            self.count_children(x, 1)
             self._rearm_negatives(x)
             return child
         y = desc[1]
@@ -657,20 +677,63 @@ class A1CompletionStructure(CompletionStructure):
                 self.set_status(x, sp, UNEXP)
 
     def _apply_positive(
-        self, key: Key, sp: Signed, body: Iterable[tuple[Key, Signed]]
+        self, key: Key, sp: Signed, body: _SignedBody, binding: tuple[_Desc, ...]
     ) -> None:
         """Insert the ground body of a rule instance for sp at key, in
-        body order, then mark sp expanded and add its dependency arcs."""
-        body_positive: list[GroundAtom] = []
-        for lit_key, lit_sp in body:
+        body order, each fresh successor made just before its literals,
+        then mark sp expanded and add its dependency arcs. The clash, if
+        any, is raised first by `_refute_positive`, so nothing here can
+        clash and the arcs go in untested."""
+        x = key[0] if key.__class__ is tuple else key
+        head, positive = self._refute_positive(key, sp, x, body, binding)
+        targets = map(partial(self._materialize, x), binding)
+        for lit_key, lit_sp in self._ground_body(x, body, targets):
             self.insert_tracked(lit_key, lit_sp)
+        self.set_status(key, sp, EXP)
+        add_arc = self.g.add_arc
+        for atom in positive:
+            add_arc(head, atom)
+
+    def _refute_positive(
+        self, key: Key, sp: Signed, x: NodeId, body: _SignedBody, binding: tuple[_Desc, ...]
+    ) -> tuple[GroundAtom, list[GroundAtom]]:
+        """Raise the clash that applying the rule instance would raise,
+        with the statistics it would record, and change nothing else;
+        without one, return the head atom and the positive body atoms in
+        body order (see the module docstring). The walk reads each
+        literal's node or arc as `insert` would find it: its present
+        content, which making successors does not change, and the earlier
+        literals of the body; a fresh successor gets the child id
+        `add_child` will give it."""
+        ct = self.ct
+        children = self.forest.child_count(x)
+        fresh = 0
+
+        def target(desc: _Desc) -> NodeId:
+            nonlocal fresh
+            if desc[0] == "fresh":
+                fresh += 1
+                return x.child(children + fresh)
+            return desc[1]
+
+        entered: set[tuple[Key, Signed]] = set()
+        positive: list[GroundAtom] = []
+        for lit_key, lit_sp in self._ground_body(x, body, map(target, binding)):
+            negation = lit_sp.negated()
+            if negation in ct.get(lit_key, ()) or (lit_key, negation) in entered:
+                self.count_children(x, fresh)
+                raise contradiction(lit_key, lit_sp)
+            entered.add((lit_key, lit_sp))
             if lit_sp.positive:
                 args = lit_key if lit_key.__class__ is tuple else (lit_key,)
-                body_positive.append(GroundAtom(lit_sp.name, args))
-        self.set_status(key, sp, EXP)
-        head_atom = self.atom_for(key, sp.name)
-        for atom in body_positive:
-            self.add_dependency(head_atom, atom)
+                positive.append(GroundAtom(lit_sp.name, args))
+        head = self.atom_for(key, sp.name)
+        closes_cycle = self.g.closes_cycle
+        for atom in positive:
+            if closes_cycle(head, atom):
+                self.count_children(x, fresh)
+                raise dependency_cycle(head, atom)
+        return head, positive
 
     def expand_unary_negative(self, x: NodeId, p: str) -> list[Alternative]:
         return self._expand_negative(x, p, "not {} at {}", (p, x))

@@ -14,6 +14,7 @@ merged set.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Union
 
@@ -133,7 +134,26 @@ class UnitCompletionStructure:
 
     @property
     def tree_successors(self) -> tuple[UnitSuccessor, ...]:
-        return tuple(s for s in self.successors if not s.is_constant)
+        """The successors that are tree children, kept per unit."""
+        tree = self.__dict__.get("_tree")
+        if tree is None:
+            tree = tuple(s for s in self.successors if not s.is_constant)
+            object.__setattr__(self, "_tree", tree)
+        return tree
+
+    def constant_targets(self) -> tuple[GroundAtom, ...]:
+        """The atoms over constants that the unit's dependency arcs
+        target, in arc order; a constant stands for itself wherever the
+        unit is grafted. Kept per unit."""
+        targets = self.__dict__.get("_constant_targets")
+        if targets is None:
+            targets = tuple(
+                GroundAtom(pred, (NodeId(tokens[0]),))
+                for _, (pred, tokens) in self.graft_order()[2]
+                if len(tokens) == 1 and isinstance(tokens[0], str)
+            )
+            object.__setattr__(self, "_constant_targets", targets)
+        return targets
 
     def non_blocked(self) -> tuple[UnitSuccessor, ...]:
         return tuple(s for s in self.successors if not s.blocked)
@@ -299,9 +319,7 @@ def enumerate_unit_completions(
             "unit compilation requires a constraint-free program; apply "
             "eliminate_constraints first"
         )
-    import time as _time
-
-    deadline = _time.monotonic() + time_limit if time_limit is not None else None
+    deadline = time.monotonic() + time_limit if time_limit is not None else None
     found: dict = {}
     stats = SearchStats()
     roots: list[Optional[str]] = [None] + list(program.constants)

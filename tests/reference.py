@@ -17,9 +17,17 @@ columns and picks `bounded_sat`'s witness on those columns;
 decided by a backtracking injection; `reference_is_redundant_ucs` tries
 every permutation. `unit_as_structure` and `passes_a1_completion_check`
 hold a unit to the direct engine's completion conditions.
+
+The engines refute a doomed positive rule application (a1) or a graft
+that ends in the redundancy clash (a2) before it changes the state;
+`ReferenceA1` and `ReferenceA2` make every such step and let the
+mutation raise, and `checked_refutations_a1` and
+`checked_refutations_a2` make each step both ways and compare them.
 """
 
 import itertools
+from functools import partial
+from typing import Optional
 
 from folp.forest import ClashError, NodeId, Signed
 from folp.matcher import A2CompletionStructure
@@ -232,6 +240,183 @@ def checked_a2() -> type:
     return CheckedA2
 
 
+def reference_apply_positive(cs, key, sp, body, binding) -> None:
+    """`A1CompletionStructure._apply_positive` as mutate-then-undo: the
+    ground body goes in literal by literal, each fresh successor made
+    just before its literals, sp is marked expanded, and each dependency
+    arc is tested as it goes in; the first contradiction or cycle raises
+    from the mutation itself, and the search's undo takes back the
+    rest."""
+    x = key[0] if isinstance(key, tuple) else key
+    targets = map(partial(cs._materialize, x), binding)
+    positive = []
+    for lit_key, lit_sp in cs._ground_body(x, body, targets):
+        cs.insert_tracked(lit_key, lit_sp)
+        if lit_sp.positive:
+            positive.append(cs.atom_for(lit_key, lit_sp.name))
+    cs.set_status(key, sp, EXP)
+    head = cs.atom_for(key, sp.name)
+    for atom in positive:
+        cs.add_dependency(head, atom)
+
+
+class ReferenceA1(A1CompletionStructure):
+    """The direct engine with every positive rule application made by
+    `reference_apply_positive`."""
+
+    _apply_positive = reference_apply_positive
+
+
+class ReferenceA2(A2CompletionStructure):
+    """The compiled engine with every match grafted: the redundancy
+    clash at x, if any, comes after the whole graft."""
+
+    def _redundant_graft(self, x, uc):
+        return False
+
+
+def _stats_state(stats) -> dict:
+    """The statistics, the redundancy events by their count."""
+    state = dict(vars(stats))
+    state["redundancy_events"] = len(stats.redundancy_events)
+    state["units_used"] = frozenset(stats.units_used)
+    return state
+
+
+def _restore_stats(stats, state: dict) -> None:
+    for name, value in state.items():
+        if name == "redundancy_events":
+            del stats.redundancy_events[value:]
+        else:
+            setattr(stats, name, set(value) if name == "units_used" else value)
+
+
+def _state(cs) -> tuple:
+    """Copies of what a rule application or a graft changes: contents,
+    dependency arcs, trees, extra arcs, statuses (a1), grafted nodes
+    (a2) and the resume point."""
+    return (
+        {key: frozenset(content) for key, content in cs.ct.items()},
+        {atom: tuple(targets) for atom, targets in cs.g._succ.items()},
+        {node: tuple(children) for node, children in cs.forest._children.items()},
+        frozenset(cs.forest._es_set),
+        dict(getattr(cs, "st", {})),
+        frozenset(getattr(cs, "grafted", ())),
+        cs.resume,
+    )
+
+
+def _reference_outcome(cs, run) -> tuple:
+    """`run()`'s clash message (None without one), the statistics and
+    the redundancy events it added, and the state after it; the state
+    and the statistics are then put back."""
+    saved = _stats_state(cs.stats)
+    mark = cs.trail.mark()
+    try:
+        run()
+    except ClashError as err:
+        message, state = str(err), None
+    else:
+        message, state = None, _state(cs)
+    events = cs.stats.redundancy_events[saved["redundancy_events"]:]
+    outcome = (message, _stats_state(cs.stats), events, state)
+    cs.trail.undo_to(mark)
+    _restore_stats(cs.stats, saved)
+    return outcome
+
+
+def _checked_outcome(cs, run, reference: tuple) -> Optional[ClashError]:
+    """`run()`, the engine's own step, checked against the reference's
+    outcome: the same clash message, the same statistics and redundancy
+    events after it and, without a clash, the same state. Returns the
+    clash to re-raise."""
+    message, stats, events, state = reference
+    try:
+        run()
+    except ClashError as err:
+        clash = err
+    else:
+        clash = None
+    assert (clash and str(clash)) == message, (str(clash), message)
+    assert _stats_state(cs.stats) == stats, message
+    assert cs.stats.redundancy_events[stats["redundancy_events"] - len(events):] == events
+    if clash is None:
+        assert _state(cs) == state
+    return clash
+
+
+def checked_refutations_a1() -> type:
+    """The direct engine with every positive rule application made twice:
+    first by `reference_apply_positive`, whose clash message, statistics
+    and end state are recorded and then undone, then by the engine,
+    which must give the same. A clash must come from the pre-check
+    (`_refute_positive`): once it passes, the application cannot clash.
+    `applications` counts the applications, `refuted` the pre-check's
+    clashes."""
+
+    class CheckedRefutationsA1(A1CompletionStructure):
+        applications = refuted = 0
+        prechecked = False
+
+        def _refute_positive(self, *args):
+            self.prechecked = False
+            result = super()._refute_positive(*args)
+            self.prechecked = True
+            return result
+
+        def _apply_positive(self, key, sp, body, binding):
+            cls = CheckedRefutationsA1
+            cls.applications += 1
+            reference = _reference_outcome(
+                self, partial(reference_apply_positive, self, key, sp, body, binding)
+            )
+            clash = _checked_outcome(
+                self, partial(super()._apply_positive, key, sp, body, binding), reference
+            )
+            if clash is not None:
+                assert not self.prechecked, f"the pre-check passed: {clash}"
+                cls.refuted += 1
+                raise clash
+
+    return CheckedRefutationsA1
+
+
+def checked_refutations_a2() -> type:
+    """The compiled engine with every match made twice: first with the
+    whole graft (`ReferenceA2`), whose clash message, statistics and
+    end state are recorded and then undone, then by the engine, which
+    must give the same. `matches` counts the matches, `doomed` those the
+    reference ends in the redundancy clash at the matched node, and
+    `refuted` those the pre-check (`_redundant_graft`) refuted."""
+
+    class CheckedRefutationsA2(A2CompletionStructure):
+        matches = doomed = refuted = 0
+        graft_always = False
+
+        def _redundant_graft(self, x, uc):
+            if self.graft_always:
+                return False
+            redundant = super()._redundant_graft(x, uc)
+            CheckedRefutationsA2.refuted += redundant
+            return redundant
+
+        def _apply_match(self, x, uc):
+            cls = CheckedRefutationsA2
+            cls.matches += 1
+            self.graft_always = True
+            try:
+                reference = _reference_outcome(self, partial(super()._apply_match, x, uc))
+            finally:
+                self.graft_always = False
+            message = reference[0]
+            cls.doomed += bool(message and message.startswith(f"redundant node {x} "))
+            clash = _checked_outcome(self, partial(super()._apply_match, x, uc), reference)
+            if clash is not None:
+                raise clash
+
+    return CheckedRefutationsA2
+
+
 def naive_reachable(arcs, src, dst, vertices=()) -> bool:
     """Transitive-closure recomputation used as a test oracle for
     `DependencyGraph.reaches`."""
@@ -440,6 +625,24 @@ def unit_as_structure(program, uc) -> A1CompletionStructure:
     return cs
 
 
+def is_redundant_node(cs, x) -> bool:
+    """Saturated, unblocked, and owning at least k equal-content
+    ancestors. A blocked node is never redundant."""
+    if not cs.is_saturated(x) or cs.is_blocked(x):
+        return False
+    return cs.equal_ancestor_count(x) >= cs.k
+
+
+def arc_positivity_ok(cs) -> bool:
+    """Every tree arc of a saturated source carries a positive binary
+    predicate (a tree successor exists only to support such an atom)."""
+    return all(
+        any(sp.positive for sp in cs.content((x, y)))
+        for x, y in cs.forest.tree_arcs()
+        if cs.is_saturated(x)
+    )
+
+
 def passes_a1_completion_check(program, uc) -> bool:
     """The clash-free completeness conditions of the direct engine,
     applied to a unit: acyclic dependencies, no redundant node, and every
@@ -451,7 +654,7 @@ def passes_a1_completion_check(program, uc) -> bool:
         if cs.is_blocked(x):
             continue
         if cs.is_saturated(x):
-            if cs.is_redundant_node(x):
+            if is_redundant_node(cs, x):
                 return False
             continue
         if not cs.content(x) and not cs.forest.arcs_from(x):

@@ -30,8 +30,12 @@ from folp.units import (
 from conftest import GOLDEN
 from corpus import bench_family, corpus, unit_family
 from reference import (
+    ReferenceA1,
+    ReferenceA2,
     checked_a1,
     checked_a2,
+    checked_refutations_a1,
+    checked_refutations_a2,
     passes_a1_completion_check,
     reference_bounded_sat,
     reference_is_redundant_ucs,
@@ -310,6 +314,102 @@ def test_corpus_is_pinned():
     programs = corpus(count=50, seed=CORPUS_SEED)
     text = "".join(program.canonical_text() for program in programs)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CORPUS_SHA256
+
+
+# SHA-256 of `search_outputs` over the pinned workloads below and the
+# corpus, sorted-key JSON: every query's verdict record under both
+# engines, with its redundancy events, units used and DOT witness
+SEARCH_RECORDS_SHA256 = "dbf8c9d241a4701db0fb074b08b033c3f1ac434ea992dd7fc17fe109d1b9f4e3"
+
+
+def pinned_workloads(hard, deep, family, entries) -> list:
+    """(program the engines read, queries, policy) of the hard, deep and
+    family programs at their benchmark bounds and of every corpus
+    program under the corpus run's policy; every unary predicate is a
+    query."""
+    corpus_policy = RedundancyPolicy(k_override=5, time_limit=120)
+    return [
+        (hard, hard.upreds, RedundancyPolicy(k_override=5)),
+        (deep, deep.upreds, RedundancyPolicy(k_override=28)),
+        (family, family.upreds, RedundancyPolicy()),
+    ] + [(e.transformed, e.program.upreds, corpus_policy) for e in entries]
+
+
+def search_outputs(workloads, tmp_path) -> tuple[list, list]:
+    """Both engines' answers to every query of `workloads`: per query and
+    engine the verdict record with the redundancy events, the units used
+    and the witness's DOT text; per program, the saved unit cache."""
+    records, caches = [], []
+    path = tmp_path / "cache.units"
+    for program, queries, policy in workloads:
+        cache = compile_units(program).cache
+        save_cache(cache, path)
+        caches.append(path.read_text(encoding="utf-8"))
+        for pred in queries:
+            for verdict in (
+                check_sat_a1(program, pred, policy),
+                check_sat_a2(program, pred, cache, policy),
+            ):
+                record = verdict.to_record()
+                record["redundancy_events"] = verdict.stats.redundancy_events
+                record["units_used"] = sorted(verdict.stats.units_used)
+                record["witness"] = verdict.witness and verdict.witness.to_dot()
+                records.append(record)
+    return records, caches
+
+
+def test_every_query_record_is_pinned(hard, deep, family, corpus_run, tmp_path):
+    """One digest pins every search of the workloads, statistics,
+    redundancy events, units used and witnesses included."""
+    records, _ = search_outputs(pinned_workloads(hard, deep, family, corpus_run[0]), tmp_path)
+    assert len(records) == 2 * (3 + 3 + 5 + sum(len(e.program.upreds) for e in corpus_run[0]))
+    text = json.dumps(records, sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SEARCH_RECORDS_SHA256
+
+
+def test_prechecks_answer_as_the_mutating_references(
+    hard, deep, family, corpus_run, monkeypatch, tmp_path
+):
+    """The engines refute a doomed rule application or graft before it
+    changes the state; engines that make every one and let the mutation
+    raise (`ReferenceA1`, `ReferenceA2`) give the same verdict records,
+    redundancy events, units used and tried, witnesses and unit caches on
+    every query of the workloads."""
+    workloads = pinned_workloads(hard, deep, family, corpus_run[0])
+    expected = search_outputs(workloads, tmp_path)
+    monkeypatch.setattr(tableau, "A1CompletionStructure", ReferenceA1)
+    monkeypatch.setattr(units_module, "A1CompletionStructure", ReferenceA1)
+    monkeypatch.setattr(matcher, "A2CompletionStructure", ReferenceA2)
+    assert search_outputs(workloads, tmp_path) == expected
+
+
+def test_prechecks_agree_with_the_mutation_at_every_step(
+    hard, deep, family, corpus_run, monkeypatch, tmp_path
+):
+    """Every positive rule application of a1 and every match of a2, unit
+    compilation included, is made by the reference first and then by the
+    engine (`checked_refutations_a1`, `checked_refutations_a2`): the
+    same clash message, statistics and end state each time, and an a1
+    clash only from the pre-check. On every workload the a2 pre-check
+    refutes every match that the whole graft ends in the redundancy
+    clash at the matched node."""
+    workloads = pinned_workloads(hard, deep, family, corpus_run[0])
+    expected_records, expected_caches = search_outputs(workloads, tmp_path)
+    records, caches, counts = [], [], []
+    # hard, deep, family, then the corpus, each counted on its own
+    for group in (workloads[:1], workloads[1:2], workloads[2:3], workloads[3:]):
+        checked1, checked2 = checked_refutations_a1(), checked_refutations_a2()
+        monkeypatch.setattr(tableau, "A1CompletionStructure", checked1)
+        monkeypatch.setattr(units_module, "A1CompletionStructure", checked1)
+        monkeypatch.setattr(matcher, "A2CompletionStructure", checked2)
+        group_records, group_caches = search_outputs(group, tmp_path)
+        records += group_records
+        caches += group_caches
+        counts.append((checked1.refuted, checked2.doomed, checked2.refuted))
+    assert (records, caches) == (expected_records, expected_caches)
+    print("refuted by a1, doomed in a2, refuted by a2:", counts)
+    assert all(a1 > 0 and doomed == refuted for a1, doomed, refuted in counts)
+    assert counts[0][2] == 731
 
 
 def test_oracle_witnesses_match_their_definition_on_corpus(corpus_run):

