@@ -11,10 +11,13 @@ atoms of two nodes without scanning every vertex. It keeps no
 reachability memo: every question, whether a new arc would close a
 cycle or whether an ancestor's atoms reach a node's, is one search
 from a set of sources to a set of sinks. The engines keep the graph
-acyclic by testing each new arc with `closes_cycle` before inserting it
-(the direct engine tests all arcs of a rule application before any of
-its mutations); `has_cycle` is a full search kept for completion
-audits.
+acyclic. The direct engine tests every arc of a rule application with
+`closes_cycle` before any of its mutations, then adds them untested.
+The compiled engine adds a graft's arcs untested, in one step
+(`add_new_arcs`), when one `reaches_node` search shows that none can
+close a cycle, and otherwise tests each as it goes in
+(`ForestState.add_dependency`). `has_cycle` is a full search kept for
+completion audits.
 
 Blocking and the equal-content ancestor count are memoized per node,
 because the task scan asks for them again and again while few of the
@@ -508,6 +511,15 @@ class DependencyGraph:
         self._succ[src].append(dst)
         self.trail.push(partial(self._succ[src].remove, dst))
 
+    def add_new_arcs(self, arcs: tuple[tuple[GroundAtom, GroundAtom], ...]) -> None:
+        """Add distinct arcs between vertices, whose sources have no arcs
+        yet, in one step with one trail entry. Unlike `add_arc`, nothing
+        is tested: the caller knows that none closes a cycle."""
+        succ = self._succ
+        for src, dst in arcs:
+            succ[src].append(dst)
+        self.trail.push(partial(_remove_new_arcs, succ, arcs))
+
     def closes_cycle(self, src: GroundAtom, dst: GroundAtom) -> bool:
         """Whether adding src -> dst to this graph, if acyclic, would
         close a cycle: exactly when dst already reaches src."""
@@ -601,8 +613,9 @@ _NO_ENTRIES: Mapping = MappingProxyType({})
 class ForestState:
     """Extended forest plus contents and the dependency graph.
 
-    Invariant kept by `insert`: the graph's vertices are exactly the
-    positive content entries (as ground atoms over nodes and arcs).
+    Invariant kept by `insert` and `fill`: the graph's vertices are
+    exactly the positive content entries (as ground atoms over nodes and
+    arcs).
 
     Blocking and the equal-ancestor count are memoized per node (see the
     module docstring): `_blocking` maps a node to whether it is blocked,
@@ -678,6 +691,25 @@ class ForestState:
             if key is not self.resume and self.forest.precedes(key, self.resume):
                 self.resume_at(key)
         return True
+
+    def fill(
+        self, key: Key, content: frozenset[Signed], atoms: tuple[GroundAtom, ...]
+    ) -> None:
+        """`insert` of every entry of the consistent `content` at `key`,
+        which has no content yet, in one step with one trail entry.
+        `atoms` are the ground atoms of the positive entries, in entry
+        order, none of them a vertex yet. A node key must be a child just
+        made after the resume point: it has no memo entries to drop and
+        does not move the point."""
+        self.ct[key] = set(content)
+        succ = self.g._succ
+        for atom in atoms:
+            succ[atom] = []
+        bucket = None
+        if atoms and key.__class__ is NodeId:
+            bucket = self.g._by_node.setdefault(key, [])
+            bucket += atoms
+        self.trail.push(partial(_undo_fill, self.ct, key, succ, atoms, bucket))
 
     def resume_at(self, node: NodeId) -> None:
         """Move the scan's resume point to `node`, undoably."""
@@ -835,6 +867,21 @@ def _undo_memo_change(log: list) -> None:
         del memo[x]
     else:
         memo[x] = old
+
+
+def _undo_fill(ct: dict, key: Key, succ: dict, atoms: tuple, bucket: Optional[list]) -> None:
+    """Undo `ForestState.fill`."""
+    del ct[key]
+    for atom in atoms:
+        del succ[atom]
+    if bucket is not None:
+        del bucket[-len(atoms):]
+
+
+def _remove_new_arcs(succ: dict, arcs: tuple) -> None:
+    """Undo `DependencyGraph.add_new_arcs`: each source's newest arcs."""
+    for src, _ in arcs:
+        succ[src].pop()
 
 
 def _key_str(key: Key) -> str:

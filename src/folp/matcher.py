@@ -15,11 +15,36 @@ unexpanded constant accrues those requirements, constraining its later
 match; on an already expanded constant the requirement must be covered
 by its (total) content, otherwise the branch fails. Merged dependency
 arcs can close cycles through constants, which the direct engine would
-have rejected, so a cycle is treated as a clash here too: each grafted
-arc is tested as it is inserted (the graph is acyclic before every
-graft), and the completion audit searches the whole graph once more.
-A graft copies contents and arcs in a fixed order, so where it stops on
-a clash does not depend on set iteration order.
+have rejected, so a cycle is treated as a clash here too. The graph is
+acyclic before every graft, and a graft's arcs can close a cycle only
+through present arcs from an atom over a constant that a unit arc
+targets to an atom over the grafted node (the second case below). One
+`reaches_node` search from those atoms decides all the arcs: with no
+such path they go in untested, in one step; otherwise each is tested
+as it goes in, so the same arc raises the same clash. The completion
+audit searches the whole graph once more. A graft copies contents and
+arcs in a fixed order, so where it stops on a clash does not depend on
+set iteration order.
+
+Each graft of a unit onto a node x is compiled once per search
+structure (`_graft_plan`): the structure keeps the successor nodes,
+each content as sorted entries with the ground atoms of its positive
+entries, and the ground dependency arcs; a SAT witness drops them
+(`keep_as_witness`). Like the direct
+engine's instance cache, the plans need no trail entries, because a
+plan reads nothing of the state: x is grafted at most once and has no
+children before its graft, so its tree successors are always x.1 ...
+x.n, also after backtracking, and a constant stands for itself. A
+graft then copies the plan. x's root content goes in entry by entry,
+through `insert`, which drops the memo entries it must; so does the
+node content of a constant successor, where a contradiction stops the
+graft at the exact entry. Every other key is fresh: the tree children
+and the arcs out of x, which has none before its graft. A fresh key
+cannot contradict, and `ForestState.fill` gives it its whole content
+in one step. This argument and the pre-check's below rest on what unit
+enumeration makes of a unit: consistent contents, and acyclic arcs
+that leave atoms over its root and end at its positive entries. A
+loaded cache is trusted to hold such units.
 
 The driver, the task scan, the redundancy clash and the completion
 audit are those of `tableau.CompletionStructure` and `tableau.decide`;
@@ -65,7 +90,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Iterator, Optional
 
-from .forest import ClashError, NodeId, Signed
+from .forest import ClashError, GroundAtom, NodeId, Signed
 from .syntax import Program
 from .tableau import (
     Alternative,
@@ -75,7 +100,11 @@ from .tableau import (
     Verdict,
     _check_engine_input,
     decide,
-    run_search,  # unused here; perfbench's tracer wraps matcher.run_search
+    # not called here: both engines search through `decide`, which calls
+    # `tableau.run_search`, so perfbench's `matcher.search` probe, which
+    # wraps this name, reads 0; it stays because every probe must name an
+    # attribute (tests/test_tracer.py)
+    run_search,
 )
 from .units import UnitCache, UnitCompletionStructure, ground_atom
 
@@ -99,6 +128,9 @@ class A2CompletionStructure(CompletionStructure):
         super().__init__(program, **options)
         self.cache = cache
         self.grafted: set[NodeId] = set()
+        # (id of unit, node) -> graft plan; no trail entries (see the
+        # module docstring)
+        self._plans: dict[tuple[int, NodeId], tuple] = {}
         if pred is not None:
             self.insert(self.epsilon, Signed(pred, True))
 
@@ -109,14 +141,15 @@ class A2CompletionStructure(CompletionStructure):
 
     def expand_cs(
         self, x: NodeId, uc: UnitCompletionStructure
-    ) -> Optional[list[NodeId]]:
+    ) -> Optional[tuple[NodeId, ...]]:
         """Graft the unit onto x: copy successors, contents, and
-        dependency arcs under the relabeling of the unit root to x.
-        Returns the nodes standing for the unit's successors, in order.
-        Raises ClashError on the first contradicting content entry or
-        cycle-closing arc. Returns None instead, with only the graft's
-        node statistics recorded, when `_redundant_graft` finds that the
-        graft would end in the redundancy clash at x."""
+        dependency arcs under the relabeling of the unit root to x, by
+        the graft's plan (`_graft_plan`). Returns the nodes standing for
+        the unit's successors, in order. Raises ClashError on the first
+        contradicting content entry or cycle-closing arc. Returns None
+        instead, with only the graft's node statistics recorded, when
+        `_redundant_graft` finds that the graft would end in the
+        redundancy clash at x."""
         if uc.root_constant is not None and NodeId(uc.root_constant) != x:
             raise ValueError(
                 f"unit rooted at constant {uc.root_constant!r} cannot expand {x}"
@@ -130,33 +163,83 @@ class A2CompletionStructure(CompletionStructure):
         if self._redundant_graft(x, uc):
             self.count_children(x, len(uc.tree_successors))
             return None
+        plan_key = (id(uc), x)
+        plan = self._plans.get(plan_key)
+        if plan is None:
+            plan = self._plans[plan_key] = self._graft_plan(x, uc)
+        root_content, steps, arcs, targets, nodes, _ = plan
         self.grafted.add(x)
         self.trail.push(partial(self.grafted.discard, x))
-        root_content, successors, g_arcs = uc.graft_order()
+        insert = self.insert
         for sp in root_content:
-            self.insert(x, sp)
-        token_node: dict = {None: x}
-        for succ, arc_content, node_content in successors:
-            if succ.is_constant:
-                node = NodeId(succ.target)
-                if succ.has_arc:
-                    self.forest.add_es(x, node)
-            else:
-                node = self.forest.add_child(x)
-                assert node.path[-1] == succ.target, "unit successors out of order"
+            insert(x, sp)
+        for node, make, contents in steps:
+            if make is _CHILD:
+                child = self.forest.add_child(x)
+                assert child is node, "unit successors out of order"
                 self.count_children(x, 1)
-            token_node[succ.target] = node
-            if succ.has_arc:
-                arc = (x, node)
-                for sp in arc_content:
-                    self.insert(arc, sp)
-            for sp in node_content:
-                # on an already expanded node (a constant) this either
-                # no-ops or raises: its content is total
-                self.insert(node, sp)
-        for a, b in g_arcs:
-            self.add_dependency(ground_atom(token_node, a), ground_atom(token_node, b))
-        return [token_node[succ.target] for succ in uc.successors]
+            elif make is _EXTRA:
+                self.forest.add_es(x, node)
+            for key, content, items in contents:
+                if content is None:
+                    # a constant's node content: on an expanded constant
+                    # this either no-ops or raises, its content is total
+                    for sp in items:
+                        insert(key, sp)
+                else:
+                    self.fill(key, content, items)
+        if arcs:
+            if targets and self.g.reaches_node(targets, x):
+                for src, dst in arcs:
+                    self.add_dependency(src, dst)
+            else:
+                self.g.add_new_arcs(arcs)
+        return nodes
+
+    def _graft_plan(self, x: NodeId, uc: UnitCompletionStructure) -> tuple:
+        """The graft of the unit onto x, ground (see the module
+        docstring): the sorted root content; per successor, in unit
+        order, its node, how it is made (`_CHILD`, `_EXTRA` or neither)
+        and its content steps; the ground dependency arcs; the atoms
+        over constants that they target; the successor nodes; and the
+        unit. A content step is (key, None, sorted entries) for a
+        constant's node content, which goes in entry by entry, and (key,
+        content, positive atoms) for a fresh arc or child, which `fill`
+        gives its whole content. `expand_cs` keeps each plan under the
+        unit's identity and x, because the unit's dataclass hash walks
+        its frozensets; the plan holds the unit, so the identity is not
+        reused while the key is in use."""
+        root_content, successors, g_arcs = uc.graft_order()
+        token_node: dict = {None: x}
+        steps = nodes = arcs = targets = ()
+        if successors:
+            steps = []
+            for succ, arc_content, node_content in successors:
+                contents = []
+                if succ.is_constant:
+                    node = NodeId(succ.target)
+                    make = _EXTRA if succ.has_arc else None
+                else:
+                    node = x.child(succ.target)
+                    make = _CHILD
+                token_node[succ.target] = node
+                if succ.has_arc and arc_content:
+                    arc = (x, node)
+                    contents.append((arc, succ.arc_content, _atoms(arc, arc_content)))
+                if node_content:
+                    if succ.is_constant:
+                        contents.append((node, None, node_content))
+                    else:
+                        contents.append((node, succ.node_content, _atoms(node, node_content)))
+                steps.append((node, make, tuple(contents)))
+            steps = tuple(steps)
+            nodes = tuple([node for node, _, _ in steps])
+        if g_arcs:
+            arcs = tuple(
+                [(ground_atom(token_node, a), ground_atom(token_node, b)) for a, b in g_arcs]
+            )
+            targets = uc.constant_targets()
+        return (root_content, steps, arcs, targets, nodes, uc)
 
     def _redundant_graft(self, x: NodeId, uc: UnitCompletionStructure) -> bool:
         """Whether grafting the unit onto the ungrafted x would end in the
@@ -237,6 +320,22 @@ class A2CompletionStructure(CompletionStructure):
     # the shared scan, bound here too: perfbench's tracer wraps the
     # engine class's own attribute
     next_task = CompletionStructure.next_task
+
+    def keep_as_witness(self) -> None:
+        super().keep_as_witness()
+        self._plans.clear()
+
+
+# how `_graft_plan` makes a successor: a new tree child, or an extra arc
+# to a constant
+_CHILD, _EXTRA = "child", "extra"
+
+
+def _atoms(key, entries) -> tuple[GroundAtom, ...]:
+    """The ground atoms of the positive entries at the node or arc `key`,
+    in entry order (`ForestState.atom_for`)."""
+    args = key if key.__class__ is tuple else (key,)
+    return tuple([GroundAtom(sp.name, args) for sp in entries if sp.positive])
 
 
 def check_sat_a2(

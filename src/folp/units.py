@@ -178,9 +178,12 @@ class UnitCompletionStructure:
     def graft_order(self):
         """Root content, (successor, arc content, node content) per
         successor, and dependency arcs, each content and the arcs sorted.
-        Grafting stops at the first contradiction or cycle, so the work
-        it does before stopping must not follow set iteration order,
-        which changes with the hash seed and with memory addresses."""
+        A graft stops at the first contradicting entry or cycle-closing
+        arc, so the entries and arcs it adds before stopping must not
+        follow set iteration order, which changes with the hash seed and
+        with memory addresses. The matching engine grounds this order
+        once per node it grafts the unit onto
+        (`A2CompletionStructure._graft_plan`)."""
         order = self.__dict__.get("_graft")
         if order is None:
             order = (

@@ -23,6 +23,10 @@ that ends in the redundancy clash (a2) before it changes the state;
 `ReferenceA1` and `ReferenceA2` make every such step and let the
 mutation raise, and `checked_refutations_a1` and
 `checked_refutations_a2` make each step both ways and compare them.
+The compiled engine grafts from a plan ground once per unit and node;
+`reference_graft` grafts entry by entry, grounding every atom afresh
+and testing every arc as it goes in (`ReferenceGraftA2`), and
+`checked_grafts_a2` makes every graft both ways and compares them.
 """
 
 import itertools
@@ -275,6 +279,46 @@ class ReferenceA2(A2CompletionStructure):
         return False
 
 
+def reference_graft(cs, x, uc):
+    """`A2CompletionStructure.expand_cs` entry by entry: after the
+    engine's pre-check, every content entry goes in through `insert`,
+    every unit atom is grounded afresh, and every dependency arc is
+    tested as it goes in (`add_dependency`)."""
+    if cs._redundant_graft(x, uc):
+        cs.count_children(x, len(uc.tree_successors))
+        return None
+    cs.grafted.add(x)
+    cs.trail.push(partial(cs.grafted.discard, x))
+    root_content, successors, g_arcs = uc.graft_order()
+    for sp in root_content:
+        cs.insert(x, sp)
+    token_node: dict = {None: x}
+    for succ, arc_content, node_content in successors:
+        if succ.is_constant:
+            node = NodeId(succ.target)
+            if succ.has_arc:
+                cs.forest.add_es(x, node)
+        else:
+            node = cs.forest.add_child(x)
+            assert node.path[-1] == succ.target, "unit successors out of order"
+            cs.count_children(x, 1)
+        token_node[succ.target] = node
+        if succ.has_arc:
+            for sp in arc_content:
+                cs.insert((x, node), sp)
+        for sp in node_content:
+            cs.insert(node, sp)
+    for a, b in g_arcs:
+        cs.add_dependency(ground_atom(token_node, a), ground_atom(token_node, b))
+    return [token_node[succ.target] for succ in uc.successors]
+
+
+class ReferenceGraftA2(A2CompletionStructure):
+    """The compiled engine with every graft made by `reference_graft`."""
+
+    expand_cs = reference_graft
+
+
 def _stats_state(stats) -> dict:
     """The statistics, the redundancy events by their count."""
     state = dict(vars(stats))
@@ -293,11 +337,13 @@ def _restore_stats(stats, state: dict) -> None:
 
 def _state(cs) -> tuple:
     """Copies of what a rule application or a graft changes: contents,
-    dependency arcs, trees, extra arcs, statuses (a1), grafted nodes
-    (a2) and the resume point."""
+    dependency arcs (target lists in order), the graph's per-node atom
+    buckets, trees, extra arcs, statuses (a1), grafted nodes (a2) and
+    the resume point."""
     return (
         {key: frozenset(content) for key, content in cs.ct.items()},
         {atom: tuple(targets) for atom, targets in cs.g._succ.items()},
+        {node: tuple(atoms) for node, atoms in cs.g._by_node.items() if atoms},
         {node: tuple(children) for node, children in cs.forest._children.items()},
         frozenset(cs.forest._es_set),
         dict(getattr(cs, "st", {})),
@@ -415,6 +461,47 @@ def checked_refutations_a2() -> type:
                 raise clash
 
     return CheckedRefutationsA2
+
+
+def checked_grafts_a2() -> type:
+    """The compiled engine with every graft made twice: first by
+    `reference_graft`, whose clash message, statistics, end state and
+    successor nodes are recorded and then undone, then from the
+    engine's plan, which must give the same. `grafts` counts the grafts,
+    `cycles` those that end in a dependency cycle, which only the
+    per-arc fallback can raise, and `plan_hits` those that went ahead on
+    a plan built before."""
+
+    class CheckedGraftsA2(A2CompletionStructure):
+        grafts = cycles = plan_hits = builds = 0
+
+        def _graft_plan(self, x, uc):
+            CheckedGraftsA2.builds += 1
+            return super()._graft_plan(x, uc)
+
+        def expand_cs(self, x, uc):
+            cls = CheckedGraftsA2
+            cls.grafts += 1
+            nodes = []
+            reference = _reference_outcome(
+                self, lambda: nodes.append(reference_graft(self, x, uc))
+            )
+            builds = cls.builds
+            clash = _checked_outcome(
+                self, lambda: nodes.append(super(cls, self).expand_cs(x, uc)), reference
+            )
+            went_ahead = clash is not None or nodes[1] is not None
+            cls.plan_hits += went_ahead and cls.builds == builds
+            if clash is not None:
+                cls.cycles += str(clash).startswith("dependency cycle")
+                raise clash
+            reference_nodes, engine_nodes = nodes
+            if engine_nodes is not None:
+                engine_nodes = list(engine_nodes)
+            assert engine_nodes == reference_nodes, (str(x), engine_nodes, reference_nodes)
+            return engine_nodes
+
+    return CheckedGraftsA2
 
 
 def naive_reachable(arcs, src, dst, vertices=()) -> bool:

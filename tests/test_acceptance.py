@@ -34,6 +34,7 @@ from reference import (
     ReferenceA2,
     checked_a1,
     checked_a2,
+    checked_grafts_a2,
     checked_refutations_a1,
     checked_refutations_a2,
     passes_a1_completion_check,
@@ -410,6 +411,32 @@ def test_prechecks_agree_with_the_mutation_at_every_step(
     print("refuted by a1, doomed in a2, refuted by a2:", counts)
     assert all(a1 > 0 and doomed == refuted for a1, doomed, refuted in counts)
     assert counts[0][2] == 731
+
+
+def test_compiled_grafts_agree_with_the_entry_by_entry_graft(
+    hard, deep, family, corpus_run, monkeypatch, tmp_path
+):
+    """Every a2 graft is made entry by entry first (`reference_graft`)
+    and then from its plan (`checked_grafts_a2`): the same clash message,
+    statistics, end state and successors each time, and the same search
+    outputs. On hard, 18 grafts end in a dependency cycle, which only
+    the per-arc fallback raises; on family, plans are reused."""
+    workloads = pinned_workloads(hard, deep, family, corpus_run[0])
+    expected = search_outputs(workloads, tmp_path)
+    records, caches, counts = [], [], []
+    # hard, deep, family, then the corpus, each counted on its own
+    for group in (workloads[:1], workloads[1:2], workloads[2:3], workloads[3:]):
+        checked = checked_grafts_a2()
+        monkeypatch.setattr(matcher, "A2CompletionStructure", checked)
+        group_records, group_caches = search_outputs(group, tmp_path)
+        records += group_records
+        caches += group_caches
+        counts.append((checked.grafts, checked.cycles, checked.plan_hits))
+    assert (records, caches) == expected
+    print("grafts, cycles, plan hits:", counts)
+    assert all(grafts > 0 for grafts, _, _ in counts)
+    assert counts[0][1] == 18
+    assert counts[2][2] > 0
 
 
 def test_oracle_witnesses_match_their_definition_on_corpus(corpus_run):

@@ -72,6 +72,51 @@ def test_trail_undo_restores_everything():
     assert state.forest.add_child(x) == x.child(1)
 
 
+def test_fill_and_new_arcs_match_entry_by_entry_inserts_and_undo():
+    """`fill` gives a fresh key what `insert` of each entry gives, and
+    `add_new_arcs` what `add_arc` of each arc gives, each with one trail
+    entry that undo takes back whole."""
+    p, not_q, r, f = (Signed("p", True), Signed("q", False), Signed("r", True),
+                      Signed("f", True))
+
+    def build(batched: bool) -> tuple[ForestState, int]:
+        state = ForestState(["x", "a"], ["a"], frozenset())
+        x = NodeId("x")
+        state.insert(x, p)
+        child = state.forest.add_child(x)
+        arc = (x, child)
+        arcs = ((atom("p", x), GroundAtom("f", arc)), (atom("p", x), atom("r", child)))
+        mark = state.trail.mark()
+        if batched:
+            state.fill(child, frozenset({not_q, r}), (atom("r", child),))
+            state.fill(arc, frozenset({f}), (GroundAtom("f", arc),))
+            state.g.add_new_arcs(arcs)
+            assert state.trail.mark() == mark + 3
+        else:
+            for key, sp in ((child, not_q), (child, r), (arc, f)):
+                state.insert(key, sp)
+            for src, dst in arcs:
+                state.g.add_arc(src, dst)
+        return state, mark
+
+    def snapshot(state: ForestState) -> tuple:
+        g = state.g
+        return (
+            {key: frozenset(content) for key, content in state.ct.items()},
+            {v: tuple(targets) for v, targets in g._succ.items()},
+            {node: tuple(atoms) for node, atoms in g._by_node.items() if atoms},
+        )
+
+    (batched, batched_mark), (plain, plain_mark) = build(True), build(False)
+    assert snapshot(batched) == snapshot(plain)
+    batched.trail.undo_to(batched_mark)
+    plain.trail.undo_to(plain_mark)
+    assert snapshot(batched) == snapshot(plain)
+    child = NodeId("x").child(1)
+    assert batched.content(child) == set() and batched.g.unary_atoms(child) == []
+    assert list(batched.g.arcs()) == []
+
+
 def test_paths_set_keeps_pair_with_dependency():
     trail = Trail()
     g = DependencyGraph(trail)
