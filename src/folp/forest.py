@@ -4,7 +4,7 @@ Extended forests (one tree per root constant plus extra arcs back to
 roots), node/arc content maps over signed predicates, the ground-atom
 dependency graph, and trail-based undo. Node order, roots first and then
 each tree in preorder, has one step, `ExtendedForest.next_node`, O(depth)
-from any node; `nodes` walks it and `precedes` compares in it.
+from any node; `nodes` walks it.
 
 The graph indexes its unary atoms by node, so a blocking check reads the
 atoms of two nodes without scanning every vertex. It keeps no
@@ -19,20 +19,24 @@ close a cycle, and otherwise tests each as it goes in
 (`ForestState.add_dependency`). `has_cycle` is a full search kept for
 completion audits.
 
-Blocking and the equal-content ancestor count are memoized per node,
-because the task scan asks for them again and again while few of the
-facts they rest on change in between. One rule keeps the memo exact in
-both engines: new content at a node drops every entry of its proper
-descendants and its own equal-ancestor count and "blocked" entry (a
-node's facts read its own content and its ancestors'). Its own
-"unblocked" entry stays: new content at x only makes ct(x) included in
-ct(y) harder to meet, and its new atoms only add sinks to the path
-search. No entry lapses when a dependency arc goes in.
+Blocking is memoized per node, because the task scan asks for it again
+and again while few of the facts it rests on change in between. The
+memo changes only through the trail, by its writes and their undo, so
+`undo_to(mark)` restores exactly the memo valid at `mark`; no other
+mutation updates it. It stays exact under the precondition of
+`ForestState`, which the engines keep (the `tableau` docstring gives
+the argument). In it, a content entry or a status lands at its node or
+at its arc's source, a child at its parent, an extra arc at its source
+and a dependency arc at the node of its source atom. Both engines
+mutate only while they expand a node z, and add dependency arcs from
+an atom over z (p(z) or f(z, s)) to an atom over z, a child of z or a
+constant.
 
-An arc can only create paths, so an unblocked node stays unblocked. A
-"blocked" entry stays exact as well. Both engines add arcs only while
-they expand a node z: from an atom over z (p(z) or f(z, s)) to an atom
-over z, a child of z or a constant. Let y be the anonymous ancestor
+Under the precondition no entry lapses. An "unblocked" entry at x sees
+its ancestors' contents fixed, since x lies below them; new content at
+x itself only makes ct(x) included in ct(y) harder to meet, and new
+atoms and arcs only add sinks and paths to the path search. A
+"blocked" entry stays exact as well. Let y be the anonymous ancestor
 that blocks x, and y = a0, a1, ..., ak = x the chain between them.
 Every a_i below y is an anonymous non-root node, which no extra arc
 targets, so every arc into an atom over a_i comes from the expansion of
@@ -40,31 +44,15 @@ a_i or of its parent, and every arc into an arc atom f(y, s) from the
 expansion of y. Any path from an atom p(y) to an atom q(x) thus ends in
 a part that starts at some p'(y) and uses only arcs from the expansion
 of a chain node. No such part existed when the entry was written, and
-none is made while it stands:
+none is made while it stands: x, which holds the entry, is at or below
+every chain node, so the precondition keeps every mutation off the
+chain, and ct(x) and ct(y) stay as they were.
 
-- the engines read, and so write, the memo only at a node whose proper
-  ancestors are all saturated. `next_task` reaches x only once every
-  node before it in node order, its ancestors among them, is blocked or
-  saturated (those before its resume point by the argument in the
-  `tableau` docstring, the others by the scan itself), and a node with
-  children is never blocked. A graft reads at the successors of the
-  node it has just grafted. The completion audit and `blocked_nodes` on
-  a witness read a structure with no task left;
-- a blocked x is never expanded, and a saturated chain node is expanded
-  again only after content is added at it, which drops the entry. Under
-  the compiled engine a node is grafted at most once, after every
-  ancestor. Under the direct engine a saturated node becomes unsaturated
-  only by new content at it or by a new arc from it, which only its own
-  expansion makes (`_rearm_negatives` runs only there too).
-
-So y, whose content and x's are unchanged while the entry stands, still
-blocks x.
-
-Memo writes and drops go on the trail like every other mutation, so
-`undo_to(mark)` restores exactly the memo that was valid at `mark`.
 `find_blocking_pair` stays the uncached computation behind the memo; it
 asks `DependencyGraph.connects`, one search from all atoms of the
-candidate blocker, instead of building the path set pair by pair.
+candidate blocker, instead of building the path set pair by pair. The
+equal-content ancestor count is not memoized: it is one walk over the
+ancestors, about as cheap as a memo write with its trail entry.
 
 Node ids, signed predicates and ground atoms are interned: one value is
 one object, made on first use and kept in a module table, so `==` and
@@ -99,8 +87,7 @@ thread-safe across tasks.
 from __future__ import annotations
 
 from functools import partial, total_ordering
-from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .syntax import FolpError
 
@@ -337,7 +324,7 @@ class ExtendedForest:
     def nodes(self) -> Iterator[NodeId]:
         """Node order: roots first (declaration order), then the
         anonymous interiors of each tree in preorder. `next_node` is its
-        step and `precedes` compares in it."""
+        step."""
         step = self.next_node
         node: Optional[NodeId] = self._root_nodes[0]
         while node is not None:
@@ -371,15 +358,6 @@ class ExtendedForest:
             if below:
                 return below[0]
         return None
-
-    def precedes(self, a: NodeId, b: NodeId) -> bool:
-        """Whether node a comes before node b in node order: every root
-        before every interior, and preorder is the order of paths."""
-        if a.root == b.root:
-            return a.path < b.path
-        if bool(a.path) != bool(b.path):
-            return not a.path
-        return self._rank[a.root] < self._rank[b.root]
 
     def add_child(self, node: NodeId) -> NodeId:
         """A new last child of node. Children leave only by this undo,
@@ -444,19 +422,8 @@ class ExtendedForest:
     def child_count(self, node: NodeId) -> int:
         return len(self._children.get(node, ()))
 
-    def has_children(self, node: NodeId) -> bool:
-        return bool(self._children.get(node))
-
     def out_degree(self, node: NodeId) -> int:
         return len(self._children.get(node, ())) + len(self._es.get(node, ()))
-
-    def subtree(self, node: NodeId) -> list[NodeId]:
-        """The node and all its tree descendants, in no particular order."""
-        children = self._children
-        out = [node]
-        for y in out:
-            out.extend(children[y])
-        return out
 
 
 class DependencyGraph:
@@ -607,9 +574,6 @@ class DependencyGraph:
         return False
 
 
-_NO_ENTRIES: Mapping = MappingProxyType({})
-
-
 class ForestState:
     """Extended forest plus contents and the dependency graph.
 
@@ -617,23 +581,15 @@ class ForestState:
     exactly the positive content entries (as ground atoms over nodes and
     arcs).
 
-    Blocking and the equal-ancestor count are memoized per node (see the
-    module docstring): `_blocking` maps a node to whether it is blocked,
-    `_equal` to its equal-ancestor count. New content at a node drops
-    its descendants' entries and its own, except its own "unblocked"
-    entry. Most small searches never ask about a node below a root, so
-    the memo's containers are made by its first write; until then both
-    maps are the shared empty `_NO_ENTRIES`.
-
+    `_blocking` memoizes blocking per node (see the module docstring).
     `resume` is the resume point of the engines' task scan (see the
-    `tableau` docstring), at first the first root: `insert` moves it
-    back to a node that gets content before it. That cut covers node
-    content only; callers change arcs, statuses and children only at
-    the point or after it. Like the memo, it changes through the
-    trail."""
-
-    _blocking: Mapping[NodeId, bool] = _NO_ENTRIES
-    _equal: Mapping[NodeId, int] = _NO_ENTRIES
+    `tableau` docstring), at first the first root. Both change only by
+    their own writes (`is_blocked`, `resume_at`) and the trail's undo of
+    them. They rest on one precondition that callers keep, as the
+    engines do: every new content entry, arc, status and child lands at
+    the resume point or after it, at a node that holds no memo entry
+    other than its own "unblocked" one, and no node below it holds an
+    entry."""
 
     def __init__(
         self,
@@ -647,6 +603,10 @@ class ForestState:
         self.free_preds = free_preds
         self.ct: dict[Key, set[Signed]] = {}
         self.resume: NodeId = self.forest._root_nodes[0]
+        self._blocking: dict[NodeId, bool] = {}
+        # each memo write adds a new key and undo runs last in first out,
+        # so the newest key is always the write to undo
+        self._undo_memo = self._blocking.popitem
 
     def content(self, key: Key) -> set[Signed]:
         return self.ct.get(key, set())
@@ -684,12 +644,6 @@ class ForestState:
         self.trail.push(undo)
         if sp.positive:
             self.g.add_vertex(self.atom_for(key, sp.name))
-        if key.__class__ is NodeId:
-            # a leaf without memo entries, the common case, has nothing to drop
-            if self._blocking.get(key) or key in self._equal or self.forest.has_children(key):
-                self._forget_subtree(key)
-            if key is not self.resume and self.forest.precedes(key, self.resume):
-                self.resume_at(key)
         return True
 
     def fill(
@@ -698,9 +652,9 @@ class ForestState:
         """`insert` of every entry of the consistent `content` at `key`,
         which has no content yet, in one step with one trail entry.
         `atoms` are the ground atoms of the positive entries, in entry
-        order, none of them a vertex yet. A node key must be a child just
-        made after the resume point: it has no memo entries to drop and
-        does not move the point."""
+        order, none of them a vertex yet. Like `insert`, it keeps the
+        precondition of the class only if its caller does: the engines
+        fill only a child just made and the arc to it."""
         self.ct[key] = set(content)
         succ = self.g._succ
         for atom in atoms:
@@ -749,17 +703,11 @@ class ForestState:
 
     def equal_ancestor_count(self, x: NodeId) -> int:
         """Proper ancestors of x whose content equals ct(x): the measure
-        the redundancy bound limits. Memoized."""
-        if not x.path:
-            return 0
-        equal = self._equal.get(x)
-        if equal is None:
-            equal = self.count_equal_ancestors(x, self.content(x))
-            self._remember("_equal", x, equal)
-        return equal
+        the redundancy bound limits."""
+        return self.count_equal_ancestors(x, self.ct.get(x, _NO_CONTENT))
 
     def count_equal_ancestors(self, x: NodeId, content) -> int:
-        """Proper ancestors of x whose content equals `content`, uncached."""
+        """Proper ancestors of x whose content equals `content`."""
         ct = self.ct
         return sum(1 for y in x.ancestors() if ct.get(y, _NO_CONTENT) == content)
 
@@ -771,37 +719,9 @@ class ForestState:
         blocked = self._blocking.get(x)
         if blocked is None:
             blocked = self.find_blocking_pair(x) is not None
-            self._remember("_blocking", x, blocked)
+            self._blocking[x] = blocked
+            self.trail.push(self._undo_memo)
         return blocked
-
-    def _remember(self, name: str, x: NodeId, value) -> None:
-        """Enter `value` for x, which has no entry, in the memo `name`."""
-        memo = self.__dict__.get(name)
-        if memo is None:
-            self._blocking, self._equal = {}, {}
-            # (memo, node, value to restore or None) per memo change, all
-            # undone by one callable that does not refer back to the state
-            self._memo_log: list = []
-            self._undo_memo = partial(_undo_memo_change, self._memo_log)
-            memo = self.__dict__[name]
-        memo[x] = value
-        self._memo_log += (memo, x, None)
-        self.trail.push(self._undo_memo)
-
-    def _forget_subtree(self, node: NodeId) -> None:
-        """Drop the memo entries of a node whose content grew, except its
-        "unblocked" entry, and those of its descendants, whose ancestor
-        contents it changed."""
-        blocking, equal = self._blocking, self._equal
-        for y in self.forest.subtree(node):
-            if y in blocking and (blocking[y] or y is not node):
-                self._forget(blocking, y)
-            if y in equal:
-                self._forget(equal, y)
-
-    def _forget(self, memo: dict, y: NodeId) -> None:
-        self._memo_log += (memo, y, memo.pop(y))
-        self.trail.push(self._undo_memo)
 
     def blocked_nodes(self) -> list[NodeId]:
         return [x for x in self.forest.nodes() if self.is_blocked(x)]
@@ -855,18 +775,6 @@ class ForestState:
 
 
 _NO_CONTENT: frozenset = frozenset()
-
-
-def _undo_memo_change(log: list) -> None:
-    """Undo the newest change logged by `ForestState._remember` or
-    `ForestState._forget_subtree`."""
-    old = log.pop()
-    x = log.pop()
-    memo = log.pop()
-    if old is None:
-        del memo[x]
-    else:
-        memo[x] = old
 
 
 def _undo_fill(ct: dict, key: Key, succ: dict, atoms: tuple, bucket: Optional[list]) -> None:

@@ -7,8 +7,8 @@ it (anonymous roots fit anonymous nodes, a constant root only its own
 constant) and whose saturated root content covers the node's accumulated
 requirements. Blocking, its memo and the redundancy bound are shared
 with the direct engine: a node is grafted at most once, after its
-ancestors and never while blocked, which is all the memo's argument in
-the `forest` module docstring asks of this engine.
+ancestors and never while blocked, which keeps the precondition that
+the memo rests on (see the `tableau` module docstring).
 
 Units may impose content on constants through their extra arcs. An
 unexpanded constant accrues those requirements, constraining its later
@@ -30,21 +30,21 @@ Each graft of a unit onto a node x is compiled once per search
 structure (`_graft_plan`): the structure keeps the successor nodes,
 each content as sorted entries with the ground atoms of its positive
 entries, and the ground dependency arcs; a SAT witness drops them
-(`keep_as_witness`). Like the direct
-engine's instance cache, the plans need no trail entries, because a
-plan reads nothing of the state: x is grafted at most once and has no
-children before its graft, so its tree successors are always x.1 ...
-x.n, also after backtracking, and a constant stands for itself. A
-graft then copies the plan. x's root content goes in entry by entry,
-through `insert`, which drops the memo entries it must; so does the
-node content of a constant successor, where a contradiction stops the
-graft at the exact entry. Every other key is fresh: the tree children
-and the arcs out of x, which has none before its graft. A fresh key
-cannot contradict, and `ForestState.fill` gives it its whole content
-in one step. This argument and the pre-check's below rest on what unit
-enumeration makes of a unit: consistent contents, and acyclic arcs
-that leave atoms over its root and end at its positive entries. A
-loaded cache is trusted to hold such units.
+(`keep_as_witness`). Like the direct engine's instance cache, the
+plans need no trail entries, because a plan reads nothing of the
+state: x is grafted at most once and has no children before its graft,
+so its tree successors are always x.1 ... x.n, also after
+backtracking, and a constant stands for itself. A graft then copies
+the plan. x's root content goes in entry by entry, through `insert`,
+and so does the node content of a constant successor, where a
+contradiction stops the graft at the exact entry. Every other key is
+fresh: the tree children and the arcs out of x, which has none before
+its graft. A fresh key cannot contradict, and `ForestState.fill` gives
+it its whole content in one step. This argument and the pre-check's
+below rest on what unit enumeration makes of a unit: consistent
+contents, and acyclic arcs that leave atoms over its root and end at
+its positive entries. `units.load_cache` rejects a cache whose units
+break this.
 
 The driver, the task scan, the redundancy clash and the completion
 audit are those of `tableau.CompletionStructure` and `tableau.decide`;

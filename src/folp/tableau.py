@@ -33,30 +33,37 @@ The scan starts at a resume point, `ForestState.resume`: the first node
 in node order it has not passed, so every node before it is blocked, or
 saturated with fewer than k equal-content ancestors. `next_task` moves
 the point to the node it picks, through the trail, so backtracking
-restores it with the rest of the state. A node before the point stays
-as the scan left it until content is added at it or at an ancestor,
-which comes before it too: a blocked node stays blocked (the memo
-argument of the `forest` docstring), its equal-ancestor count and the
-bound k are fixed, and a saturated node turns unsaturated only by
-content at it or by a change at its arcs, its statuses or its children.
-`insert` covers node content only: it cuts the point back to a node that
-gets content before it. Everything else rests on a precondition that
-callers keep: a node's outgoing arcs (their content included), its
-statuses and its children change only at the resume point or after it. The engines
-keep it, because they change these only at the node being expanded,
-which is at the point, and `checked_next_task` in the tests confirms
-it at every selection. In the engines' searches the cut never fires
-either: content goes to the expanded node and its successors, which
-come after it or are constant roots, and a root before the point is
-saturated, with total unary content, so new content there is a
-contradiction. New children come after the node being expanded.
+restores it with the rest of the state. Nothing else moves the point,
+and the blocking memo changes only when it is read: both rest on the
+precondition of `ForestState`. Every new content entry, arc, status
+and child lands at the resume point or after it, at a node that holds
+no memo entry other than its own "unblocked" one, and no node below it
+holds an entry. A node before the point then stays as the scan left
+it: a blocked node stays blocked (the memo argument of the `forest`
+docstring), its equal-ancestor count and the bound k are fixed, and a
+saturated node turns unsaturated only by a change at it.
+
+The engines keep the precondition. They change the state only while
+they expand the node z at the point: statuses, arcs and children at z,
+content at z, its arcs and its successors. New children come after z,
+and a constant before the point is saturated, with total unary
+content, so new content there is a contradiction. Memo entries stand
+only where a task has read them: at nodes the scan passed, before z
+(along a branch the point only moves on, and new nodes keep the order
+of the others); at z, "unblocked" since z was picked; and, under `a2`,
+at the successors of a grafted node, which get content again only from
+their own graft, as unblocked, childless nodes. The completion audit
+reads the memo only once no task is left. In the tests,
+`checked_next_task` compares the memo and the resumed scan with a fresh
+scan at every selection of real searches, and `checked_landings`
+checks the precondition at every new content entry.
 
 The scan derives nothing afresh that no mutation changed: it reads
 nothing before the resume point; saturation is two counter reads, kept
 by `set_status` (expanded entries per key, and per node the outgoing
-arcs whose binary entries are all expanded); blocking and the
-equal-ancestor count come from the memo of `ForestState`, which only
-content inserts invalidate.
+arcs whose binary entries are all expanded); blocking comes from the
+memo of `ForestState`; the equal-ancestor count is one walk over the
+node's ancestors.
 
 A negative obligation is refuted one rule instance at a time, and the
 ground instances, each with its ground body, are computed once per

@@ -626,5 +626,40 @@ def _parse_cache(lines: list[str]) -> UnitCache:
             raise CacheFormatError(
                 f"final flag {final_text!r} disagrees with the unit's successors"
             )
+        _check_unit(unit)
         units.append(unit)
     return UnitCache(fingerprint, tuple(units))
+
+
+def _check_unit(unit: UnitCompletionStructure) -> None:
+    """Reject a unit that enumeration cannot make and whose graft the
+    compiled engine would mistrust (see the `matcher` docstring): an
+    inconsistent content, or dependency arcs that close a cycle or do
+    not run from positive entries over the root to positive entries."""
+    contents = [unit.root_content]
+    entries = {(sp.name, (None,)) for sp in unit.root_content if sp.positive}
+    for succ in unit.successors:
+        # a self-arc of a constant root ends at the root itself
+        token = None if succ.target == unit.root_constant else succ.target
+        contents += (succ.arc_content, succ.node_content)
+        entries.update((sp.name, (None, token)) for sp in succ.arc_content if sp.positive)
+        entries.update((sp.name, (token,)) for sp in succ.node_content if sp.positive)
+    for content in contents:
+        if any(sp.negated() in content for sp in content):
+            raise CacheFormatError(f"inconsistent unit content {_format_content(content)!r}")
+    arcs = sorted(unit.g_arcs, key=_arc_key)
+    for src, dst in arcs:
+        if src[1][0] is not None or src not in entries or dst not in entries:
+            raise CacheFormatError(
+                f"unit arc {format_uatom(src)} -> {format_uatom(dst)} does not run "
+                "from a positive entry over the root to a positive entry"
+            )
+    # drop the arcs into atoms without outgoing arcs until none is left,
+    # which fails exactly when the arcs close a cycle
+    while arcs:
+        sources = {src for src, _ in arcs}
+        kept = [arc for arc in arcs if arc[1] in sources]
+        if len(kept) == len(arcs):
+            cycle = ", ".join(f"{format_uatom(a)} -> {format_uatom(b)}" for a, b in kept)
+            raise CacheFormatError(f"unit arcs close a cycle: {cycle}")
+        arcs = kept

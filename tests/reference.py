@@ -2,12 +2,14 @@
 and for the oracle's shortcuts.
 
 The engines keep saturation as counters updated on every status change,
-blocking and the equal-ancestor count in a per-node memo, the task scan's
-resume point, and (a1) the ground rule instances of each negative
-obligation in a cache; the functions here derive the same facts from
-scratch, so tests can compare the two at every step of a real search
-(`reference_scan` is the full scan from the first root, with nothing
-memoized); `naive_reachable` recomputes the dependency graph's
+blocking in a per-node memo, the task scan's resume point, and (a1) the
+ground rule instances of each negative obligation in a cache; the
+functions here derive the same facts from scratch, so tests can compare
+the two at every step of a real search (`reference_scan` is the full
+scan from the first root, with nothing memoized). The memo and the
+resume point stay exact only under the precondition of `ForestState`;
+`checked_landings` asserts it at every new content entry of a real
+search. `naive_reachable` recomputes the dependency graph's
 reachability. The oracle grounds rules through argument-position
 templates, evaluates every reduct candidate at once in bit-sliced
 columns and picks `bounded_sat`'s witness on those columns;
@@ -70,7 +72,7 @@ def reference_equal_ancestor_count(cs, x) -> int:
 
 
 def assert_memo_agrees(cs, x) -> None:
-    """The memoized blocking status and equal-ancestor count of x are
+    """The memoized blocking status of x and its equal-ancestor count are
     those a fresh computation gives."""
     assert cs.is_blocked(x) == (cs.find_blocking_pair(x) is not None), str(x)
     assert cs.equal_ancestor_count(x) == reference_equal_ancestor_count(cs, x), str(x)
@@ -125,6 +127,43 @@ def checked_next_task(cs, saturated, scan):
     else:
         assert cs.resume is expected, (str(cs.resume), str(expected))
     return task
+
+
+def assert_lands_after_the_point(cs, key) -> None:
+    """The precondition of `ForestState` for a new content entry at the
+    node or arc `key`: its node, an arc's source, is at the resume point
+    or after it in node order, holds no memo entry other than its own
+    "unblocked" one, and no node below it holds an entry."""
+    node = key[0] if isinstance(key, tuple) else key
+    order = list(cs.forest.nodes())
+    assert order.index(node) >= order.index(cs.resume), (str(node), str(cs.resume))
+    assert not cs._blocking.get(node), str(node)
+    below = [y for y in order if node in y.ancestors() and y in cs._blocking]
+    assert not below, (str(node), [str(y) for y in below])
+
+
+def checked_landings(base) -> type:
+    """A fresh subclass of the engine structure `base` that asserts the
+    precondition of `ForestState` (`assert_lands_after_the_point`) at
+    every new content entry that `insert` or `fill` makes, and counts
+    those entries in `landings`."""
+
+    class CheckedLandings(base):
+        landings = 0
+
+        def insert(self, key, sp):
+            new = super().insert(key, sp)
+            if new:
+                assert_lands_after_the_point(self, key)
+                CheckedLandings.landings += 1
+            return new
+
+        def fill(self, key, content, atoms):
+            super().fill(key, content, atoms)
+            assert_lands_after_the_point(self, key)
+            CheckedLandings.landings += 1
+
+    return CheckedLandings
 
 
 def reference_pending_instances(cs: A1CompletionStructure, x, p: str, okey) -> list:
@@ -229,9 +268,8 @@ def checked_a1() -> type:
 
 def checked_a2() -> type:
     """The same scan and memo checks for the compiled engine's
-    structure, which shares the scan, the memo and its one rule and has
-    no saturation counters; `scans` and `memo_checks` as in
-    `checked_next_task`."""
+    structure, which shares the scan and the memo and has no saturation
+    counters; `scans` and `memo_checks` as in `checked_next_task`."""
 
     class CheckedA2(A2CompletionStructure):
         scans = memo_checks = 0

@@ -15,10 +15,16 @@ import pytest
 
 from folp import matcher, tableau, units as units_module
 from folp.forest import Signed, StructureError
-from folp.matcher import check_sat_a2
+from folp.matcher import A2CompletionStructure, check_sat_a2
 from folp.oracle import bounded_sat, is_answer_set
 from folp.syntax import Program, eliminate_constraints, parse_program
-from folp.tableau import RedundancyPolicy, VerdictKind, check_sat_a1, redundancy_bound
+from folp.tableau import (
+    A1CompletionStructure,
+    RedundancyPolicy,
+    VerdictKind,
+    check_sat_a1,
+    redundancy_bound,
+)
 from folp.units import (
     compile_units,
     enumerate_unit_completions,
@@ -35,6 +41,7 @@ from reference import (
     checked_a1,
     checked_a2,
     checked_grafts_a2,
+    checked_landings,
     checked_refutations_a1,
     checked_refutations_a2,
     passes_a1_completion_check,
@@ -437,6 +444,35 @@ def test_compiled_grafts_agree_with_the_entry_by_entry_graft(
     assert all(grafts > 0 for grafts, _, _ in counts)
     assert counts[0][1] == 18
     assert counts[2][2] > 0
+
+
+def test_mutations_keep_the_precondition_of_the_scan(
+    hard, deep, family, corpus_run, monkeypatch, tmp_path
+):
+    """The blocking memo and the resume point change only through their
+    own writes and the trail; they stay exact because every new content
+    entry lands at the resume point or after it, at a node with no memo
+    entry but its own "unblocked" one and none below it. Both engines
+    and unit enumeration keep this at every new entry on every workload
+    (`checked_landings`), and the searches come out as before."""
+    workloads = pinned_workloads(hard, deep, family, corpus_run[0])
+    expected = search_outputs(workloads, tmp_path)
+    records, caches, counts = [], [], []
+    # hard, deep, family, then the corpus, each counted on its own
+    for group in (workloads[:1], workloads[1:2], workloads[2:3], workloads[3:]):
+        a1 = checked_landings(A1CompletionStructure)
+        enumeration = checked_landings(A1CompletionStructure)
+        a2 = checked_landings(A2CompletionStructure)
+        monkeypatch.setattr(tableau, "A1CompletionStructure", a1)
+        monkeypatch.setattr(units_module, "A1CompletionStructure", enumeration)
+        monkeypatch.setattr(matcher, "A2CompletionStructure", a2)
+        group_records, group_caches = search_outputs(group, tmp_path)
+        records += group_records
+        caches += group_caches
+        counts.append((a1.landings, enumeration.landings, a2.landings))
+    assert (records, caches) == expected
+    print("new entries checked in a1, unit enumeration, a2:", counts)
+    assert all(count > 0 for group in counts for count in group)
 
 
 def test_oracle_witnesses_match_their_definition_on_corpus(corpus_run):

@@ -9,7 +9,7 @@ from folp.syntax import eliminate_constraints, parse_program
 from folp.tableau import check_sat_a1
 from folp.units import compile_units
 
-from conftest import PROGRAMS, ROOT
+from conftest import GOLDEN, PROGRAMS, ROOT
 
 MEMBERSHIP = str(PROGRAMS / "membership.folp")
 LOOP = str(PROGRAMS / "membership_loop.folp")
@@ -201,6 +201,43 @@ def test_check_a2_malformed_cache_exits_three(tmp_path, capsys):
                          "--cache", str(out_path))
     assert (code, out) == (3, "")
     assert "malformed cache file" in err
+
+
+def test_check_a2_rejects_units_that_enumeration_cannot_make(tmp_path, capsys):
+    """The compiled engine trusts each unit to have consistent contents
+    and acyclic arcs from positive entries over its root to positive
+    entries: a cache whose final unit breaks this is an input error
+    (exit 3). The golden cache itself still loads and answers SAT."""
+    golden = (GOLDEN / "choice_chain.units").read_text()
+    head, last = golden.rsplit("\nunit\n", 1)
+    edits = [
+        (
+            last.replace("garc: p(@) -> f(@,@.1)\n",
+                         "garc: f(@,@.1) -> p(@)\ngarc: p(@) -> f(@,@.1)\n"),
+            "unit arcs close a cycle: f(@,@.1) -> p(@), p(@) -> f(@,@.1)",
+        ),
+        (
+            last.replace("content: p, not q\n", "content: p, not p, not q\n", 1),
+            "inconsistent unit content 'p, not p, not q'",
+        ),
+    ]
+    path = tmp_path / "chain.units"
+    for edited, message in edits:
+        assert edited != last
+        path.write_text(f"{head}\nunit\n{edited}")
+        code, out, err = run(capsys, "check", CHAIN, "p", "--alg", "a2",
+                             "--cache", str(path), "--format", "machine")
+        assert (code, out) == (3, ""), message
+        assert message in err
+    code, out, _ = run(capsys, "check", CHAIN, "p", "--alg", "a2",
+                       "--cache", str(GOLDEN / "choice_chain.units"), "--format", "machine")
+    assert code == 0
+    assert records(out)[0] == {
+        "algorithm": "a2", "backtracks": 1, "bounded_incomplete": False,
+        "choice_points": 1, "max_depth": 1, "nodes_created": 2, "predicate": "p",
+        "record": "verdict", "redundancy_clashes": 0, "tasks": 2, "unit_matches": 2,
+        "unit_reuse": 0, "units_tried": 4, "verdict": "SAT",
+    }
 
 
 def test_usage_errors_exit_three(capsys):

@@ -11,10 +11,8 @@ from folp.tableau import (
     EXP,
     UNEXP,
     A1CompletionStructure,
-    CompletionStructure,
     EngineBudgetError,
     RedundancyPolicy,
-    Task,
     VerdictKind,
     check_sat_a1,
     redundancy_bound,
@@ -480,41 +478,6 @@ def test_scan_reads_are_pinned(hard, deep, monkeypatch):
         reads.clear()
         check_sat_a1(program, pred, RedundancyPolicy(k_override=k))
         assert {key: reads[key] for key in expected} == expected, (name, pred)
-
-
-DONE, AGAIN = Signed("done", True), Signed("again", True)
-
-
-class _ScanOnly(CompletionStructure):
-    """The shared scan over a hand-built structure: a node is saturated
-    while it holds `done` and not `again`, and its task only names it."""
-
-    def is_saturated(self, x):
-        content = self.content(x)
-        return DONE in content and AGAIN not in content
-
-    def node_task(self, x):
-        return Task("at {}", (x,), [])
-
-
-def test_content_before_the_resume_point_makes_the_scan_pick_it_again():
-    """Once the scan has passed the constant a, new content at a cuts
-    the resume point back to it and the next scan picks a; undoing the
-    content restores the resume point and the pick."""
-    cs = _ScanOnly(parse_program("p(a).\n"))
-    x, a = cs.epsilon, NodeId("a")
-    cs.insert(x, DONE)
-    cs.insert(a, DONE)
-    child = cs.forest.add_child(x)
-    cs.insert(child, Signed("c", True))  # unblocked: x holds no c
-    assert cs.next_task().args == (child,) and cs.resume is child
-    mark = cs.trail.mark()
-    cs.insert(a, AGAIN)
-    assert cs.resume is a
-    assert cs.next_task().args == (a,) and cs.resume is a
-    cs.trail.undo_to(mark)
-    assert cs.resume is child
-    assert cs.next_task().args == (child,)
 
 
 def test_instance_cache_survives_undoing_and_recreating_a_child():

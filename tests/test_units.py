@@ -214,12 +214,21 @@ def test_cache_rejects_garbage(tmp_path):
         ("paths: p->p", "paths: p p"),
         ("garc: p(@) -> f(@,@.1)", "garc: p(@) f(@,@.1)"),
         ("final: no", "final: yes"),
+        ("garc: p(@) -> f(@,@.1)", "garc: f(@,@.1) -> p(@)\ngarc: p(@) -> f(@,@.1)"),
+        ("content: p, q", "content: p, not p, q"),
+        ("arc-content: f", "arc-content: f, not f"),
+        ("garc: p(@) -> p(@.1)", "garc: p(@.1) -> p(@)"),
+        ("garc: p(@) -> f(@,@.1)", "garc: p(@) -> q(@.1)"),
+        ("garc: p(@) -> f(@,@.1)", "garc: p(@) -> p(@.2)"),
     ],
 )
 def test_cache_rejects_malformed_fields(tmp_path, choice_chain, line, corrupted):
-    """A field that does not parse, or a final flag that disagrees with
-    the unit's successors, is a format error, not a ValueError that the
-    command line would report as UNSAT (exit 1)."""
+    """A field that does not parse, a final flag that disagrees with the
+    unit's successors, or a unit that enumeration cannot make (an
+    inconsistent content, cyclic dependency arcs, or an arc that does
+    not run from a positive entry over the root to a positive entry) is
+    a format error, not a ValueError that the command line would report
+    as UNSAT (exit 1)."""
     path = tmp_path / "chain.units"
     save_cache(compile_units(choice_chain).cache, path)
     text = path.read_text()
