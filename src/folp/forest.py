@@ -97,19 +97,30 @@ class StructureError(FolpError):
 
 
 class ClashError(FolpError):
-    """A clash on the current branch: contradiction, cycle, or redundancy."""
+    """A clash on the current branch: contradiction, cycle, or redundancy.
+
+    The search drops almost every clash unread, so the message is kept
+    as a `str.format` template, the first argument, and the values for
+    it, the others; `str` formats them only when read. A lone argument
+    is the message itself."""
+
+    def __str__(self) -> str:
+        template, *values = self.args
+        return template.format(*values) if values else template
 
 
 def contradiction(key: Key, sp: Signed) -> ClashError:
     """The clash of entering sp at the node or arc `key`, which holds its
-    negation."""
-    return ClashError(f"contradiction: {sp} and {sp.negated()} at {_key_str(key)}")
+    negation; an arc reads (x,y)."""
+    if key.__class__ is tuple:
+        return ClashError("contradiction: {} and {} at ({},{})", sp, sp._negation, *key)
+    return ClashError("contradiction: {} and {} at {}", sp, sp._negation, key)
 
 
 def dependency_cycle(src: GroundAtom, dst: GroundAtom) -> ClashError:
     """The clash of adding the dependency arc src -> dst, which closes a
     cycle."""
-    return ClashError(f"dependency cycle: {src} -> {dst}")
+    return ClashError("dependency cycle: {} -> {}", src, dst)
 
 
 class _Interned:
@@ -790,9 +801,3 @@ def _remove_new_arcs(succ: dict, arcs: tuple) -> None:
     """Undo `DependencyGraph.add_new_arcs`: each source's newest arcs."""
     for src, _ in arcs:
         succ[src].pop()
-
-
-def _key_str(key: Key) -> str:
-    if isinstance(key, NodeId):
-        return str(key)
-    return f"({key[0]},{key[1]})"

@@ -61,6 +61,8 @@ A graft that would end in that redundancy clash is refuted before it
 changes anything (`_redundant_graft`). After the graft, x holds the
 unit's root content. So when k or more proper ancestors of x hold that
 content, the clash follows the graft, unless the graft clashes first.
+`_apply_match` counts those ancestors once: the count serves the
+pre-check and, after a graft that goes ahead, the bound check.
 The graft of an ungrafted x can clash first in only two ways:
 
 - A contradiction at a constant successor. Nothing else can contradict:
@@ -140,7 +142,7 @@ class A2CompletionStructure(CompletionStructure):
     # -- the Match rule --------------------------------------------------
 
     def expand_cs(
-        self, x: NodeId, uc: UnitCompletionStructure
+        self, x: NodeId, uc: UnitCompletionStructure, equal: Optional[int] = None
     ) -> Optional[tuple[NodeId, ...]]:
         """Graft the unit onto x: copy successors, contents, and
         dependency arcs under the relabeling of the unit root to x, by
@@ -149,7 +151,9 @@ class A2CompletionStructure(CompletionStructure):
         contradicting content entry or cycle-closing arc. Returns None
         instead, with only the graft's node statistics recorded, when
         `_redundant_graft` finds that the graft would end in the
-        redundancy clash at x."""
+        redundancy clash at x. `equal` is the number of proper ancestors
+        of x that hold the unit's root content, counted here when not
+        given."""
         if uc.root_constant is not None and NodeId(uc.root_constant) != x:
             raise ValueError(
                 f"unit rooted at constant {uc.root_constant!r} cannot expand {x}"
@@ -160,7 +164,9 @@ class A2CompletionStructure(CompletionStructure):
             )
         if not self.content(x) <= uc.root_content:
             raise ValueError(f"unit does not locally satisfy the content of {x}")
-        if self._redundant_graft(x, uc):
+        if equal is None:
+            equal = self.count_equal_ancestors(x, uc.root_content)
+        if self._redundant_graft(x, uc, equal):
             self.count_children(x, len(uc.tree_successors))
             return None
         plan_key = (id(uc), x)
@@ -241,14 +247,17 @@ class A2CompletionStructure(CompletionStructure):
             targets = uc.constant_targets()
         return (root_content, steps, arcs, targets, nodes, uc)
 
-    def _redundant_graft(self, x: NodeId, uc: UnitCompletionStructure) -> bool:
+    def _redundant_graft(
+        self, x: NodeId, uc: UnitCompletionStructure, equal: int
+    ) -> bool:
         """Whether grafting the unit onto the ungrafted x would end in the
-        redundancy clash at x with no clash before it: k or more proper
-        ancestors hold the unit's root content, no constant successor's
-        node content contradicts that constant's content, and no atom
-        over a constant that a unit arc targets reaches an atom over x
-        (see the module docstring). Reads the state, changes nothing."""
-        if self.count_equal_ancestors(x, uc.root_content) < self.k:
+        redundancy clash at x with no clash before it: `equal`, the number
+        of proper ancestors that hold the unit's root content, is k or
+        more, no constant successor's node content contradicts that
+        constant's content, and no atom over a constant that a unit arc
+        targets reaches an atom over x (see the module docstring). Reads
+        the state, changes nothing."""
+        if equal < self.k:
             return False
         ct = self.ct
         for succ in uc.successors:
@@ -288,17 +297,19 @@ class A2CompletionStructure(CompletionStructure):
         return alternatives
 
     def _apply_match(self, x: NodeId, uc: UnitCompletionStructure) -> None:
-        successors = self.expand_cs(x, uc)
+        # one walk serves the pre-check and the bound below: a graft that
+        # goes ahead leaves ct(x) equal to the unit's root content
+        equal = self.count_equal_ancestors(x, uc.root_content)
+        successors = self.expand_cs(x, uc, equal)
         self.stats.matches += 1
         self.stats.units_used.add(uc.sort_key())
-        if successors is None:
-            # refuted: x, with the unit's root content, would be redundant
-            raise self.redundant(x, self.count_equal_ancestors(x, uc.root_content))
-        # an expanded node's content and ancestors are fixed, so the
-        # bound can be checked at once (see the module docstring); the
-        # scan found x unblocked, and a graft only adds content at x and
-        # paths, so x is still unblocked
-        self.redundancy_clash(x)
+        # refuted (successors None), or grafted: an expanded node's
+        # content and ancestors are fixed, so the bound can be checked at
+        # once (see the module docstring); the scan found x unblocked,
+        # and a graft only adds content at x and paths, so x is still
+        # unblocked
+        if equal >= self.k:
+            raise self.redundant(x, equal)
         # Fail fast on successors no unit can ever cover. Sound because an
         # existing node's ancestors are already expanded, so its content
         # and theirs are fixed: an unblocked node can never become
@@ -309,7 +320,7 @@ class A2CompletionStructure(CompletionStructure):
                 continue
             if next(self.covering(node), None) is None:
                 raise ClashError(
-                    f"successor {node} of {x} is unblocked and matches no unit"
+                    "successor {} of {} is unblocked and matches no unit", node, x
                 )
 
     # -- scheduling --------------------------------------------------------

@@ -73,29 +73,50 @@ arc obligations share this path and its ledger; an arc has one
 instance per defining rule. The cache needs no trail entries, because
 the instances read only the node's children and the constants, and a
 node with n children always has the children x.1 ... x.n, also after
-backtracking. Positive expansion is not cached: its groundings depend
-on the depth bound, and computing them records whether the bound
-pruned anything. Node and arc entries share one positive path as well
-(`_expand_positive`, `_apply_positive`); both sides take rule bodies
-from `_ground_body`, the positive one lazily, so that each fresh
-successor is made just before its own literals go in.
+backtracking.
 
-A positive rule application is refuted before it changes anything
-(`_refute_positive`), because most of them clash. Applying one inserts
-the ground body literal by literal, marks the head expanded, and adds
-one dependency arc from the head atom to each positive body atom. Only
-an insert (contradiction) or an arc (dependency cycle) can clash:
-making a successor adds no content, and a status never clashes.
+Positive expansion is cached at two scopes. A structure keeps the
+alternatives of a positive obligation per node or arc and predicate,
+and at a node also per successor list, tree children then extra-arc
+targets (`_expand_positive`). That is exact: the groundings read only
+the successors, the constants and the depth bound, which is fixed per
+structure, and the `pruned` flag is set when a list is first built and
+nothing clears it. The rule applications behind a list and their ground
+plans (`_applications`, `_ground_plan`) are fixed by the same key and by
+whether the bound admits a fresh successor at the node. They are pure
+data over interned values, so the structures of one call share them
+across depth rounds and root choices: those of one `check_sat_a1` call,
+and those of one `units.enumerate_unit_completions` call. No cache
+outlives its call, and none is kept on the `Program`. The alternatives
+bind their structure, so `release` drops them with the undo closures
+when the call is done with a structure, and a SAT witness keeps
+neither. Node and arc entries share one positive path as well
+(`_expand_positive`, `_apply_positive`); both sides ground rule bodies
+through `_ground_body`.
 
-- A contradiction. The pre-check walks the literals in body order.
-  Literal i contradicts exactly when its negation is in the present
-  content of its node or arc, or among the earlier literals of the same
-  body. A fresh successor starts empty, and the pre-check names it by
-  the child id `add_child` will give it.
+A positive rule application runs on its ground plan, built on its first
+use in the call. The plan holds the body literals in body order, each
+with its key, its negation and the number of fresh successors made
+before it; the first literal whose negation an earlier literal of the
+same body is; the head atom and the positive body atoms; and the steps
+that insert the body, each fresh successor made just before its own
+literals. An application is refuted before it changes anything, because
+most of them clash. Applying one inserts the ground body literal by
+literal, marks the head expanded, and adds one dependency arc from the
+head atom to each positive body atom. Only an insert (contradiction) or
+an arc (dependency cycle) can clash: making a successor adds no
+content, and a status never clashes.
+
+- A contradiction. Literal i contradicts exactly when its negation is
+  in the present content of its node or arc, or among the earlier
+  literals of the same body. The second part reads no state, so the
+  plan holds it, and the check reads one content per literal before
+  that literal. A fresh successor starts empty, and the plan names it
+  by the child id `add_child` will give it.
 - A dependency cycle. With no contradiction, the inserts add vertices
   but no arcs, and every new arc leaves the head. So the arc to a
   positive body atom closes a cycle exactly when that atom is the head,
-  or already reaches the head in the unchanged graph; the pre-check asks
+  or already reaches the head in the unchanged graph; the check asks
   that in body order, as the arcs would go in.
 - The statistics. An application records only the fresh successors it
   makes (`nodes_created`, `max_depth_seen`). A contradiction at literal
@@ -103,7 +124,7 @@ making a successor adds no content, and a status never clashes.
   carries the message of the mutation it replaces
   (`forest.contradiction`, `forest.dependency_cycle`).
 
-The pre-check decides both kinds exactly, so there is no fallback. An
+The check decides both kinds exactly, so there is no fallback. An
 application that passes mutates as before, except that it adds its arcs
 with `DependencyGraph.add_arc`: none of them can close a cycle.
 
@@ -320,11 +341,28 @@ class Task:
 # grounding target descriptors: ("node", NodeId) or ("fresh", position)
 _Desc = tuple
 
+
+class _Application:
+    """A positive rule application of the direct engine: justify `sp` at
+    the node or arc `key` by the body of a rule instance, the rule's
+    signed `body` with one target descriptor per successor in `binding`.
+    `plan` is its ground plan once it has been applied (see the module
+    docstring)."""
+
+    __slots__ = ("key", "sp", "body", "binding", "plan")
+
+    def __init__(self, key: Key, sp: Signed, body: _SignedBody, binding: tuple) -> None:
+        self.key = key
+        self.sp = sp
+        self.body = body
+        self.binding = binding
+        self.plan: Optional[tuple] = None
+
 # the signed body of a choice rule, which justifies its head alone
 _NO_BODY: _SignedBody = ((), ())
 
 # a refutation's description by the number of ends of the refuted key:
-# an arc reads (x,y), as `forest._key_str` writes it
+# an arc reads (x,y), as `forest.contradiction` writes it
 _REFUTE_AT = {1: ": refute {} at {}", 2: ": refute {} at ({},{})"}
 
 
@@ -438,7 +476,7 @@ class CompletionStructure(ForestState):
         self.stats.redundancy_events.append(
             {"node": str(x), "equal_ancestors": equal, "chain_position": equal + 1}
         )
-        return ClashError(f"redundant node {x} ({equal} equal ancestors)")
+        return ClashError("redundant node {} ({} equal ancestors)", x, equal)
 
     def count_children(self, x: NodeId, count: int) -> None:
         """Record `count` new tree children of x in the statistics."""
@@ -472,6 +510,12 @@ class CompletionStructure(ForestState):
         """Drop what only the search needs (see the module docstring)."""
         self.trail.clear()
 
+    def release(self) -> None:
+        """Undo a structure the search is done with. Undo closures tie a
+        structure into reference cycles; undone, it is freed at once, not
+        by the collector."""
+        self.trail.undo_to(0)
+
 
 class A1CompletionStructure(CompletionStructure):
     """Tableau state for the direct engine.
@@ -479,14 +523,24 @@ class A1CompletionStructure(CompletionStructure):
     The status map tracks every content entry; negative non-free entries
     additionally carry a ledger of already refuted rule instances, so a
     fresh successor re-arms them for the new instances only; the
-    instances themselves are cached (see the module docstring). Per key,
+    instances themselves are cached, and so are the positive
+    alternatives and their ground plans (see the module docstring);
+    `plans` is the table of the latter that the structures of one call
+    share, a new one when not given. Per key,
     the number of expanded entries is kept beside the map, and per node
     the number of outgoing arcs whose binary entries are all expanded,
     which makes the saturation test two counter reads."""
 
     algorithm = "a1"
 
-    def __init__(self, program: Program, *, pred: Optional[str] = None, **options):
+    def __init__(
+        self,
+        program: Program,
+        *,
+        pred: Optional[str] = None,
+        plans: Optional[dict] = None,
+        **options,
+    ):
         super().__init__(program, **options)
         self.st: dict[tuple[Key, Signed], str] = {}
         self.expanded: dict[Key, int] = {}
@@ -496,6 +550,11 @@ class A1CompletionStructure(CompletionStructure):
         self.handled: dict[tuple[Key, Signed], set] = {}
         self._instance_cache: dict[tuple[NodeId, str, int], list] = {}
         self._shapes: dict[Rule, tuple] = {}
+        # the positive alternatives per obligation and successor list, and
+        # the positive applications with their ground plans, shared with
+        # the other structures of one call (see the module docstring)
+        self._alternatives: dict[tuple, list[Alternative]] = {}
+        self._plans: dict[tuple, tuple] = {} if plans is None else plans
         if pred is not None:
             self.insert_tracked(self.epsilon, Signed(pred, True))
 
@@ -588,18 +647,13 @@ class A1CompletionStructure(CompletionStructure):
     def _head_matches_node(self, term, x: NodeId) -> bool:
         return term.is_variable or NodeId(term.name) == x
 
-    def _fresh_allowed(self, x: NodeId) -> bool:
-        if self.max_depth is None or x.depth + 1 <= self.max_depth:
-            return True
-        self.pruned = True
-        return False
-
-    def _positive_candidates(self, x: NodeId, position: int) -> list[_Desc]:
-        """Existing successors first, then a fresh child, then constants
-        not yet linked from x."""
-        existing = self.forest.successors(x)
+    def _positive_candidates(
+        self, existing: list[NodeId], fresh: bool, position: int
+    ) -> list[_Desc]:
+        """The `existing` successors of a node first, then a fresh child
+        if `fresh`, then constants not yet linked from the node."""
         out: list[_Desc] = [("node", y) for y in existing]
-        if self._fresh_allowed(x):
+        if fresh:
             out.append(("fresh", position))
         linked = set(existing)
         for c in self.program.constants:
@@ -608,9 +662,13 @@ class A1CompletionStructure(CompletionStructure):
                 out.append(("node", node))
         return out
 
-    def _groundings(self, x: NodeId, shape: UnaryShape) -> list[tuple[_Desc, ...]]:
+    def _groundings(
+        self, shape: UnaryShape, existing: list[NodeId], fresh: bool
+    ) -> list[tuple[_Desc, ...]]:
         return _bindings(
-            shape, partial(self._positive_candidates, x), lambda c: ("node", NodeId(c))
+            shape,
+            partial(self._positive_candidates, existing, fresh),
+            lambda c: ("node", NodeId(c)),
         )
 
     def _instance_groundings(
@@ -636,33 +694,74 @@ class A1CompletionStructure(CompletionStructure):
     def _expand_positive(
         self, key: Key, name: str, head: str, args: tuple
     ) -> list[Alternative]:
-        """Choice points justifying `name` at the node or arc `key`: one
-        per defining rule whose head terms fit key and, at a node, per
-        admissible grounding of its successor terms; a choice rule
-        justifies the atom with an empty body (its description leaves
-        the rule line out). `head` and `args` describe the obligation."""
-        sp = Signed(name, True)
-        arc = key.__class__ is tuple
-        ends = key if arc else (key,)
-        alternatives: list[Alternative] = []
-        for rule in self.program.rules_for_head(name):
-            if not all(map(self._head_matches_node, rule.head.args, ends)):
-                continue
-            how = " by rule line {}"
-            if rule.kind is RuleKind.FREE:
-                how, body, bindings = " by choice rule", _NO_BODY, [()]
-            else:
-                shape, body = self._shape(rule)
-                # an arc's one successor is its second end
-                bindings = [(("node", key[1]),)] if arc else self._groundings(key, shape)
-            for binding in bindings:
-                alternatives.append(
-                    Alternative(
-                        head + how, (*args, rule.line),
-                        partial(self._apply_positive, key, sp, body, binding),
-                    )
+        """Choice points justifying `name` at the node or arc `key`, one
+        per application of `_applications`; `head` and `args` describe
+        the obligation. Made once per structure, key, name and, at a
+        node, successor list (see the module docstring)."""
+        if key.__class__ is tuple:
+            successors = []
+            cache_key = (key, name)
+        else:
+            successors = self.forest.successors(key)
+            cache_key = (key, name, *successors)
+        alternatives = self._alternatives.get(cache_key)
+        if alternatives is None:
+            apply = self._apply_positive
+            alternatives = self._alternatives[cache_key] = [
+                Alternative(template, values, partial(apply, application))
+                for template, values, application in self._applications(
+                    cache_key, successors, head, args
                 )
+            ]
         return alternatives
+
+    def _applications(
+        self, cache_key: tuple, successors: list[NodeId], head: str, args: tuple
+    ) -> list[tuple]:
+        """(description template, its values, `_Application`) of each
+        positive alternative of the obligation of `_expand_positive`'s
+        `cache_key`, at a node with the `successors`: one per defining
+        rule whose head terms fit key and, at a node, per admissible
+        grounding of its successor terms; a choice rule justifies the
+        atom with an empty body (its description leaves the rule line
+        out). They are fixed by the cache key and whether a fresh
+        successor is admissible, so the structures of one call share them
+        and their ground plans; a structure whose depth bound forbids a
+        fresh successor that a rule would ground records it in
+        `pruned`."""
+        key, name = cache_key[:2]
+        arc = key.__class__ is tuple
+        fresh = arc or self.max_depth is None or key.depth + 1 <= self.max_depth
+        shared_key = (*cache_key, fresh)
+        shared = self._plans.get(shared_key)
+        if shared is None:
+            sp = Signed(name, True)
+            ends = key if arc else (key,)
+            prunes, applications = False, []
+            for rule in self.program.rules_for_head(name):
+                if not all(map(self._head_matches_node, rule.head.args, ends)):
+                    continue
+                how = " by rule line {}"
+                if rule.kind is RuleKind.FREE:
+                    how, body, bindings = " by choice rule", _NO_BODY, [()]
+                elif arc:
+                    # an arc's one successor is its second end
+                    body, bindings = self._shape(rule)[1], [(("node", key[1]),)]
+                else:
+                    shape, body = self._shape(rule)
+                    bindings = self._groundings(shape, successors, fresh)
+                    prunes = prunes or not fresh and any(
+                        spec.term.is_variable for spec in shape.successors
+                    )
+                template, values = head + how, (*args, rule.line)
+                applications += [
+                    (template, values, _Application(key, sp, body, binding))
+                    for binding in bindings
+                ]
+            shared = self._plans[shared_key] = (prunes, applications)
+        if shared[0]:
+            self.pruned = True
+        return shared[1]
 
     def _materialize(self, x: NodeId, desc: _Desc) -> NodeId:
         if desc[0] == "fresh":
@@ -683,64 +782,83 @@ class A1CompletionStructure(CompletionStructure):
             if self.st.get((x, sp)) == EXP:
                 self.set_status(x, sp, UNEXP)
 
-    def _apply_positive(
-        self, key: Key, sp: Signed, body: _SignedBody, binding: tuple[_Desc, ...]
-    ) -> None:
-        """Insert the ground body of a rule instance for sp at key, in
-        body order, each fresh successor made just before its literals,
-        then mark sp expanded and add its dependency arcs. The clash, if
-        any, is raised first by `_refute_positive`, so nothing here can
-        clash and the arcs go in untested."""
-        x = key[0] if key.__class__ is tuple else key
-        head, positive = self._refute_positive(key, sp, x, body, binding)
-        targets = map(partial(self._materialize, x), binding)
-        for lit_key, lit_sp in self._ground_body(x, body, targets):
-            self.insert_tracked(lit_key, lit_sp)
-        self.set_status(key, sp, EXP)
-        add_arc = self.g.add_arc
-        for atom in positive:
-            add_arc(head, atom)
-
-    def _refute_positive(
-        self, key: Key, sp: Signed, x: NodeId, body: _SignedBody, binding: tuple[_Desc, ...]
-    ) -> tuple[GroundAtom, list[GroundAtom]]:
-        """Raise the clash that applying the rule instance would raise,
-        with the statistics it would record, and change nothing else;
-        without one, return the head atom and the positive body atoms in
-        body order (see the module docstring). The walk reads each
-        literal's node or arc as `insert` would find it: its present
-        content, which making successors does not change, and the earlier
-        literals of the body; a fresh successor gets the child id
-        `add_child` will give it."""
+    def _apply_positive(self, application: _Application) -> None:
+        """Apply the rule instance by its ground plan (`_ground_plan`),
+        built on its first use in the call: raise the clash that
+        inserting its body would raise, with the statistics it would
+        record, and change nothing else; without one, insert the ground
+        body in body order, each fresh successor made just before its
+        literals, then mark the head expanded and add its dependency
+        arcs, which cannot close a cycle (see the module docstring)."""
+        plan = application.plan
+        if plan is None:
+            plan = application.plan = self._ground_plan(application)
+        x, checks, self_clash, fresh, head, positive, steps = plan
         ct = self.ct
-        children = self.forest.child_count(x)
-        fresh = 0
-
-        def target(desc: _Desc) -> NodeId:
-            nonlocal fresh
-            if desc[0] == "fresh":
-                fresh += 1
-                return x.child(children + fresh)
-            return desc[1]
-
-        entered: set[tuple[Key, Signed]] = set()
-        positive: list[GroundAtom] = []
-        for lit_key, lit_sp in self._ground_body(x, body, map(target, binding)):
-            negation = lit_sp.negated()
-            if negation in ct.get(lit_key, ()) or (lit_key, negation) in entered:
-                self.count_children(x, fresh)
+        for lit_key, lit_sp, negation, made in checks:
+            if negation in ct.get(lit_key, ()):
+                self.count_children(x, made)
                 raise contradiction(lit_key, lit_sp)
-            entered.add((lit_key, lit_sp))
-            if lit_sp.positive:
-                args = lit_key if lit_key.__class__ is tuple else (lit_key,)
-                positive.append(GroundAtom(lit_sp.name, args))
-        head = self.atom_for(key, sp.name)
+        if self_clash is not None:
+            lit_key, lit_sp, made = self_clash
+            self.count_children(x, made)
+            raise contradiction(lit_key, lit_sp)
         closes_cycle = self.g.closes_cycle
         for atom in positive:
             if closes_cycle(head, atom):
                 self.count_children(x, fresh)
                 raise dependency_cycle(head, atom)
-        return head, positive
+        insert = self.insert_tracked
+        for desc, literals in steps:
+            if desc is not None:
+                self._materialize(x, desc)
+            for lit_key, lit_sp, _, _ in literals:
+                insert(lit_key, lit_sp)
+        self.set_status(application.key, application.sp, EXP)
+        add_arc = self.g.add_arc
+        for atom in positive:
+            add_arc(head, atom)
+
+    def _ground_plan(self, application: _Application) -> tuple:
+        """The application ground as `_apply_positive` applies it: the
+        node x of its key; per body literal up to the first whose
+        negation an earlier one is, its key, itself, its negation and the
+        fresh successors made before it; that first literal, with its key
+        and its fresh successors, or None; the fresh successors; the head
+        atom; the positive body atoms in body order; and the steps to
+        apply, (target, literals) per successor after (None, literals)
+        for beta. A fresh successor is named by the child id `add_child`
+        will give it. Reads only the child count of x."""
+        key, sp, body = application.key, application.sp, application.body
+        x = key[0] if key.__class__ is tuple else key
+        children = self.forest.child_count(x)
+        fresh = 0
+        steps = [(None, [])]
+
+        def target(desc: _Desc) -> NodeId:
+            nonlocal fresh
+            steps.append((desc, []))
+            if desc[0] == "fresh":
+                fresh += 1
+                return x.child(children + fresh)
+            return desc[1]
+
+        checks, positive, entered = [], [], set()
+        self_clash = None
+        for lit_key, lit_sp in self._ground_body(x, body, map(target, application.binding)):
+            negation = lit_sp.negated()
+            if (lit_key, negation) in entered:
+                # this instance can never be applied: the rest is not needed
+                self_clash = (lit_key, lit_sp, fresh)
+                break
+            entered.add((lit_key, lit_sp))
+            entry = (lit_key, lit_sp, negation, fresh)
+            checks.append(entry)
+            steps[-1][1].append(entry)
+            if lit_sp.positive:
+                args = lit_key if lit_key.__class__ is tuple else (lit_key,)
+                positive.append(GroundAtom(lit_sp.name, args))
+        return x, checks, self_clash, fresh, self.atom_for(key, sp.name), positive, steps
 
     def expand_unary_negative(self, x: NodeId, p: str) -> list[Alternative]:
         return self._expand_negative(x, p, "not {} at {}", (p, x))
@@ -939,6 +1057,13 @@ class A1CompletionStructure(CompletionStructure):
     def keep_as_witness(self) -> None:
         super().keep_as_witness()
         self._instance_cache.clear()
+        self._alternatives.clear()
+        self._plans = {}
+
+    def release(self) -> None:
+        # the cached alternatives bind the structure too
+        super().release()
+        self._alternatives.clear()
 
 
 # ----------------------------------------------------------------------
@@ -1062,9 +1187,7 @@ def decide(
                     depth_used=depth,
                 )
             pruned_any = pruned_any or cs.pruned
-            # the undo closures tie a structure into reference cycles;
-            # undone, the failed one is freed at once, not by the collector
-            cs.trail.undo_to(0)
+            cs.release()
         if pruned_any and policy.max_depth is None:
             continue
         # an explicit bound is bounded-incomplete, so is DEPTH_BOUNDED_UNKNOWN
@@ -1085,10 +1208,12 @@ def check_sat_a1(
     """Satisfiability of a unary predicate by the direct tableau engine
     (see `decide`)."""
     _check_engine_input(program, pred)
-    # the class is looked up per structure, so tests can substitute it
+    # the structures of one call share their ground plans; the class is
+    # looked up per structure, so tests can substitute it
+    plans: dict = {}
     return decide(
         program,
         pred,
         policy or RedundancyPolicy(),
-        lambda **options: A1CompletionStructure(program, **options),
+        lambda **options: A1CompletionStructure(program, plans=plans, **options),
     )

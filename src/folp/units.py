@@ -325,11 +325,14 @@ def enumerate_unit_completions(
     deadline = time.monotonic() + time_limit if time_limit is not None else None
     found: dict = {}
     stats = SearchStats()
+    # the roots' searches share their ground plans (`tableau` docstring)
+    plans: dict = {}
     roots: list[Optional[str]] = [None] + list(program.constants)
     for root in roots:
         cs = A1CompletionStructure(
             program,
             pred=None,
+            plans=plans,
             epsilon=root,
             max_depth=1,
             stats=stats,
@@ -348,6 +351,7 @@ def enumerate_unit_completions(
             return False  # keep enumerating
 
         run_search(cs, next_task, stats, record)
+        cs.release()
     return tuple(found[k] for k in sorted(found))
 
 
@@ -425,12 +429,20 @@ def prune_redundant(
     """Keep exactly the structures not redundant with respect to any
     other enumerated structure. Redundancy is a strict partial order, so
     the retained minimal elements witness every dropped structure and no
-    retained pair is in the relation."""
+    retained pair is in the relation. `is_redundant_ucs` holds only
+    between units with the same root constant and root content, so each
+    unit is compared only with its bucket of those, in pool order."""
     pool = sorted(units, key=UnitCompletionStructure.sort_key)
+    buckets: dict[tuple, list[UnitCompletionStructure]] = {}
+    for uc in pool:
+        buckets.setdefault((uc.root_constant, uc.root_content), []).append(uc)
     retained = [
         uc
         for uc in pool
-        if not any(other is not uc and is_redundant_ucs(uc, other) for other in pool)
+        if not any(
+            other is not uc and is_redundant_ucs(uc, other)
+            for other in buckets[uc.root_constant, uc.root_content]
+        )
     ]
     return UnitCache(program.fingerprint(), tuple(retained))
 

@@ -17,7 +17,9 @@ columns and picks `bounded_sat`'s witness on those columns;
 `reference_model_masks` the scan one candidate at a time, and
 `reference_bounded_sat` the definition on top of it. Unit redundancy is
 decided by a backtracking injection; `reference_is_redundant_ucs` tries
-every permutation. `unit_as_structure` and `passes_a1_completion_check`
+every permutation. Pruning compares units only within buckets of equal
+root constant and root content; `reference_retained` compares every
+pair. `unit_as_structure` and `passes_a1_completion_check`
 hold a unit to the direct engine's completion conditions.
 
 The engines refute a doomed positive rule application (a1) or a graft
@@ -25,6 +27,11 @@ that ends in the redundancy clash (a2) before it changes the state;
 `ReferenceA1` and `ReferenceA2` make every such step and let the
 mutation raise, and `checked_refutations_a1` and
 `checked_refutations_a2` make each step both ways and compare them.
+The direct engine applies a rule instance from a ground plan built on
+its first use and shared by the structures of one call;
+`reference_apply_positive` grounds the body afresh every time, and
+`checked_refutations_a1` counts the applications made on a plan built
+before.
 The compiled engine grafts from a plan ground once per unit and node;
 `reference_graft` grafts entry by entry, grounding every atom afresh
 and testing every arc as it goes in (`ReferenceGraftA2`), and
@@ -46,7 +53,7 @@ from folp.oracle import (
 )
 from folp.syntax import BinaryShape, Inequality, RuleKind, binary_shape, unary_shape
 from folp.tableau import EXP, A1CompletionStructure
-from folp.units import ground_atom
+from folp.units import UnitCompletionStructure, ground_atom, is_redundant_ucs
 
 
 def reference_is_saturated(cs: A1CompletionStructure, x) -> bool:
@@ -67,7 +74,11 @@ def reference_is_saturated(cs: A1CompletionStructure, x) -> bool:
 
 
 def reference_equal_ancestor_count(cs, x) -> int:
-    content = cs.content(x)
+    return reference_equal_ancestor_count_of(cs, x, cs.content(x))
+
+
+def reference_equal_ancestor_count_of(cs, x, content) -> int:
+    """The proper ancestors of x whose content equals `content`."""
     return sum(1 for y in x.ancestors() if cs.content(y) == content)
 
 
@@ -282,13 +293,15 @@ def checked_a2() -> type:
     return CheckedA2
 
 
-def reference_apply_positive(cs, key, sp, body, binding) -> None:
-    """`A1CompletionStructure._apply_positive` as mutate-then-undo: the
-    ground body goes in literal by literal, each fresh successor made
-    just before its literals, sp is marked expanded, and each dependency
-    arc is tested as it goes in; the first contradiction or cycle raises
-    from the mutation itself, and the search's undo takes back the
-    rest."""
+def reference_apply_positive(cs, application) -> None:
+    """`A1CompletionStructure._apply_positive` as mutate-then-undo, with
+    no plan: the body is ground afresh and goes in literal by literal,
+    each fresh successor made just before its literals, sp is marked
+    expanded, and each dependency arc is tested as it goes in; the first
+    contradiction or cycle raises from the mutation itself, and the
+    search's undo takes back the rest."""
+    key, sp = application.key, application.sp
+    body, binding = application.body, application.binding
     x = key[0] if isinstance(key, tuple) else key
     targets = map(partial(cs._materialize, x), binding)
     positive = []
@@ -313,16 +326,17 @@ class ReferenceA2(A2CompletionStructure):
     """The compiled engine with every match grafted: the redundancy
     clash at x, if any, comes after the whole graft."""
 
-    def _redundant_graft(self, x, uc):
+    def _redundant_graft(self, x, uc, equal):
         return False
 
 
-def reference_graft(cs, x, uc):
+def reference_graft(cs, x, uc, equal=None):
     """`A2CompletionStructure.expand_cs` entry by entry: after the
     engine's pre-check, every content entry goes in through `insert`,
     every unit atom is grounded afresh, and every dependency arc is
-    tested as it goes in (`add_dependency`)."""
-    if cs._redundant_graft(x, uc):
+    tested as it goes in (`add_dependency`). The equal-ancestor count is
+    taken afresh; `equal` is ignored."""
+    if cs._redundant_graft(x, uc, reference_equal_ancestor_count_of(cs, x, uc.root_content)):
         cs.count_children(x, len(uc.tree_successors))
         return None
     cs.grafted.add(x)
@@ -432,33 +446,34 @@ def _checked_outcome(cs, run, reference: tuple) -> Optional[ClashError]:
 def checked_refutations_a1() -> type:
     """The direct engine with every positive rule application made twice:
     first by `reference_apply_positive`, whose clash message, statistics
-    and end state are recorded and then undone, then by the engine,
-    which must give the same. A clash must come from the pre-check
-    (`_refute_positive`): once it passes, the application cannot clash.
-    `applications` counts the applications, `refuted` the pre-check's
-    clashes."""
+    and end state are recorded and then undone, then by the engine from
+    its ground plan, which must give the same. A clash must come before
+    any mutation: the engine's clash leaves the trail as it was.
+    `applications` counts the applications, `refuted` the clashes,
+    `builds` the plans built and `plan_hits` the applications made on a
+    plan built before, in the same structure or another one of the same
+    call."""
 
     class CheckedRefutationsA1(A1CompletionStructure):
-        applications = refuted = 0
-        prechecked = False
+        applications = refuted = builds = plan_hits = 0
 
-        def _refute_positive(self, *args):
-            self.prechecked = False
-            result = super()._refute_positive(*args)
-            self.prechecked = True
-            return result
+        def _ground_plan(self, *args):
+            CheckedRefutationsA1.builds += 1
+            return super()._ground_plan(*args)
 
-        def _apply_positive(self, key, sp, body, binding):
+        def _apply_positive(self, application):
             cls = CheckedRefutationsA1
             cls.applications += 1
             reference = _reference_outcome(
-                self, partial(reference_apply_positive, self, key, sp, body, binding)
+                self, partial(reference_apply_positive, self, application)
             )
+            builds, mark = cls.builds, self.trail.mark()
             clash = _checked_outcome(
-                self, partial(super()._apply_positive, key, sp, body, binding), reference
+                self, partial(super()._apply_positive, application), reference
             )
+            cls.plan_hits += cls.builds == builds
             if clash is not None:
-                assert not self.prechecked, f"the pre-check passed: {clash}"
+                assert self.trail.mark() == mark, f"the state changed: {clash}"
                 cls.refuted += 1
                 raise clash
 
@@ -477,10 +492,11 @@ def checked_refutations_a2() -> type:
         matches = doomed = refuted = 0
         graft_always = False
 
-        def _redundant_graft(self, x, uc):
+        def _redundant_graft(self, x, uc, equal):
             if self.graft_always:
                 return False
-            redundant = super()._redundant_graft(x, uc)
+            assert equal == reference_equal_ancestor_count_of(self, x, uc.root_content)
+            redundant = super()._redundant_graft(x, uc, equal)
             CheckedRefutationsA2.refuted += redundant
             return redundant
 
@@ -517,7 +533,7 @@ def checked_grafts_a2() -> type:
             CheckedGraftsA2.builds += 1
             return super()._graft_plan(x, uc)
 
-        def expand_cs(self, x, uc):
+        def expand_cs(self, x, uc, equal=None):
             cls = CheckedGraftsA2
             cls.grafts += 1
             nodes = []
@@ -526,7 +542,7 @@ def checked_grafts_a2() -> type:
             )
             builds = cls.builds
             clash = _checked_outcome(
-                self, lambda: nodes.append(super(cls, self).expand_cs(x, uc)), reference
+                self, lambda: nodes.append(super(cls, self).expand_cs(x, uc, equal)), reference
             )
             went_ahead = clash is not None or nodes[1] is not None
             cls.plan_hits += went_ahead and cls.builds == builds
@@ -719,6 +735,18 @@ def reference_is_redundant_ucs(uc1, uc2) -> bool:
         if ok and (strict or count_gap):
             return True
     return False
+
+
+def reference_retained(units) -> tuple:
+    """`units.prune_redundant`'s retained units by comparing every
+    ordered pair: the units, in sort-key order, that no other unit
+    witnesses redundant."""
+    pool = sorted(units, key=UnitCompletionStructure.sort_key)
+    return tuple(
+        uc
+        for uc in pool
+        if not any(other is not uc and is_redundant_ucs(uc, other) for other in pool)
+    )
 
 
 def unit_as_structure(program, uc) -> A1CompletionStructure:

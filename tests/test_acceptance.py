@@ -47,6 +47,7 @@ from reference import (
     passes_a1_completion_check,
     reference_bounded_sat,
     reference_is_redundant_ucs,
+    reference_retained,
 )
 
 CORPUS_SEED = 20260810
@@ -277,6 +278,23 @@ def test_redundancy_search_agrees_with_permutations(
     assert related > 0
 
 
+def test_bucketed_pruning_retains_what_all_pairs_retain(corpus_run):
+    """`prune_redundant`, which compares units only within buckets of
+    equal root constant and root content, retains the same units in the
+    same order as the comparison of every pair (`reference_retained`) on
+    P_3 and on every corpus program."""
+    family = parse_program(unit_family(3))
+    unit_sets = [(family, enumerate_unit_completions(family))] + [
+        (entry.transformed, entry.units) for entry in corpus_run[0]
+    ]
+    dropped = []
+    for program, units in unit_sets:
+        retained = prune_redundant(units, program).units
+        assert list(map(id, retained)) == list(map(id, reference_retained(units)))
+        dropped.append(len(units) - len(retained))
+    assert dropped[0] == 96 - 58 and sum(dropped[1:]) > 0
+
+
 def test_criterion_8_compiled_engine_amortizes(tmp_path, capsys):
     with criterion(8, "compile-once plus five queries beats five direct queries"):
         from folp.cli import main
@@ -398,12 +416,13 @@ def test_prechecks_agree_with_the_mutation_at_every_step(
     compilation included, is made by the reference first and then by the
     engine (`checked_refutations_a1`, `checked_refutations_a2`): the
     same clash message, statistics and end state each time, and an a1
-    clash only from the pre-check. On every workload the a2 pre-check
+    clash only before any mutation. On every workload the a2 pre-check
     refutes every match that the whole graft ends in the redundancy
-    clash at the matched node."""
+    clash at the matched node, and on hard, deep and family a1 makes
+    applications on ground plans built before."""
     workloads = pinned_workloads(hard, deep, family, corpus_run[0])
     expected_records, expected_caches = search_outputs(workloads, tmp_path)
-    records, caches, counts = [], [], []
+    records, caches, counts, hits = [], [], [], []
     # hard, deep, family, then the corpus, each counted on its own
     for group in (workloads[:1], workloads[1:2], workloads[2:3], workloads[3:]):
         checked1, checked2 = checked_refutations_a1(), checked_refutations_a2()
@@ -414,10 +433,13 @@ def test_prechecks_agree_with_the_mutation_at_every_step(
         records += group_records
         caches += group_caches
         counts.append((checked1.refuted, checked2.doomed, checked2.refuted))
+        hits.append((checked1.applications, checked1.plan_hits))
     assert (records, caches) == (expected_records, expected_caches)
     print("refuted by a1, doomed in a2, refuted by a2:", counts)
+    print("a1 applications, on a plan built before:", hits)
     assert all(a1 > 0 and doomed == refuted for a1, doomed, refuted in counts)
     assert counts[0][2] == 731
+    assert all(plan_hits > 0 for _, plan_hits in hits[:3])
 
 
 def test_compiled_grafts_agree_with_the_entry_by_entry_graft(

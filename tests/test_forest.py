@@ -14,12 +14,37 @@ from folp.forest import (
     Signed,
     StructureError,
     Trail,
+    contradiction,
+    dependency_cycle,
 )
+from folp.syntax import parse_program
+from folp.tableau import CompletionStructure
 from reference import naive_reachable
 
 
 def atom(pred, *names):
     return GroundAtom(pred, tuple(NodeId(n) if isinstance(n, str) else n for n in names))
+
+
+def test_clash_messages_are_formatted_when_read():
+    """A clash keeps its template and values and formats them only when
+    read, into the messages the search has always given; a lone argument
+    is the message itself, braces included."""
+    x = NodeId("x")
+    child = x.child(1)
+    q = Signed("q", True)
+    clash = contradiction((x, child), q.negated())
+    assert clash.args == ("contradiction: {} and {} at ({},{})", q.negated(), q, x, child)
+    assert str(clash) == "contradiction: not q and q at (x,x.1)"
+    assert str(contradiction(child, q)) == "contradiction: q and not q at x.1"
+    assert str(dependency_cycle(atom("p", x), atom("f", x, child))) == (
+        "dependency cycle: p(x) -> f(x,x.1)"
+    )
+    cs = CompletionStructure(parse_program("p(X) :- not q(X).\n"), k=1)
+    assert str(cs.redundant(child, 2)) == "redundant node x.1 (2 equal ancestors)"
+    assert str(ClashError("no {unit} here")) == "no {unit} here"
+    with pytest.raises(ClashError, match=r"^contradiction: q and not q at x$"):
+        raise contradiction(x, q)
 
 
 def test_node_ids_and_ancestors():

@@ -1,8 +1,10 @@
+import gc
+import weakref
 from collections import Counter
 
 import pytest
 
-from folp import tableau
+from folp import tableau, units as units_module
 from folp.forest import NodeId, Signed, StructureError, Trail
 from folp.matcher import check_sat_a2
 from folp.oracle import bounded_sat, is_answer_set
@@ -17,7 +19,7 @@ from folp.tableau import (
     check_sat_a1,
     redundancy_bound,
 )
-from folp.units import compile_units
+from folp.units import compile_units, enumerate_unit_completions
 
 from reference import (
     arc_positivity_ok,
@@ -511,6 +513,73 @@ def test_instance_cache_survives_undoing_and_recreating_a_child():
     assert cs._first_pending(x, "p", okey)[0] == (0, (again,))
     assert_first_pending_agrees(cs, okey)
     assert reference_pending_instances(cs, x, "p", okey)[0][2] == (again,)
+
+
+def test_positive_alternatives_and_plans_are_reused():
+    """A structure keeps the positive alternatives of an obligation per
+    successor list and each keeps its ground plan once applied; the
+    structures of one call share the plans, so the same application in
+    another structure is not ground again."""
+    program = parse_program("p(X) :- f(X,Y), q(Y).\nq(X) v not q(X).\nf(X,Y) v not f(X,Y).\n")
+    plans: dict = {}
+    cs = A1CompletionStructure(program, pred="p", plans=plans)
+    x = cs.epsilon
+    alternatives = cs.expand_unary_positive(x, "p")
+    assert [a.args[-1] for a in alternatives] == [1]  # one fresh child
+    assert cs.expand_unary_positive(x, "p") is alternatives
+    (alternative,) = alternatives
+    mark = cs.trail.mark()
+    alternative.apply()
+    child = x.child(1)
+    assert cs.forest.children(x) == [child]
+    assert cs.content(child) == {Signed("q", True)}
+    plan = alternative.apply_fn.args[0].plan
+    assert plan is not None
+    # with a child, the successor list differs: a new list
+    assert cs.expand_unary_positive(x, "p") is not alternatives
+    cs.trail.undo_to(mark)
+    assert cs.expand_unary_positive(x, "p") is alternatives
+
+    other = A1CompletionStructure(program, pred="p", plans=plans)
+    (again,) = other.expand_unary_positive(other.epsilon, "p")
+    assert again is not alternative
+    assert again.apply_fn.args[0].plan is plan
+    again.apply()
+    assert other.content(child) == {Signed("q", True)}
+
+
+def test_dropped_structures_are_freed_without_the_collector(hard, family, monkeypatch):
+    """With the collector off, every structure that the direct engine or
+    unit enumeration makes is freed once the call is done with it: undone
+    and with its cached alternatives, which bind it, dropped. Only a SAT
+    witness outlives the call, held by its verdict."""
+    made = []
+
+    class Tracked(A1CompletionStructure):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(tableau, "A1CompletionStructure", Tracked)
+    monkeypatch.setattr(units_module, "A1CompletionStructure", Tracked)
+    gc.collect()
+    gc.disable()
+    try:
+        verdict = check_sat_a1(hard, "p", RedundancyPolicy(k_override=5))
+        assert verdict.kind is VerdictKind.UNSAT
+        assert len(made) == 10 and all(ref() is None for ref in made)
+        made.clear()
+        verdict = check_sat_a1(family, "goal")
+        assert verdict.kind is VerdictKind.SAT
+        alive = [ref() for ref in made if ref() is not None]
+        assert len(made) > 1 and alive == [verdict.witness]
+        del alive
+        made.clear()
+        for program in (hard, family):
+            assert enumerate_unit_completions(program)
+        assert len(made) > 2 and all(ref() is None for ref in made)
+    finally:
+        gc.enable()
 
 
 # ----------------------------------------------------------------------
