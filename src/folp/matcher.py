@@ -26,14 +26,14 @@ audit searches the whole graph once more. A graft copies contents and
 arcs in a fixed order, so where it stops on a clash does not depend on
 set iteration order.
 
-Each graft of a unit onto a node x is compiled once per search
-structure (`_graft_plan`): the structure keeps the successor nodes,
-each content as sorted entries with the ground atoms of its positive
-entries, and the ground dependency arcs; a SAT witness drops them
-(`keep_as_witness`). Like the direct engine's instance cache, the
-plans need no trail entries, because a plan reads nothing of the
-state: x is grafted at most once and has no children before its graft,
-so its tree successors are always x.1 ... x.n, also after
+Each graft of a unit onto a node x is compiled once per engine call
+(`_graft_plan`): the `grafts` table of the call (`tableau.CallTables`)
+keeps the successor nodes, each content as sorted entries with the
+ground atoms of its positive entries, and the ground dependency arcs.
+Like the direct engine's instances, the plans hold in every structure
+of the call and need no trail entries, because a plan reads nothing of
+the state: x is grafted at most once and has no children before its
+graft, so its tree successors are always x.1 ... x.n, also after
 backtracking, and a constant stands for itself. A graft then copies
 the plan. x's root content goes in entry by entry, through `insert`,
 and so does the node content of a constant successor, where a
@@ -130,9 +130,6 @@ class A2CompletionStructure(CompletionStructure):
         super().__init__(program, **options)
         self.cache = cache
         self.grafted: set[NodeId] = set()
-        # (id of unit, node) -> graft plan; no trail entries (see the
-        # module docstring)
-        self._plans: dict[tuple[int, NodeId], tuple] = {}
         if pred is not None:
             self.insert(self.epsilon, Signed(pred, True))
 
@@ -170,9 +167,9 @@ class A2CompletionStructure(CompletionStructure):
             self.count_children(x, len(uc.tree_successors))
             return None
         plan_key = (id(uc), x)
-        plan = self._plans.get(plan_key)
+        plan = self.tables.grafts.get(plan_key)
         if plan is None:
-            plan = self._plans[plan_key] = self._graft_plan(x, uc)
+            plan = self.tables.grafts[plan_key] = self._graft_plan(x, uc)
         root_content, steps, arcs, targets, nodes, _ = plan
         self.grafted.add(x)
         self.trail.push(partial(self.grafted.discard, x))
@@ -211,10 +208,11 @@ class A2CompletionStructure(CompletionStructure):
         unit. A content step is (key, None, sorted entries) for a
         constant's node content, which goes in entry by entry, and (key,
         content, positive atoms) for a fresh arc or child, which `fill`
-        gives its whole content. `expand_cs` keeps each plan under the
-        unit's identity and x, because the unit's dataclass hash walks
-        its frozensets; the plan holds the unit, so the identity is not
-        reused while the key is in use."""
+        gives its whole content. `expand_cs` keeps each plan in the
+        call's `grafts` table under the unit's identity and x, because
+        the unit's dataclass hash walks its frozensets; the plan holds
+        the unit, so the identity is not reused while the key is in
+        use."""
         root_content, successors, g_arcs = uc.graft_order()
         token_node: dict = {None: x}
         steps = nodes = arcs = targets = ()
@@ -281,6 +279,7 @@ class A2CompletionStructure(CompletionStructure):
     def match(self, x: NodeId) -> list[Alternative]:
         """One branch per covering unit (see `covering`)."""
         too_deep = self.max_depth is not None and x.depth + 1 > self.max_depth
+        step = self.__class__._apply_match
         alternatives = []
         for uc in self.covering(x):
             if too_deep and uc.tree_successors:
@@ -288,11 +287,7 @@ class A2CompletionStructure(CompletionStructure):
                 continue
             self.stats.units_tried += 1
             alternatives.append(
-                Alternative(
-                    "match {} with unit {}",
-                    (x, uc.sort_key()[:3]),
-                    lambda x=x, uc=uc: self._apply_match(x, uc),
-                )
+                Alternative("match {} with unit {}", (x, uc.sort_key()[:3]), step, (x, uc))
             )
         return alternatives
 
@@ -331,10 +326,6 @@ class A2CompletionStructure(CompletionStructure):
     # the shared scan, bound here too: perfbench's tracer wraps the
     # engine class's own attribute
     next_task = CompletionStructure.next_task
-
-    def keep_as_witness(self) -> None:
-        super().keep_as_witness()
-        self._plans.clear()
 
 
 # how `_graft_plan` makes a successor: a new tree child, or an extra arc

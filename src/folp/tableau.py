@@ -67,32 +67,31 @@ node's ancestors.
 
 A negative obligation is refuted one rule instance at a time, and the
 ground instances, each with its ground body, are computed once per
-node, predicate and number of tree children (`_instances`): a negative
-step scans them for the first one its ledger does not hold. Node and
-arc obligations share this path and its ledger; an arc has one
-instance per defining rule. The cache needs no trail entries, because
-the instances read only the node's children and the constants, and a
-node with n children always has the children x.1 ... x.n, also after
-backtracking.
+call, node, predicate and number of tree children (`_instances`): a
+negative step scans them for the first one its ledger does not hold.
+Node and arc obligations share this path and its ledger; an arc has one
+instance per defining rule. The instances read only the node's children
+and the constants, and a node with n children always has the children
+x.1 ... x.n, also after backtracking.
 
-Positive expansion is cached at two scopes. A structure keeps the
-alternatives of a positive obligation per node or arc and predicate,
-and at a node also per successor list, tree children then extra-arc
-targets (`_expand_positive`). That is exact: the groundings read only
-the successors, the constants and the depth bound, which is fixed per
-structure, and the `pruned` flag is set when a list is first built and
-nothing clears it. The rule applications behind a list and their ground
-plans (`_applications`, `_ground_plan`) are fixed by the same key and by
-whether the bound admits a fresh successor at the node. They are pure
-data over interned values, so the structures of one call share them
-across depth rounds and root choices: those of one `check_sat_a1` call,
-and those of one `units.enumerate_unit_completions` call. No cache
-outlives its call, and none is kept on the `Program`. The alternatives
-bind their structure, so `release` drops them with the undo closures
-when the call is done with a structure, and a SAT witness keeps
-neither. Node and arc entries share one positive path as well
-(`_expand_positive`, `_apply_positive`); both sides ground rule bodies
-through `_ground_body`.
+What the engines derive from the program alone lives in the tables of
+one engine call (`CallTables`), which every structure of the call reads
+and fills over all depth rounds and root choices; a structure built
+without them, as in unit enumeration, makes its own. An entry reads the
+program and its key, never the state, so it needs no trail entries and
+holds in every structure: rule shapes, the instances above, the graft
+plans of `a2` (see `matcher`), and the positive alternatives of an
+obligation with whether the depth bound pruned a grounding of them,
+keyed by node or arc, predicate, whether the bound admits a fresh
+successor there and, at a node, the successor list, tree children then
+extra-arc targets: with the constants, all that the groundings read. An
+`Alternative` binds no structure: `apply(cs)` runs its step function on
+the structure the search passes, with its operands. So the tables may
+outlive a structure, `release` has only the trail to undo, and a SAT
+witness drops its reference to them. No table outlives its call or is
+kept on the `Program`. Node and arc entries share one positive path
+(`_expand_positive`, `_apply_positive`); both ground rule bodies through
+`_ground_body`.
 
 A positive rule application runs on its ground plan, built on its first
 use in the call. The plan holds the body literals in body order, each
@@ -185,11 +184,27 @@ def redundancy_bound(p: int) -> int:
     return 2**p * (2 ** (p * p) - 1) + 3
 
 
+def check_budgets(time_limit: Optional[float], max_tasks: Optional[int]) -> None:
+    """Reject a time limit that is NaN or negative and a negative task
+    budget; 0 is valid for both and runs out at the first check."""
+    if time_limit is not None and not time_limit >= 0:
+        raise ValueError("time_limit must be a number >= 0")
+    if max_tasks is not None and max_tasks < 0:
+        raise ValueError("max_tasks must be >= 0")
+
+
+def deadline_after(time_limit: Optional[float]) -> Optional[float]:
+    """The `time.monotonic()` reading `time_limit` seconds from now, or
+    None without a limit."""
+    return None if time_limit is None else time.monotonic() + time_limit
+
+
 @dataclass(frozen=True)
 class RedundancyPolicy:
     """k_override and max_depth, when set, must be >= 1 and mark the run
     as bounded-incomplete. `time_limit` (seconds) and `max_tasks` bound
-    resources; exceeding them raises EngineBudgetError."""
+    resources, and must be >= 0 (`check_budgets`); exceeding them raises
+    EngineBudgetError."""
 
     k_override: Optional[int] = None
     max_depth: Optional[int] = None
@@ -201,6 +216,7 @@ class RedundancyPolicy:
             raise ValueError("k_override must be >= 1")
         if self.max_depth is not None and self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
+        check_budgets(self.time_limit, self.max_tasks)
 
     def effective_k(self, program: Program) -> int:
         if self.k_override is not None:
@@ -310,19 +326,23 @@ def _signed_body(shape: UnaryShape | BinaryShape) -> _SignedBody:
 
 @dataclass(slots=True)
 class Alternative:
-    """One branch of a task. Few descriptions are ever read, so the text
-    is formatted from `template` and `args` only when `description` is."""
+    """One branch of a task: `apply(cs)` runs `step(cs, *operands)` on the
+    structure the search passes, so an alternative binds none and may be
+    kept in the tables of a call (see the module docstring). Few
+    descriptions are ever read, so the text is formatted from `template`
+    and `args` only when `description` is."""
 
     template: str
     args: tuple
-    apply_fn: Callable[[], None]
+    step: Callable[..., None]
+    operands: tuple
 
     @property
     def description(self) -> str:
         return self.template.format(*self.args)
 
-    def apply(self) -> None:
-        self.apply_fn()
+    def apply(self, cs) -> None:
+        self.step(cs, *self.operands)
 
 
 @dataclass(slots=True)
@@ -340,6 +360,20 @@ class Task:
 
 # grounding target descriptors: ("node", NodeId) or ("fresh", position)
 _Desc = tuple
+
+
+class CallTables:
+    """The tables of one engine call (see the module docstring): rule
+    `shapes`, negative `instances`, `positive` (prunes, alternatives) and
+    the compiled engine's `grafts`."""
+
+    __slots__ = ("shapes", "instances", "positive", "grafts")
+
+    def __init__(self) -> None:
+        self.shapes: dict[Rule, tuple] = {}
+        self.instances: dict[tuple, list] = {}
+        self.positive: dict[tuple, tuple] = {}
+        self.grafts: dict[tuple, tuple] = {}
 
 
 class _Application:
@@ -414,6 +448,7 @@ class CompletionStructure(ForestState):
         stats: Optional[SearchStats] = None,
         deadline: Optional[float] = None,
         max_tasks: Optional[int] = None,
+        tables: Optional[CallTables] = None,
     ):
         if epsilon is None:
             anon = anonymous_root_name(program.constants)
@@ -431,6 +466,7 @@ class CompletionStructure(ForestState):
         self.stats = stats if stats is not None else SearchStats()
         self.deadline = deadline
         self.max_tasks = max_tasks
+        self.tables = tables if tables is not None else CallTables()
         self.pruned = False
 
     def is_saturated(self, x: NodeId) -> bool:
@@ -509,6 +545,7 @@ class CompletionStructure(ForestState):
     def keep_as_witness(self) -> None:
         """Drop what only the search needs (see the module docstring)."""
         self.trail.clear()
+        self.tables = None
 
     def release(self) -> None:
         """Undo a structure the search is done with. Undo closures tie a
@@ -522,14 +559,13 @@ class A1CompletionStructure(CompletionStructure):
 
     The status map tracks every content entry; negative non-free entries
     additionally carry a ledger of already refuted rule instances, so a
-    fresh successor re-arms them for the new instances only; the
-    instances themselves are cached, and so are the positive
-    alternatives and their ground plans (see the module docstring);
-    `plans` is the table of the latter that the structures of one call
-    share, a new one when not given. Per key,
-    the number of expanded entries is kept beside the map, and per node
-    the number of outgoing arcs whose binary entries are all expanded,
-    which makes the saturation test two counter reads."""
+    fresh successor re-arms them for the new instances only. The
+    instances themselves and the positive alternatives, with their
+    ground plans, are kept in the tables of the call (see the module
+    docstring). Per key, the number of expanded entries is kept beside
+    the map, and per node the number of outgoing arcs whose binary
+    entries are all expanded, which makes the saturation test two
+    counter reads."""
 
     algorithm = "a1"
 
@@ -538,7 +574,6 @@ class A1CompletionStructure(CompletionStructure):
         program: Program,
         *,
         pred: Optional[str] = None,
-        plans: Optional[dict] = None,
         **options,
     ):
         super().__init__(program, **options)
@@ -548,13 +583,6 @@ class A1CompletionStructure(CompletionStructure):
         self._n_upreds = len(program.upreds)
         self._n_bpreds = len(program.bpreds)
         self.handled: dict[tuple[Key, Signed], set] = {}
-        self._instance_cache: dict[tuple[NodeId, str, int], list] = {}
-        self._shapes: dict[Rule, tuple] = {}
-        # the positive alternatives per obligation and successor list, and
-        # the positive applications with their ground plans, shared with
-        # the other structures of one call (see the module docstring)
-        self._alternatives: dict[tuple, list[Alternative]] = {}
-        self._plans: dict[tuple, tuple] = {} if plans is None else plans
         if pred is not None:
             self.insert_tracked(self.epsilon, Signed(pred, True))
 
@@ -695,49 +723,25 @@ class A1CompletionStructure(CompletionStructure):
         self, key: Key, name: str, head: str, args: tuple
     ) -> list[Alternative]:
         """Choice points justifying `name` at the node or arc `key`, one
-        per application of `_applications`; `head` and `args` describe
-        the obligation. Made once per structure, key, name and, at a
-        node, successor list (see the module docstring)."""
-        if key.__class__ is tuple:
-            successors = []
-            cache_key = (key, name)
-        else:
-            successors = self.forest.successors(key)
-            cache_key = (key, name, *successors)
-        alternatives = self._alternatives.get(cache_key)
-        if alternatives is None:
-            apply = self._apply_positive
-            alternatives = self._alternatives[cache_key] = [
-                Alternative(template, values, partial(apply, application))
-                for template, values, application in self._applications(
-                    cache_key, successors, head, args
-                )
-            ]
-        return alternatives
-
-    def _applications(
-        self, cache_key: tuple, successors: list[NodeId], head: str, args: tuple
-    ) -> list[tuple]:
-        """(description template, its values, `_Application`) of each
-        positive alternative of the obligation of `_expand_positive`'s
-        `cache_key`, at a node with the `successors`: one per defining
-        rule whose head terms fit key and, at a node, per admissible
-        grounding of its successor terms; a choice rule justifies the
-        atom with an empty body (its description leaves the rule line
-        out). They are fixed by the cache key and whether a fresh
-        successor is admissible, so the structures of one call share them
-        and their ground plans; a structure whose depth bound forbids a
-        fresh successor that a rule would ground records it in
-        `pruned`."""
-        key, name = cache_key[:2]
+        per defining rule whose head terms fit key and, at a node, per
+        admissible grounding of its successor terms; a choice rule
+        justifies the atom with an empty body (its description leaves the
+        rule line out). `head` and `args` describe the obligation. Made
+        once per call, key, name, whether a fresh successor is admissible
+        and, at a node, successor list (see the module docstring); a
+        structure whose depth bound forbids a fresh successor that a rule
+        would ground records it in `pruned`."""
         arc = key.__class__ is tuple
         fresh = arc or self.max_depth is None or key.depth + 1 <= self.max_depth
-        shared_key = (*cache_key, fresh)
-        shared = self._plans.get(shared_key)
-        if shared is None:
+        successors = [] if arc else self.forest.successors(key)
+        table_key = (key, name, fresh, *successors)
+        table = self.tables.positive
+        entry = table.get(table_key)
+        if entry is None:
             sp = Signed(name, True)
             ends = key if arc else (key,)
-            prunes, applications = False, []
+            step = self.__class__._apply_positive
+            prunes, alternatives = False, []
             for rule in self.program.rules_for_head(name):
                 if not all(map(self._head_matches_node, rule.head.args, ends)):
                     continue
@@ -754,14 +758,14 @@ class A1CompletionStructure(CompletionStructure):
                         spec.term.is_variable for spec in shape.successors
                     )
                 template, values = head + how, (*args, rule.line)
-                applications += [
-                    (template, values, _Application(key, sp, body, binding))
+                alternatives += [
+                    Alternative(template, values, step, (_Application(key, sp, body, binding),))
                     for binding in bindings
                 ]
-            shared = self._plans[shared_key] = (prunes, applications)
-        if shared[0]:
+            entry = table[table_key] = (prunes, alternatives)
+        if entry[0]:
             self.pruned = True
-        return shared[1]
+        return entry[1]
 
     def _materialize(self, x: NodeId, desc: _Desc) -> NodeId:
         if desc[0] == "fresh":
@@ -874,12 +878,12 @@ class A1CompletionStructure(CompletionStructure):
         `head` and `args` describe the obligation."""
         sp = Signed(name, False)
         okey = (key, sp)
+        cls = self.__class__
         pending = self._first_pending(key, name, okey)
         if pending is None:
             return [
                 Alternative(
-                    head + ": all instances refuted", args,
-                    lambda: self.set_status(key, sp, EXP),
+                    head + ": all instances refuted", args, cls.set_status, (key, sp, EXP)
                 )
             ]
         instance_key, literals = pending
@@ -888,7 +892,7 @@ class A1CompletionStructure(CompletionStructure):
                 return [
                     Alternative(
                         head + ": instance already refuted", args,
-                        partial(self._finish_instance, okey, instance_key),
+                        cls._finish_instance, (okey, instance_key),
                     )
                 ]
         alternatives = []
@@ -899,9 +903,7 @@ class A1CompletionStructure(CompletionStructure):
             alternatives.append(
                 Alternative(
                     head + _REFUTE_AT[len(ends)], (*args, lit_sp, *ends),
-                    partial(
-                        self._apply_refutation, okey, instance_key, lit_key, lit_sp.negated()
-                    ),
+                    cls._apply_refutation, (okey, instance_key, lit_key, lit_sp.negated()),
                 )
             )
         return alternatives
@@ -910,12 +912,13 @@ class A1CompletionStructure(CompletionStructure):
         """(instance key, ground body) of every rule instance defining p
         at the node or arc `key`, in refutation order. An arc's ends are
         fixed, so it has one instance per rule, keyed by the rule's
-        index. Cached per (key, p, number of tree children of key; 0 for
-        an arc): a node's instances read only its children and the
-        constants, and undoing `add_child` restores the child counter,
-        so x with n children always has the children x.1 ... x.n."""
+        index. Kept in the call's `instances` table per (key, p, number
+        of tree children of key; 0 for an arc): a node's instances read
+        only its children and the constants, and undoing `add_child`
+        restores the child counter, so x with n children always has the
+        children x.1 ... x.n."""
         cache_key = (key, p, self.forest.child_count(key))
-        instances = self._instance_cache.get(cache_key)
+        instances = self.tables.instances.get(cache_key)
         if instances is None:
             instances = []
             ends = key if key.__class__ is tuple else (key,)
@@ -932,7 +935,7 @@ class A1CompletionStructure(CompletionStructure):
                     instances.append(
                         ((rule_index, targets), list(self._ground_body(key, body, targets)))
                     )
-            self._instance_cache[cache_key] = instances
+            self.tables.instances[cache_key] = instances
         return instances
 
     def _first_pending(self, key: Key, p: str, okey) -> Optional[tuple]:
@@ -950,13 +953,14 @@ class A1CompletionStructure(CompletionStructure):
 
     def _shape(self, rule: Rule) -> tuple[UnaryShape | BinaryShape, _SignedBody]:
         """The shape of a unary or binary rule and its signed literals,
-        made once per rule and structure. The shape caches of `syntax`
+        made once per rule and call. The shape caches of `syntax`
         compare a rule field by field with an equal one of an earlier
         parse of the program; this table finds a rule by identity."""
-        entry = self._shapes.get(rule)
+        shapes = self.tables.shapes
+        entry = shapes.get(rule)
         if entry is None:
             shape = binary_shape(rule) if rule.kind is RuleKind.BINARY else unary_shape(rule)
-            entry = self._shapes[rule] = (shape, _signed_body(shape))
+            entry = shapes[rule] = (shape, _signed_body(shape))
         return entry
 
     @staticmethod
@@ -998,14 +1002,14 @@ class A1CompletionStructure(CompletionStructure):
         negative branch first. `where` and `args` describe key."""
         for name in names:
             if not self.decided(key, name):
+                insert = self.__class__.insert_tracked
                 return [
                     Alternative(
                         "choose not {} " + where, (name, *args),
-                        partial(self.insert_tracked, key, Signed(name, False)),
+                        insert, (key, Signed(name, False)),
                     ),
                     Alternative(
-                        "choose {} " + where, (name, *args),
-                        partial(self.insert_tracked, key, Signed(name, True)),
+                        "choose {} " + where, (name, *args), insert, (key, Signed(name, True))
                     ),
                 ]
         return []
@@ -1054,17 +1058,6 @@ class A1CompletionStructure(CompletionStructure):
     # engine class's own attribute
     next_task = CompletionStructure.next_task
 
-    def keep_as_witness(self) -> None:
-        super().keep_as_witness()
-        self._instance_cache.clear()
-        self._alternatives.clear()
-        self._plans = {}
-
-    def release(self) -> None:
-        # the cached alternatives bind the structure too
-        super().release()
-        self._alternatives.clear()
-
 
 # ----------------------------------------------------------------------
 # Generic chronological backtracking over tasks
@@ -1108,7 +1101,7 @@ def run_search(
             continue
         stats.tasks += 1
         try:
-            alternative.apply()
+            alternative.apply(state)
         except ClashError:
             continue
         nxt = make_frame()
@@ -1155,14 +1148,14 @@ def decide(
 ) -> Verdict:
     """Satisfiability of `pred` by the engine whose structures
     `new_structure(pred=, epsilon=, k=, max_depth=, stats=, deadline=,
-    max_tasks=)` builds. Each depth round tries an anonymous root, then
-    each constant as the root where `pred` must hold; see the module
-    docstring for verdict semantics."""
+    max_tasks=, tables=)` builds, all with the tables of this call. Each
+    depth round tries an anonymous root, then each constant as the root
+    where `pred` must hold; see the module docstring for verdict
+    semantics."""
     k = policy.effective_k(program)
     stats = SearchStats()
-    deadline = (
-        time.monotonic() + policy.time_limit if policy.time_limit is not None else None
-    )
+    deadline = deadline_after(policy.time_limit)
+    tables = CallTables()
     for depth in _depth_schedule(policy.max_depth):
         pruned_any = False
         for epsilon in [None, *program.constants]:
@@ -1174,6 +1167,7 @@ def decide(
                 stats=stats,
                 deadline=deadline,
                 max_tasks=policy.max_tasks,
+                tables=tables,
             )
             if run_search(cs, cs.next_task, stats, cs.is_complete_clash_free):
                 cs.keep_as_witness()
@@ -1208,12 +1202,10 @@ def check_sat_a1(
     """Satisfiability of a unary predicate by the direct tableau engine
     (see `decide`)."""
     _check_engine_input(program, pred)
-    # the structures of one call share their ground plans; the class is
-    # looked up per structure, so tests can substitute it
-    plans: dict = {}
+    # the class is looked up per structure, so tests can substitute it
     return decide(
         program,
         pred,
         policy or RedundancyPolicy(),
-        lambda **options: A1CompletionStructure(program, plans=plans, **options),
+        lambda **options: A1CompletionStructure(program, **options),
     )

@@ -14,7 +14,6 @@ merged set.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Union
 
@@ -23,6 +22,8 @@ from .syntax import FolpError, Program
 from .tableau import (
     A1CompletionStructure,
     SearchStats,
+    check_budgets,
+    deadline_after,
     run_search,
 )
 
@@ -316,23 +317,22 @@ def enumerate_unit_completions(
     """All depth-1 completion structures over an anonymous root and over
     each constant root, deduplicated up to successor renumbering. The
     direct engine's rules are reused restricted to the root: successors
-    are populated but never expanded."""
+    are populated but never expanded. `time_limit` and `max_tasks` are
+    checked as `tableau.RedundancyPolicy` checks them."""
     if program.has_constraints():
         raise ValueError(
             "unit compilation requires a constraint-free program; apply "
             "eliminate_constraints first"
         )
-    deadline = time.monotonic() + time_limit if time_limit is not None else None
+    check_budgets(time_limit, max_tasks)
+    deadline = deadline_after(time_limit)
     found: dict = {}
     stats = SearchStats()
-    # the roots' searches share their ground plans (`tableau` docstring)
-    plans: dict = {}
     roots: list[Optional[str]] = [None] + list(program.constants)
     for root in roots:
         cs = A1CompletionStructure(
             program,
             pred=None,
-            plans=plans,
             epsilon=root,
             max_depth=1,
             stats=stats,
@@ -577,6 +577,8 @@ def _parse_cache(lines: list[str]) -> UnitCache:
         raise CacheFormatError("unknown cache format header")
     fingerprint = field_of(take(), "fingerprint")
     count = int(field_of(take(), "count"))
+    if count < 0:
+        raise CacheFormatError(f"negative unit count {count}")
     units: list[UnitCompletionStructure] = []
     for _ in range(count):
         while True:
@@ -640,14 +642,21 @@ def _parse_cache(lines: list[str]) -> UnitCache:
             )
         _check_unit(unit)
         units.append(unit)
+    for line in lines[cursor:]:
+        if line.strip():
+            raise CacheFormatError(f"line {line!r} after the {count} counted units")
     return UnitCache(fingerprint, tuple(units))
 
 
 def _check_unit(unit: UnitCompletionStructure) -> None:
     """Reject a unit that enumeration cannot make and whose graft the
-    compiled engine would mistrust (see the `matcher` docstring): an
-    inconsistent content, or dependency arcs that close a cycle or do
-    not run from positive entries over the root to positive entries."""
+    compiled engine would mistrust (see the `matcher` docstring): tree
+    successors not numbered 1..n in order, an inconsistent content, or
+    dependency arcs that close a cycle or do not run from positive
+    entries over the root to positive entries."""
+    numbers = [succ.target for succ in unit.tree_successors]
+    if numbers != list(range(1, len(numbers) + 1)):
+        raise CacheFormatError(f"unit tree successors {numbers} are not numbered 1..n in order")
     contents = [unit.root_content]
     entries = {(sp.name, (None,)) for sp in unit.root_content if sp.positive}
     for succ in unit.successors:

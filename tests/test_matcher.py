@@ -68,41 +68,20 @@ def test_expand_cs_grafts_the_unit(choice_chain, chain_cache):
     assert cs.find_blocking_pair(child) == x
 
 
-def test_a_graft_plan_is_built_once_per_unit_and_node(membership_t, membership_cache):
-    """Grafting a unit onto a node again after backtracking reuses its
-    plan and gives the same state; another node gets a plan of its own."""
-    cs = A2CompletionStructure(membership_t, membership_cache, pred="smember")
-    x = cs.epsilon
-    (unit, *_) = cs.covering(x)
-    mark = cs.trail.mark()
-    first = cs.expand_cs(x, unit)
-    contents = {key: frozenset(content) for key, content in cs.ct.items()}
-    arcs = list(cs.g.arcs())
-    cs.trail.undo_to(mark)
-    assert cs.expand_cs(x, unit) == first
-    assert {key: frozenset(content) for key, content in cs.ct.items()} == contents
-    assert list(cs.g.arcs()) == arcs
-    assert len(cs._plans) == 1
-    child = first[0]
-    assert not child.is_root
-    cs.expand_cs(child, next(cs.covering(child)))
-    assert len(cs._plans) == 2
-
-
 def test_a_sat_witness_keeps_no_graft_plans(membership_t, membership_cache, monkeypatch):
-    """The plans serve only the search, so a kept witness drops them, as
-    the direct engine's witness drops its instance cache."""
+    """The plans serve only the search, so a kept witness drops the
+    tables of its call, which hold them."""
     kept = []
 
     class Recording(A2CompletionStructure):
         def keep_as_witness(self):
-            kept.append(len(self._plans))
+            kept.append(len(self.tables.grafts))
             super().keep_as_witness()
 
     monkeypatch.setattr(matcher, "A2CompletionStructure", Recording)
     verdict = check_sat_a2(membership_t, "smember", membership_cache)
     assert verdict.kind is VerdictKind.SAT
-    assert kept[0] > 0 and verdict.witness._plans == {}
+    assert kept[0] > 0 and verdict.witness.tables is None
 
 
 def test_expand_cs_requires_local_satisfaction(choice_chain, chain_cache):

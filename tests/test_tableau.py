@@ -1,12 +1,14 @@
 import gc
+import itertools
+import math
 import weakref
 from collections import Counter
 
 import pytest
 
-from folp import tableau, units as units_module
+from folp import matcher as matcher_module, tableau, units as units_module
 from folp.forest import NodeId, Signed, StructureError, Trail
-from folp.matcher import check_sat_a2
+from folp.matcher import A2CompletionStructure, check_sat_a2
 from folp.oracle import bounded_sat, is_answer_set
 from folp.syntax import RuleKind, parse_program
 from folp.tableau import (
@@ -49,6 +51,23 @@ def test_policy_validation():
     with pytest.raises(ValueError):
         RedundancyPolicy(max_depth=0)
     assert RedundancyPolicy(k_override=5).bounded_incomplete
+
+
+def test_library_budgets_reject_nan_and_negative_values(choice_chain):
+    """A NaN or negative time limit and a negative task budget are
+    errors in the library as on the command line, not a missing or an
+    exhausted budget; 0 stays a budget that runs out at once."""
+    for budgets in ({"time_limit": math.nan}, {"time_limit": -1.0}, {"max_tasks": -1}):
+        with pytest.raises(ValueError):
+            RedundancyPolicy(**budgets)
+        for compile_fn in (enumerate_unit_completions, compile_units):
+            with pytest.raises(ValueError):
+                compile_fn(choice_chain, **budgets)
+    for budgets in ({"time_limit": 0}, {"max_tasks": 0}):
+        with pytest.raises(EngineBudgetError):
+            check_sat_a1(choice_chain, "p", RedundancyPolicy(**budgets))
+        with pytest.raises(EngineBudgetError):
+            compile_units(choice_chain, **budgets)
 
 
 def test_membership_is_satisfiable_with_the_support_model(membership, membership_t):
@@ -106,7 +125,7 @@ def test_expand_unary_positive_on_the_support_rule(membership_t):
     assert wanted  # the two-supporter rule applies at the root
     for alternative in wanted:
         mark = cs.trail.mark()
-        alternative.apply()
+        alternative.apply(cs)
         targets = cs.forest.successors(x)
         if targets == [NodeId("a"), NodeId("b")]:
             assert cs.content((x, NodeId("a"))) == {Signed("support", True)}
@@ -127,7 +146,7 @@ def test_expand_unary_positive_fact_sets_status_only(membership_t):
     a = NodeId("a")
     cs.insert_tracked(a, Signed("rmember", True))
     (alternative,) = cs.expand_unary_positive(a, "rmember")
-    alternative.apply()
+    alternative.apply(cs)
     assert cs.status(a, Signed("rmember", True)) == EXP
     assert cs.content(a) == {Signed("rmember", True)}
     assert len(list(cs.g.arcs())) == 0
@@ -148,7 +167,7 @@ def test_expand_unary_negative_refutes_the_constraint_rule(membership_t):
     # refuting "not co(x)" or "smember(x)" would contradict the content;
     # the only viable refutation inserts "not rmember"
     assert len(alternatives) == 1
-    alternatives[0].apply()
+    alternatives[0].apply(cs)
     assert Signed("rmember", False) in cs.content(x)
     assert cs.status(x, Signed("co", False)) == EXP
 
@@ -171,7 +190,7 @@ def test_expand_unary_negative_vacuous_without_instances():
     cs.insert_tracked(x, Signed("p", False))
     (alternative,) = cs.expand_unary_negative(x, "p")
     assert alternative.description == "not p at x: all instances refuted"
-    alternative.apply()
+    alternative.apply(cs)
     assert cs.status(x, Signed("p", False)) == EXP
 
 
@@ -180,7 +199,7 @@ def test_choose_unary_offers_negative_branch_first(membership_t):
     alternatives = cs.choose_unary(cs.epsilon)
     assert len(alternatives) == 2
     assert "not" in alternatives[0].description
-    alternatives[0].apply()
+    alternatives[0].apply(cs)
     assert Signed("rmember", False) in cs.content(cs.epsilon)
 
 
@@ -195,7 +214,7 @@ def test_expand_binary_positive_imposes_body_and_dependency():
     cs.forest.add_es(x, a)
     cs.insert_tracked((x, a), Signed("f", True))
     (alternative,) = cs.expand_binary_positive((x, a), "f")
-    alternative.apply()
+    alternative.apply(cs)
     assert Signed("q", True) in cs.content(a)
     assert cs.status(a, Signed("q", True)) == UNEXP
     arcs = list(cs.g.arcs())
@@ -218,7 +237,7 @@ def test_expand_negative_vacuous_for_undefined_predicates():
     cs.insert_tracked((x, child), Signed("f", False))
     (alternative,) = cs.expand_binary_negative((x, child), "f")
     assert "all instances refuted" in alternative.description
-    alternative.apply()
+    alternative.apply(cs)
     assert cs.status((x, child), Signed("f", False)) == EXP
 
 
@@ -247,12 +266,12 @@ def test_arc_obligations_share_the_instance_path(monkeypatch):
     assert [key for key, _ in cs._instances(arc, "g")] == [0, 1]
     assert_first_pending_agrees(cs, okey)
     refute_s, refute_f, refute_not_r = cs.expand_binary_negative(arc, "g")
-    refute_not_r.apply()
+    refute_not_r.apply(cs)
     assert cs.handled_set(okey) == {0}
     assert cs.status(arc, okey[1]) == UNEXP
     assert_first_pending_agrees(cs, okey)
     refute_f, refute_q = cs.expand_binary_negative(arc, "g")
-    refute_f.apply()
+    refute_f.apply(cs)
     assert cs.handled_set(okey) == {0, 1}
     assert cs.status(arc, okey[1]) == EXP
     assert Signed("f", False) in cs.content(arc)
@@ -285,7 +304,7 @@ def test_no_blocking_pair_in_loop_chains(membership_loop):
     cs = A1CompletionStructure(membership_loop, pred="smember")
     x = cs.epsilon
     task = cs.node_task(x)
-    task.alternatives[0].apply()
+    task.alternatives[0].apply(cs)
     child = x.child(1)
     # same content, but the dependency path smember(x) -> smember(x.1)
     # breaks the pair
@@ -498,7 +517,7 @@ def test_instance_cache_survives_undoing_and_recreating_a_child():
     assert [key for key, _ in with_child] == [(0, (child,)), (0, (NodeId("a"),))]
     assert_first_pending_agrees(cs, okey)
     (refute_f, *_) = cs.expand_unary_negative(x, "p")
-    refute_f.apply()
+    refute_f.apply(cs)
     assert cs._first_pending(x, "p", okey)[0] == (0, (NodeId("a"),))
     assert_first_pending_agrees(cs, okey)
 
@@ -515,53 +534,103 @@ def test_instance_cache_survives_undoing_and_recreating_a_child():
     assert reference_pending_instances(cs, x, "p", okey)[0][2] == (again,)
 
 
-def test_positive_alternatives_and_plans_are_reused():
-    """A structure keeps the positive alternatives of an obligation per
-    successor list and each keeps its ground plan once applied; the
-    structures of one call share the plans, so the same application in
-    another structure is not ground again."""
+def test_the_structures_of_one_call_share_their_tables(hard, membership_loop, monkeypatch):
+    """The structures that one engine call makes over its depth rounds
+    share the call's tables: a later structure gets the very positive
+    alternatives and negative instance lists that an earlier one made,
+    and grafts a unit onto a node from the plan an earlier one built, so
+    no plan is built twice in the call. Positive alternatives are kept
+    per successor list, and one structure applies another's."""
     program = parse_program("p(X) :- f(X,Y), q(Y).\nq(X) v not q(X).\nf(X,Y) v not f(X,Y).\n")
-    plans: dict = {}
-    cs = A1CompletionStructure(program, pred="p", plans=plans)
+    tables = tableau.CallTables()
+    cs = A1CompletionStructure(program, pred="p", tables=tables)
     x = cs.epsilon
     alternatives = cs.expand_unary_positive(x, "p")
     assert [a.args[-1] for a in alternatives] == [1]  # one fresh child
-    assert cs.expand_unary_positive(x, "p") is alternatives
     (alternative,) = alternatives
     mark = cs.trail.mark()
-    alternative.apply()
+    alternative.apply(cs)
     child = x.child(1)
-    assert cs.forest.children(x) == [child]
     assert cs.content(child) == {Signed("q", True)}
-    plan = alternative.apply_fn.args[0].plan
-    assert plan is not None
     # with a child, the successor list differs: a new list
     assert cs.expand_unary_positive(x, "p") is not alternatives
     cs.trail.undo_to(mark)
     assert cs.expand_unary_positive(x, "p") is alternatives
-
-    other = A1CompletionStructure(program, pred="p", plans=plans)
-    (again,) = other.expand_unary_positive(other.epsilon, "p")
-    assert again is not alternative
-    assert again.apply_fn.args[0].plan is plan
-    again.apply()
+    other = A1CompletionStructure(program, pred="p", tables=tables)
+    assert other.expand_unary_positive(other.epsilon, "p") is alternatives
+    alternative.apply(other)
     assert other.content(child) == {Signed("q", True)}
+
+    made = itertools.count()
+    got = []  # (structure number, kind, table entry); keeps entries alive
+
+    class RecordingA1(A1CompletionStructure):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.number = next(made)
+
+        def _expand_positive(self, *args):
+            alternatives = super()._expand_positive(*args)
+            got.append((self.number, "positive", alternatives))
+            return alternatives
+
+        def _instances(self, key, p):
+            instances = super()._instances(key, p)
+            got.append((self.number, "instances", instances))
+            return instances
+
+    monkeypatch.setattr(tableau, "A1CompletionStructure", RecordingA1)
+    verdict = check_sat_a1(hard, "p", RedundancyPolicy(k_override=5))
+    assert verdict.kind is VerdictKind.UNSAT
+    maker: dict = {}
+    shared = set()
+    for number, kind, entry in got:
+        if maker.setdefault(id(entry), number) != number:
+            shared.add(kind)
+    assert next(made) > 2 and shared == {"positive", "instances"}
+
+    builds, grafts = Counter(), {}
+
+    class RecordingA2(A2CompletionStructure):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.number = next(made)
+
+        def _graft_plan(self, x, uc):
+            builds[uc.sort_key(), x] += 1
+            return super()._graft_plan(x, uc)
+
+        def expand_cs(self, x, uc, equal=None):
+            grafts.setdefault((uc.sort_key(), x), set()).add(self.number)
+            return super().expand_cs(x, uc, equal)
+
+    monkeypatch.setattr(matcher_module, "A2CompletionStructure", RecordingA2)
+    cache = compile_units(membership_loop).cache
+    assert check_sat_a2(membership_loop, "smember", cache).kind is VerdictKind.UNSAT
+    assert any(len(structures) > 1 for structures in grafts.values())
+    assert builds and max(builds.values()) == 1
 
 
 def test_dropped_structures_are_freed_without_the_collector(hard, family, monkeypatch):
-    """With the collector off, every structure that the direct engine or
-    unit enumeration makes is freed once the call is done with it: undone
-    and with its cached alternatives, which bind it, dropped. Only a SAT
-    witness outlives the call, held by its verdict."""
+    """With the collector off, every structure that either engine or
+    unit enumeration makes is freed once the call is done with it: its
+    trail is undone, and nothing in the tables of the call binds it. Only
+    a SAT witness outlives the call, held by its verdict."""
     made = []
 
-    class Tracked(A1CompletionStructure):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            made.append(weakref.ref(self))
+    def tracked(base):
+        class Tracked(base):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(weakref.ref(self))
 
+        return Tracked
+
+    solve_hard, solve_family = solver("a2", hard), solver("a2", family)
+    Tracked = tracked(A1CompletionStructure)
     monkeypatch.setattr(tableau, "A1CompletionStructure", Tracked)
     monkeypatch.setattr(units_module, "A1CompletionStructure", Tracked)
+    monkeypatch.setattr(matcher_module, "A2CompletionStructure", tracked(A2CompletionStructure))
     gc.collect()
     gc.disable()
     try:
@@ -578,6 +647,16 @@ def test_dropped_structures_are_freed_without_the_collector(hard, family, monkey
         for program in (hard, family):
             assert enumerate_unit_completions(program)
         assert len(made) > 2 and all(ref() is None for ref in made)
+
+        made.clear()
+        verdict = solve_hard("p", RedundancyPolicy(k_override=5))
+        assert verdict.kind is VerdictKind.UNSAT
+        assert len(made) > 1 and all(ref() is None for ref in made)
+        made.clear()
+        verdict = solve_family("goal")
+        assert verdict.kind is VerdictKind.SAT
+        alive = [ref() for ref in made if ref() is not None]
+        assert len(made) > 1 and alive == [verdict.witness]
     finally:
         gc.enable()
 
@@ -650,7 +729,7 @@ def test_choice_rule_alternatives_at_constants():
     ]
     cs.insert_tracked(a, p)
     by_choice, _ = cs.expand_unary_positive(a, "p")
-    by_choice.apply()
+    by_choice.apply(cs)
     assert cs.status(a, p) == EXP and cs.content(a) == {p}
     assert len(list(cs.g.arcs())) == 0
     # the choice rule never forces p(a), so "not p" at a refutes rule 2 only

@@ -220,15 +220,25 @@ def test_cache_rejects_garbage(tmp_path):
         ("garc: p(@) -> p(@.1)", "garc: p(@.1) -> p(@)"),
         ("garc: p(@) -> f(@,@.1)", "garc: p(@) -> q(@.1)"),
         ("garc: p(@) -> f(@,@.1)", "garc: p(@) -> p(@.2)"),
+        ("count: 4", "count: 0"),
+        ("count: 4", "count: -2"),
+        pytest.param(
+            "succ: @.1 arc open\narc-content: f\nnode-content: not p, not q\npaths: \n"
+            "garc: p(@) -> f(@,@.1)\ngarc: q(@) -> f(@,@.1)",
+            "succ: @.5 arc open\narc-content: f\nnode-content: not p, not q\npaths: \n"
+            "garc: p(@) -> f(@,@.5)\ngarc: q(@) -> f(@,@.5)",
+            id="succ: @.1 arc open-succ: @.5 arc open",
+        ),
     ],
 )
 def test_cache_rejects_malformed_fields(tmp_path, choice_chain, line, corrupted):
-    """A field that does not parse, a final flag that disagrees with the
-    unit's successors, or a unit that enumeration cannot make (an
-    inconsistent content, cyclic dependency arcs, or an arc that does
-    not run from a positive entry over the root to a positive entry) is
-    a format error, not a ValueError that the command line would report
-    as UNSAT (exit 1)."""
+    """A field that does not parse, a negative unit count or units beyond
+    it, a final flag that disagrees with the unit's successors, or a unit
+    that enumeration cannot make (tree successors not numbered 1..n in
+    order, an inconsistent content, cyclic dependency arcs, or an arc
+    that does not run from a positive entry over the root to a positive
+    entry) is a format error, not a ValueError or a wrong verdict that
+    the command line would report as UNSAT (exit 1)."""
     path = tmp_path / "chain.units"
     save_cache(compile_units(choice_chain).cache, path)
     text = path.read_text()
