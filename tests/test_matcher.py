@@ -68,6 +68,27 @@ def test_expand_cs_grafts_the_unit(choice_chain, chain_cache):
     assert cs.find_blocking_pair(child) == x
 
 
+def test_a_graft_plan_is_built_once_per_unit_and_node(membership_t, membership_cache):
+    """Grafting a unit onto a node again after backtracking reuses its
+    plan and gives the same state; another node gets a plan of its own."""
+    cs = A2CompletionStructure(membership_t, membership_cache, pred="smember")
+    x = cs.epsilon
+    (unit, *_) = cs.covering(x)
+    mark = cs.trail.mark()
+    first = cs.expand_cs(x, unit)
+    contents = {key: frozenset(content) for key, content in cs.ct.items()}
+    arcs = list(cs.g.arcs())
+    cs.trail.undo_to(mark)
+    assert cs.expand_cs(x, unit) == first
+    assert {key: frozenset(content) for key, content in cs.ct.items()} == contents
+    assert list(cs.g.arcs()) == arcs
+    assert len(cs.tables.grafts) == 1
+    child = first[0]
+    assert not child.is_root
+    cs.expand_cs(child, next(cs.covering(child)))
+    assert len(cs.tables.grafts) == 2
+
+
 def test_a_sat_witness_keeps_no_graft_plans(membership_t, membership_cache, monkeypatch):
     """The plans serve only the search, so a kept witness drops the
     tables of its call, which hold them."""

@@ -534,6 +534,38 @@ def test_instance_cache_survives_undoing_and_recreating_a_child():
     assert reference_pending_instances(cs, x, "p", okey)[0][2] == (again,)
 
 
+def test_positive_alternatives_and_plans_are_reused():
+    """A structure keeps the positive alternatives of an obligation per
+    successor list and each keeps its ground plan once applied; the
+    structures of one call share the alternatives and so their plans, so
+    the same application in another structure is not ground again."""
+    program = parse_program("p(X) :- f(X,Y), q(Y).\nq(X) v not q(X).\nf(X,Y) v not f(X,Y).\n")
+    tables = tableau.CallTables()
+    cs = A1CompletionStructure(program, pred="p", tables=tables)
+    x = cs.epsilon
+    alternatives = cs.expand_unary_positive(x, "p")
+    assert [a.args[-1] for a in alternatives] == [1]  # one fresh child
+    assert cs.expand_unary_positive(x, "p") is alternatives
+    (alternative,) = alternatives
+    mark = cs.trail.mark()
+    alternative.apply(cs)
+    child = x.child(1)
+    assert cs.forest.children(x) == [child]
+    assert cs.content(child) == {Signed("q", True)}
+    plan = alternative.operands[0].plan
+    assert plan is not None
+    # with a child, the successor list differs: a new list
+    assert cs.expand_unary_positive(x, "p") is not alternatives
+    cs.trail.undo_to(mark)
+    assert cs.expand_unary_positive(x, "p") is alternatives
+
+    other = A1CompletionStructure(program, pred="p", tables=tables)
+    (again,) = other.expand_unary_positive(other.epsilon, "p")
+    assert again.operands[0].plan is plan
+    again.apply(other)
+    assert other.content(child) == {Signed("q", True)}
+
+
 def test_the_structures_of_one_call_share_their_tables(hard, membership_loop, monkeypatch):
     """The structures that one engine call makes over its depth rounds
     share the call's tables: a later structure gets the very positive
