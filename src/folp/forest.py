@@ -86,8 +86,8 @@ thread-safe across tasks.
 
 from __future__ import annotations
 
-from functools import partial, total_ordering
-from typing import Callable, Iterable, Iterator, Optional, Union
+from functools import total_ordering
+from typing import Any, Callable, Iterable, Iterator, Optional, Union
 
 from .syntax import FolpError
 
@@ -285,23 +285,28 @@ class GroundAtom(_Interned):
 
 
 class Trail:
-    """Undo log. Mutators push closures; undo_to replays them in reverse."""
+    """Undo log. A record is a (function, argument) pair, one per
+    mutation: the mutator pushes a bound method or a module function
+    and the one value it needs, so no record is a closure made for it.
+    undo_to calls `function(argument)` of each record, newest first."""
 
     def __init__(self) -> None:
-        self._log: list[Callable[[], None]] = []
+        self._log: list[tuple[Callable[[Any], object], Any]] = []
 
     def mark(self) -> int:
         return len(self._log)
 
-    def push(self, undo: Callable[[], None]) -> None:
-        self._log.append(undo)
+    def push(self, undo: Callable[[Any], object], arg: Any) -> None:
+        self._log.append((undo, arg))
 
     def undo_to(self, mark: int) -> None:
-        while len(self._log) > mark:
-            self._log.pop()()
+        log = self._log
+        while len(log) > mark:
+            undo, arg = log.pop()
+            undo(arg)
 
     def clear(self) -> None:
-        """Forget every closure: what was done can no longer be undone."""
+        """Forget every record: what was done can no longer be undone."""
         self._log.clear()
 
 
@@ -379,13 +384,13 @@ class ExtendedForest:
         child = node.child(len(children) + 1)
         children.append(child)
         self._children[child] = []
-
-        def undo() -> None:
-            children.pop()
-            del self._children[child]
-
-        self.trail.push(undo)
+        self.trail.push(self._remove_child, child)
         return child
+
+    def _remove_child(self, child: NodeId) -> None:
+        """Undo `add_child`: the child is its parent's newest."""
+        self._children[child._parent].pop()
+        del self._children[child]
 
     def add_es(self, node: NodeId, target: NodeId) -> None:
         if node not in self._children:
@@ -397,12 +402,12 @@ class ExtendedForest:
             raise StructureError(f"duplicate extra arc {node} -> {target}")
         self._es_set.add(arc)
         self._es.setdefault(node, []).append(target)
+        self.trail.push(self._remove_es, arc)
 
-        def undo() -> None:
-            self._es_set.discard(arc)
-            self._es[node].pop()
-
-        self.trail.push(undo)
+    def _remove_es(self, arc: ArcId) -> None:
+        """Undo `add_es`: the arc is its source's newest."""
+        self._es_set.discard(arc)
+        self._es[arc[0]].pop()
 
     def has_es(self, node: NodeId, target: NodeId) -> bool:
         return (node, target) in self._es_set
@@ -468,26 +473,25 @@ class DependencyGraph:
         if atom in self._succ:
             return
         self._succ[atom] = []
-        bucket = None
         if len(atom.args) == 1:
-            bucket = self._by_node.setdefault(atom.args[0], [])
-            bucket.append(atom)
+            self._by_node.setdefault(atom.args[0], []).append(atom)
+        self.trail.push(self._remove_vertex, atom)
 
-        def undo() -> None:
-            del self._succ[atom]
-            if bucket is not None:
-                # undo runs in reverse order, so the atom is the newest entry
-                bucket.pop()
-
-        self.trail.push(undo)
+    def _remove_vertex(self, atom: GroundAtom) -> None:
+        """Undo `add_vertex`."""
+        del self._succ[atom]
+        if len(atom.args) == 1:
+            # undo runs in reverse order, so the atom is its node's newest
+            self._by_node[atom.args[0]].pop()
 
     def add_arc(self, src: GroundAtom, dst: GroundAtom) -> None:
         self.add_vertex(src)
         self.add_vertex(dst)
-        if dst in self._succ[src]:
+        targets = self._succ[src]
+        if dst in targets:
             return
-        self._succ[src].append(dst)
-        self.trail.push(partial(self._succ[src].remove, dst))
+        targets.append(dst)
+        self.trail.push(targets.remove, dst)
 
     def add_new_arcs(self, arcs: tuple[tuple[GroundAtom, GroundAtom], ...]) -> None:
         """Add distinct arcs between vertices, whose sources have no arcs
@@ -496,7 +500,13 @@ class DependencyGraph:
         succ = self._succ
         for src, dst in arcs:
             succ[src].append(dst)
-        self.trail.push(partial(_remove_new_arcs, succ, arcs))
+        self.trail.push(self._remove_new_arcs, arcs)
+
+    def _remove_new_arcs(self, arcs: tuple[tuple[GroundAtom, GroundAtom], ...]) -> None:
+        """Undo `add_new_arcs`: each source's newest arcs."""
+        succ = self._succ
+        for src, _ in arcs:
+            succ[src].pop()
 
     def closes_cycle(self, src: GroundAtom, dst: GroundAtom) -> bool:
         """Whether adding src -> dst to this graph, if acyclic, would
@@ -615,9 +625,6 @@ class ForestState:
         self.ct: dict[Key, set[Signed]] = {}
         self.resume: NodeId = self.forest._root_nodes[0]
         self._blocking: dict[NodeId, bool] = {}
-        # each memo write adds a new key and undo runs last in first out,
-        # so the newest key is always the write to undo
-        self._undo_memo = self._blocking.popitem
 
     def content(self, key: Key) -> set[Signed]:
         return self.ct.get(key, set())
@@ -634,25 +641,17 @@ class ForestState:
     def insert(self, key: Key, sp: Signed) -> bool:
         """Add a signed predicate to a node/arc content. Returns True when
         the entry is new; raises ClashError on contradiction."""
-        content = self.ct.get(key)
+        ct = self.ct
+        content = ct.get(key)
         if content is None:
-            content = set()
-            self.ct[key] = content
-
-            def undo_new() -> None:
-                del self.ct[key]
-
-            self.trail.push(undo_new)
+            content = ct[key] = set()
+            self.trail.push(ct.__delitem__, key)
         if sp in content:
             return False
         if sp.negated() in content:
             raise contradiction(key, sp)
         content.add(sp)
-
-        def undo() -> None:
-            content.discard(sp)
-
-        self.trail.push(undo)
+        self.trail.push(content.discard, sp)
         if sp.positive:
             self.g.add_vertex(self.atom_for(key, sp.name))
         return True
@@ -670,15 +669,27 @@ class ForestState:
         succ = self.g._succ
         for atom in atoms:
             succ[atom] = []
-        bucket = None
         if atoms and key.__class__ is NodeId:
-            bucket = self.g._by_node.setdefault(key, [])
-            bucket += atoms
-        self.trail.push(partial(_undo_fill, self.ct, key, succ, atoms, bucket))
+            self.g._by_node.setdefault(key, []).extend(atoms)
+        self.trail.push(self._undo_fill, (key, atoms))
+
+    def _undo_fill(self, filled: tuple[Key, tuple[GroundAtom, ...]]) -> None:
+        """Undo `fill` of the key and atoms in `filled`."""
+        key, atoms = filled
+        del self.ct[key]
+        succ = self.g._succ
+        for atom in atoms:
+            del succ[atom]
+        if atoms and key.__class__ is NodeId:
+            del self.g._by_node[key][-len(atoms):]
 
     def resume_at(self, node: NodeId) -> None:
         """Move the scan's resume point to `node`, undoably."""
-        self.trail.push(partial(setattr, self, "resume", self.resume))
+        self.trail.push(self._set_resume, self.resume)
+        self.resume = node
+
+    def _set_resume(self, node: NodeId) -> None:
+        """Undo `resume_at`: put the resume point back at `node`."""
         self.resume = node
 
     def add_dependency(self, src: GroundAtom, dst: GroundAtom) -> None:
@@ -727,11 +738,11 @@ class ForestState:
         A root has no ancestors, so it is never blocked."""
         if not x.path:
             return False
-        blocked = self._blocking.get(x)
+        memo = self._blocking
+        blocked = memo.get(x)
         if blocked is None:
-            blocked = self.find_blocking_pair(x) is not None
-            self._blocking[x] = blocked
-            self.trail.push(self._undo_memo)
+            blocked = memo[x] = self.find_blocking_pair(x) is not None
+            self.trail.push(memo.__delitem__, x)
         return blocked
 
     def blocked_nodes(self) -> list[NodeId]:
@@ -786,18 +797,3 @@ class ForestState:
 
 
 _NO_CONTENT: frozenset = frozenset()
-
-
-def _undo_fill(ct: dict, key: Key, succ: dict, atoms: tuple, bucket: Optional[list]) -> None:
-    """Undo `ForestState.fill`."""
-    del ct[key]
-    for atom in atoms:
-        del succ[atom]
-    if bucket is not None:
-        del bucket[-len(atoms):]
-
-
-def _remove_new_arcs(succ: dict, arcs: tuple) -> None:
-    """Undo `DependencyGraph.add_new_arcs`: each source's newest arcs."""
-    for src, _ in arcs:
-        succ[src].pop()

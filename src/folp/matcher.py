@@ -46,6 +46,15 @@ contents, and acyclic arcs that leave atoms over its root and end at
 its positive entries. `units.load_cache` rejects a cache whose units
 break this.
 
+The candidate list of a match is kept per engine call too: the
+`matches` table of the call maps (x, ct(x), whether the depth bound
+forbids a child of x) to whether that bound left a covering unit out
+and the alternatives of the others (`_match_entry`). The list reads
+only x, an operand of each alternative, its content, the cache's
+`candidates_for` order and the flag, so it holds in every structure of
+the call. Each `match` still adds the list's length to `units_tried`
+and sets `pruned` from the entry, as a fresh scan would.
+
 The driver, the task scan, the redundancy clash and the completion
 audit are those of `tableau.CompletionStructure` and `tableau.decide`;
 this engine supplies `node_task` (match the node) and `is_saturated`
@@ -62,7 +71,9 @@ changes anything (`_redundant_graft`). After the graft, x holds the
 unit's root content. So when k or more proper ancestors of x hold that
 content, the clash follows the graft, unless the graft clashes first.
 `_apply_match` counts those ancestors once: the count serves the
-pre-check and, after a graft that goes ahead, the bound check.
+pre-check and, after a graft that goes ahead, the bound check. It counts
+only where x has k or more proper ancestors, as many as its path has
+steps; with fewer the bound is out of reach, and neither check runs.
 The graft of an ungrafted x can clash first in only two ways:
 
 - A contradiction at a constant successor. Nothing else can contradict:
@@ -89,7 +100,6 @@ returns normally.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Iterator, Optional
 
 from .forest import ClashError, GroundAtom, NodeId, Signed
@@ -150,7 +160,9 @@ class A2CompletionStructure(CompletionStructure):
         `_redundant_graft` finds that the graft would end in the
         redundancy clash at x. `equal` is the number of proper ancestors
         of x that hold the unit's root content, counted here when not
-        given."""
+        given. Only an x with k or more proper ancestors, as many as its
+        path has steps, is counted and pre-checked: a shallower graft
+        cannot end in that clash."""
         if uc.root_constant is not None and NodeId(uc.root_constant) != x:
             raise ValueError(
                 f"unit rooted at constant {uc.root_constant!r} cannot expand {x}"
@@ -161,18 +173,19 @@ class A2CompletionStructure(CompletionStructure):
             )
         if not self.content(x) <= uc.root_content:
             raise ValueError(f"unit does not locally satisfy the content of {x}")
-        if equal is None:
-            equal = self.count_equal_ancestors(x, uc.root_content)
-        if self._redundant_graft(x, uc, equal):
-            self.count_children(x, len(uc.tree_successors))
-            return None
+        if len(x.path) >= self.k:
+            if equal is None:
+                equal = self.count_equal_ancestors(x, uc.root_content)
+            if self._redundant_graft(x, uc, equal):
+                self.count_children(x, len(uc.tree_successors))
+                return None
         plan_key = (id(uc), x)
         plan = self.tables.grafts.get(plan_key)
         if plan is None:
             plan = self.tables.grafts[plan_key] = self._graft_plan(x, uc)
         root_content, steps, arcs, targets, nodes, _ = plan
         self.grafted.add(x)
-        self.trail.push(partial(self.grafted.discard, x))
+        self.trail.push(self.grafted.discard, x)
         insert = self.insert
         for sp in root_content:
             insert(x, sp)
@@ -277,24 +290,47 @@ class A2CompletionStructure(CompletionStructure):
                 yield uc
 
     def match(self, x: NodeId) -> list[Alternative]:
-        """One branch per covering unit (see `covering`)."""
+        """One branch per covering unit (see `covering`), leaving out the
+        units with tree successors where the depth bound forbids them,
+        which is recorded in `pruned`. The list is made once per call,
+        node, content and depth flag (`_match_entry`, kept in the call's
+        `matches` table); each call counts its units as tried."""
         too_deep = self.max_depth is not None and x.depth + 1 > self.max_depth
+        key = (x, frozenset(self.ct.get(x, ())), too_deep)
+        matches = self.tables.matches
+        entry = matches.get(key)
+        if entry is None:
+            entry = matches[key] = self._match_entry(x, too_deep)
+        pruned, alternatives = entry
+        if pruned:
+            self.pruned = True
+        self.stats.units_tried += len(alternatives)
+        return alternatives
+
+    def _match_entry(self, x: NodeId, too_deep: bool) -> tuple[bool, list[Alternative]]:
+        """Whether the depth flag drops a covering unit of x, and the
+        alternatives of the others, in `covering` order. Reads only x,
+        its content, the cache and the flag, so the entry holds in every
+        structure of the call (see the module docstring)."""
         step = self.__class__._apply_match
-        alternatives = []
+        pruned, alternatives = False, []
         for uc in self.covering(x):
             if too_deep and uc.tree_successors:
-                self.pruned = True
+                pruned = True
                 continue
-            self.stats.units_tried += 1
             alternatives.append(
                 Alternative("match {} with unit {}", (x, uc.sort_key()[:3]), step, (x, uc))
             )
-        return alternatives
+        return pruned, alternatives
 
     def _apply_match(self, x: NodeId, uc: UnitCompletionStructure) -> None:
         # one walk serves the pre-check and the bound below: a graft that
-        # goes ahead leaves ct(x) equal to the unit's root content
-        equal = self.count_equal_ancestors(x, uc.root_content)
+        # goes ahead leaves ct(x) equal to the unit's root content; x
+        # with fewer than k proper ancestors cannot reach the bound, and
+        # is not walked
+        equal = None
+        if len(x.path) >= self.k:
+            equal = self.count_equal_ancestors(x, uc.root_content)
         successors = self.expand_cs(x, uc, equal)
         self.stats.matches += 1
         self.stats.units_used.add(uc.sort_key())
@@ -303,7 +339,7 @@ class A2CompletionStructure(CompletionStructure):
         # once (see the module docstring); the scan found x unblocked,
         # and a graft only adds content at x and paths, so x is still
         # unblocked
-        if equal >= self.k:
+        if equal is not None and equal >= self.k:
             raise self.redundant(x, equal)
         # Fail fast on successors no unit can ever cover. Sound because an
         # existing node's ancestors are already expanded, so its content

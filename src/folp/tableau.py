@@ -16,7 +16,8 @@ ancestor; the redundancy bound turns overly long equal-content chains
 into a clash.
 
 The search is chronological depth-first backtracking over a trail of
-undoable mutations. Choice order: rules in program order, groundings
+undoable mutations, each recorded as a (function, argument) pair
+(`forest.Trail`). Choice order: rules in program order, groundings
 preferring existing successors, then fresh successors, then constants;
 sign choices take the negative branch first. Runs are deterministic.
 
@@ -63,7 +64,9 @@ nothing before the resume point; saturation is two counter reads, kept
 by `set_status` (expanded entries per key, and per node the outgoing
 arcs whose binary entries are all expanded); blocking comes from the
 memo of `ForestState`; the equal-ancestor count is one walk over the
-node's ancestors.
+node's ancestors, taken only at a node at depth k or more: a node has
+as many proper ancestors as its path has steps, so a shallower one
+cannot have k equal-content ones.
 
 A negative obligation is refuted one rule instance at a time, and the
 ground instances, each with its ground body, are computed once per
@@ -80,11 +83,12 @@ and fills over all depth rounds and root choices; a structure built
 without them, as in unit enumeration, makes its own. An entry reads the
 program and its key, never the state, so it needs no trail entries and
 holds in every structure: rule shapes, the instances above, the graft
-plans of `a2` (see `matcher`), and the positive alternatives of an
-obligation with whether the depth bound pruned a grounding of them,
-keyed by node or arc, predicate, whether the bound admits a fresh
-successor there and, at a node, the successor list, tree children then
-extra-arc targets: with the constants, all that the groundings read. An
+plans and match lists of `a2` (`grafts`, `matches`; see `matcher`), and
+the positive alternatives of an obligation with whether the depth bound
+pruned a grounding of them, keyed by node or arc, predicate, whether
+the bound admits a fresh successor there and, at a node, the successor
+list, tree children then extra-arc targets: with the constants, all
+that the groundings read. An
 `Alternative` binds no structure: `apply(cs)` runs its step function on
 the structure the search passes, with its operands. So the tables may
 outlive a structure, `release` has only the trail to undo, and a SAT
@@ -364,16 +368,18 @@ _Desc = tuple
 
 class CallTables:
     """The tables of one engine call (see the module docstring): rule
-    `shapes`, negative `instances`, `positive` (prunes, alternatives) and
-    the compiled engine's `grafts`."""
+    `shapes`, negative `instances`, `positive` (prunes, alternatives),
+    and the compiled engine's `grafts` and `matches` (pruned,
+    alternatives)."""
 
-    __slots__ = ("shapes", "instances", "positive", "grafts")
+    __slots__ = ("shapes", "instances", "positive", "grafts", "matches")
 
     def __init__(self) -> None:
         self.shapes: dict[Rule, tuple] = {}
         self.instances: dict[tuple, list] = {}
         self.positive: dict[tuple, tuple] = {}
         self.grafts: dict[tuple, tuple] = {}
+        self.matches: dict[tuple, tuple] = {}
 
 
 class _Application:
@@ -501,7 +507,11 @@ class CompletionStructure(ForestState):
     def redundancy_clash(self, x: NodeId) -> None:
         """Record and raise the redundancy clash of the saturated node x
         if it has k or more equal-content ancestors. The caller has found
-        x unblocked; asking again would cost the direct engine's scan."""
+        x unblocked; asking again would cost the direct engine's scan.
+        x has as many proper ancestors as its path has steps, so with
+        fewer than k steps no walk is needed."""
+        if len(x.path) < self.k:
+            return
         equal = self.equal_ancestor_count(x)
         if equal >= self.k:
             raise self.redundant(x, equal)
@@ -548,9 +558,9 @@ class CompletionStructure(ForestState):
         self.tables = None
 
     def release(self) -> None:
-        """Undo a structure the search is done with. Undo closures tie a
-        structure into reference cycles; undone, it is freed at once, not
-        by the collector."""
+        """Undo a structure the search is done with. Undo records hold
+        bound methods, which tie a structure into reference cycles;
+        undone, it is freed at once, not by the collector."""
         self.trail.undo_to(0)
 
 
@@ -602,18 +612,20 @@ class A1CompletionStructure(CompletionStructure):
                 full = (count == n_bpreds) - (count - delta == n_bpreds)
                 if full:
                     self.full_arcs[key[0]] = self.full_arcs.get(key[0], 0) + full
+        self.trail.push(self._undo_status, (skey, old, delta, full))
 
-        def undo() -> None:
-            if old is None:
-                del self.st[skey]
-            else:
-                self.st[skey] = old
-            if delta:
-                self.expanded[skey[0]] -= delta
-                if full:
-                    self.full_arcs[skey[0][0]] -= full
-
-        self.trail.push(undo)
+    def _undo_status(self, change: tuple) -> None:
+        """Undo `set_status`: `change` holds the status key, the old
+        status and the changes of the expanded and full-arc counters."""
+        skey, old, delta, full = change
+        if old is None:
+            del self.st[skey]
+        else:
+            self.st[skey] = old
+        if delta:
+            self.expanded[skey[0]] -= delta
+            if full:
+                self.full_arcs[skey[0][0]] -= full
 
     def status(self, key: Key, sp: Signed) -> Optional[str]:
         return self.st.get((key, sp))
@@ -630,19 +642,10 @@ class A1CompletionStructure(CompletionStructure):
     def _mark_handled(self, okey: tuple[Key, Signed], instance_key) -> None:
         ledger = self.handled.get(okey)
         if ledger is None:
-            ledger = set()
-            self.handled[okey] = ledger
-
-            def undo_new() -> None:
-                del self.handled[okey]
-
-            self.trail.push(undo_new)
+            ledger = self.handled[okey] = set()
+            self.trail.push(self.handled.__delitem__, okey)
         ledger.add(instance_key)
-
-        def undo() -> None:
-            ledger.discard(instance_key)
-
-        self.trail.push(undo)
+        self.trail.push(ledger.discard, instance_key)
 
     def handled_set(self, okey: tuple[Key, Signed]) -> set:
         return self.handled.get(okey, set())

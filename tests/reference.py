@@ -36,6 +36,11 @@ The compiled engine grafts from a plan ground once per unit and node;
 `reference_graft` grafts entry by entry, grounding every atom afresh
 and testing every arc as it goes in (`ReferenceGraftA2`), and
 `checked_grafts_a2` makes every graft both ways and compares them.
+The compiled engine keeps the alternatives of each match per call,
+node, content and depth flag; `checked_matches_a2` compares every
+match with a fresh scan of the cache (`reference_match`). Neither
+engine counts equal-content ancestors of a node with fewer than k
+proper ancestors; `CheckedWalkSkips` checks each walk left out.
 """
 
 import itertools
@@ -87,6 +92,31 @@ def assert_memo_agrees(cs, x) -> None:
     those a fresh computation gives."""
     assert cs.is_blocked(x) == (cs.find_blocking_pair(x) is not None), str(x)
     assert cs.equal_ancestor_count(x) == reference_equal_ancestor_count(cs, x), str(x)
+
+
+class CheckedWalkSkips:
+    """A mixin for an engine structure that checks every equal-ancestor
+    walk the engine leaves out, in the scan's redundancy clash and (a2)
+    in a match: there x has fewer than k proper ancestors, and a fresh
+    count of those that hold the content asked about is below k. The
+    skips are counted in the class attribute `skips`."""
+
+    skips = walks = 0
+
+    def count_equal_ancestors(self, x, content):
+        self.walks += 1
+        return super().count_equal_ancestors(x, content)
+
+    def redundancy_clash(self, x):
+        walks = self.walks
+        super().redundancy_clash(x)
+        if self.walks == walks:
+            self.walk_skipped(x, self.content(x))
+
+    def walk_skipped(self, x, content) -> None:
+        assert len(x.path) < self.k, str(x)
+        assert reference_equal_ancestor_count_of(self, x, content) < self.k, str(x)
+        type(self).skips += 1
 
 
 def reference_scan(cs, saturated) -> tuple:
@@ -340,7 +370,7 @@ def reference_graft(cs, x, uc, equal=None):
         cs.count_children(x, len(uc.tree_successors))
         return None
     cs.grafted.add(x)
-    cs.trail.push(partial(cs.grafted.discard, x))
+    cs.trail.push(cs.grafted.discard, x)
     root_content, successors, g_arcs = uc.graft_order()
     for sp in root_content:
         cs.insert(x, sp)
@@ -452,9 +482,10 @@ def checked_refutations_a1() -> type:
     `applications` counts the applications, `refuted` the clashes,
     `builds` the plans built and `plan_hits` the applications made on a
     plan built before, in the same structure or another one of the same
-    call."""
+    call. Every walk the scan leaves out is checked (`CheckedWalkSkips`)
+    and counted in `skips`."""
 
-    class CheckedRefutationsA1(A1CompletionStructure):
+    class CheckedRefutationsA1(CheckedWalkSkips, A1CompletionStructure):
         applications = refuted = builds = plan_hits = 0
 
         def _ground_plan(self, *args):
@@ -486,9 +517,12 @@ def checked_refutations_a2() -> type:
     end state are recorded and then undone, then by the engine, which
     must give the same. `matches` counts the matches, `doomed` those the
     reference ends in the redundancy clash at the matched node, and
-    `refuted` those the pre-check (`_redundant_graft`) refuted."""
+    `refuted` those the pre-check (`_redundant_graft`) refuted. Every
+    count the pre-check receives is exact, and every walk the engine's
+    match or scan leaves out is checked (`CheckedWalkSkips`) and counted
+    in `skips`."""
 
-    class CheckedRefutationsA2(A2CompletionStructure):
+    class CheckedRefutationsA2(CheckedWalkSkips, A2CompletionStructure):
         matches = doomed = refuted = 0
         graft_always = False
 
@@ -510,11 +544,67 @@ def checked_refutations_a2() -> type:
                 self.graft_always = False
             message = reference[0]
             cls.doomed += bool(message and message.startswith(f"redundant node {x} "))
+            walks = self.walks
             clash = _checked_outcome(self, partial(super()._apply_match, x, uc), reference)
+            if self.walks == walks:
+                self.walk_skipped(x, uc.root_content)
             if clash is not None:
                 raise clash
 
     return CheckedRefutationsA2
+
+
+def reference_match(cs, x) -> tuple:
+    """(pruned, units) of a match of x, from a fresh scan of the cached
+    units in `candidates_for` order: the units whose root fits x and
+    whose root content includes ct(x), less those with tree successors
+    where the depth bound forbids a child of x; pruned when the bound
+    left one out."""
+    constant = x.root if cs.forest.is_constant_node(x) else None
+    too_deep = cs.max_depth is not None and x.depth + 1 > cs.max_depth
+    pruned, units = False, []
+    for uc in cs.cache.candidates_for(constant):
+        if not cs.content(x) <= uc.root_content:
+            continue
+        if too_deep and uc.tree_successors:
+            pruned = True
+        else:
+            units.append(uc)
+    return pruned, units
+
+
+def checked_matches_a2() -> type:
+    """The compiled engine with every match checked against
+    `reference_match`: the alternatives graft the same units in the same
+    order, `units_tried` grows by their number and `pruned` is set
+    exactly when it was set before or the reference prunes. `matches`
+    counts the matches, `builds` the lists built and `hits` the matches
+    answered by a list built before, in the same structure or another
+    one of the same call."""
+
+    class CheckedMatchesA2(A2CompletionStructure):
+        matches = builds = hits = 0
+
+        def _match_entry(self, x, too_deep):
+            CheckedMatchesA2.builds += 1
+            return super()._match_entry(x, too_deep)
+
+        def match(self, x):
+            cls = CheckedMatchesA2
+            cls.matches += 1
+            pruned, units = reference_match(self, x)
+            tried, was_pruned, builds = self.stats.units_tried, self.pruned, cls.builds
+            alternatives = super().match(x)
+            cls.hits += cls.builds == builds
+            assert [a.operands for a in alternatives] == [(x, uc) for uc in units], str(x)
+            assert [a.description for a in alternatives] == [
+                f"match {x} with unit {uc.sort_key()[:3]}" for uc in units
+            ]
+            assert self.stats.units_tried == tried + len(units), str(x)
+            assert self.pruned == (was_pruned or pruned), str(x)
+            return alternatives
+
+    return CheckedMatchesA2
 
 
 def checked_grafts_a2() -> type:

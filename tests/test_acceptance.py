@@ -42,6 +42,7 @@ from reference import (
     checked_a2,
     checked_grafts_a2,
     checked_landings,
+    checked_matches_a2,
     checked_refutations_a1,
     checked_refutations_a2,
     passes_a1_completion_check,
@@ -419,10 +420,13 @@ def test_prechecks_agree_with_the_mutation_at_every_step(
     clash only before any mutation. On every workload the a2 pre-check
     refutes every match that the whole graft ends in the redundancy
     clash at the matched node, and on hard, deep and family a1 makes
-    applications on ground plans built before."""
+    applications on ground plans built before. Every equal-ancestor walk
+    that either engine leaves out is at a node with fewer than k proper
+    ancestors, where a fresh count is below k, and both leave some out
+    on every workload."""
     workloads = pinned_workloads(hard, deep, family, corpus_run[0])
     expected_records, expected_caches = search_outputs(workloads, tmp_path)
-    records, caches, counts, hits = [], [], [], []
+    records, caches, counts, hits, skips = [], [], [], [], []
     # hard, deep, family, then the corpus, each counted on its own
     for group in (workloads[:1], workloads[1:2], workloads[2:3], workloads[3:]):
         checked1, checked2 = checked_refutations_a1(), checked_refutations_a2()
@@ -434,12 +438,40 @@ def test_prechecks_agree_with_the_mutation_at_every_step(
         caches += group_caches
         counts.append((checked1.refuted, checked2.doomed, checked2.refuted))
         hits.append((checked1.applications, checked1.plan_hits))
+        skips.append((checked1.skips, checked2.skips))
     assert (records, caches) == (expected_records, expected_caches)
     print("refuted by a1, doomed in a2, refuted by a2:", counts)
     print("a1 applications, on a plan built before:", hits)
+    print("walks left out by a1, a2:", skips)
     assert all(a1 > 0 and doomed == refuted for a1, doomed, refuted in counts)
     assert counts[0][2] == 731
     assert all(plan_hits > 0 for _, plan_hits in hits[:3])
+    assert all(a1 > 0 and a2 > 0 for a1, a2 in skips)
+
+
+def test_match_lists_agree_with_a_fresh_scan_of_the_cache(
+    hard, deep, family, corpus_run, monkeypatch, tmp_path
+):
+    """Every a2 match is checked against a fresh scan of the cached units
+    (`checked_matches_a2`): the same units in the same order, filtered
+    by the depth bound, `units_tried` grown by their number and the
+    same `pruned`, and the same search outputs. On hard and family,
+    matches are answered from lists built before."""
+    workloads = pinned_workloads(hard, deep, family, corpus_run[0])
+    expected = search_outputs(workloads, tmp_path)
+    records, caches, counts = [], [], []
+    # hard, deep, family, then the corpus, each counted on its own
+    for group in (workloads[:1], workloads[1:2], workloads[2:3], workloads[3:]):
+        checked = checked_matches_a2()
+        monkeypatch.setattr(matcher, "A2CompletionStructure", checked)
+        group_records, group_caches = search_outputs(group, tmp_path)
+        records += group_records
+        caches += group_caches
+        counts.append((checked.matches, checked.builds, checked.hits))
+    assert (records, caches) == expected
+    print("matches, lists built, hits:", counts)
+    assert all(matches > 0 for matches, _, _ in counts)
+    assert counts[0][2] > 0 and counts[2][2] > 0
 
 
 def test_compiled_grafts_agree_with_the_entry_by_entry_graft(

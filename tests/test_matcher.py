@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from folp import matcher
@@ -87,6 +89,35 @@ def test_a_graft_plan_is_built_once_per_unit_and_node(membership_t, membership_c
     assert not child.is_root
     cs.expand_cs(child, next(cs.covering(child)))
     assert len(cs.tables.grafts) == 2
+
+
+def test_a_match_list_is_built_once_per_node_content_and_depth_flag(hard, monkeypatch):
+    """One engine call builds the alternatives of each (node, content,
+    depth flag) once, shares them between its structures, and answers
+    every other match of the same key from them."""
+    builds, calls, structures, made = Counter(), Counter(), {}, iter(range(1000))
+
+    class Recording(A2CompletionStructure):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.number = next(made)
+
+        def _match_entry(self, x, too_deep):
+            builds[x, frozenset(self.content(x)), too_deep] += 1
+            return super()._match_entry(x, too_deep)
+
+        def match(self, x):
+            calls[x] += 1
+            structures.setdefault(x, set()).add(self.number)
+            return super().match(x)
+
+    monkeypatch.setattr(matcher, "A2CompletionStructure", Recording)
+    cache = compile_units(hard).cache
+    verdict = check_sat_a2(hard, "p", cache, RedundancyPolicy(k_override=5))
+    assert verdict.kind is VerdictKind.UNSAT
+    assert builds and max(builds.values()) == 1
+    assert sum(calls.values()) > 2 * len(builds)
+    assert any(len(numbers) > 1 for numbers in structures.values())
 
 
 def test_a_sat_witness_keeps_no_graft_plans(membership_t, membership_cache, monkeypatch):

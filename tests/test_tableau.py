@@ -461,11 +461,13 @@ def test_family_goal_search_is_pinned(family, monkeypatch):
 
 # scan reads per query, pinned so that a scan that again starts from the
 # first root before every task fails here (it read 55,085 and 46,923 on
-# hard p, 3,830 and 3,457 over deep p and r)
+# hard p, 3,830 and 3,457 over deep p and r); the equal-ancestor count is
+# read only at nodes with k or more proper ancestors (it read 1,265 on
+# hard p and 60 on deep r at every saturated unblocked node)
 SCAN_READS = {
-    ("hard", "p"): {"is_saturated": 9427, "equal_ancestor_count": 1265},
+    ("hard", "p"): {"is_saturated": 9427, "equal_ancestor_count": 731},
     ("deep", "p"): {"is_saturated": 1, "equal_ancestor_count": 0},
-    ("deep", "r"): {"is_saturated": 432, "equal_ancestor_count": 60},
+    ("deep", "r"): {"is_saturated": 432, "equal_ancestor_count": 1},
 }
 
 
@@ -691,6 +693,52 @@ def test_dropped_structures_are_freed_without_the_collector(hard, family, monkey
         assert len(made) > 1 and alive == [verdict.witness]
     finally:
         gc.enable()
+
+
+def test_undo_records_are_function_argument_pairs(hard, membership_t, monkeypatch):
+    """Every undo record that the searches of either engine and unit
+    enumeration push, whether undone or dropped by a SAT witness, is a
+    (callable, argument) pair whose callable is a bound method or a
+    function of the library, never a closure made for the record; every
+    mutator that pushes one is met."""
+    seen = set()
+
+    def check(records) -> None:
+        for record in records:
+            assert record.__class__ is tuple and len(record) == 2, record
+            undo, _ = record
+            assert callable(undo) and "<locals>" not in undo.__qualname__, undo
+            seen.add(undo.__qualname__)
+
+    undo_to, clear = Trail.undo_to, Trail.clear
+
+    def checked_undo_to(trail, mark):
+        check(trail._log[mark:])
+        undo_to(trail, mark)
+
+    def checked_clear(trail):
+        check(trail._log)
+        clear(trail)
+
+    monkeypatch.setattr(Trail, "undo_to", checked_undo_to)
+    monkeypatch.setattr(Trail, "clear", checked_clear)
+    for program, pred, verdict in (
+        (hard, "p", VerdictKind.UNSAT), (membership_t, "smember", VerdictKind.SAT)
+    ):
+        for engine in ("a1", "a2"):
+            assert solver(engine, program)(pred, RedundancyPolicy(k_override=5)).kind is verdict
+    assert seen == {
+        "dict.__delitem__",  # a new content key, a blocking memo entry, a new ledger
+        "set.discard",  # a content entry, a ledger entry, a grafted node
+        "list.remove",  # a dependency arc
+        "A1CompletionStructure._undo_status",
+        "DependencyGraph._remove_vertex",
+        "DependencyGraph._remove_new_arcs",
+        "ExtendedForest._remove_child",
+        "ExtendedForest._remove_es",
+        "ForestState._set_resume",
+        "ForestState._undo_fill",
+    }
 
 
 # ----------------------------------------------------------------------
