@@ -19,40 +19,13 @@ close a cycle, and otherwise tests each as it goes in
 (`ForestState.add_dependency`). `has_cycle` is a full search kept for
 completion audits.
 
-Blocking is memoized per node, because the task scan asks for it again
-and again while few of the facts it rests on change in between. The
-memo changes only through the trail, by its writes and their undo, so
-`undo_to(mark)` restores exactly the memo valid at `mark`; no other
-mutation updates it. It stays exact under the precondition of
-`ForestState`, which the engines keep (the `tableau` docstring gives
-the argument). In it, a content entry or a status lands at its node or
-at its arc's source, a child at its parent, an extra arc at its source
-and a dependency arc at the node of its source atom. Both engines
-mutate only while they expand a node z, and add dependency arcs from
-an atom over z (p(z) or f(z, s)) to an atom over z, a child of z or a
-constant.
-
-Under the precondition no entry lapses. An "unblocked" entry at x sees
-its ancestors' contents fixed, since x lies below them; new content at
-x itself only makes ct(x) included in ct(y) harder to meet, and new
-atoms and arcs only add sinks and paths to the path search. A
-"blocked" entry stays exact as well. Let y be the anonymous ancestor
-that blocks x, and y = a0, a1, ..., ak = x the chain between them.
-Every a_i below y is an anonymous non-root node, which no extra arc
-targets, so every arc into an atom over a_i comes from the expansion of
-a_i or of its parent, and every arc into an arc atom f(y, s) from the
-expansion of y. Any path from an atom p(y) to an atom q(x) thus ends in
-a part that starts at some p'(y) and uses only arcs from the expansion
-of a chain node. No such part existed when the entry was written, and
-none is made while it stands: x, which holds the entry, is at or below
-every chain node, so the precondition keeps every mutation off the
-chain, and ct(x) and ct(y) stay as they were.
-
-`find_blocking_pair` stays the uncached computation behind the memo; it
-asks `DependencyGraph.connects`, one search from all atoms of the
-candidate blocker, instead of building the path set pair by pair. The
-equal-content ancestor count is not memoized: it is one walk over the
-ancestors, about as cheap as a memo write with its trail entry.
+Blocking is not memoized: `is_blocked` derives it afresh and writes
+nothing. The task scan asks about it only at nodes after its resume
+point (the `tableau` docstring gives the argument), and
+`find_blocking_pair` asks `DependencyGraph.connects`, one search from
+all atoms of the candidate blocker, instead of building the path set
+pair by pair. The equal-content ancestor count is one walk over the
+ancestors.
 
 Node ids, signed predicates and ground atoms are interned: one value is
 one object, made on first use and kept in a module table, so `==` and
@@ -602,15 +575,14 @@ class ForestState:
     exactly the positive content entries (as ground atoms over nodes and
     arcs).
 
-    `_blocking` memoizes blocking per node (see the module docstring).
     `resume` is the resume point of the engines' task scan (see the
-    `tableau` docstring), at first the first root. Both change only by
-    their own writes (`is_blocked`, `resume_at`) and the trail's undo of
-    them. They rest on one precondition that callers keep, as the
-    engines do: every new content entry, arc, status and child lands at
-    the resume point or after it, at a node that holds no memo entry
-    other than its own "unblocked" one, and no node below it holds an
-    entry."""
+    `tableau` docstring), at first the first root. It changes only by
+    `resume_at` and the trail's undo of it, and rests on one
+    precondition that callers keep, as the engines do: every new content
+    entry, arc, status and child lands at the resume point or after it.
+    A content entry or a status lands at its node or at its arc's
+    source, a child at its parent, an extra arc at its source and a
+    dependency arc at the node of its source atom."""
 
     def __init__(
         self,
@@ -624,7 +596,6 @@ class ForestState:
         self.free_preds = free_preds
         self.ct: dict[Key, set[Signed]] = {}
         self.resume: NodeId = self.forest._root_nodes[0]
-        self._blocking: dict[NodeId, bool] = {}
 
     def content(self, key: Key) -> set[Signed]:
         return self.ct.get(key, set())
@@ -734,16 +705,9 @@ class ForestState:
         return sum(1 for y in x.ancestors() if ct.get(y, _NO_CONTENT) == content)
 
     def is_blocked(self, x: NodeId) -> bool:
-        """Whether x has a blocking pair; memoized `find_blocking_pair`.
-        A root has no ancestors, so it is never blocked."""
-        if not x.path:
-            return False
-        memo = self._blocking
-        blocked = memo.get(x)
-        if blocked is None:
-            blocked = memo[x] = self.find_blocking_pair(x) is not None
-            self.trail.push(memo.__delitem__, x)
-        return blocked
+        """Whether x has a blocking pair. A root has no ancestors, so it
+        is never blocked."""
+        return bool(x.path) and self.find_blocking_pair(x) is not None
 
     def blocked_nodes(self) -> list[NodeId]:
         return [x for x in self.forest.nodes() if self.is_blocked(x)]

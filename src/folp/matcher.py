@@ -5,10 +5,11 @@ structures onto them instead of replaying individual rule applications:
 an unexpanded node is matched against every cached unit whose root fits
 it (anonymous roots fit anonymous nodes, a constant root only its own
 constant) and whose saturated root content covers the node's accumulated
-requirements. Blocking, its memo and the redundancy bound are shared
-with the direct engine: a node is grafted at most once, after its
-ancestors and never while blocked, which keeps the precondition that
-the memo rests on (see the `tableau` module docstring).
+requirements. Blocking and the redundancy bound are shared with the
+direct engine: a node is grafted at most once, at the scan's resume
+point, after its ancestors and never while blocked, which keeps the
+precondition that the scan rests on (see the `tableau` module
+docstring).
 
 Units may impose content on constants through their extra arcs. An
 unexpanded constant accrues those requirements, constraining its later
@@ -345,11 +346,16 @@ class A2CompletionStructure(CompletionStructure):
         # existing node's ancestors are already expanded, so its content
         # and theirs are fixed: an unblocked node can never become
         # blocked later (path sets only grow), and accrued constant
-        # contents only grow, shrinking their candidate sets.
+        # contents only grow, shrinking their candidate sets. The three
+        # tests only read, so their order cannot change which successor
+        # raises; blocking, the dearest, is derived last, only for a
+        # successor that no unit covers.
         for node in successors:
-            if self.is_saturated(node) or self.is_blocked(node):
-                continue
-            if next(self.covering(node), None) is None:
+            if (
+                not self.is_saturated(node)
+                and next(self.covering(node), None) is None
+                and not self.is_blocked(node)
+            ):
                 raise ClashError(
                     "successor {} of {} is unblocked and matches no unit", node, x
                 )

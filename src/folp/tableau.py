@@ -34,36 +34,52 @@ The scan starts at a resume point, `ForestState.resume`: the first node
 in node order it has not passed, so every node before it is blocked, or
 saturated with fewer than k equal-content ancestors. `next_task` moves
 the point to the node it picks, through the trail, so backtracking
-restores it with the rest of the state. Nothing else moves the point,
-and the blocking memo changes only when it is read: both rest on the
-precondition of `ForestState`. Every new content entry, arc, status
-and child lands at the resume point or after it, at a node that holds
-no memo entry other than its own "unblocked" one, and no node below it
-holds an entry. A node before the point then stays as the scan left
-it: a blocked node stays blocked (the memo argument of the `forest`
-docstring), its equal-ancestor count and the bound k are fixed, and a
-saturated node turns unsaturated only by a change at it.
+restores it with the rest of the state. Nothing else moves the point.
+It rests on the precondition of `ForestState`: every new content entry,
+arc, status and child lands at the resume point or after it. A node
+before the point then stays as the scan left it: its equal-ancestor
+count and the bound k are fixed, a saturated node turns unsaturated
+only by a change at it, and a blocked node stays blocked.
+
+The last needs an argument, because arcs added elsewhere could make a
+path from the blocker. Let y be the anonymous ancestor that blocks x,
+and y = a0, a1, ..., ak = x the chain between them. Every a_i below y
+is an anonymous non-root node, which no extra arc targets, so every arc
+into an atom over a_i comes from the expansion of a_i or of its parent,
+and every arc into an arc atom f(y, s) from the expansion of y. Any
+path from an atom p(y) to an atom q(x) thus ends in a part that starts
+at some p'(y) and uses only arcs from the expansion of a chain node. No
+such part existed when the scan passed x, and none is made while x
+lies before the point: every chain node is at or before x, so the
+precondition keeps every mutation off the chain, and ct(x) and ct(y)
+stay as they were.
+
+The resume node itself is never blocked, so the scan asks about
+blocking only at the nodes after it. The point starts at the first
+root, and a root is never blocked. `next_task` moves it only to a node
+it found unblocked. While the point stays at a node x, x stays
+unblocked under the precondition: new content at x only makes ct(x)
+included in ct(y) harder to meet, the ancestors of x lie before it and
+keep their contents, and new atoms and arcs only add sinks and paths
+to the path search. Backtracking restores a state in which this held.
 
 The engines keep the precondition. They change the state only while
 they expand the node z at the point: statuses, arcs and children at z,
-content at z, its arcs and its successors. New children come after z,
-and a constant before the point is saturated, with total unary
-content, so new content there is a contradiction. Memo entries stand
-only where a task has read them: at nodes the scan passed, before z
-(along a branch the point only moves on, and new nodes keep the order
-of the others); at z, "unblocked" since z was picked; and, under `a2`,
-at the successors of a grafted node, which get content again only from
-their own graft, as unblocked, childless nodes. The completion audit
-reads the memo only once no task is left. In the tests,
-`checked_next_task` compares the memo and the resumed scan with a fresh
-scan at every selection of real searches, and `checked_landings`
+content at z, its arcs and its successors, and dependency arcs from an
+atom over z (p(z) or f(z, s)) to an atom over z, a child of z or a
+constant. New children come after z, and a constant before the point
+is saturated, with total unary content, so new content there is a
+contradiction. In the tests, `checked_next_task` checks at every
+selection of real searches that the resume node is unblocked and that
+the resumed scan picks what a fresh scan picks, and `checked_landings`
 checks the precondition at every new content entry.
 
 The scan derives nothing afresh that no mutation changed: it reads
 nothing before the resume point; saturation is two counter reads, kept
 by `set_status` (expanded entries per key, and per node the outgoing
-arcs whose binary entries are all expanded); blocking comes from the
-memo of `ForestState`; the equal-ancestor count is one walk over the
+arcs whose binary entries are all expanded); blocking is derived once
+per node and branch, where the scan passes or picks the node, which it
+then does not read again; the equal-ancestor count is one walk over the
 node's ancestors, taken only at a node at depth k or more: a node has
 as many proper ancestors as its path has steps, so a shallower one
 cannot have k equal-content ones.
@@ -490,14 +506,14 @@ class CompletionStructure(ForestState):
     def next_task(self) -> Optional[Task]:
         """The task of the first unblocked unsaturated node in node order,
         or the redundancy clash before it; the scan starts at the resume
-        point and moves it to the node it picks (see the module
-        docstring)."""
+        point, which is never blocked, and moves it to the node it picks
+        (see the module docstring)."""
         self.check_budget()
-        x = self.resume
+        resume = x = self.resume
         while x is not None:
-            if not self.is_blocked(x):
+            if x is resume or not self.is_blocked(x):
                 if not self.is_saturated(x):
-                    if x is not self.resume:
+                    if x is not resume:
                         self.resume_at(x)
                     return self.node_task(x)
                 self.redundancy_clash(x)
@@ -533,11 +549,10 @@ class CompletionStructure(ForestState):
 
     def is_complete_clash_free(self) -> bool:
         """Acyclic dependency graph, every unblocked node saturated and
-        without k or more equal-content ancestors; blocking is read from
-        the exact memo. One walk over the nodes decides it and asserts
-        at every saturated node that each tree arc from it carries a
-        positive binary entry; it reads blocking only until the first
-        node that fails."""
+        without k or more equal-content ancestors. One walk over the
+        nodes decides it and asserts at every saturated node that each
+        tree arc from it carries a positive binary entry; it derives
+        blocking only until the first node that fails."""
         complete = not self.g.has_cycle()
         forest = self.forest
         for x in forest.nodes():

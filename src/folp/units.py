@@ -541,7 +541,9 @@ def save_cache(cache: UnitCache, path) -> None:
 
 def load_cache(path, program: Optional[Program] = None) -> UnitCache:
     """Parse a cache file; with a program given, reject a fingerprint
-    mismatch. An unreadable or malformed file raises CacheFormatError."""
+    mismatch and a unit whose root or a constant successor is no
+    constant of the program, since no structure of the program has that
+    node. An unreadable or malformed file raises CacheFormatError."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             cache = _parse_cache(handle.read().splitlines())
@@ -553,6 +555,13 @@ def load_cache(path, program: Optional[Program] = None) -> UnitCache:
         raise CacheFormatError(f"malformed cache file: {err}") from err
     if program is not None:
         cache.verify(program)
+        for unit in cache.units:
+            names = [succ.target for succ in unit.successors if succ.is_constant]
+            for name in [unit.root_constant, *names]:
+                if name is not None and name not in program.constants:
+                    raise CacheFormatError(
+                        f"unit names the constant {name!r}, which the program lacks"
+                    )
     return cache
 
 

@@ -2,12 +2,12 @@
 and for the oracle's shortcuts.
 
 The engines keep saturation as counters updated on every status change,
-blocking in a per-node memo, the task scan's resume point, and (a1) the
-ground rule instances of each negative obligation in a cache; the
-functions here derive the same facts from scratch, so tests can compare
-the two at every step of a real search (`reference_scan` is the full
-scan from the first root, with nothing memoized). The memo and the
-resume point stay exact only under the precondition of `ForestState`;
+the task scan's resume point, and (a1) the ground rule instances of
+each negative obligation in a cache; the functions here derive the same
+facts from scratch, so tests can compare the two at every step of a
+real search (`reference_scan` is the full scan from the first root,
+with nothing kept between scans). The resume point stays exact, and
+unblocked, only under the precondition of `ForestState`;
 `checked_landings` asserts it at every new content entry of a real
 search. `naive_reachable` recomputes the dependency graph's
 reachability. The oracle grounds rules through argument-position
@@ -87,13 +87,6 @@ def reference_equal_ancestor_count_of(cs, x, content) -> int:
     return sum(1 for y in x.ancestors() if cs.content(y) == content)
 
 
-def assert_memo_agrees(cs, x) -> None:
-    """The memoized blocking status of x and its equal-ancestor count are
-    those a fresh computation gives."""
-    assert cs.is_blocked(x) == (cs.find_blocking_pair(x) is not None), str(x)
-    assert cs.equal_ancestor_count(x) == reference_equal_ancestor_count(cs, x), str(x)
-
-
 class CheckedWalkSkips:
     """A mixin for an engine structure that checks every equal-ancestor
     walk the engine leaves out, in the scan's redundancy clash and (a2)
@@ -145,16 +138,18 @@ def checked_next_task(cs, saturated, scan):
     """`scan()`, the engine's resumed task scan, checked against
     `reference_scan`: both pick the same node (the resume point after
     the scan), raise the redundancy clash at the same node, or find no
-    task. The memo is compared with a fresh computation only where the
-    engines may read it, at the nodes the reference scan passes. The
+    task. Before the scan, the resume node has no blocking pair, which
+    the scan takes for granted, and at every node the reference scan
+    passes the equal-ancestor count is the one a fresh walk gives. The
     class of `cs` counts the selections in `scans` and the nodes at
-    which the memo was compared in `memo_checks`."""
+    which the count was compared in `count_checks`."""
+    assert cs.find_blocking_pair(cs.resume) is None, str(cs.resume)
     (expected, clash), passed = reference_scan(cs, saturated)
     for x in passed:
-        assert_memo_agrees(cs, x)
+        assert cs.equal_ancestor_count(x) == reference_equal_ancestor_count(cs, x), str(x)
     counts = type(cs)
     counts.scans += 1
-    counts.memo_checks += len(passed)
+    counts.count_checks += len(passed)
     events = len(cs.stats.redundancy_events)
     try:
         task = scan()
@@ -173,14 +168,10 @@ def checked_next_task(cs, saturated, scan):
 def assert_lands_after_the_point(cs, key) -> None:
     """The precondition of `ForestState` for a new content entry at the
     node or arc `key`: its node, an arc's source, is at the resume point
-    or after it in node order, holds no memo entry other than its own
-    "unblocked" one, and no node below it holds an entry."""
+    or after it in node order."""
     node = key[0] if isinstance(key, tuple) else key
     order = list(cs.forest.nodes())
     assert order.index(node) >= order.index(cs.resume), (str(node), str(cs.resume))
-    assert not cs._blocking.get(node), str(node)
-    below = [y for y in order if node in y.ancestors() and y in cs._blocking]
-    assert not below, (str(node), [str(y) for y in below])
 
 
 def checked_landings(base) -> type:
@@ -272,15 +263,14 @@ def reference_ground_body(x, shape, targets) -> list:
 def checked_a1() -> type:
     """A fresh subclass of the direct engine's structure that, at every
     task selection, asserts at every node that the saturation counters
-    agree with the reference and checks the scan and the memo
-    (`checked_next_task`), and at every negative expansion, unary or
-    binary, and every refuted instance that the instance cache agrees;
-    `checks` counts the nodes whose saturation was compared,
-    `pending_checks` the obligations, `scans` and `memo_checks` as in
-    `checked_next_task`."""
+    agree with the reference and checks the scan (`checked_next_task`),
+    and at every negative expansion, unary or binary, and every refuted
+    instance that the instance cache agrees; `checks` counts the nodes
+    whose saturation was compared, `pending_checks` the obligations,
+    `scans` and `count_checks` as in `checked_next_task`."""
 
     class CheckedA1(A1CompletionStructure):
-        checks = scans = memo_checks = pending_checks = 0
+        checks = scans = count_checks = pending_checks = 0
 
         def next_task(self):
             for x in self.forest.nodes():
@@ -308,12 +298,12 @@ def checked_a1() -> type:
 
 
 def checked_a2() -> type:
-    """The same scan and memo checks for the compiled engine's
-    structure, which shares the scan and the memo and has no saturation
-    counters; `scans` and `memo_checks` as in `checked_next_task`."""
+    """The same scan checks for the compiled engine's structure, which
+    shares the scan and has no saturation counters; `scans` and
+    `count_checks` as in `checked_next_task`."""
 
     class CheckedA2(A2CompletionStructure):
-        scans = memo_checks = 0
+        scans = count_checks = 0
 
         def next_task(self):
             return checked_next_task(

@@ -503,11 +503,10 @@ def test_compiled_grafts_agree_with_the_entry_by_entry_graft(
 def test_mutations_keep_the_precondition_of_the_scan(
     hard, deep, family, corpus_run, monkeypatch, tmp_path
 ):
-    """The blocking memo and the resume point change only through their
-    own writes and the trail; they stay exact because every new content
-    entry lands at the resume point or after it, at a node with no memo
-    entry but its own "unblocked" one and none below it. Both engines
-    and unit enumeration keep this at every new entry on every workload
+    """The resume point changes only through its own writes and the
+    trail; it stays exact, and unblocked, because every new content
+    entry lands at the resume point or after it. Both engines and unit
+    enumeration keep this at every new entry on every workload
     (`checked_landings`), and the searches come out as before."""
     workloads = pinned_workloads(hard, deep, family, corpus_run[0])
     expected = search_outputs(workloads, tmp_path)
@@ -546,11 +545,11 @@ def test_oracle_witnesses_match_their_definition_on_corpus(corpus_run):
 
 def test_counter_saturation_matches_recomputation_on_corpus(corpus_run, monkeypatch):
     """At every task selection of every corpus search of both engines,
-    the resumed scan agrees with a full uncached scan, the blocking memo
-    with a full recomputation wherever the scan may read it and the
-    saturation counters with one at every node; the instance cache
-    agrees at every negative expansion, unit enumeration included, and
-    the searches come out as before."""
+    the resume node is unblocked, the resumed scan agrees with a full
+    uncached scan and the saturation counters with a full recomputation
+    at every node; the instance cache agrees at every negative
+    expansion, unit enumeration included, and the searches come out as
+    before."""
     checked = checked_a1()
     checked2 = checked_a2()
     monkeypatch.setattr(tableau, "A1CompletionStructure", checked)

@@ -240,6 +240,40 @@ def test_check_a2_rejects_units_that_enumeration_cannot_make(tmp_path, capsys):
     }
 
 
+def test_check_a2_rejects_units_that_name_constants_the_program_lacks(tmp_path, capsys):
+    """A cache is how units arrive from outside the program: a unit whose
+    root or constant successor is no constant of the program is an input
+    error (exit 3). Such units made a2 say SAT and then fail the witness
+    check on an atom outside the universe (no arc), say UNSAT where a1
+    says SAT (root), or fail inside the search (arc). The cache as
+    compiled still answers SAT."""
+    path = tmp_path / "membership.units"
+    assert run(capsys, "compile-units", MEMBERSHIP, "--out", str(path))[0] == 0
+    compiled = path.read_text(encoding="utf-8")
+    succ_a = "succ: a arc open\narc-content: support\nnode-content: smember\n"
+    garcs_a = "garc: smember(@) -> smember(a)\ngarc: smember(@) -> support(@,a)\n"
+    edits = [
+        [(succ_a, succ_a.replace("a arc", "zz noarc").replace("support", "")),
+         (garcs_a, "garc: smember(@) -> smember(zz)\n")],
+        [("root: a\n", "root: zz\n")],
+        [(succ_a, succ_a.replace("a arc", "zz arc")), (garcs_a, garcs_a.replace("a)", "zz)"))],
+    ]
+    for edit in edits:
+        edited = compiled
+        for old, new in edit:
+            assert edited.count(old) == 1, old
+            edited = edited.replace(old, new)
+        path.write_text(edited, encoding="utf-8")
+        code, out, err = run(capsys, "check", MEMBERSHIP, "smember", "--alg", "a2",
+                             "--cache", str(path), "--format", "machine")
+        assert (code, out) == (3, ""), edit
+        assert "unit names the constant 'zz', which the program lacks" in err, edit
+    path.write_text(compiled, encoding="utf-8")
+    code, out, _ = run(capsys, "check", MEMBERSHIP, "smember", "--alg", "a2",
+                       "--cache", str(path), "--format", "machine")
+    assert code == 0 and records(out)[0]["verdict"] == "SAT"
+
+
 def test_usage_errors_exit_three(capsys):
     """Bad usage is an input error (exit 3), reported in one message:
     neither argparse's exit 2 (DEPTH_BOUNDED_UNKNOWN) nor a ValueError

@@ -365,104 +365,6 @@ def test_blocking_pair_found_and_broken_by_paths():
     assert state.find_blocking_pair(child) is None
 
 
-def _memo(state):
-    return dict(state._blocking)
-
-
-def _unread(state, node) -> bool:
-    """The precondition of `ForestState` at node: it holds no memo entry
-    but its own "unblocked" one, and no node below it holds one."""
-    return not state._blocking.get(node) and not any(
-        node in y.ancestors() for y in state._blocking
-    )
-
-
-def _expand(state, rng, z, closed):
-    """One random expansion step at z, as the engines make one: new
-    children of z, content at z, a child of z or a constant (which
-    reopens that node) where the precondition of `ForestState` allows
-    it, extra arcs from z to the constant, and dependency arcs from an
-    atom over z or one of its arcs to an atom over z, one of its arcs, a
-    child of z or the constant. Then z may close."""
-    a = NodeId("a")
-    for _ in range(rng.randint(1, 4)):
-        roll = rng.random()
-        children = state.forest.children(z)
-        if roll < 0.2:
-            state.forest.add_child(z)
-        elif roll < 0.3:
-            if not state.forest.has_es(z, a):
-                state.forest.add_es(z, a)
-        elif roll < 0.6:
-            node = rng.choice([z, *children, a])
-            if not _unread(state, node):
-                continue
-            try:
-                if state.insert(node, Signed(rng.choice("pqr"), rng.random() < 0.7)):
-                    closed.discard(node)
-            except ClashError:
-                pass
-        else:
-            arc_atoms = [GroundAtom("f", (z, s)) for s in state.forest.successors(z)]
-            sources = [atom(p, z) for p in "pqr"] + arc_atoms
-            targets = [atom(p, n) for p in "pqr" for n in (z, *children, a)] + arc_atoms
-            try:
-                state.add_dependency(rng.choice(sources), rng.choice(targets))
-            except ClashError:
-                pass
-    if rng.random() < 0.5:
-        closed.add(z)
-
-
-def test_blocking_memo_restored_by_undo():
-    """Seeded random walks on one state that keep the engines'
-    discipline: each step expands one open, unblocked node whose proper
-    ancestors are all closed (`_expand`), reads the memo at nodes whose
-    proper ancestors are all closed, or undoes to an earlier mark. After
-    `undo_to(mark)` the memo is exactly the memo at `mark`; every read,
-    and after every step every entry in force, "blocked" ones included,
-    agrees with a fresh computation."""
-    rng = random.Random(11)
-    undos = blocked = 0
-    for _ in range(40):
-        state = ForestState(["x", "a"], ["a"], frozenset({"r"}))
-        closed: set = set()
-        history = [(state.trail.mark(), _memo(state), set())]
-
-        def readable(node):
-            return all(y in closed for y in node.ancestors())
-
-        for _ in range(rng.randint(10, 60)):
-            roll = rng.random()
-            if roll < 0.15 and len(history) > 1:
-                mark, memo, was_closed = history[rng.randrange(len(history))]
-                state.trail.undo_to(mark)
-                assert _memo(state) == memo
-                closed = set(was_closed)
-                undos += 1
-                history = [h for h in history if h[0] <= mark]
-            elif roll < 0.7:
-                expandable = [
-                    z
-                    for z in state.forest.nodes()
-                    if z not in closed and readable(z) and not state.is_blocked(z)
-                ]
-                if expandable:
-                    _expand(state, rng, rng.choice(expandable), closed)
-            else:
-                nodes = [n for n in state.forest.nodes() if readable(n)]
-                for node in rng.sample(nodes, rng.randint(1, len(nodes))):
-                    pair = state.find_blocking_pair(node)
-                    assert state.is_blocked(node) == (pair is not None)
-            history.append((state.trail.mark(), _memo(state), set(closed)))
-            for node in state.forest.nodes():
-                entry = state._blocking.get(node)
-                if entry is not None:
-                    assert entry == (state.find_blocking_pair(node) is not None)
-                    blocked += entry
-    assert undos > 50 and blocked > 50
-
-
 def _fresh_order(forest) -> list:
     """Node order built afresh: the roots, then each tree's interior
     depth first, children in index order."""

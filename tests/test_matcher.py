@@ -278,24 +278,23 @@ FAMILY_GOAL_A2 = {
 
 
 def test_hard_search_is_pinned(hard, monkeypatch):
-    """Pinned verdict record; at every task selection the resumed scan
-    agrees with a full uncached scan, and the blocking memo with a full
-    recomputation at every node the scan may read it."""
+    """Pinned verdict record; at every task selection the resume node is
+    unblocked and the resumed scan agrees with a full uncached scan."""
     checked = checked_a2()
     monkeypatch.setattr(matcher, "A2CompletionStructure", checked)
     cache = compile_units(hard).cache
     verdict = check_sat_a2(hard, "p", cache, RedundancyPolicy(k_override=5))
     assert verdict.to_record() == HARD_P_A2
-    assert checked.memo_checks > HARD_P_A2["tasks"] and checked.scans > 0
+    assert checked.count_checks > HARD_P_A2["tasks"] and checked.scans > 0
 
 
 def test_family_goal_search_is_pinned(family, monkeypatch):
-    """Pinned verdict record; the resumed scan agrees with a full
-    uncached scan, and the blocking memo, whose "blocked" entries
-    survive new arcs under this engine, with a full recomputation at
-    every node the scan may read it, before every task."""
+    """Pinned verdict record; before every task the resume node is
+    unblocked and the resumed scan, which here passes blocked nodes
+    that stay blocked while new arcs go in, agrees with a full uncached
+    scan."""
     checked = checked_a2()
     monkeypatch.setattr(matcher, "A2CompletionStructure", checked)
     verdict = check_sat_a2(family, "goal", compile_units(family).cache)
     assert verdict.to_record() == FAMILY_GOAL_A2
-    assert checked.memo_checks > FAMILY_GOAL_A2["tasks"] and checked.scans > 0
+    assert checked.count_checks > FAMILY_GOAL_A2["tasks"] and checked.scans > 0

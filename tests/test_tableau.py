@@ -436,16 +436,17 @@ def test_refutation_descriptions_write_arcs_as_forest_keys():
 def test_hard_search_is_pinned_and_saturation_matches_reference(hard, monkeypatch):
     """The hard program's exhaustive search, task for task: the verdict
     record is pinned, at every task selection the saturation counters
-    agree with a full recomputation at every node, the resumed scan with
-    a full uncached scan and the blocking memo with a full recomputation
-    at every node the scan may read it, and at every negative expansion
-    the cached first pending instance agrees with a fresh re-grounding."""
+    agree with a full recomputation at every node, the resume node is
+    unblocked, the resumed scan agrees with a full uncached scan and the
+    equal-ancestor count with a fresh walk at every node that scan
+    passes, and at every negative expansion the cached first pending
+    instance agrees with a fresh re-grounding."""
     checked = checked_a1()
     monkeypatch.setattr(tableau, "A1CompletionStructure", checked)
     verdict = check_sat_a1(hard, "p", RedundancyPolicy(k_override=5))
     assert verdict.to_record() == HARD_P_A1
     assert checked.checks > 13169
-    assert checked.scans > 0 and checked.memo_checks > 0
+    assert checked.scans > 0 and checked.count_checks > 0
     assert checked.pending_checks > 0
 
 
@@ -455,7 +456,7 @@ def test_family_goal_search_is_pinned(family, monkeypatch):
     verdict = check_sat_a1(family, "goal")
     assert verdict.to_record() == FAMILY_GOAL_A1
     assert checked.checks > 8125
-    assert checked.scans > 0 and checked.memo_checks > 0
+    assert checked.scans > 0 and checked.count_checks > 0
     assert checked.pending_checks > 4000
 
 
@@ -501,6 +502,47 @@ def test_scan_reads_are_pinned(hard, deep, monkeypatch):
         reads.clear()
         check_sat_a1(program, pred, RedundancyPolicy(k_override=k))
         assert {key: reads[key] for key in expected} == expected, (name, pred)
+
+
+# blocking derivations (`find_blocking_pair` calls) per query and engine,
+# completion audits included, pinned so that a scan that asks about
+# blocking at the resume node again fails here (it derived 9,153 and
+# 1,024 on hard p), and so does an a2 fail-fast test that derives
+# blocking before it asks `covering` (1,250 under a2 on hard p)
+BLOCKING_DERIVATIONS = {
+    ("hard", "p"): {"a1": 522, "a2": 522},
+    ("family", "goal"): {"a1": 530, "a2": 1314},
+}
+
+
+def test_blocking_derivations_are_pinned(hard, family, monkeypatch):
+    """Blocking is derived afresh wherever an engine asks about it; the
+    derivations are counted per engine on the hard and family searches."""
+    calls = Counter()
+
+    def counting(engine, base):
+        class Counting(base):
+            def find_blocking_pair(self, x):
+                calls[engine] += 1
+                return super().find_blocking_pair(x)
+
+        return Counting
+
+    monkeypatch.setattr(tableau, "A1CompletionStructure", counting("a1", A1CompletionStructure))
+    monkeypatch.setattr(
+        matcher_module, "A2CompletionStructure", counting("a2", A2CompletionStructure)
+    )
+    programs = {
+        "hard": (hard, RedundancyPolicy(k_override=5)),
+        "family": (family, RedundancyPolicy()),
+    }
+    for (name, pred), expected in BLOCKING_DERIVATIONS.items():
+        program, policy = programs[name]
+        cache = compile_units(program).cache
+        calls.clear()
+        check_sat_a1(program, pred, policy)
+        check_sat_a2(program, pred, cache, policy)
+        assert dict(calls) == expected, (name, pred)
 
 
 def test_instance_cache_survives_undoing_and_recreating_a_child():
@@ -728,7 +770,7 @@ def test_undo_records_are_function_argument_pairs(hard, membership_t, monkeypatc
         for engine in ("a1", "a2"):
             assert solver(engine, program)(pred, RedundancyPolicy(k_override=5)).kind is verdict
     assert seen == {
-        "dict.__delitem__",  # a new content key, a blocking memo entry, a new ledger
+        "dict.__delitem__",  # a new content key, a new ledger
         "set.discard",  # a content entry, a ledger entry, a grafted node
         "list.remove",  # a dependency arc
         "A1CompletionStructure._undo_status",
