@@ -427,7 +427,9 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="compile units on the fly when no cache is given")
         p.add_argument("--format", choices=["text", "machine"], default="text")
         p.add_argument("--time-limit", type=_seconds, default=None,
-                       help="seconds before the engines abort")
+                       help="time budget in seconds of each engine call and of "
+                       "each unit compilation; every such call gets its own "
+                       "deadline")
         p.add_argument("--deterministic", action="store_true",
                        help="single-task mode (always on in this build)")
 

@@ -411,9 +411,6 @@ class ExtendedForest:
     def child_count(self, node: NodeId) -> int:
         return len(self._children.get(node, ()))
 
-    def out_degree(self, node: NodeId) -> int:
-        return len(self._children.get(node, ())) + len(self._es.get(node, ()))
-
 
 class DependencyGraph:
     """Directed graph over ground atoms with reachability queries.

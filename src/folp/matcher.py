@@ -58,10 +58,11 @@ and sets `pruned` from the entry, as a fresh scan would.
 
 The driver, the task scan, the redundancy clash and the completion
 audit are those of `tableau.CompletionStructure` and `tableau.decide`;
-this engine supplies `node_task` (match the node) and `is_saturated`
-(grafted). A graft checks the redundancy bound at once, before the
-fail-fast test of its successors: the next scan, which resumes at the
-grafted node, would raise the same clash, but only after that test.
+this engine supplies `node_task`: match the node, or None once it is
+grafted, which is also what `is_saturated` tests. A graft checks the
+redundancy bound at once, before the fail-fast test of its successors:
+the next scan, which resumes at the grafted node, would raise the same
+clash, but only after that test.
 Grafts add content only at the grafted node and its successors, so on
 one branch the scan does not walk the grafted prefix again. Candidate
 units are tried least constraining first (fewest successors, then
@@ -362,7 +363,9 @@ class A2CompletionStructure(CompletionStructure):
 
     # -- scheduling --------------------------------------------------------
 
-    def node_task(self, x: NodeId) -> Task:
+    def node_task(self, x: NodeId) -> Optional[Task]:
+        if x in self.grafted:
+            return None
         return Task("match {}", (x,), self.match(x))
 
     # the shared scan, bound here too: perfbench's tracer wraps the
@@ -390,7 +393,8 @@ def check_sat_a2(
 ) -> Verdict:
     """Satisfiability of a unary predicate by the compiled engine (see
     `tableau.decide`). The cache must have been compiled from the same
-    (constraint-free) program; a fingerprint mismatch is an error."""
+    (constraint-free) program: a fingerprint mismatch, or a unit that
+    names a constant the program lacks, is an error (`UnitCache.verify`)."""
     _check_engine_input(program, pred)
     cache.verify(program)
     # the class is looked up per structure, so tests can substitute it

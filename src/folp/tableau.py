@@ -5,7 +5,8 @@ different expansion step: both engines share `CompletionStructure`
 (roots, options and budgets, the task scan `next_task`, the redundancy
 clash, the completion audit) and the driver `decide` (depth schedule,
 root choices, `run_search`, verdict); each supplies only the expansion
-of a node (`node_task`) and its notion of a saturated node.
+of a node (`node_task`, None at a saturated node) and, for the
+completion audit, its saturation test (`is_saturated`).
 
 The direct engine builds completion structures by justifying every
 signed predicate in node and arc contents with the program rules:
@@ -74,11 +75,11 @@ selection of real searches that the resume node is unblocked and that
 the resumed scan picks what a fresh scan picks, and `checked_landings`
 checks the precondition at every new content entry.
 
-The scan derives nothing afresh that no mutation changed: it reads
-nothing before the resume point; saturation is two counter reads, kept
-by `set_status` (expanded entries per key, and per node the outgoing
-arcs whose binary entries are all expanded); blocking is derived once
-per node and branch, where the scan passes or picks the node, which it
+The scan asks an unblocked node one question, its task (`node_task`):
+None means the node is saturated, and an engine answers None without
+a side effect. It derives nothing afresh that no mutation changed: it
+reads nothing before the resume point; blocking is derived once per
+node and branch, where the scan passes or picks the node, which it
 then does not read again; the equal-ancestor count is one walk over the
 node's ancestors, taken only at a node at depth k or more: a node has
 as many proper ancestors as its path has steps, so a shallower one
@@ -495,6 +496,8 @@ class CompletionStructure(ForestState):
         raise NotImplementedError
 
     def node_task(self, x: NodeId) -> Optional[Task]:
+        """The expansion of x, or None when x is saturated; None is
+        answered without a side effect."""
         raise NotImplementedError
 
     def check_budget(self) -> None:
@@ -512,10 +515,11 @@ class CompletionStructure(ForestState):
         resume = x = self.resume
         while x is not None:
             if x is resume or not self.is_blocked(x):
-                if not self.is_saturated(x):
+                task = self.node_task(x)
+                if task is not None:
                     if x is not resume:
                         self.resume_at(x)
-                    return self.node_task(x)
+                    return task
                 self.redundancy_clash(x)
             x = self.forest.next_node(x)
         return None
@@ -587,10 +591,7 @@ class A1CompletionStructure(CompletionStructure):
     fresh successor re-arms them for the new instances only. The
     instances themselves and the positive alternatives, with their
     ground plans, are kept in the tables of the call (see the module
-    docstring). Per key, the number of expanded entries is kept beside
-    the map, and per node the number of outgoing arcs whose binary
-    entries are all expanded, which makes the saturation test two
-    counter reads."""
+    docstring)."""
 
     algorithm = "a1"
 
@@ -603,10 +604,6 @@ class A1CompletionStructure(CompletionStructure):
     ):
         super().__init__(program, **options)
         self.st: dict[tuple[Key, Signed], str] = {}
-        self.expanded: dict[Key, int] = {}
-        self.full_arcs: dict[NodeId, int] = {}
-        self._n_upreds = len(program.upreds)
-        self._n_bpreds = len(program.bpreds)
         self.handled: dict[tuple[Key, Signed], set] = {}
         if pred is not None:
             self.insert_tracked(self.epsilon, Signed(pred, True))
@@ -615,32 +612,17 @@ class A1CompletionStructure(CompletionStructure):
 
     def set_status(self, key: Key, sp: Signed, value: str) -> None:
         skey = (key, sp)
-        old = self.st.get(skey)
+        self.trail.push(self._undo_status, (skey, self.st.get(skey)))
         self.st[skey] = value
-        delta = (value == EXP) - (old == EXP)
-        full = 0
-        if delta:
-            count = self.expanded.get(key, 0) + delta
-            self.expanded[key] = count
-            if key.__class__ is tuple:
-                n_bpreds = self._n_bpreds
-                full = (count == n_bpreds) - (count - delta == n_bpreds)
-                if full:
-                    self.full_arcs[key[0]] = self.full_arcs.get(key[0], 0) + full
-        self.trail.push(self._undo_status, (skey, old, delta, full))
 
     def _undo_status(self, change: tuple) -> None:
-        """Undo `set_status`: `change` holds the status key, the old
-        status and the changes of the expanded and full-arc counters."""
-        skey, old, delta, full = change
+        """Undo `set_status`: `change` holds the status key and the old
+        status."""
+        skey, old = change
         if old is None:
             del self.st[skey]
         else:
             self.st[skey] = old
-        if delta:
-            self.expanded[skey[0]] -= delta
-            if full:
-                self.full_arcs[skey[0][0]] -= full
 
     def status(self, key: Key, sp: Signed) -> Optional[str]:
         return self.st.get((key, sp))
@@ -674,19 +656,19 @@ class A1CompletionStructure(CompletionStructure):
         """Every unary predicate decided and expanded at x, every binary
         predicate decided and expanded on every outgoing arc.
 
-        Read off the counters: statuses are only set on content entries,
-        and a node (arc) content holds at most one sign of each unary
-        (binary) predicate and nothing else, so all of them are decided
-        and expanded exactly when as many entries as there are predicates
-        are expanded. `full_arcs` counts the arcs from x in that state;
-        it never sees an arc without statuses, so without binary
-        predicates, when every arc is trivially full, it is not read."""
-        if self.expanded.get(x, 0) != self._n_upreds:
-            return False
-        return (
-            not self._n_bpreds
-            or self.full_arcs.get(x, 0) == self.forest.out_degree(x)
-        )
+        Read off the contents and the status map: a node (arc) content
+        holds at most one sign of each unary (binary) predicate and
+        nothing else, so all of them are decided exactly when it holds
+        one entry per predicate. The scan asks `node_task` instead; this
+        serves the completion audit, which may meet a blocked node that
+        `_expand_positive` would mark `pruned`."""
+        st, upreds, bpreds = self.st, self.program.upreds, self.program.bpreds
+        for key in [x, *self.forest.arcs_from(x)]:
+            content = self.content(key)
+            preds = bpreds if key.__class__ is tuple else upreds
+            if len(content) != len(preds) or any(st.get((key, sp)) != EXP for sp in content):
+                return False
+        return True
 
     # -- grounding helpers ------------------------------------------------
 

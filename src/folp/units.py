@@ -14,7 +14,7 @@ merged set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Union
 
 from .forest import GroundAtom, NodeId, Signed, signed_sort_key
@@ -402,6 +402,9 @@ def _injects(sources, targets, used: set[int], strict: bool) -> bool:
 class UnitCache:
     fingerprint: str
     units: tuple[UnitCompletionStructure, ...]
+    # the program fingerprint whose constants `verify` found every unit
+    # to name; a new cache starts unchecked
+    checked_for: Optional[str] = field(default=None, init=False, compare=False, repr=False)
 
     def candidates_for(self, constant: Optional[str]) -> list[UnitCompletionStructure]:
         """Units whose root matches a node exactly: anonymous roots fit
@@ -417,10 +420,25 @@ class UnitCache:
         return memo[constant]
 
     def verify(self, program: Program) -> None:
-        if self.fingerprint != program.fingerprint():
+        """Reject a cache compiled from another program, and a unit whose
+        root or a constant successor is no constant of the program, since
+        no structure of the program has that node. The units are checked
+        once per program fingerprint (`checked_for`)."""
+        fingerprint = program.fingerprint()
+        if self.fingerprint != fingerprint:
             raise CacheMismatchError(
                 "unit cache was compiled from a different program"
             )
+        if self.checked_for == fingerprint:
+            return
+        for unit in self.units:
+            names = [succ.target for succ in unit.successors if succ.is_constant]
+            for name in [unit.root_constant, *names]:
+                if name is not None and name not in program.constants:
+                    raise CacheFormatError(
+                        f"unit names the constant {name!r}, which the program lacks"
+                    )
+        self.checked_for = fingerprint
 
 
 def prune_redundant(
@@ -431,7 +449,9 @@ def prune_redundant(
     the retained minimal elements witness every dropped structure and no
     retained pair is in the relation. `is_redundant_ucs` holds only
     between units with the same root constant and root content, so each
-    unit is compared only with its bucket of those, in pool order."""
+    unit is compared only with its bucket of those, in pool order. The
+    units are the program's own enumeration, which names only its
+    constants, so the cache is marked checked for the program."""
     pool = sorted(units, key=UnitCompletionStructure.sort_key)
     buckets: dict[tuple, list[UnitCompletionStructure]] = {}
     for uc in pool:
@@ -444,7 +464,9 @@ def prune_redundant(
             for other in buckets[uc.root_constant, uc.root_content]
         )
     ]
-    return UnitCache(program.fingerprint(), tuple(retained))
+    cache = UnitCache(program.fingerprint(), tuple(retained))
+    cache.checked_for = cache.fingerprint
+    return cache
 
 
 @dataclass
@@ -540,10 +562,8 @@ def save_cache(cache: UnitCache, path) -> None:
 
 
 def load_cache(path, program: Optional[Program] = None) -> UnitCache:
-    """Parse a cache file; with a program given, reject a fingerprint
-    mismatch and a unit whose root or a constant successor is no
-    constant of the program, since no structure of the program has that
-    node. An unreadable or malformed file raises CacheFormatError."""
+    """Parse a cache file and, with a program given, `verify` it. An
+    unreadable or malformed file raises CacheFormatError."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             cache = _parse_cache(handle.read().splitlines())
@@ -555,13 +575,6 @@ def load_cache(path, program: Optional[Program] = None) -> UnitCache:
         raise CacheFormatError(f"malformed cache file: {err}") from err
     if program is not None:
         cache.verify(program)
-        for unit in cache.units:
-            names = [succ.target for succ in unit.successors if succ.is_constant]
-            for name in [unit.root_constant, *names]:
-                if name is not None and name not in program.constants:
-                    raise CacheFormatError(
-                        f"unit names the constant {name!r}, which the program lacks"
-                    )
     return cache
 
 

@@ -1,9 +1,9 @@
 """Full-recomputation references for the search's incremental bookkeeping
 and for the oracle's shortcuts.
 
-The engines keep saturation as counters updated on every status change,
-the task scan's resume point, and (a1) the ground rule instances of
-each negative obligation in a cache; the functions here derive the same
+The engines keep the task scan's resume point and (a1) the ground rule
+instances of each negative obligation in a cache, and a1 reads
+saturation off its status map; the functions here derive the same
 facts from scratch, so tests can compare the two at every step of a
 real search (`reference_scan` is the full scan from the first root,
 with nothing kept between scans). The resume point stays exact, and
@@ -262,8 +262,8 @@ def reference_ground_body(x, shape, targets) -> list:
 
 def checked_a1() -> type:
     """A fresh subclass of the direct engine's structure that, at every
-    task selection, asserts at every node that the saturation counters
-    agree with the reference and checks the scan (`checked_next_task`),
+    task selection, asserts at every node that `is_saturated` agrees
+    with the reference and checks the scan (`checked_next_task`),
     and at every negative expansion, unary or binary, and every refuted
     instance that the instance cache agrees; `checks` counts the nodes
     whose saturation was compared, `pending_checks` the obligations,
@@ -299,7 +299,7 @@ def checked_a1() -> type:
 
 def checked_a2() -> type:
     """The same scan checks for the compiled engine's structure, which
-    shares the scan and has no saturation counters; `scans` and
+    shares the scan and tests saturation by set membership; `scans` and
     `count_checks` as in `checked_next_task`."""
 
     class CheckedA2(A2CompletionStructure):

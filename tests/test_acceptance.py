@@ -543,13 +543,12 @@ def test_oracle_witnesses_match_their_definition_on_corpus(corpus_run):
     assert queries >= 50 and witnesses >= 10
 
 
-def test_counter_saturation_matches_recomputation_on_corpus(corpus_run, monkeypatch):
+def test_saturation_and_scan_match_recomputation_on_corpus(corpus_run, monkeypatch):
     """At every task selection of every corpus search of both engines,
     the resume node is unblocked, the resumed scan agrees with a full
-    uncached scan and the saturation counters with a full recomputation
-    at every node; the instance cache agrees at every negative
-    expansion, unit enumeration included, and the searches come out as
-    before."""
+    uncached scan and `is_saturated` with a full recomputation at every
+    node; the instance cache agrees at every negative expansion, unit
+    enumeration included, and the searches come out as before."""
     checked = checked_a1()
     checked2 = checked_a2()
     monkeypatch.setattr(tableau, "A1CompletionStructure", checked)

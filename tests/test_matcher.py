@@ -8,7 +8,13 @@ from folp.matcher import A2CompletionStructure, check_sat_a2
 from folp.oracle import bounded_sat, is_answer_set
 from folp.syntax import parse_program
 from folp.tableau import RedundancyPolicy, VerdictKind
-from folp.units import CacheMismatchError, compile_units
+from folp.units import (
+    CacheFormatError,
+    CacheMismatchError,
+    compile_units,
+    load_cache,
+    save_cache,
+)
 
 from reference import checked_a2, passes_a1_completion_check
 
@@ -230,6 +236,44 @@ def test_loop_program_redundancy_clash(membership_loop):
 def test_cache_fingerprint_is_enforced(membership_t, chain_cache):
     with pytest.raises(CacheMismatchError):
         check_sat_a2(membership_t, "smember", chain_cache)
+
+
+def test_check_a2_rejects_loaded_units_that_name_constants_the_program_lacks(
+    tmp_path, membership_t, membership_cache
+):
+    """A cache loaded without a program reaches the engine unchecked, so
+    the engine checks it: a unit whose root or constant successor is no
+    constant of the program is a format error, not SAT with an atom
+    outside the universe (no arc), UNSAT where a1 says SAT (root) or a
+    StructureError from inside the search (arc). The cache as compiled
+    still answers SAT."""
+    path = tmp_path / "membership.units"
+    save_cache(membership_cache, path)
+    compiled = path.read_text(encoding="utf-8")
+    succ_a = "succ: a arc open\narc-content: support\nnode-content: smember\n"
+    garcs_a = "garc: smember(@) -> smember(a)\ngarc: smember(@) -> support(@,a)\n"
+    edits = [
+        [(succ_a, succ_a.replace("a arc", "zz noarc").replace("support", "")),
+         (garcs_a, "garc: smember(@) -> smember(zz)\n")],
+        [("root: a\n", "root: zz\n")],
+        [(succ_a, succ_a.replace("a arc", "zz arc")), (garcs_a, garcs_a.replace("a)", "zz)"))],
+    ]
+    for edit in edits:
+        edited = compiled
+        for old, new in edit:
+            assert edited.count(old) == 1, old
+            edited = edited.replace(old, new)
+        path.write_text(edited, encoding="utf-8")
+        cache = load_cache(path)
+        message = "unit names the constant 'zz', which the program lacks"
+        with pytest.raises(CacheFormatError, match=message):
+            check_sat_a2(membership_t, "smember", cache)
+        # a failed check is not recorded: the cache is rejected again
+        with pytest.raises(CacheFormatError, match=message):
+            check_sat_a2(membership_t, "smember", cache)
+    path.write_text(compiled, encoding="utf-8")
+    verdict = check_sat_a2(membership_t, "smember", load_cache(path))
+    assert verdict.kind is VerdictKind.SAT
 
 
 def test_match_statistics_recorded(membership_t, membership_cache):

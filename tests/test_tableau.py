@@ -435,8 +435,8 @@ def test_refutation_descriptions_write_arcs_as_forest_keys():
 
 def test_hard_search_is_pinned_and_saturation_matches_reference(hard, monkeypatch):
     """The hard program's exhaustive search, task for task: the verdict
-    record is pinned, at every task selection the saturation counters
-    agree with a full recomputation at every node, the resume node is
+    record is pinned, at every task selection `is_saturated` agrees
+    with a full recomputation at every node, the resume node is
     unblocked, the resumed scan agrees with a full uncached scan and the
     equal-ancestor count with a fresh walk at every node that scan
     passes, and at every negative expansion the cached first pending
@@ -461,20 +461,23 @@ def test_family_goal_search_is_pinned(family, monkeypatch):
 
 
 # scan reads per query, pinned so that a scan that again starts from the
-# first root before every task fails here (it read 55,085 and 46,923 on
-# hard p, 3,830 and 3,457 over deep p and r); the equal-ancestor count is
-# read only at nodes with k or more proper ancestors (it read 1,265 on
-# hard p and 60 on deep r at every saturated unblocked node)
+# first root before every task fails here (it read saturation 55,085 and
+# 46,923 times on hard p, 3,830 and 3,457 over deep p and r); the scan
+# asks a node only for its task, so it no longer reads saturation (it
+# read it 9,427 / 1 / 432 times before its task); the equal-ancestor
+# count is read only at nodes with k or more proper ancestors (it read
+# 1,265 on hard p and 60 on deep r at every saturated unblocked node)
 SCAN_READS = {
-    ("hard", "p"): {"is_saturated": 9427, "equal_ancestor_count": 731},
-    ("deep", "p"): {"is_saturated": 1, "equal_ancestor_count": 0},
-    ("deep", "r"): {"is_saturated": 432, "equal_ancestor_count": 1},
+    ("hard", "p"): {"node_task": 9427, "is_saturated": 0, "equal_ancestor_count": 731},
+    ("deep", "p"): {"node_task": 1, "is_saturated": 0, "equal_ancestor_count": 0},
+    ("deep", "r"): {"node_task": 432, "is_saturated": 0, "equal_ancestor_count": 1},
 }
 
 
 def test_scan_reads_are_pinned(hard, deep, monkeypatch):
-    """The resumed scan's reads of saturation and of the equal-ancestor
-    count, counted inside `next_task` on the hard and deep searches."""
+    """The resumed scan's questions to a node (its task, its saturation)
+    and its reads of the equal-ancestor count, counted inside `next_task`
+    on the hard and deep searches."""
     reads = Counter()
 
     class Counting(A1CompletionStructure):
@@ -486,6 +489,10 @@ def test_scan_reads_are_pinned(hard, deep, monkeypatch):
                 return super().next_task()
             finally:
                 self.scanning = False
+
+        def node_task(self, x):
+            reads["node_task"] += self.scanning
+            return super().node_task(x)
 
         def is_saturated(self, x):
             reads["is_saturated"] += self.scanning
