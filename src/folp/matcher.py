@@ -102,7 +102,7 @@ returns normally.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Optional
 
 from .forest import ClashError, GroundAtom, NodeId, Signed
 from .syntax import Program
@@ -228,7 +228,7 @@ class A2CompletionStructure(CompletionStructure):
         the unit's dataclass hash walks its frozensets; the plan holds
         the unit, so the identity is not reused while the key is in
         use."""
-        root_content, successors, g_arcs = uc.graft_order()
+        root_content, successors, g_arcs = uc.graft_order
         token_node: dict = {None: x}
         steps = nodes = arcs = targets = ()
         if successors:
@@ -257,7 +257,7 @@ class A2CompletionStructure(CompletionStructure):
             arcs = tuple(
                 [(ground_atom(token_node, a), ground_atom(token_node, b)) for a, b in g_arcs]
             )
-            targets = uc.constant_targets()
+            targets = uc.constant_targets
         return (root_content, steps, arcs, targets, nodes, uc)
 
     def _redundant_graft(
@@ -280,50 +280,47 @@ class A2CompletionStructure(CompletionStructure):
                 present = uc.root_content if node is x else ct.get(node, ())
                 if any(sp.negated() in present for sp in succ.node_content):
                     return False
-        return not self.g.reaches_node(uc.constant_targets(), x)
-
-    def covering(self, x: NodeId) -> Iterator[UnitCompletionStructure]:
-        """The cached units whose root fits x and whose root content
-        includes ct(x), least constraining first."""
-        constant = x.root if self.forest.is_constant_node(x) else None
-        content = self.content(x)
-        for uc in self.cache.candidates_for(constant):
-            if content <= uc.root_content:
-                yield uc
+        return not self.g.reaches_node(uc.constant_targets, x)
 
     def match(self, x: NodeId) -> list[Alternative]:
-        """One branch per covering unit (see `covering`), leaving out the
-        units with tree successors where the depth bound forbids them,
-        which is recorded in `pruned`. The list is made once per call,
-        node, content and depth flag (`_match_entry`, kept in the call's
-        `matches` table); each call counts its units as tried."""
-        too_deep = self.max_depth is not None and x.depth + 1 > self.max_depth
-        key = (x, frozenset(self.ct.get(x, ())), too_deep)
-        matches = self.tables.matches
-        entry = matches.get(key)
-        if entry is None:
-            entry = matches[key] = self._match_entry(x, too_deep)
-        pruned, alternatives = entry
+        """One branch per cached unit that covers x (see `_match_entry`);
+        sets `pruned` when the depth bound left one out, and counts the
+        branches as units tried."""
+        pruned, alternatives = self._match_entry(x)
         if pruned:
             self.pruned = True
         self.stats.units_tried += len(alternatives)
         return alternatives
 
-    def _match_entry(self, x: NodeId, too_deep: bool) -> tuple[bool, list[Alternative]]:
-        """Whether the depth flag drops a covering unit of x, and the
-        alternatives of the others, in `covering` order. Reads only x,
-        its content, the cache and the flag, so the entry holds in every
-        structure of the call (see the module docstring)."""
-        step = self.__class__._apply_match
-        pruned, alternatives = False, []
-        for uc in self.covering(x):
-            if too_deep and uc.tree_successors:
-                pruned = True
-                continue
-            alternatives.append(
-                Alternative("match {} with unit {}", (x, uc.sort_key()[:3]), step, (x, uc))
-            )
-        return pruned, alternatives
+    def _match_entry(self, x: NodeId) -> tuple[bool, list[Alternative]]:
+        """Whether the depth bound drops a unit that covers x, and the
+        alternatives of the others: the cached units whose root fits x
+        and whose root content includes ct(x), least constraining first,
+        less those with tree successors where the bound forbids a child
+        of x. Kept in the call's `matches` table under (x, ct(x), depth
+        flag), built on the first lookup; it reads only x, its content,
+        the cache and the flag, so it holds in every structure of the
+        call (see the module docstring)."""
+        too_deep = self.max_depth is not None and x.depth + 1 > self.max_depth
+        content = self.content_of_node(x)
+        key = (x, content, too_deep)
+        matches = self.tables.matches
+        entry = matches.get(key)
+        if entry is None:
+            constant = x.root if self.forest.is_constant_node(x) else None
+            step = self.__class__._apply_match
+            pruned, alternatives = False, []
+            for uc in self.cache.candidates_for(constant):
+                if not content <= uc.root_content:
+                    continue
+                if too_deep and uc.tree_successors:
+                    pruned = True
+                    continue
+                alternatives.append(
+                    Alternative("match {} with unit {}", (x, uc.sort_key[:3]), step, (x, uc))
+                )
+            entry = matches[key] = (pruned, alternatives)
+        return entry
 
     def _apply_match(self, x: NodeId, uc: UnitCompletionStructure) -> None:
         # one walk serves the pre-check and the bound below: a graft that
@@ -335,7 +332,7 @@ class A2CompletionStructure(CompletionStructure):
             equal = self.count_equal_ancestors(x, uc.root_content)
         successors = self.expand_cs(x, uc, equal)
         self.stats.matches += 1
-        self.stats.units_used.add(uc.sort_key())
+        self.stats.units_used.add(uc.sort_key)
         # refuted (successors None), or grafted: an expanded node's
         # content and ancestors are fixed, so the bound can be checked at
         # once (see the module docstring); the scan found x unblocked,
@@ -347,14 +344,16 @@ class A2CompletionStructure(CompletionStructure):
         # existing node's ancestors are already expanded, so its content
         # and theirs are fixed: an unblocked node can never become
         # blocked later (path sets only grow), and accrued constant
-        # contents only grow, shrinking their candidate sets. The three
-        # tests only read, so their order cannot change which successor
-        # raises; blocking, the dearest, is derived last, only for a
-        # successor that no unit covers.
+        # contents only grow, shrinking their candidate sets. A unit
+        # covers a node exactly when its match entry has an alternative
+        # or was pruned by the depth bound. The three tests only read, so
+        # their order cannot change which successor raises; blocking,
+        # the dearest, is derived last, only for a successor that no unit
+        # covers.
         for node in successors:
             if (
-                not self.is_saturated(node)
-                and next(self.covering(node), None) is None
+                node not in self.grafted
+                and self._match_entry(node) == (False, [])
                 and not self.is_blocked(node)
             ):
                 raise ClashError(

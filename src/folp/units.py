@@ -15,6 +15,8 @@ merged set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Optional, Union
 
 from .forest import GroundAtom, NodeId, Signed, signed_sort_key
@@ -103,19 +105,16 @@ class UnitSuccessor:
     def is_constant(self) -> bool:
         return isinstance(self.target, str)
 
+    @cached_property
     def sort_key(self):
-        key = self.__dict__.get("_key")
-        if key is None:
-            key = (
-                0 if not self.is_constant else 1,
-                _token_key(self.target if self.is_constant else None),
-                _content_key(self.node_content),
-                _content_key(self.arc_content),
-                tuple(sorted(self.paths)),
-                self.has_arc,
-            )
-            object.__setattr__(self, "_key", key)
-        return key
+        return (
+            0 if not self.is_constant else 1,
+            _token_key(self.target if self.is_constant else None),
+            _content_key(self.node_content),
+            _content_key(self.arc_content),
+            tuple(sorted(self.paths)),
+            self.has_arc,
+        )
 
 
 @dataclass(frozen=True)
@@ -133,49 +132,41 @@ class UnitCompletionStructure:
         """See `is_final`."""
         return is_final(self)
 
-    @property
+    @cached_property
     def tree_successors(self) -> tuple[UnitSuccessor, ...]:
-        """The successors that are tree children, kept per unit."""
-        tree = self.__dict__.get("_tree")
-        if tree is None:
-            tree = tuple(s for s in self.successors if not s.is_constant)
-            object.__setattr__(self, "_tree", tree)
-        return tree
+        """The successors that are tree children."""
+        return tuple(s for s in self.successors if not s.is_constant)
 
+    @cached_property
     def constant_targets(self) -> tuple[GroundAtom, ...]:
         """The atoms over constants that the unit's dependency arcs
         target, in arc order; a constant stands for itself wherever the
-        unit is grafted. Kept per unit."""
-        targets = self.__dict__.get("_constant_targets")
-        if targets is None:
-            targets = tuple(
-                GroundAtom(pred, (NodeId(tokens[0]),))
-                for _, (pred, tokens) in self.graft_order()[2]
-                if len(tokens) == 1 and isinstance(tokens[0], str)
-            )
-            object.__setattr__(self, "_constant_targets", targets)
-        return targets
+        unit is grafted."""
+        return tuple(
+            GroundAtom(pred, (NodeId(tokens[0]),))
+            for _, (pred, tokens) in self.graft_order[2]
+            if len(tokens) == 1 and isinstance(tokens[0], str)
+        )
 
+    @cached_property
     def non_blocked(self) -> tuple[UnitSuccessor, ...]:
         return tuple(s for s in self.successors if not s.blocked)
 
     def total_path_count(self) -> int:
         return sum(len(s.paths) for s in self.successors)
 
+    @cached_property
     def sort_key(self):
-        key = self.__dict__.get("_key")
-        if key is None:
-            key = (
-                0 if self.root_constant is None else 1,
-                self.root_constant or "",
-                _content_key(self.root_content),
-                len(self.successors),
-                tuple(s.sort_key() for s in self.successors),
-                tuple(sorted(_arc_key(arc) for arc in self.g_arcs)),
-            )
-            object.__setattr__(self, "_key", key)
-        return key
+        return (
+            0 if self.root_constant is None else 1,
+            self.root_constant or "",
+            _content_key(self.root_content),
+            len(self.successors),
+            tuple(s.sort_key for s in self.successors),
+            tuple(sorted(_arc_key(arc) for arc in self.g_arcs)),
+        )
 
+    @cached_property
     def graft_order(self):
         """Root content, (successor, arc content, node content) per
         successor, and dependency arcs, each content and the arcs sorted.
@@ -185,27 +176,23 @@ class UnitCompletionStructure:
         with memory addresses. The matching engine grounds this order
         once per node it grafts the unit onto
         (`A2CompletionStructure._graft_plan`)."""
-        order = self.__dict__.get("_graft")
-        if order is None:
-            order = (
-                tuple(sorted(self.root_content, key=signed_sort_key)),
-                tuple(
-                    (
-                        succ,
-                        tuple(sorted(succ.arc_content, key=signed_sort_key)),
-                        tuple(sorted(succ.node_content, key=signed_sort_key)),
-                    )
-                    for succ in self.successors
-                ),
-                tuple(sorted(self.g_arcs, key=_arc_key)),
-            )
-            object.__setattr__(self, "_graft", order)
-        return order
+        return (
+            tuple(sorted(self.root_content, key=signed_sort_key)),
+            tuple(
+                (
+                    succ,
+                    tuple(sorted(succ.arc_content, key=signed_sort_key)),
+                    tuple(sorted(succ.node_content, key=signed_sort_key)),
+                )
+                for succ in self.successors
+            ),
+            tuple(sorted(self.g_arcs, key=_arc_key)),
+        )
 
     def match_key(self):
         """Candidate order for the matching engine: least constraining
         first (fewest successors, then smallest path sets)."""
-        return (len(self.successors), self.total_path_count(), self.sort_key())
+        return (len(self.successors), self.total_path_count(), self.sort_key)
 
 
 def is_final(uc: UnitCompletionStructure) -> bool:
@@ -347,7 +334,7 @@ def enumerate_unit_completions(
 
         def record(cs=cs) -> bool:
             unit = _snapshot(cs, program)
-            found.setdefault(unit.sort_key(), unit)
+            found.setdefault(unit.sort_key, unit)
             return False  # keep enumerating
 
         run_search(cs, next_task, stats, record)
@@ -370,13 +357,13 @@ def is_redundant_ucs(
     same constant, a tree successor only to a tree successor. The roots
     must coincide exactly because the matching engine fits anonymous
     roots only to anonymous nodes."""
-    if uc1 is uc2 or uc1.sort_key() == uc2.sort_key():
+    if uc1 is uc2 or uc1.sort_key == uc2.sort_key:
         return False
     if uc2.root_constant != uc1.root_constant or uc2.root_content != uc1.root_content:
         return False
     # constants first: each has at most one image, so a miss fails early
-    sources = sorted(uc2.non_blocked(), key=lambda s: not s.is_constant)
-    return _injects(sources, uc1.successors, set(), len(sources) < len(uc1.non_blocked()))
+    sources = sorted(uc2.non_blocked, key=lambda s: not s.is_constant)
+    return _injects(sources, uc1.successors, set(), len(sources) < len(uc1.non_blocked))
 
 
 def _injects(sources, targets, used: set[int], strict: bool) -> bool:
@@ -405,6 +392,10 @@ class UnitCache:
     # the program fingerprint whose constants `verify` found every unit
     # to name; a new cache starts unchecked
     checked_for: Optional[str] = field(default=None, init=False, compare=False, repr=False)
+    # `candidates_for` per root constant, made on first use
+    candidates: dict[Optional[str], list[UnitCompletionStructure]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def candidates_for(self, constant: Optional[str]) -> list[UnitCompletionStructure]:
         """Units whose root matches a node exactly: anonymous roots fit
@@ -412,12 +403,12 @@ class UnitCache:
         anonymous root never fits a constant: its negative justifications
         were built without the constant-headed rule instances, so using
         it at a constant would silently skip their refutation."""
-        memo = self.__dict__.setdefault("_candidates", {})
-        if constant not in memo:
+        out = self.candidates.get(constant)
+        if out is None:
             out = [u for u in self.units if u.root_constant == constant]
             out.sort(key=UnitCompletionStructure.match_key)
-            memo[constant] = out
-        return memo[constant]
+            self.candidates[constant] = out
+        return out
 
     def verify(self, program: Program) -> None:
         """Reject a cache compiled from another program, and a unit whose
@@ -452,7 +443,7 @@ def prune_redundant(
     unit is compared only with its bucket of those, in pool order. The
     units are the program's own enumeration, which names only its
     constants, so the cache is marked checked for the program."""
-    pool = sorted(units, key=UnitCompletionStructure.sort_key)
+    pool = sorted(units, key=attrgetter("sort_key"))
     buckets: dict[tuple, list[UnitCompletionStructure]] = {}
     for uc in pool:
         buckets.setdefault((uc.root_constant, uc.root_content), []).append(uc)

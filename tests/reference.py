@@ -37,14 +37,17 @@ The compiled engine grafts from a plan ground once per unit and node;
 and testing every arc as it goes in (`ReferenceGraftA2`), and
 `checked_grafts_a2` makes every graft both ways and compares them.
 The compiled engine keeps the alternatives of each match per call,
-node, content and depth flag; `checked_matches_a2` compares every
-match with a fresh scan of the cache (`reference_match`). Neither
+node, content and depth flag, and its fail-fast test after a graft
+reads the same entries; `checked_matches_a2` compares every match with
+a fresh scan of the cache (`reference_match`) and every fail-fast test
+with `reference_fail_fast`. Neither
 engine counts equal-content ancestors of a node with fewer than k
 proper ancestors; `CheckedWalkSkips` checks each walk left out.
 """
 
 import itertools
 from functools import partial
+from operator import attrgetter
 from typing import Optional
 
 from folp.forest import ClashError, NodeId, Signed
@@ -58,7 +61,7 @@ from folp.oracle import (
 )
 from folp.syntax import BinaryShape, Inequality, RuleKind, binary_shape, unary_shape
 from folp.tableau import EXP, A1CompletionStructure
-from folp.units import UnitCompletionStructure, ground_atom, is_redundant_ucs
+from folp.units import ground_atom, is_redundant_ucs
 
 
 def reference_is_saturated(cs: A1CompletionStructure, x) -> bool:
@@ -361,7 +364,7 @@ def reference_graft(cs, x, uc, equal=None):
         return None
     cs.grafted.add(x)
     cs.trail.push(cs.grafted.discard, x)
-    root_content, successors, g_arcs = uc.graft_order()
+    root_content, successors, g_arcs = uc.graft_order
     for sp in root_content:
         cs.insert(x, sp)
     token_node: dict = {None: x}
@@ -550,12 +553,9 @@ def reference_match(cs, x) -> tuple:
     whose root content includes ct(x), less those with tree successors
     where the depth bound forbids a child of x; pruned when the bound
     left one out."""
-    constant = x.root if cs.forest.is_constant_node(x) else None
     too_deep = cs.max_depth is not None and x.depth + 1 > cs.max_depth
     pruned, units = False, []
-    for uc in cs.cache.candidates_for(constant):
-        if not cs.content(x) <= uc.root_content:
-            continue
+    for uc in reference_covering(cs, x):
         if too_deep and uc.tree_successors:
             pruned = True
         else:
@@ -563,21 +563,47 @@ def reference_match(cs, x) -> tuple:
     return pruned, units
 
 
+def reference_covering(cs, x) -> list:
+    """The cached units whose root fits x and whose root content
+    includes ct(x), from a fresh scan in `candidates_for` order."""
+    constant = x.root if cs.forest.is_constant_node(x) else None
+    content = cs.content(x)
+    return [uc for uc in cs.cache.candidates_for(constant) if content <= uc.root_content]
+
+
+def reference_fail_fast(cs, x, successors) -> Optional[str]:
+    """The clash message of the fail-fast test after a graft onto x that
+    went ahead: it names the first successor that is ungrafted, that no
+    cached unit covers (`reference_covering`, no depth flag) and that is
+    unblocked; None when there is no such successor."""
+    for node in successors:
+        if node not in cs.grafted and not reference_covering(cs, node) and not cs.is_blocked(node):
+            return f"successor {node} of {x} is unblocked and matches no unit"
+    return None
+
+
 def checked_matches_a2() -> type:
     """The compiled engine with every match checked against
     `reference_match`: the alternatives graft the same units in the same
     order, `units_tried` grows by their number and `pruned` is set
-    exactly when it was set before or the reference prunes. `matches`
-    counts the matches, `builds` the lists built and `hits` the matches
-    answered by a list built before, in the same structure or another
-    one of the same call."""
+    exactly when it was set before or the reference prunes. After every
+    graft that goes ahead and stays below the redundancy bound, the
+    fail-fast test, which reads the same match entries, must raise
+    exactly the clash of `reference_fail_fast`, or none when that gives
+    None. `matches` counts the matches, `builds` the entries built,
+    `hits` the matches answered by an entry built before, in the same
+    structure or another one of the same call, `fail_fast` the grafts
+    checked and `uncovered` those whose test raised."""
 
     class CheckedMatchesA2(A2CompletionStructure):
-        matches = builds = hits = 0
+        matches = builds = hits = fail_fast = uncovered = 0
+        successors = None
 
-        def _match_entry(self, x, too_deep):
-            CheckedMatchesA2.builds += 1
-            return super()._match_entry(x, too_deep)
+        def _match_entry(self, x):
+            size = len(self.tables.matches)
+            entry = super()._match_entry(x)
+            CheckedMatchesA2.builds += len(self.tables.matches) - size
+            return entry
 
         def match(self, x):
             cls = CheckedMatchesA2
@@ -588,11 +614,37 @@ def checked_matches_a2() -> type:
             cls.hits += cls.builds == builds
             assert [a.operands for a in alternatives] == [(x, uc) for uc in units], str(x)
             assert [a.description for a in alternatives] == [
-                f"match {x} with unit {uc.sort_key()[:3]}" for uc in units
+                f"match {x} with unit {uc.sort_key[:3]}" for uc in units
             ]
             assert self.stats.units_tried == tried + len(units), str(x)
             assert self.pruned == (was_pruned or pruned), str(x)
             return alternatives
+
+        def expand_cs(self, x, uc, equal=None):
+            self.successors = super().expand_cs(x, uc, equal)
+            return self.successors
+
+        def _apply_match(self, x, uc):
+            cls = CheckedMatchesA2
+            self.successors = None
+            try:
+                super()._apply_match(x, uc)
+                clash = None
+            except ClashError as err:
+                clash = err
+            successors, self.successors = self.successors, None
+            # a clash inside the graft leaves no successors; a graft at
+            # the bound ends in the redundancy clash before the test
+            if successors is not None and (
+                len(x.path) < self.k
+                or reference_equal_ancestor_count_of(self, x, uc.root_content) < self.k
+            ):
+                cls.fail_fast += 1
+                expected = reference_fail_fast(self, x, successors)
+                assert (clash and str(clash)) == expected, (str(x), str(clash), expected)
+                cls.uncovered += clash is not None
+            if clash is not None:
+                raise clash
 
     return CheckedMatchesA2
 
@@ -777,14 +829,14 @@ def reference_is_redundant_ucs(uc1, uc2) -> bool:
     one by one against the same constant, then every injection of uc2's
     non-blocked tree successors into uc1's tree successors tried as a
     permutation."""
-    if uc1 is uc2 or uc1.sort_key() == uc2.sort_key():
+    if uc1 is uc2 or uc1.sort_key == uc2.sort_key:
         return False
     if uc2.root_constant != uc1.root_constant:
         return False
     if uc1.root_content != uc2.root_content:
         return False
-    nb2 = uc2.non_blocked()
-    count_gap = len(nb2) < len(uc1.non_blocked())
+    nb2 = uc2.non_blocked
+    count_gap = len(nb2) < len(uc1.non_blocked)
 
     strict_fixed = False
     for succ in nb2:
@@ -821,7 +873,7 @@ def reference_retained(units) -> tuple:
     """`units.prune_redundant`'s retained units by comparing every
     ordered pair: the units, in sort-key order, that no other unit
     witnesses redundant."""
-    pool = sorted(units, key=UnitCompletionStructure.sort_key)
+    pool = sorted(units, key=attrgetter("sort_key"))
     return tuple(
         uc
         for uc in pool

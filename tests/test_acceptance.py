@@ -456,7 +456,11 @@ def test_match_lists_agree_with_a_fresh_scan_of_the_cache(
     (`checked_matches_a2`): the same units in the same order, filtered
     by the depth bound, `units_tried` grown by their number and the
     same `pruned`, and the same search outputs. On hard and family,
-    matches are answered from lists built before."""
+    matches are answered from lists built before. After every graft
+    that goes ahead below the redundancy bound, the fail-fast test
+    raises exactly for the first ungrafted, unblocked successor that a
+    fresh scan finds no unit for; every workload group has such grafts,
+    and on the corpus the test raises."""
     workloads = pinned_workloads(hard, deep, family, corpus_run[0])
     expected = search_outputs(workloads, tmp_path)
     records, caches, counts = [], [], []
@@ -467,11 +471,14 @@ def test_match_lists_agree_with_a_fresh_scan_of_the_cache(
         group_records, group_caches = search_outputs(group, tmp_path)
         records += group_records
         caches += group_caches
-        counts.append((checked.matches, checked.builds, checked.hits))
+        counts.append(
+            (checked.matches, checked.builds, checked.hits, checked.fail_fast, checked.uncovered)
+        )
     assert (records, caches) == expected
-    print("matches, lists built, hits:", counts)
-    assert all(matches > 0 for matches, _, _ in counts)
+    print("matches, lists built, hits, fail-fast tests, uncovered:", counts)
+    assert all(matches > 0 and fail_fast > 0 for matches, _, _, fail_fast, _ in counts)
     assert counts[0][2] > 0 and counts[2][2] > 0
+    assert counts[3][4] > 0
 
 
 def test_compiled_grafts_agree_with_the_entry_by_entry_graft(

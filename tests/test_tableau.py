@@ -680,11 +680,11 @@ def test_the_structures_of_one_call_share_their_tables(hard, membership_loop, mo
             self.number = next(made)
 
         def _graft_plan(self, x, uc):
-            builds[uc.sort_key(), x] += 1
+            builds[uc.sort_key, x] += 1
             return super()._graft_plan(x, uc)
 
         def expand_cs(self, x, uc, equal=None):
-            grafts.setdefault((uc.sort_key(), x), set()).add(self.number)
+            grafts.setdefault((uc.sort_key, x), set()).add(self.number)
             return super().expand_cs(x, uc, equal)
 
     monkeypatch.setattr(matcher_module, "A2CompletionStructure", RecordingA2)
