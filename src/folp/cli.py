@@ -4,8 +4,9 @@ oracle-backed verification, benchmarking, and DOT export.
 Exit codes: 0 satisfiable, 1 unsatisfiable, 2 depth-bounded unknown,
 3 input error (missing or non-UTF-8 file, an output path that cannot be
 written, parse or validation failure, malformed cache, bad usage such as
-a bench corpus that is not a directory), 4 engine disagreement or
-verification inconsistency, 5 resource budget exceeded.
+a bench corpus that is not a directory), 4 engine disagreement,
+a SAT witness the oracle rejects, or verification inconsistency, 5
+resource budget exceeded.
 
 Machine-readable output is one JSON record per line with sorted keys;
 verdict records carry no wall-clock fields, so byte-identical inputs
@@ -133,20 +134,33 @@ def _emit(args, record: dict, text: str) -> None:
         print(text)
 
 
-def _witness_report(args, verdict: Verdict, original: Program) -> None:
-    if verdict.kind is not VerdictKind.SAT:
-        return
+def _witness_check(verdict: Verdict, original: Program):
+    """The oracle's check of a SAT verdict's witness: ("accepted" or
+    "REJECTED", the induced interpretation), or ("skipped-blocked",
+    None) for a witness with blocking pairs, which stands for an
+    infinite model."""
     try:
         interp = verdict.witness.induced_interpretation()
     except StructureError:
+        return "skipped-blocked", None
+    return ("accepted" if oracle.is_answer_set(original, interp) else "REJECTED"), interp
+
+
+def _witness_report(args, verdict: Verdict, original: Program) -> Optional[str]:
+    """Emit the witness of a SAT verdict with the oracle's check, and
+    return the check's status (see `_witness_check`)."""
+    if verdict.kind is not VerdictKind.SAT:
+        return None
+    status, interp = _witness_check(verdict, original)
+    if interp is None:
         _emit(
             args,
             {"record": "witness", "algorithm": verdict.algorithm, "blocked": True},
             f"witness ({verdict.algorithm}): contains blocking pairs; it stands "
             "for an infinite model, finite extraction skipped",
         )
-        return
-    accepted = oracle.is_answer_set(original, interp)
+        return status
+    accepted = status == "accepted"
     _emit(
         args,
         {
@@ -161,6 +175,7 @@ def _witness_report(args, verdict: Verdict, original: Program) -> None:
         + interp.format_witness()
         + f"oracle accepts witness: {'yes' if accepted else 'NO'}",
     )
+    return status
 
 
 def _a2_cache(args, transformed: Program):
@@ -180,6 +195,7 @@ def cmd_check(args) -> int:
     if args.alg in ("a2", "both"):
         cache = _a2_cache(args, transformed)
         verdicts.append(check_sat_a2(transformed, args.predicate, cache, policy))
+    rejected: list[str] = []
     for verdict in verdicts:
         _emit(
             args,
@@ -188,7 +204,8 @@ def cmd_check(args) -> int:
             + (" (bounded-incomplete)" if verdict.bounded_incomplete else "")
             + f"  [{_stat_line(verdict)}]",
         )
-        _witness_report(args, verdict, original)
+        if _witness_report(args, verdict, original) == "REJECTED":
+            rejected.append(verdict.algorithm)
     kinds = {v.kind for v in verdicts}
     if len(kinds) > 1:
         _emit(
@@ -198,6 +215,13 @@ def cmd_check(args) -> int:
             "fatal: the engines disagree: "
             + ", ".join(f"{v.algorithm}={v.kind.value}" for v in verdicts),
         )
+    if rejected:
+        _emit(
+            args,
+            {"record": "error", "error": "oracle rejected witness", "algorithms": rejected},
+            "fatal: the oracle rejects the witness of " + ", ".join(rejected),
+        )
+    if len(kinds) > 1 or rejected:
         return EXIT_DISAGREEMENT
     if args.dot and verdicts and verdicts[-1].witness is not None:
         with _writing(args.dot):
@@ -271,15 +295,9 @@ def cmd_verify(args) -> int:
     for verdict in (v1, v2):
         if verdict.kind is not VerdictKind.SAT:
             continue
-        try:
-            interp = verdict.witness.induced_interpretation()
-        except StructureError:
-            witness_checks[verdict.algorithm] = "skipped-blocked"
-            continue
-        if oracle.is_answer_set(original, interp):
-            witness_checks[verdict.algorithm] = "accepted"
-        else:
-            witness_checks[verdict.algorithm] = "REJECTED"
+        status, _ = _witness_check(verdict, original)
+        witness_checks[verdict.algorithm] = status
+        if status == "REJECTED":
             problems.append(f"oracle rejected the {verdict.algorithm} witness")
 
     record = {

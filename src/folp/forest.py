@@ -44,7 +44,8 @@ it. Where the engines iterate such sets:
   set statuses, whose end state is the same in any order, and
   `positive_atoms` hands its atoms to `induced_interpretation`, whose
   witness sorts them;
-- blocking, `A2CompletionStructure.covering`, the refutation ledgers,
+- blocking, `A2CompletionStructure._match_entry` (keyed by the frozen
+  content, which hashes alike in any order), the refutation ledgers,
   the grafted set and the extra-arc set only test subsets and
   membership;
 - `paths_set` walks the per-node atom buckets, lists in insertion order,

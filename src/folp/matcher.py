@@ -54,7 +54,10 @@ and the alternatives of the others (`_match_entry`). The list reads
 only x, an operand of each alternative, its content, the cache's
 `candidates_for` order and the flag, so it holds in every structure of
 the call. Each `match` still adds the list's length to `units_tried`
-and sets `pruned` from the entry, as a fresh scan would.
+and sets `pruned` from the entry, as a fresh scan would. The fail-fast
+test after a graft reads the same entries: a successor that no unit
+covers is one whose entry has no alternative and was not pruned. It
+neither counts units nor sets `pruned`.
 
 The driver, the task scan, the redundancy clash and the completion
 audit are those of `tableau.CompletionStructure` and `tableau.decide`;
@@ -283,8 +286,8 @@ class A2CompletionStructure(CompletionStructure):
         return not self.g.reaches_node(uc.constant_targets, x)
 
     def match(self, x: NodeId) -> list[Alternative]:
-        """One branch per cached unit that covers x (see `_match_entry`);
-        sets `pruned` when the depth bound left one out, and counts the
+        """One branch per unit that covers x (`_match_entry`); sets
+        `pruned` when the depth bound left one out, and counts the
         branches as units tried."""
         pruned, alternatives = self._match_entry(x)
         if pruned:
@@ -293,14 +296,10 @@ class A2CompletionStructure(CompletionStructure):
         return alternatives
 
     def _match_entry(self, x: NodeId) -> tuple[bool, list[Alternative]]:
-        """Whether the depth bound drops a unit that covers x, and the
-        alternatives of the others: the cached units whose root fits x
-        and whose root content includes ct(x), least constraining first,
-        less those with tree successors where the bound forbids a child
-        of x. Kept in the call's `matches` table under (x, ct(x), depth
-        flag), built on the first lookup; it reads only x, its content,
-        the cache and the flag, so it holds in every structure of the
-        call (see the module docstring)."""
+        """Whether the depth bound drops a unit that covers x (root fits
+        x, root content includes ct(x)), and the alternatives of the
+        others, least constraining first. Built on the first lookup in
+        the call's `matches` table (see the module docstring)."""
         too_deep = self.max_depth is not None and x.depth + 1 > self.max_depth
         content = self.content_of_node(x)
         key = (x, content, too_deep)
@@ -344,12 +343,10 @@ class A2CompletionStructure(CompletionStructure):
         # existing node's ancestors are already expanded, so its content
         # and theirs are fixed: an unblocked node can never become
         # blocked later (path sets only grow), and accrued constant
-        # contents only grow, shrinking their candidate sets. A unit
-        # covers a node exactly when its match entry has an alternative
-        # or was pruned by the depth bound. The three tests only read, so
-        # their order cannot change which successor raises; blocking,
-        # the dearest, is derived last, only for a successor that no unit
-        # covers.
+        # contents only grow, shrinking their candidate sets. The three
+        # tests only read, so their order cannot change which successor
+        # raises; blocking, the dearest, is derived last, only for a
+        # successor that no unit covers (see the module docstring).
         for node in successors:
             if (
                 node not in self.grafted

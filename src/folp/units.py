@@ -152,9 +152,6 @@ class UnitCompletionStructure:
     def non_blocked(self) -> tuple[UnitSuccessor, ...]:
         return tuple(s for s in self.successors if not s.blocked)
 
-    def total_path_count(self) -> int:
-        return sum(len(s.paths) for s in self.successors)
-
     @cached_property
     def sort_key(self):
         return (
@@ -192,7 +189,8 @@ class UnitCompletionStructure:
     def match_key(self):
         """Candidate order for the matching engine: least constraining
         first (fewest successors, then smallest path sets)."""
-        return (len(self.successors), self.total_path_count(), self.sort_key)
+        paths = sum(len(s.paths) for s in self.successors)
+        return (len(self.successors), paths, self.sort_key)
 
 
 def is_final(uc: UnitCompletionStructure) -> bool:
@@ -389,13 +387,11 @@ def _injects(sources, targets, used: set[int], strict: bool) -> bool:
 class UnitCache:
     fingerprint: str
     units: tuple[UnitCompletionStructure, ...]
-    # the program fingerprint whose constants `verify` found every unit
-    # to name; a new cache starts unchecked
+    # the program fingerprint that `verify` found every unit to fit; a
+    # new cache starts unchecked
     checked_for: Optional[str] = field(default=None, init=False, compare=False, repr=False)
     # `candidates_for` per root constant, made on first use
-    candidates: dict[Optional[str], list[UnitCompletionStructure]] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
+    candidates: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def candidates_for(self, constant: Optional[str]) -> list[UnitCompletionStructure]:
         """Units whose root matches a node exactly: anonymous roots fit
@@ -411,10 +407,10 @@ class UnitCache:
         return out
 
     def verify(self, program: Program) -> None:
-        """Reject a cache compiled from another program, and a unit whose
-        root or a constant successor is no constant of the program, since
-        no structure of the program has that node. The units are checked
-        once per program fingerprint (`checked_for`)."""
+        """Reject a cache compiled from another program, and a unit that
+        no saturated depth-1 structure of the program can be
+        (`_check_unit_fits`). The units are checked once per program
+        fingerprint (`checked_for`)."""
         fingerprint = program.fingerprint()
         if self.fingerprint != fingerprint:
             raise CacheMismatchError(
@@ -423,13 +419,44 @@ class UnitCache:
         if self.checked_for == fingerprint:
             return
         for unit in self.units:
-            names = [succ.target for succ in unit.successors if succ.is_constant]
-            for name in [unit.root_constant, *names]:
-                if name is not None and name not in program.constants:
-                    raise CacheFormatError(
-                        f"unit names the constant {name!r}, which the program lacks"
-                    )
+            _check_unit_fits(unit, program)
         self.checked_for = fingerprint
+
+
+def _check_unit_fits(unit: UnitCompletionStructure, program: Program) -> None:
+    """Reject a unit that no saturated depth-1 structure of the program
+    can be: it names a constant the program lacks, its root content does
+    not hold one sign of each unary predicate, a node content names
+    anything else, or an arc's content does not hold one sign of each
+    binary predicate (a successor without an arc has no arc content)."""
+    names = [succ.target for succ in unit.successors if succ.is_constant]
+    for name in [unit.root_constant, *names]:
+        if name is not None and name not in program.constants:
+            raise CacheFormatError(
+                f"unit names the constant {name!r}, which the program lacks"
+            )
+    upreds, bpreds = set(program.upreds), set(program.bpreds)
+    if not _one_sign_each(unit.root_content, upreds):
+        raise CacheFormatError(
+            f"unit root content {_format_content(unit.root_content)!r} does not "
+            "hold one sign of each unary predicate"
+        )
+    for succ in unit.successors:
+        if not (
+            {sp.name for sp in succ.node_content} <= upreds
+            and _one_sign_each(succ.arc_content, bpreds if succ.has_arc else set())
+        ):
+            raise CacheFormatError(
+                f"unit successor {format_token(succ.target)} has node content "
+                f"{_format_content(succ.node_content)!r} and arc content "
+                f"{_format_content(succ.arc_content)!r}: a node content names only "
+                "unary predicates, an arc's content holds one sign of each binary "
+                "predicate, and a successor without an arc has no arc content"
+            )
+
+
+def _one_sign_each(content: frozenset[Signed], preds: set[str]) -> bool:
+    return len(content) == len(preds) and {sp.name for sp in content} == preds
 
 
 def prune_redundant(

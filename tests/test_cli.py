@@ -274,6 +274,88 @@ def test_check_a2_rejects_units_that_name_constants_the_program_lacks(tmp_path, 
     assert code == 0 and records(out)[0]["verdict"] == "SAT"
 
 
+# a is free; b(x) needs a(x) and the absence of b(x), so b is
+# unsatisfiable and its only unit holds not a, not b
+SELF_DEFEATING = "a(X) v not a(X).\nb(X) :- a(X), not b(X).\n"
+
+
+def with_unit(cache: str, unit: str) -> str:
+    """The cache text with one more unit, counted."""
+    count = int(cache.split("count: ", 1)[1].split("\n", 1)[0])
+    return cache.replace(f"count: {count}\n", f"count: {count + 1}\n", 1) + f"\nunit\n{unit}end\n"
+
+
+def test_check_a2_rejects_units_no_structure_of_the_program_can_be(tmp_path, capsys):
+    """A unit is a saturated depth-1 structure of its program: its root
+    content holds one sign of each unary predicate, node contents name
+    only unary predicates, an arc's content holds one sign of each binary
+    predicate, and a successor without an arc has no arc content. A cache
+    with a unit that breaks this is an input error (exit 3). The first
+    edit made a2 say SAT with the witness b(x), which the oracle rejects,
+    where a1 says UNSAT."""
+    program = tmp_path / "b.folp"
+    program.write_text(SELF_DEFEATING, encoding="utf-8")
+    path = tmp_path / "b.units"
+    assert run(capsys, "compile-units", str(program), "--out", str(path))[0] == 0
+    compiled = path.read_text(encoding="utf-8")
+    golden = (GOLDEN / "choice_chain.units").read_text(encoding="utf-8")
+    node = "node-content: not p, not q\n"
+    successor = ("unit successor @.1 has node content {!r} and arc content {!r}: "
+                 "a node content names only unary predicates")
+    edits = [
+        (program, with_unit(compiled, "root: @\ncontent: b\nfinal: yes\n"),
+         "unit root content 'b' does not hold one sign of each unary predicate"),
+        (CHAIN, golden.replace(node, "node-content: f, not p, not q\n", 1),
+         successor.format("f, not p, not q", "f")),
+        (CHAIN, golden.replace(node, "node-content: not p, not q, r\n", 1),
+         successor.format("not p, not q, r", "f")),
+        (CHAIN, golden.replace("arc-content: f\n", "arc-content: f, p\n", 1),
+         successor.format("not p, not q", "f, p")),
+        (CHAIN, with_unit(golden, "root: @\ncontent: p, q\nfinal: yes\nsucc: @.1 arc blocked\n"
+                          "arc-content: \nnode-content: \npaths: \n"),
+         successor.format("", "")),
+        (CHAIN, with_unit(golden, "root: @\ncontent: p, q\nfinal: yes\nsucc: @.1 noarc open\n"
+                          "arc-content: f\nnode-content: \npaths: \n"),
+         successor.format("", "f")),
+    ]
+    for source, edited, message in edits:
+        path.write_text(edited, encoding="utf-8")
+        code, out, err = run(capsys, "check", str(source), "p" if source == CHAIN else "b",
+                             "--alg", "a2", "--cache", str(path), "--format", "machine")
+        assert (code, out) == (3, ""), message
+        assert message in err
+
+
+def test_check_exits_four_when_the_oracle_rejects_a_witness(tmp_path, capsys):
+    """A SAT witness that the oracle rejects is an inconsistency (exit 4)
+    for `check` as it is for `verify`, and `check` says so in an error
+    record. The unit added here is total, so the cache loads; it holds b
+    without its support, and a2 grafts it for b."""
+    program = tmp_path / "b.folp"
+    program.write_text(SELF_DEFEATING, encoding="utf-8")
+    path = tmp_path / "b.units"
+    assert run(capsys, "compile-units", str(program), "--out", str(path))[0] == 0
+    cache = path.read_text(encoding="utf-8")
+    path.write_text(with_unit(cache, "root: @\ncontent: b, not a\nfinal: yes\n"), encoding="utf-8")
+    argv = ["check", str(program), "b", "--alg", "a2", "--cache", str(path)]
+    code, out, _ = run(capsys, *argv, "--format", "machine")
+    assert code == 4
+    verdict, witness, error = records(out)
+    assert verdict["verdict"] == "SAT"
+    assert (witness["atoms"], witness["oracle_accepted"]) == (["b(x)"], False)
+    assert error == {"record": "error", "error": "oracle rejected witness", "algorithms": ["a2"]}
+    code, out, _ = run(capsys, *argv)
+    assert code == 4
+    assert out.endswith("oracle accepts witness: NO\nfatal: the oracle rejects the witness of a2\n")
+    code, out, _ = run(capsys, "verify", str(program), "b", "--cache", str(path),
+                       "--format", "machine")
+    (record,) = records(out)
+    assert code == 4 and record["witness_checks"] == {"a2": "REJECTED"}
+    path.write_text(cache, encoding="utf-8")
+    code, out, _ = run(capsys, *argv, "--format", "machine")
+    assert code == 1 and [r["record"] for r in records(out)] == ["verdict"]
+
+
 def test_usage_errors_exit_three(capsys):
     """Bad usage is an input error (exit 3), reported in one message:
     neither argparse's exit 2 (DEPTH_BOUNDED_UNKNOWN) nor a ValueError

@@ -515,7 +515,8 @@ def test_scan_reads_are_pinned(hard, deep, monkeypatch):
 # completion audits included, pinned so that a scan that asks about
 # blocking at the resume node again fails here (it derived 9,153 and
 # 1,024 on hard p), and so does an a2 fail-fast test that derives
-# blocking before it asks `covering` (1,250 under a2 on hard p)
+# blocking before it reads the successor's match entry (1,250 under a2
+# on hard p)
 BLOCKING_DERIVATIONS = {
     ("hard", "p"): {"a1": 522, "a2": 522},
     ("family", "goal"): {"a1": 530, "a2": 1314},
