@@ -427,8 +427,10 @@ def _check_unit_fits(unit: UnitCompletionStructure, program: Program) -> None:
     """Reject a unit that no saturated depth-1 structure of the program
     can be: it names a constant the program lacks, its root content does
     not hold one sign of each unary predicate, a node content names
-    anything else, or an arc's content does not hold one sign of each
-    binary predicate (a successor without an arc has no arc content)."""
+    anything else, an arc's content does not hold one sign of each
+    binary predicate (a successor without an arc has no arc content), or
+    a tree successor's arc holds no positive entry, which is all that a
+    tree successor is made for."""
     names = [succ.target for succ in unit.successors if succ.is_constant]
     for name in [unit.root_constant, *names]:
         if name is not None and name not in program.constants:
@@ -445,13 +447,15 @@ def _check_unit_fits(unit: UnitCompletionStructure, program: Program) -> None:
         if not (
             {sp.name for sp in succ.node_content} <= upreds
             and _one_sign_each(succ.arc_content, bpreds if succ.has_arc else set())
+            and (succ.is_constant or any(sp.positive for sp in succ.arc_content))
         ):
             raise CacheFormatError(
                 f"unit successor {format_token(succ.target)} has node content "
                 f"{_format_content(succ.node_content)!r} and arc content "
                 f"{_format_content(succ.arc_content)!r}: a node content names only "
                 "unary predicates, an arc's content holds one sign of each binary "
-                "predicate, and a successor without an arc has no arc content"
+                "predicate, a tree successor's arc a positive one, and a successor "
+                "without an arc has no arc content"
             )
 
 
@@ -468,8 +472,8 @@ def prune_redundant(
     retained pair is in the relation. `is_redundant_ucs` holds only
     between units with the same root constant and root content, so each
     unit is compared only with its bucket of those, in pool order. The
-    units are the program's own enumeration, which names only its
-    constants, so the cache is marked checked for the program."""
+    units are the program's own enumeration, so each fits it (see
+    `UnitCache.verify`), and the cache is marked checked for it."""
     pool = sorted(units, key=attrgetter("sort_key"))
     buckets: dict[tuple, list[UnitCompletionStructure]] = {}
     for uc in pool:

@@ -289,10 +289,11 @@ def test_check_a2_rejects_units_no_structure_of_the_program_can_be(tmp_path, cap
     """A unit is a saturated depth-1 structure of its program: its root
     content holds one sign of each unary predicate, node contents name
     only unary predicates, an arc's content holds one sign of each binary
-    predicate, and a successor without an arc has no arc content. A cache
-    with a unit that breaks this is an input error (exit 3). The first
-    edit made a2 say SAT with the witness b(x), which the oracle rejects,
-    where a1 says UNSAT."""
+    predicate, a tree successor's arc a positive one, and a successor
+    without an arc has no arc content. A cache with a unit that breaks
+    this is an input error (exit 3). The first edit made a2 say SAT with
+    the witness b(x), which the oracle rejects, where a1 says UNSAT; the
+    last four made it fail an assertion in the completion audit."""
     program = tmp_path / "b.folp"
     program.write_text(SELF_DEFEATING, encoding="utf-8")
     path = tmp_path / "b.units"
@@ -317,6 +318,12 @@ def test_check_a2_rejects_units_no_structure_of_the_program_can_be(tmp_path, cap
         (CHAIN, with_unit(golden, "root: @\ncontent: p, q\nfinal: yes\nsucc: @.1 noarc open\n"
                           "arc-content: f\nnode-content: \npaths: \n"),
          successor.format("", "f")),
+        (CHAIN, with_unit(golden, "root: @\ncontent: p, q\nfinal: yes\nsucc: @.1 noarc open\n"
+                          "arc-content: \nnode-content: \npaths: \n"),
+         successor.format("", "")),
+        (CHAIN, with_unit(golden, "root: @\ncontent: p, q\nfinal: yes\nsucc: @.1 arc open\n"
+                          "arc-content: not f\nnode-content: \npaths: \n"),
+         successor.format("", "not f")),
     ]
     for source, edited, message in edits:
         path.write_text(edited, encoding="utf-8")

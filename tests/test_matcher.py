@@ -108,7 +108,9 @@ def test_a_graft_plan_is_built_once_per_unit_and_node(membership_t, membership_c
 def test_a_match_list_is_built_once_per_node_content_and_depth_flag(hard, monkeypatch):
     """One engine call builds the alternatives of each (node, content,
     depth flag) once, shares them between its structures, and answers
-    every other match of the same key from them."""
+    every other match of the same key from them. The fail-fast test
+    after a graft reads the same table, so the cache's unit lists are
+    scanned only to build its entries."""
     builds, calls, structures, made = Counter(), Counter(), {}, iter(range(1000))
 
     class CountingTable(dict):
@@ -131,9 +133,12 @@ def test_a_match_list_is_built_once_per_node_content_and_depth_flag(hard, monkey
 
     monkeypatch.setattr(matcher, "A2CompletionStructure", Recording)
     cache = compile_units(hard).cache
+    scans, candidates_for = Counter(), cache.candidates_for
+    monkeypatch.setattr(cache, "candidates_for", lambda c: scans.update([c]) or candidates_for(c))
     verdict = check_sat_a2(hard, "p", cache, RedundancyPolicy(k_override=5))
     assert verdict.kind is VerdictKind.UNSAT
     assert builds and max(builds.values()) == 1
+    assert sum(scans.values()) == len(builds)
     assert sum(calls.values()) > 2 * len(builds)
     assert any(len(numbers) > 1 for numbers in structures.values())
 
