@@ -12,6 +12,15 @@ require larger (or infinite) universes.
 Enumeration per universe is exhaustive, and results are merged with a deterministic tie-break
 (smallest universe, then smallest interpretation, then lexicographic).
 
+A universe is ground once per call, by one substitution loop
+(`_ground_ids`) that writes every ground atom as an int id, in order of
+first appearance, and every instance as (head id, positive ids,
+negative ids, choice). The universe must hold every constant of the
+program. `ground` writes the atoms back out; `is_answer_set` computes
+the reduct, its least model and the constraint check on sets of ids;
+the scan below evaluates the rules on ids and puts the atoms' columns
+into sorted order once at the end.
+
 Within one universe the reduct depends on a candidate only through its
 relevant atoms (those under naf in some body, and free-rule heads), so there are 2^n_rel candidates for
 n_rel relevant atoms; `OracleBudgetError` is raised when that exceeds
@@ -27,8 +36,9 @@ columns: `col[head] |= cond & col[p1] & ...` until no column changes.
 The answer sets are the candidates whose columns agree with S on every
 relevant atom and that violate no constraint.
 
-An answer set is a bit mask over the sorted ground atoms, so a mask's
-atoms in bit order are its atoms in sorted order. `answer_sets` sorts
+An answer set is a bit mask over the sorted ground atoms: an atom's bit
+position is its place in sorted order, not its id, so a mask's atoms in
+bit order are its atoms in sorted order. `answer_sets` sorts
 every answer set by (cardinality, sorted atoms); `bounded_sat` computes
 the first of them that holds a `pred` atom on the columns alone: it
 keeps the candidates whose model holds a `pred` atom, then those with
@@ -39,6 +49,7 @@ whose sorted atom list is least, and builds only that interpretation.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Optional
@@ -195,35 +206,62 @@ def _template(rule: Rule):
     )
 
 
-def ground(program: Program, universe: Universe) -> GroundProgram:
-    """All substitutions of variables by universe elements. Inequalities
-    between distinct elements are dropped as satisfied; an instance with
-    an inequality between equal elements is dropped entirely. The rule
-    templates are compiled on the first call for a program and kept on
-    it (`Program.ground_templates`): its rules never change."""
+def _ground_ids(
+    program: Program, universe: Universe
+) -> tuple[defaultdict[OAtom, int], list[tuple]]:
+    """The grounding with every atom written as an id: (ids, instances),
+    where `ids` maps each ground atom to its id, in order of first
+    appearance (a lookup of an atom it lacks gives that atom the next
+    id), and `instances` lists the distinct instances as (head id
+    or None, positive ids, negative ids, choice), in rule order and then
+    substitution order. All substitutions of variables by universe
+    elements are made; inequalities between distinct elements are
+    dropped as satisfied, and an instance with an inequality between
+    equal elements is dropped entirely. The rule templates are compiled
+    on the first call for a program and kept on it
+    (`Program.ground_templates`): its rules never change. Raises
+    `ValueError` when the universe lacks a constant of the program."""
+    elements = universe.elements
+    for constant in program.constants:
+        if constant not in elements:
+            raise ValueError(f"constant {constant!r} of the program is not in the universe")
     templates = program.ground_templates
     if templates is None:
         templates = program.ground_templates = tuple(
             (*_template(rule), rule.kind is RuleKind.FREE) for rule in program.rules
         )
-    out: list[GroundRule] = []
-    seen: set[tuple] = set()
+    ids: defaultdict[OAtom, int] = defaultdict(itertools.count().__next__)
+    instances: dict[tuple, None] = {}  # an ordered set
     for n_vars, constants, pick, head, pos, neg, unequal, choice in templates:
-        for values in itertools.product(universe.elements, repeat=n_vars):
+        for values in itertools.product(elements, repeat=n_vars):
             values += constants
             if unequal and any(values[i] == values[j] for i, j in unequal):
                 continue
             args = pick(values)
             key = (
-                None if head is None else (head[0], args[head[1] : head[2]]),
-                tuple([(p, args[start:end]) for p, start, end in pos]),
-                tuple([(p, args[start:end]) for p, start, end in neg]),
+                None if head is None else ids[head[0], args[head[1] : head[2]]],
+                tuple([ids[p, args[start:end]] for p, start, end in pos]),
+                tuple([ids[p, args[start:end]] for p, start, end in neg]),
                 choice,
             )
-            if key not in seen:
-                seen.add(key)
-                out.append(GroundRule(*key))
-    return GroundProgram(tuple(out))
+            instances[key] = None
+    return ids, list(instances)
+
+
+def ground(program: Program, universe: Universe) -> GroundProgram:
+    """All distinct ground instances of the program's rules over the
+    universe (see `_ground_ids`), with their atoms written out."""
+    ids, instances = _ground_ids(program, universe)
+    atoms = list(ids)
+    return GroundProgram(tuple(
+        GroundRule(
+            None if head is None else atoms[head],
+            tuple([atoms[i] for i in pos]),
+            tuple([atoms[i] for i in neg]),
+            choice,
+        )
+        for head, pos, neg, choice in instances
+    ))
 
 
 def gl_reduct(gp: GroundProgram, interpretation: Iterable[OAtom]) -> GroundProgram:
@@ -283,22 +321,44 @@ def is_answer_set(program: Program, interp: OpenInterpretation) -> bool:
     """True iff the atoms equal the least model of the reduct of the
     grounding over the interpretation's universe and every ground
     constraint is satisfied. Constraints are checked natively, so the
-    original (constraint-bearing) program can be verified directly."""
+    original (constraint-bearing) program can be verified directly. The
+    check runs on the grounding's atom ids: an atom that no instance
+    mentions is never derived, so an interpretation holding one is not
+    an answer set."""
     for _, args in interp.atoms:
         for element in args:
             if element not in interp.universe:
                 raise ValueError(f"atom argument {element!r} outside the universe")
-    gp = ground(program, interp.universe)
-    plain = GroundProgram(tuple(r for r in gp.rules if r.head is not None))
-    constraints = [r for r in gp.rules if r.head is None]
-    reduct = gl_reduct(plain, interp.atoms)
-    if least_model(reduct) != interp.atoms:
-        return False
-    if not all(satisfies_rule(interp.atoms, c) for c in constraints):
+    ids, instances = _ground_ids(program, interp.universe)
+    atoms: set[int] = set()
+    for atom in interp.atoms:
+        if atom not in ids:
+            return False
+        atoms.add(ids[atom])
+    # the reduct: an instance whose negative body meets the atoms goes,
+    # a free instance stays as a fact exactly when its head is in them
+    reduct = [
+        (head, () if choice else pos)
+        for head, pos, neg, choice in instances
+        if head is not None and atoms.isdisjoint(neg) and (not choice or head in atoms)
+    ]
+    model: set[int] = set()
+    while True:
+        fired = {head for head, pos in reduct if model.issuperset(pos)} - model
+        if not fired:
+            break
+        model |= fired
+    if model != atoms or any(
+        head is None and atoms.issuperset(pos) and atoms.isdisjoint(neg)
+        for head, pos, neg, _ in instances
+    ):
         return False
     # the fixpoint plus the constraint check imply the model check; assert
     # it independently rather than trusting the implication
-    assert all(satisfies_rule(interp.atoms, r) for r in gp.rules)
+    assert all(
+        choice or head in atoms or not (atoms.issuperset(pos) and atoms.isdisjoint(neg))
+        for head, pos, neg, choice in instances
+    )
     return True
 
 
@@ -313,20 +373,26 @@ def is_answer_set(program: Program, interp: OpenInterpretation) -> bool:
 
 
 class _GroundIndex:
+    """The grounding over one universe on atom ids (`instances`, see
+    `_ground_ids`), every unary atom over the universe given an id too.
+    `atoms` lists the atoms in sorted order, which is their bit order,
+    and `order` their ids in that order; `relevant` holds the ids of the
+    relevant atoms in sorted order."""
+
     def __init__(self, program: Program, universe: Universe):
-        self.gp = ground(program, universe)
-        atom_set = self.gp.atoms()
+        ids, self.instances = _ground_ids(program, universe)
         for pred in program.upreds:
             for e in universe.elements:
-                atom_set.add((pred, (e,)))
-        self.atoms: list[OAtom] = sorted(atom_set)
-        self.index: dict[OAtom, int] = {a: i for i, a in enumerate(self.atoms)}
-        relevant: set[OAtom] = set()
-        for rule in self.gp.rules:
-            relevant.update(rule.neg)
-            if rule.choice:
-                relevant.add(rule.head)
-        self.relevant: list[OAtom] = sorted(relevant)
+                ids[pred, (e,)]
+        by_id = list(ids)
+        self.order: list[int] = sorted(range(len(by_id)), key=by_id.__getitem__)
+        self.atoms: list[OAtom] = [by_id[i] for i in self.order]
+        relevant: set[int] = set()
+        for head, _, neg, choice in self.instances:
+            relevant.update(neg)
+            if choice:
+                relevant.add(head)
+        self.relevant: list[int] = sorted(relevant, key=by_id.__getitem__)
 
     def atoms_of(self, mask: int) -> list[OAtom]:
         """The atoms of a mask in bit order, which is sorted order."""
@@ -347,39 +413,37 @@ def _ones(x: int) -> list[int]:
 def _columns(
     program: Program, universe: Universe, budget: int
 ) -> tuple[_GroundIndex, list[int], int]:
-    """The grounding's index, the column of each of its atoms (bit c:
-    the atom is in the least model M_c of candidate c's reduct), and the
-    column of the candidates whose M_c is an answer set."""
+    """The grounding's index, the column of each of its atoms in sorted
+    order (bit c: the atom is in the least model M_c of candidate c's
+    reduct), and the column of the candidates whose M_c is an answer
+    set."""
     idx = _GroundIndex(program, universe)
     n_rel = len(idx.relevant)
     if 2**n_rel > budget:
         raise OracleBudgetError(
             f"{2 ** n_rel} reduct candidates exceed the budget of {budget}"
         )
-    index = idx.index
     full = (1 << 2**n_rel) - 1
-    s_col: dict[int, int] = {}  # atom position -> its S column
+    s_col: dict[int, int] = {}  # atom id -> its S column
     for i, atom in enumerate(idx.relevant):
         h = 2**i
-        s_col[index[atom]] = (((1 << h) - 1) << h) * (full // ((1 << 2 * h) - 1))
+        s_col[atom] = (((1 << h) - 1) << h) * (full // ((1 << 2 * h) - 1))
 
-    col = [0] * len(idx.atoms)
-    rules = []  # (head, cond, positive body), all atom positions but cond
+    col = [0] * len(idx.atoms)  # by atom id
+    rules = []  # (head, cond, positive body), all atom ids but cond
     constraints = []  # (positive body, S columns of the negative body)
-    for rule in idx.gp.rules:
-        pos = [index[a] for a in rule.pos]
-        if rule.head is None:
-            constraints.append((pos, [s_col[index[a]] for a in rule.neg]))
+    for head, pos, neg, choice in idx.instances:
+        if head is None:
+            constraints.append((pos, [s_col[a] for a in neg]))
             continue
-        head = index[rule.head]
         if head in pos:
             continue  # never fires before its head holds
-        if rule.choice:
+        if choice:
             cond = s_col[head]
         else:
             cond = full
-            for a in rule.neg:
-                cond &= ~s_col[index[a]]
+            for a in neg:
+                cond &= ~s_col[a]
         if pos:
             rules.append((head, cond, pos))
         else:
@@ -398,8 +462,8 @@ def _columns(
                 changed = True
 
     valid = full
-    for position, s in s_col.items():
-        valid &= ~(col[position] ^ s)
+    for atom, s in s_col.items():
+        valid &= ~(col[atom] ^ s)
     for pos, neg in constraints:
         body = valid
         for p in pos:
@@ -407,7 +471,7 @@ def _columns(
         for s in neg:
             body &= ~s
         valid &= ~body
-    return idx, col, valid
+    return idx, [col[i] for i in idx.order], valid
 
 
 def _model_masks(

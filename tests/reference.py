@@ -14,10 +14,12 @@ reachability. The oracle grounds rules through argument-position
 templates, evaluates every reduct candidate at once in bit-sliced
 columns and picks `bounded_sat`'s witness on those columns;
 `reference_ground` is the plain substitution route,
-`reference_model_masks` the scan one candidate at a time, and
-`reference_bounded_sat` the definition on top of it. Unit redundancy is
-decided by a backtracking injection; `reference_is_redundant_ucs` tries
-every permutation. Pruning compares units only within buckets of equal
+`reference_model_masks` the scan one candidate at a time,
+`reference_bounded_sat` the definition on top of it, and
+`reference_is_answer_set` the witness check through ground rules,
+their reduct and its least model, where the oracle checks on atom ids.
+Unit redundancy is decided by a backtracking injection;
+`reference_is_redundant_ucs` tries every permutation. Pruning compares units only within buckets of equal
 root constant and root content; `reference_retained` compares every
 pair. `unit_as_structure` and `passes_a1_completion_check`
 hold a unit to the direct engine's completion conditions.
@@ -58,6 +60,9 @@ from folp.oracle import (
     OpenInterpretation,
     Universe,
     _rule_variables,
+    gl_reduct,
+    least_model,
+    satisfies_rule,
 )
 from folp.syntax import BinaryShape, Inequality, RuleKind, binary_shape, unary_shape
 from folp.tableau import EXP, A1CompletionStructure
@@ -822,6 +827,23 @@ def reference_bounded_sat(program, pred: str, max_size: int):
             if any(atom[0] == pred for atom in interp):
                 return OpenInterpretation(universe, interp)
     return None
+
+
+def reference_is_answer_set(program, interp) -> bool:
+    """`oracle.is_answer_set` by the plain route: the substitution
+    grounding over the interpretation's universe, its Gelfond-Lifschitz
+    reduct without the constraints, the reduct's least model, compared
+    with the atoms, and then every ground constraint checked."""
+    for _, args in interp.atoms:
+        for element in args:
+            if element not in interp.universe:
+                raise ValueError(f"atom argument {element!r} outside the universe")
+    gp = reference_ground(program, interp.universe)
+    plain = GroundProgram(tuple(r for r in gp.rules if r.head is not None))
+    constraints = [r for r in gp.rules if r.head is None]
+    if least_model(gl_reduct(plain, interp.atoms)) != interp.atoms:
+        return False
+    return all(satisfies_rule(interp.atoms, c) for c in constraints)
 
 
 def reference_is_redundant_ucs(uc1, uc2) -> bool:

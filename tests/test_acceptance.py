@@ -6,6 +6,7 @@ pins its hash."""
 
 import hashlib
 import json
+import random
 import statistics
 import time
 from contextlib import contextmanager
@@ -16,7 +17,7 @@ import pytest
 from folp import matcher, tableau, units as units_module
 from folp.forest import Signed, StructureError
 from folp.matcher import A2CompletionStructure, check_sat_a2
-from folp.oracle import bounded_sat, is_answer_set
+from folp.oracle import OpenInterpretation, bounded_sat, is_answer_set
 from folp.syntax import Program, eliminate_constraints, parse_program
 from folp.tableau import (
     A1CompletionStructure,
@@ -33,7 +34,7 @@ from folp.units import (
     save_cache,
 )
 
-from conftest import GOLDEN
+from conftest import GOLDEN, PROGRAMS
 from corpus import bench_family, corpus, unit_family
 from reference import (
     ReferenceA1,
@@ -47,6 +48,7 @@ from reference import (
     checked_refutations_a2,
     passes_a1_completion_check,
     reference_bounded_sat,
+    reference_is_answer_set,
     reference_is_redundant_ucs,
     reference_retained,
 )
@@ -548,6 +550,79 @@ def test_oracle_witnesses_match_their_definition_on_corpus(corpus_run):
             queries += 1
             witnesses += expected is not None
     assert queries >= 50 and witnesses >= 10
+
+
+def _finite_witnesses(verdicts):
+    """The induced interpretations of the SAT verdicts whose witness has
+    no blocking pair."""
+    for verdict in verdicts:
+        if verdict.kind is VerdictKind.SAT:
+            try:
+                yield verdict.witness.induced_interpretation()
+            except StructureError:
+                pass  # blocked: the witness stands for an infinite model
+
+
+def _perturbations(program, interp, rng):
+    """Seeded one-atom changes of an interpretation: one atom dropped, and
+    one absent atom added of a unary predicate, of a binary predicate and
+    of a predicate that no rule mentions."""
+    elements = interp.universe.elements
+    atoms = sorted(interp.atoms)
+    changed = []
+    if atoms:
+        changed.append(interp.atoms - {rng.choice(atoms)})
+    for candidates in (
+        [(p, (e,)) for p in program.upreds for e in elements],
+        [(p, (e, d)) for p in program.bpreds for e in elements for d in elements],
+        [("unmentioned", (e,)) for e in elements],
+    ):
+        absent = [a for a in candidates if a not in interp.atoms]
+        if absent:
+            changed.append(interp.atoms | {rng.choice(absent)})
+    return [OpenInterpretation(interp.universe, frozenset(a)) for a in changed]
+
+
+def test_witness_check_agrees_with_the_reference_route(hard, deep, family, corpus_run):
+    """`is_answer_set`, which checks on atom ids, answers as the route
+    through ground rules, their reduct and its least model
+    (`reference_is_answer_set`) on every finite engine witness of the
+    hard, deep and family programs at their benchmark bounds, of the
+    corpus run and of `programs/*.folp`, and on seeded one-atom
+    perturbations of each. Every witness is accepted, and the
+    perturbations give both answers."""
+    witnesses = []  # (the program the oracle reads, interpretation)
+    engine_runs = [
+        (hard, hard, RedundancyPolicy(k_override=5)),
+        (deep, deep, RedundancyPolicy(k_override=28)),
+        (family, family, RedundancyPolicy()),
+    ]
+    for path in sorted(PROGRAMS.glob("*.folp")):
+        program = parse_program(path.read_text(encoding="utf-8"))
+        engine_runs.append((program, eliminate_constraints(program), RedundancyPolicy()))
+    for program, transformed, policy in engine_runs:
+        cache = compile_units(transformed).cache
+        for pred in program.upreds:
+            verdicts = (
+                check_sat_a1(transformed, pred, policy),
+                check_sat_a2(transformed, pred, cache, policy),
+            )
+            witnesses += [(program, w) for w in _finite_witnesses(verdicts)]
+    for entry in corpus_run[0]:
+        for pred in entry.program.upreds:
+            verdicts = (entry.a1[pred], entry.a2[pred])
+            witnesses += [(entry.program, w) for w in _finite_witnesses(verdicts)]
+    rng = random.Random(20261021)
+    answers = {True: 0, False: 0}
+    for program, witness in witnesses:
+        assert is_answer_set(program, witness) and reference_is_answer_set(program, witness)
+        for interp in _perturbations(program, witness, rng):
+            answer = is_answer_set(program, interp)
+            assert answer == reference_is_answer_set(program, interp), (
+                program.canonical_text(), sorted(interp.atoms))
+            answers[answer] += 1
+    print("witnesses:", len(witnesses), "perturbations accepted, rejected:", answers)
+    assert len(witnesses) > 50 and answers[True] > 0 and answers[False] > 0
 
 
 def test_saturation_and_scan_match_recomputation_on_corpus(corpus_run, monkeypatch):

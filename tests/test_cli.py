@@ -590,6 +590,7 @@ for path in sorted(programs.glob("*.folp")):
         runs.append(["check", str(path), pred, "--auto-cache", "--format", "machine"])
         runs += [["export-dot", str(path), pred, "--alg", alg, "--auto-cache"]
                  for alg in ("a1", "a2")]
+        runs += [["verify", str(path), pred, "--format", fmt] for fmt in ("machine", "text")]
     for argv in runs:
         text = io.StringIO()
         with contextlib.redirect_stdout(text), contextlib.redirect_stderr(text):
@@ -603,7 +604,8 @@ for path in sorted(programs.glob("*.folp")):
 def test_cli_output_is_the_same_under_two_hash_seeds(tmp_path):
     """Interned node ids, signed predicates and ground atoms hash by
     identity, so set order follows memory addresses as well as the hash
-    seed; no output may follow either."""
+    seed; the oracle interns atoms in dicts and sets of its own. No
+    output, `verify`'s included, may follow either."""
     outputs = []
     for seed in ("0", "1"):
         env = dict(os.environ, PYTHONHASHSEED=seed)
@@ -617,6 +619,7 @@ def test_cli_output_is_the_same_under_two_hash_seeds(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert "digraph forest" in outputs[0] and "folp-units 1" in outputs[0]
+    assert '"record": "verify"' in outputs[0] and "oracle (universes up to 3)" in outputs[0]
     assert outputs[0] == outputs[1]
 
 

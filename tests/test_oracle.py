@@ -161,6 +161,22 @@ def test_is_answer_set_refuses_atoms_outside_the_universe(membership):
         is_answer_set(membership, interp)
 
 
+def test_a_universe_without_a_program_constant_is_refused():
+    """Grounding needs every constant of the program in the universe:
+    `ground`, `answer_sets` and `is_answer_set` name the missing one
+    instead of answering with atoms outside the universe."""
+    program = parse_program("p(a).\nq(X) :- p(X).\n")
+    universe = u("x")
+    calls = [
+        lambda: ground(program, universe),
+        lambda: answer_sets(program, universe),
+        lambda: is_answer_set(program, OpenInterpretation(universe, frozenset())),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="constant 'a'"):
+            call()
+
+
 def test_answer_set_implies_every_ground_rule_satisfied(membership):
     interp = OpenInterpretation(u("a", "b", "u1"), FIG_MODEL)
     assert is_answer_set(membership, interp)
