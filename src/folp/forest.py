@@ -60,6 +60,8 @@ thread-safe across tasks.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from functools import total_ordering
 from typing import Any, Callable, Iterable, Iterator, Optional, Union
 
@@ -71,30 +73,49 @@ class StructureError(FolpError):
 
 
 class ClashError(FolpError):
-    """A clash on the current branch: contradiction, cycle, or redundancy.
+    """A clash on the current branch. Its `kind` names the helper that
+    made it: `CONTRADICTION` (`contradiction`), `DEPENDENCY_CYCLE`
+    (`dependency_cycle`), `tableau.REDUNDANCY` (`CompletionStructure.
+    redundant`) or `tableau.NO_UNIT` (the compiled engine's fail-fast
+    test); `subject` holds the facts a contradiction or a cycle names.
 
     The search drops almost every clash unread, so the message is kept
     as a `str.format` template, the first argument, and the values for
     it, the others; `str` formats them only when read. A lone argument
     is the message itself."""
 
+    kind: Optional[str] = None
+    subject: tuple = ()
+
     def __str__(self) -> str:
         template, *values = self.args
         return template.format(*values) if values else template
 
 
+CONTRADICTION = "contradiction"
+DEPENDENCY_CYCLE = "dependency_cycle"
+
+
 def contradiction(key: Key, sp: Signed) -> ClashError:
     """The clash of entering sp at the node or arc `key`, which holds its
-    negation; an arc reads (x,y)."""
+    negation, or whose negation the same step enters first; an arc reads
+    (x,y). Its subject is (key, sp)."""
     if key.__class__ is tuple:
-        return ClashError("contradiction: {} and {} at ({},{})", sp, sp._negation, *key)
-    return ClashError("contradiction: {} and {} at {}", sp, sp._negation, key)
+        clash = ClashError("contradiction: {} and {} at ({},{})", sp, sp._negation, *key)
+    else:
+        clash = ClashError("contradiction: {} and {} at {}", sp, sp._negation, key)
+    clash.kind = CONTRADICTION
+    clash.subject = (key, sp)
+    return clash
 
 
 def dependency_cycle(src: GroundAtom, dst: GroundAtom) -> ClashError:
     """The clash of adding the dependency arc src -> dst, which closes a
-    cycle."""
-    return ClashError("dependency cycle: {} -> {}", src, dst)
+    cycle. Its subject is (src, dst)."""
+    clash = ClashError("dependency cycle: {} -> {}", src, dst)
+    clash.kind = DEPENDENCY_CYCLE
+    clash.subject = (src, dst)
+    return clash
 
 
 class _Interned:
@@ -513,6 +534,11 @@ class DependencyGraph:
         sinks = {a for a in self._by_node.get(x, ()) if a.pred not in free_preds}
         return bool(sinks) and self._reach(sources, sinks)
 
+    def node_reaches(self, y: NodeId, sinks: set) -> bool:
+        """Whether some atom p(y) reaches an atom of `sinks`."""
+        sources = self._by_node.get(y)
+        return bool(sources) and bool(sinks) and self._reach(sources, sinks)
+
     def reaches_node(self, sources: Iterable[GroundAtom], x: NodeId) -> bool:
         """Whether some vertex among `sources` reaches a unary atom over x."""
         sinks = self._by_node.get(x)
@@ -538,6 +564,33 @@ class DependencyGraph:
                     seen.add(nxt)
                     stack.append(nxt)
         return False
+
+    def lightest_paths(
+        self, sinks: Iterable[GroundAtom], weight: Callable[[GroundAtom], int]
+    ) -> dict[GroundAtom, int]:
+        """For every vertex with a path to one of `sinks`, the union of
+        `weight(v)` over the vertices v of such a path, the sink left
+        out: of a path whose largest weight is least (weights are int
+        bitmasks, compared as numbers). A sink maps to 0, and the
+        vertices come in the order of their unions. One backward search,
+        over predecessor lists built for it: only the search's dead ends
+        ask this (see the `tableau` docstring)."""
+        preds: dict[GroundAtom, list[GroundAtom]] = {}
+        for src, targets in self._succ.items():
+            for dst in targets:
+                preds.setdefault(dst, []).append(src)
+        order = itertools.count()
+        heap = [(0, next(order), v) for v in sinks]
+        found: dict[GroundAtom, int] = {}
+        while heap:
+            mask, _, v = heapq.heappop(heap)
+            if v in found:
+                continue
+            found[v] = mask
+            for u in preds.get(v, ()):
+                if u not in found:
+                    heapq.heappush(heap, (mask | weight(u), next(order), u))
+        return found
 
     def has_cycle(self) -> bool:
         WHITE, GREY, BLACK = 0, 1, 2

@@ -27,13 +27,13 @@ audit searches the whole graph once more. A graft copies contents and
 arcs in a fixed order, so where it stops on a clash does not depend on
 set iteration order.
 
-Each graft of a unit onto a node x is compiled once per engine call
-(`_graft_plan`): the `grafts` table of the call (`tableau.CallTables`)
-keeps the successor nodes, each content as sorted entries with the
-ground atoms of its positive entries, and the ground dependency arcs.
-Like the direct engine's instances, the plans hold in every structure
-of the call and need no trail entries, because a plan reads nothing of
-the state: x is grafted at most once and has no children before its
+Each graft of a unit onto a node x is compiled once per unit cache
+(`_graft_plan`): the cache's `grafts` table (`units.UnitCache`) keeps
+the successor nodes, each content as sorted entries with the ground
+atoms of its positive entries, and the ground dependency arcs. Like
+the direct engine's instances, the plans hold in every structure that
+reads the cache, over all the queries it serves, and need no trail
+entries, because a plan reads nothing of the state: x is grafted at most once and has no children before its
 graft, so its tree successors are always x.1 ... x.n, also after
 backtracking, and a constant stands for itself. A graft then copies
 the plan. x's root content goes in entry by entry, through `insert`,
@@ -47,17 +47,46 @@ contents, and acyclic arcs that leave atoms over its root and end at
 its positive entries. `units.load_cache` rejects a cache whose units
 break this.
 
-The candidate list of a match is kept per engine call too: the
-`matches` table of the call maps (x, ct(x), whether the depth bound
-forbids a child of x) to whether that bound left a covering unit out
-and the alternatives of the others (`_match_entry`). The list reads
-only x, an operand of each alternative, its content, the cache's
-`candidates_for` order and the flag, so it holds in every structure of
-the call. Each `match` still adds the list's length to `units_tried`
-and sets `pruned` from the entry, as a fresh scan would. The fail-fast
-test after a graft reads the same entries: a successor that no unit
-covers is one whose entry has no alternative and was not pruned. It
-neither counts units nor sets `pruned`.
+The candidate list of a match is kept on the cache too: its `matches`
+table maps (x, ct(x), whether the depth bound forbids a child of x) to
+whether that bound left a covering unit out and the alternatives of
+the others (`_match_entry`). The list reads only x, an operand of each
+alternative, its content, the cache's `candidates_for` order and the
+flag, so it holds in every structure that reads the cache; an
+alternative's step (`_match`) calls the `_apply_match` of the structure
+the search passes. Each `match` still adds the list's length to
+`units_tried` and sets `pruned` from the entry, as a fresh scan would.
+The fail-fast test after a graft reads the same entries: a successor
+that no unit can cover is one whose entry has no alternative and was
+not pruned, or, once `pruned` is set, has no alternative at all
+(`_uncovered`). Such a successor, unblocked, fails the branch when the
+scan reaches it, or the branch fails before; with `pruned` already set
+failing early changes no verdict. The test neither counts units nor
+sets `pruned`.
+
+In a program without constants a graft that would end in that test is
+refuted before it changes anything (`_doomed_successor`). The test's
+successor is a fresh tree child y with the unit's node content, so its
+match entry is known before the graft. x blocks y exactly when the
+unit's own `blocked` flag says so, as x's arcs will be the unit's. A
+proper ancestor z of x blocks y when ct(z) includes y's content and no
+atom over z reaches y: before the graft no arc leaves an atom over x,
+so every path from z to y reaches some p(x) through present arcs and
+goes on along the unit's arcs, that is, with (p, q) in y's path set
+(`_blocked_by_ancestor`). `UnitCache.verify` checks the path sets and
+flags of a loaded unit against its arcs. The refuted graft records the
+graft's node statistics and raises the clash the test would raise, for
+the same successor.
+
+Backjumping (see the `tableau` module docstring): without constants a
+node is touched only by its parent's graft and its own, so the
+redundancy and no-unit clashes of the match of x and the dead end of
+x's match read only the grafts of x's proper ancestors, which made x,
+fixed its depth and gave x, its ancestors and the dependency arcs
+between them what the match reads. Each tree child is labelled with
+the graft that made it, and `_chain(x)` joins the labels of x and its
+ancestors. With constants, whose contents any graft may extend, every
+a2 clash and dead end passes the full set.
 
 The driver, the task scan, the redundancy clash and the completion
 audit are those of `tableau.CompletionStructure` and `tableau.decide`;
@@ -110,6 +139,8 @@ from typing import Optional
 from .forest import ClashError, GroundAtom, NodeId, Signed
 from .syntax import Program
 from .tableau import (
+    ALL_FRAMES,
+    NO_UNIT,
     Alternative,
     CompletionStructure,
     RedundancyPolicy,
@@ -154,7 +185,11 @@ class A2CompletionStructure(CompletionStructure):
     # -- the Match rule --------------------------------------------------
 
     def expand_cs(
-        self, x: NodeId, uc: UnitCompletionStructure, equal: Optional[int] = None
+        self,
+        x: NodeId,
+        uc: UnitCompletionStructure,
+        equal: Optional[int] = None,
+        refuted: bool = False,
     ) -> Optional[tuple[NodeId, ...]]:
         """Graft the unit onto x: copy successors, contents, and
         dependency arcs under the relabeling of the unit root to x, by
@@ -163,7 +198,8 @@ class A2CompletionStructure(CompletionStructure):
         contradicting content entry or cycle-closing arc. Returns None
         instead, with only the graft's node statistics recorded, when
         `_redundant_graft` finds that the graft would end in the
-        redundancy clash at x. `equal` is the number of proper ancestors
+        redundancy clash at x, or when the caller found it `refuted`
+        (`_doomed_successor`). `equal` is the number of proper ancestors
         of x that hold the unit's root content, counted here when not
         given. Only an x with k or more proper ancestors, as many as its
         path has steps, is counted and pre-checked: a shallower graft
@@ -178,16 +214,18 @@ class A2CompletionStructure(CompletionStructure):
             )
         if not self.content(x) <= uc.root_content:
             raise ValueError(f"unit does not locally satisfy the content of {x}")
-        if len(x.path) >= self.k:
+        if len(x.path) >= self.k and not refuted:
             if equal is None:
                 equal = self.count_equal_ancestors(x, uc.root_content)
-            if self._redundant_graft(x, uc, equal):
-                self.count_children(x, len(uc.tree_successors))
-                return None
+            refuted = self._redundant_graft(x, uc, equal)
+        if refuted:
+            self.count_children(x, len(uc.tree_successors))
+            return None
         plan_key = (id(uc), x)
-        plan = self.tables.grafts.get(plan_key)
+        grafts = self.cache.grafts
+        plan = grafts.get(plan_key)
         if plan is None:
-            plan = self.tables.grafts[plan_key] = self._graft_plan(x, uc)
+            plan = grafts[plan_key] = self._graft_plan(x, uc)
         root_content, steps, arcs, targets, nodes, _ = plan
         self.grafted.add(x)
         self.trail.push(self.grafted.discard, x)
@@ -198,6 +236,7 @@ class A2CompletionStructure(CompletionStructure):
             if make is _CHILD:
                 child = self.forest.add_child(x)
                 assert child is node, "unit successors out of order"
+                self.made[child] = self.label
                 self.count_children(x, 1)
             elif make is _EXTRA:
                 self.forest.add_es(x, node)
@@ -285,6 +324,51 @@ class A2CompletionStructure(CompletionStructure):
                     return False
         return not self.g.reaches_node(uc.constant_targets, x)
 
+    def _doomed_successor(self, x: NodeId, uc: UnitCompletionStructure) -> Optional[NodeId]:
+        """The successor that the fail-fast test would name after grafting
+        the unit onto the ungrafted x below the redundancy bound, decided
+        before the graft (see the module docstring): in a program without
+        constants, the first tree successor that no unit can cover
+        (`_uncovered`) and that neither x (the unit's own `blocked` flag)
+        nor a proper ancestor of x (`_blocked_by_ancestor`) would block.
+        None when every successor passes the test. Reads the state,
+        changes nothing."""
+        if self.forest.constants:
+            return None
+        for succ in uc.successors:
+            node = x.child(succ.target)
+            if succ.blocked or not self._uncovered(node, succ.node_content):
+                continue
+            if not self._blocked_by_ancestor(x, succ):
+                return node
+        return None
+
+    def _blocked_by_ancestor(self, x: NodeId, succ) -> bool:
+        """Whether a proper ancestor z of the ungrafted x would block the
+        tree successor `succ` of a unit grafted onto x: ct(z) includes
+        its content, and no atom over z reaches, in the present graph,
+        an atom p(x) with (p, q) in the successor's path set. Before the
+        graft nothing leaves an atom over x, and the graft's arcs are
+        the unit's, so every path from z to the successor passes such a
+        p(x) and goes on along the unit's own arcs (see the module
+        docstring). Without constants every ancestor is anonymous."""
+        content, ct = succ.node_content, self.ct
+        sinks = None
+        for z in x.ancestors():
+            if content <= ct.get(z, ()):
+                if sinks is None:
+                    sinks = {GroundAtom(p, (x,)) for p, _ in succ.paths}
+                if not self.g.node_reaches(z, sinks):
+                    return True
+        return False
+
+    def _uncovered(self, x: NodeId, content: Optional[frozenset] = None) -> bool:
+        """Whether no unit can ever cover x, of content `content` (ct(x)
+        when None): its match entry has no alternative, and the depth
+        bound left none out, or `pruned` is set already."""
+        pruned, alternatives = self._match_entry(x, content)
+        return not alternatives and (self.pruned or not pruned)
+
     def match(self, x: NodeId) -> list[Alternative]:
         """One branch per unit that covers x (`_match_entry`); sets
         `pruned` when the depth bound left one out, and counts the
@@ -295,19 +379,22 @@ class A2CompletionStructure(CompletionStructure):
         self.stats.units_tried += len(alternatives)
         return alternatives
 
-    def _match_entry(self, x: NodeId) -> tuple[bool, list[Alternative]]:
+    def _match_entry(
+        self, x: NodeId, content: Optional[frozenset] = None
+    ) -> tuple[bool, list[Alternative]]:
         """Whether the depth bound drops a unit that covers x (root fits
-        x, root content includes ct(x)), and the alternatives of the
-        others, least constraining first. Built on the first lookup in
-        the call's `matches` table (see the module docstring)."""
+        x, root content includes `content`, ct(x) when None), and the
+        alternatives of the others, least constraining first. Built on
+        the first lookup in the cache's `matches` table (see the module
+        docstring)."""
         too_deep = self.max_depth is not None and x.depth + 1 > self.max_depth
-        content = self.content_of_node(x)
+        if content is None:
+            content = self.content_of_node(x)
         key = (x, content, too_deep)
-        matches = self.tables.matches
+        matches = self.cache.matches
         entry = matches.get(key)
         if entry is None:
             constant = x.root if self.forest.is_constant_node(x) else None
-            step = self.__class__._apply_match
             pruned, alternatives = False, []
             for uc in self.cache.candidates_for(constant):
                 if not content <= uc.root_content:
@@ -316,7 +403,7 @@ class A2CompletionStructure(CompletionStructure):
                     pruned = True
                     continue
                 alternatives.append(
-                    Alternative("match {} with unit {}", (x, uc.sort_key[:3]), step, (x, uc))
+                    Alternative("match {} with unit {}", (x, uc.sort_key[:3]), _match, (x, uc))
                 )
             entry = matches[key] = (pruned, alternatives)
         return entry
@@ -325,11 +412,14 @@ class A2CompletionStructure(CompletionStructure):
         # one walk serves the pre-check and the bound below: a graft that
         # goes ahead leaves ct(x) equal to the unit's root content; x
         # with fewer than k proper ancestors cannot reach the bound, and
-        # is not walked
-        equal = None
+        # is not walked; below the bound the graft is also refuted when
+        # the fail-fast test after it would fail (`_doomed_successor`)
+        equal = doomed = None
         if len(x.path) >= self.k:
             equal = self.count_equal_ancestors(x, uc.root_content)
-        successors = self.expand_cs(x, uc, equal)
+        if equal is None or equal < self.k:
+            doomed = self._doomed_successor(x, uc)
+        successors = self.expand_cs(x, uc, equal, doomed is not None)
         self.stats.matches += 1
         self.stats.units_used.add(uc.sort_key)
         # refuted (successors None), or grafted: an expanded node's
@@ -338,7 +428,9 @@ class A2CompletionStructure(CompletionStructure):
         # and a graft only adds content at x and paths, so x is still
         # unblocked
         if equal is not None and equal >= self.k:
-            raise self.redundant(x, equal)
+            raise _of_match(self.redundant(x, equal), x)
+        if doomed is not None:
+            raise _uncovered_clash(doomed, x)
         # Fail fast on successors no unit can ever cover. Sound because an
         # existing node's ancestors are already expanded, so its content
         # and theirs are fixed: an unblocked node can never become
@@ -348,14 +440,42 @@ class A2CompletionStructure(CompletionStructure):
         # raises; blocking, the dearest, is derived last, only for a
         # successor that no unit covers (see the module docstring).
         for node in successors:
-            if (
-                node not in self.grafted
-                and self._match_entry(node) == (False, [])
-                and not self.is_blocked(node)
-            ):
-                raise ClashError(
-                    "successor {} of {} is unblocked and matches no unit", node, x
-                )
+            if node not in self.grafted and self._uncovered(node) and not self.is_blocked(node):
+                raise _uncovered_clash(node, x)
+
+    # -- dependency sets (see `tableau.run_search`) ---------------------
+
+    def clash_set(self, clash: ClashError, bit: int) -> int:
+        """`bit` and the labels of the grafts of the proper ancestors of
+        the node whose match met the clash (`_chain`), for the redundancy
+        and no-unit clashes of `_apply_match`; the full set for every
+        other clash, and in a program with constants."""
+        x = clash.subject
+        if x.__class__ is NodeId and self._exact():
+            return bit | self._chain(x)
+        return ALL_FRAMES
+
+    def dead_end(self, task: Task) -> int:
+        """What fixed that the match of x is due and its candidates:
+        `_chain(x)`; the full set in a program with constants."""
+        return self._chain(task.args[0]) if self._exact() else ALL_FRAMES
+
+    def _exact(self) -> bool:
+        """Whether the sets are read exactly: in a program without
+        constants, once no skipped subtree can hide a prune."""
+        return not self.forest.constants and self.may_jump()
+
+    def _chain(self, x: NodeId) -> int:
+        """The labels of the grafts of x's proper ancestors: the frames
+        that made x and its ancestors, so x's depth, and gave them their
+        contents and the dependency arcs between them. Without constants
+        nothing else touches a node before its own graft, nor the chain
+        above it (see the module docstring)."""
+        made, found = self.made, 0
+        while x.path:
+            found |= made[x]
+            x = x._parent
+        return found
 
     # -- scheduling --------------------------------------------------------
 
@@ -372,6 +492,29 @@ class A2CompletionStructure(CompletionStructure):
 # how `_graft_plan` makes a successor: a new tree child, or an extra arc
 # to a constant
 _CHILD, _EXTRA = "child", "extra"
+
+
+def _match(cs: A2CompletionStructure, x: NodeId, uc: UnitCompletionStructure) -> None:
+    """The step of a match alternative: `_apply_match` of the structure
+    the search passes. The cache's match lists outlive their structures,
+    and tests substitute the engine class."""
+    cs._apply_match(x, uc)
+
+
+def _uncovered_clash(node: NodeId, x: NodeId) -> ClashError:
+    """The clash of grafting x when its successor `node` is unblocked
+    and no unit can cover it."""
+    clash = ClashError("successor {} of {} is unblocked and matches no unit", node, x)
+    clash.kind = NO_UNIT
+    return _of_match(clash, x)
+
+
+def _of_match(clash: ClashError, x: NodeId) -> ClashError:
+    """`clash`, met by the match of x, which is its subject (see
+    `A2CompletionStructure.clash_set`). A helper, so that no frame that
+    raises it holds it: its traceback would hold that frame."""
+    clash.subject = x
+    return clash
 
 
 def _atoms(key, entries) -> tuple[GroundAtom, ...]:

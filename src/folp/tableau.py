@@ -16,11 +16,72 @@ predicates by explicit sign choice. Blocking stops expansion below a node subsum
 ancestor; the redundancy bound turns overly long equal-content chains
 into a clash.
 
-The search is chronological depth-first backtracking over a trail of
-undoable mutations, each recorded as a (function, argument) pair
-(`forest.Trail`). Choice order: rules in program order, groundings
-preferring existing successors, then fresh successors, then constants;
-sign choices take the negative branch first. Runs are deterministic.
+The search is depth-first over a trail of undoable mutations, each
+recorded as a (function, argument) pair (`forest.Trail`), with
+conflict-directed backjumping (`run_search`). Choice order: rules in
+program order, groundings preferring existing successors, then fresh
+successors, then constants; sign choices take the negative branch
+first. Runs are deterministic.
+
+Backjumping. Frame i of the search stack has the bit 1 << i, and a set
+of frames is an int. While the alternative of frame i runs, the
+structure's `label` is that bit, and the engine records in `made` the
+label of each fact that it reads exactly: under a1 every content
+entry, extra arc and child, and the head atom of each rule application,
+which labels the dependency arcs the application made; under a2 every
+tree child, made by its parent's graft. A fact made again is labelled
+again, so a stale label is never read and `made` needs no trail
+entries. A clash passes `clash_set(clash, bit)` to its frame: bit and
+the labels of the facts it read. A frame whose alternatives are all
+exhausted adds `dead_end(task)`, the labels of what made its task due
+and fixed its alternatives, and passes the union, less its own bit, to
+the deepest frame in it; the frames between are left, and their untried
+alternatives are counted as `skipped`. The exact sets:
+
+- a1 contradiction (`forest.contradiction`, raised by `insert` or by
+  the plan check of `_apply_positive`): the entry it negates, unless the
+  same step entered that first. a1 dependency cycle
+  (`forest.dependency_cycle`, from `add_dependency` or the plan check):
+  a path that the refused arc would close, the one whose deepest frame
+  is shallowest (`DependencyGraph.lightest_paths`).
+- a1 dead end of a task at x, including the empty alternative lists of
+  `_expand_positive` and `_expand_negative`: the task's entry; x's
+  creation, which fixes its depth; x's children and extra arcs, which
+  fix its groundings and instances; for a negative obligation, the
+  entries of its first pending instance that decide its alternatives;
+  and why the scan found x unblocked: per anonymous ancestor y, one
+  entry pair (e in ct(x), not e in ct(y)) or one dependency path from
+  an atom over y to a non-free atom over x, whichever has the shallower
+  frames (`_unblocked_reason`, kept at the resume point once read).
+- a2, in a program without constants: the redundancy and no-unit
+  clashes of a match of x, and the dead end of x's match, read the
+  grafts of x's proper ancestors (`matcher`'s `_chain`).
+
+Every other clash and dead end passes the full set `ALL_FRAMES`, which
+is the chronological step: the redundancy clash of a1 and of the scan,
+a failed completion audit, every a2 clash in a program with constants,
+and the frame under which unit enumeration recorded a unit, whose
+siblings must all be tried. So correctness never rests on a missing
+label. No set is read before the structure's `pruned` flag is set, or
+without a depth bound, as in unit enumeration (`may_jump`): a skipped
+subtree could otherwise hide the prune that decides between UNSAT and
+another depth round.
+
+Why a jump is sound. Let frame n exhaust its alternatives with the set
+S, and let j be the deepest frame in S. Every fact that its clashes and
+its dead end read is labelled by a frame in S, so it was made at or
+above frame j and holds, because facts only grow along a branch, in
+every state below frame j's current alternative. Under a skipped
+alternative of a frame between j and n, the task of frame n is still
+due at its node x: x exists, stays unblocked (the entry pairs and paths
+read only grow), and a completion needs x's task done; its alternatives
+are the same, each meets the same clash or, by induction over the
+subtrees below it, the same dead end, and `pruned` is already set. So
+each skipped sibling meets the same failure: no completion and no unit
+is lost, verdicts, witnesses and unit caches are those of the
+chronological search, and only the statistics fall. `tests/reference.py`
+keeps the chronological search (`reference_run_search`) and replays
+every skipped alternative with it (`checked_backjumps`).
 
 Each task expands the first unblocked unsaturated node in node order (a
 "ToDo list" agenda, as in description-logic tableau reasoners); a
@@ -99,8 +160,7 @@ one engine call (`CallTables`), which every structure of the call reads
 and fills over all depth rounds and root choices; a structure built
 without them, as in unit enumeration, makes its own. An entry reads the
 program and its key, never the state, so it needs no trail entries and
-holds in every structure: rule shapes, the instances above, the graft
-plans and match lists of `a2` (`grafts`, `matches`; see `matcher`), and
+holds in every structure: rule shapes, the instances above, and
 the positive alternatives of an obligation with whether the depth bound
 pruned a grounding of them, keyed by node or arc, predicate, whether
 the bound admits a fresh successor there and, at a node, the successor
@@ -110,9 +170,10 @@ that the groundings read. An
 the structure the search passes, with its operands. So the tables may
 outlive a structure, `release` has only the trail to undo, and a SAT
 witness drops its reference to them. No table outlives its call or is
-kept on the `Program`. Node and arc entries share one positive path
-(`_expand_positive`, `_apply_positive`); both ground rule bodies through
-`_ground_body`.
+kept on the `Program`; the graft plans and match lists of `a2`, which
+read only the unit cache, live on the cache (see `matcher`). Node and
+arc entries share one positive path (`_expand_positive`,
+`_apply_positive`); both ground rule bodies through `_ground_body`.
 
 A positive rule application runs on its ground plan, built on its first
 use in the call. The plan holds the body literals in body order, each
@@ -164,9 +225,12 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
+from operator import length_hint
 from typing import Callable, Iterable, Iterator, Optional
 
 from .forest import (
+    CONTRADICTION,
+    DEPENDENCY_CYCLE,
     ArcId,
     ClashError,
     ForestState,
@@ -193,6 +257,17 @@ from .syntax import (
 
 EXP = "exp"
 UNEXP = "unexp"
+
+# the clash kinds of `ClashError.kind` besides those of `forest`: the
+# redundancy clash and the compiled engine's successor that no unit covers
+REDUNDANCY = "redundancy"
+NO_UNIT = "no_unit"
+CLASH_KINDS = (CONTRADICTION, DEPENDENCY_CYCLE, REDUNDANCY, NO_UNIT)
+
+# the full set of search frames (see `run_search`): every bit set
+ALL_FRAMES = -1
+
+_NO_ENTRIES: frozenset = frozenset()
 
 
 class EngineBudgetError(FolpError):
@@ -260,6 +335,8 @@ class SearchStats:
     units_tried: int = 0
     matches: int = 0
     units_used: set = field(default_factory=set)
+    clashes: dict = field(default_factory=lambda: dict.fromkeys(CLASH_KINDS, 0))
+    skipped: int = 0
 
     @property
     def reuse_count(self) -> int:
@@ -273,6 +350,8 @@ class SearchStats:
             "tasks": self.tasks,
             "max_depth": self.max_depth_seen,
             "redundancy_clashes": len(self.redundancy_events),
+            "clashes": dict(self.clashes),
+            "skipped": self.skipped,
         }
 
 
@@ -368,11 +447,16 @@ class Alternative:
 
 @dataclass(slots=True)
 class Task:
-    """The alternatives of one expansion; `description` as in Alternative."""
+    """The alternatives of one expansion; `description` as in Alternative.
+    The direct engine names the node or arc the task expands, `key`, and
+    the entry it justifies, `sp`, None for a sign choice; the search's
+    dead ends read them (`A1CompletionStructure.dead_end`)."""
 
     template: str
     args: tuple
     alternatives: list[Alternative]
+    key: Optional[Key] = None
+    sp: Optional[Signed] = None
 
     @property
     def description(self) -> str:
@@ -385,18 +469,14 @@ _Desc = tuple
 
 class CallTables:
     """The tables of one engine call (see the module docstring): rule
-    `shapes`, negative `instances`, `positive` (prunes, alternatives),
-    and the compiled engine's `grafts` and `matches` (pruned,
-    alternatives)."""
+    `shapes`, negative `instances` and `positive` (prunes, alternatives)."""
 
-    __slots__ = ("shapes", "instances", "positive", "grafts", "matches")
+    __slots__ = ("shapes", "instances", "positive")
 
     def __init__(self) -> None:
         self.shapes: dict[Rule, tuple] = {}
         self.instances: dict[tuple, list] = {}
         self.positive: dict[tuple, tuple] = {}
-        self.grafts: dict[tuple, tuple] = {}
-        self.matches: dict[tuple, tuple] = {}
 
 
 class _Application:
@@ -491,6 +571,12 @@ class CompletionStructure(ForestState):
         self.max_tasks = max_tasks
         self.tables = tables if tables is not None else CallTables()
         self.pruned = False
+        # the bit of the search frame whose alternative is running, and
+        # the label of each fact an engine reads exactly (see
+        # `run_search`); a fact made again is labelled again, so a stale
+        # label is never read and needs no trail entry
+        self.label = 0
+        self.made: dict = {}
 
     def is_saturated(self, x: NodeId) -> bool:
         raise NotImplementedError
@@ -542,7 +628,25 @@ class CompletionStructure(ForestState):
         self.stats.redundancy_events.append(
             {"node": str(x), "equal_ancestors": equal, "chain_position": equal + 1}
         )
-        return ClashError("redundant node {} ({} equal ancestors)", x, equal)
+        clash = ClashError("redundant node {} ({} equal ancestors)", x, equal)
+        clash.kind = REDUNDANCY
+        return clash
+
+    def may_jump(self) -> bool:
+        """Whether no skipped subtree can hide a prune any more: the depth
+        bound has pruned already, or there is none (see `run_search`)."""
+        return self.pruned or self.max_depth is None
+
+    def clash_set(self, clash: ClashError, bit: int) -> int:
+        """The search frames whose facts `clash` read, with `bit`, the
+        frame whose step met it (see `run_search`): here the full set."""
+        return ALL_FRAMES
+
+    def dead_end(self, task: Task) -> int:
+        """The search frames whose facts fixed that `task` is due and
+        which alternatives it has, read when they are all exhausted (see
+        `run_search`): here the full set."""
+        return ALL_FRAMES
 
     def count_children(self, x: NodeId, count: int) -> None:
         """Record `count` new tree children of x in the statistics."""
@@ -575,6 +679,7 @@ class CompletionStructure(ForestState):
         """Drop what only the search needs (see the module docstring)."""
         self.trail.clear()
         self.tables = None
+        self.made.clear()
 
     def release(self) -> None:
         """Undo a structure the search is done with. Undo records hold
@@ -604,6 +709,10 @@ class A1CompletionStructure(CompletionStructure):
     ):
         super().__init__(program, **options)
         self.st: dict[tuple[Key, Signed], str] = {}
+        # why the resume node is unblocked, once read, and the label of
+        # the frame that moved the point there (see `_unblocked_reason`)
+        self.resume_reason: Optional[int] = 0
+        self.resume_label = 0
         self.handled: dict[tuple[Key, Signed], set] = {}
         if pred is not None:
             self.insert_tracked(self.epsilon, Signed(pred, True))
@@ -632,8 +741,11 @@ class A1CompletionStructure(CompletionStructure):
         predicates are trivially expanded by their choice rule."""
         new = self.insert(key, sp)
         if new:
-            status = EXP if sp.name in self.free_preds else UNEXP
-            self.set_status(key, sp, status)
+            # a new entry has no status yet: undoing removes it
+            skey = (key, sp)
+            self.made[skey] = self.label
+            self.st[skey] = EXP if sp.name in self.free_preds else UNEXP
+            self.trail.push(self.st.__delitem__, skey)
         return new
 
     def _mark_handled(self, okey: tuple[Key, Signed], instance_key) -> None:
@@ -713,6 +825,7 @@ class A1CompletionStructure(CompletionStructure):
             return
         if not self.forest.has_es(x, y):
             self.forest.add_es(x, y)
+            self.made[x, y] = self.label
 
     # -- expansion rules ---------------------------------------------------
 
@@ -770,6 +883,7 @@ class A1CompletionStructure(CompletionStructure):
     def _materialize(self, x: NodeId, desc: _Desc) -> NodeId:
         if desc[0] == "fresh":
             child = self.forest.add_child(x)
+            self.made[child] = self.label
             self.count_children(x, 1)
             self._rearm_negatives(x)
             return child
@@ -819,6 +933,7 @@ class A1CompletionStructure(CompletionStructure):
             for lit_key, lit_sp, _, _ in literals:
                 insert(lit_key, lit_sp)
         self.set_status(application.key, application.sp, EXP)
+        self.made[head] = self.label
         add_arc = self.g.add_arc
         for atom in positive:
             add_arc(head, atom)
@@ -1035,7 +1150,7 @@ class A1CompletionStructure(CompletionStructure):
                 alts = self.expand_unary_positive(x, sp.name)
             else:
                 alts = self.expand_unary_negative(x, sp.name)
-            return Task("expand {} at {}", (sp, x), alts)
+            return Task("expand {} at {}", (sp, x), alts, x, sp)
         for arc in self.forest.arcs_from(x):
             for sp in sorted(self.content(arc), key=signed_sort_key):
                 if self.st.get((arc, sp)) != UNEXP:
@@ -1044,23 +1159,270 @@ class A1CompletionStructure(CompletionStructure):
                     alts = self.expand_binary_positive(arc, sp.name)
                 else:
                     alts = self.expand_binary_negative(arc, sp.name)
-                return Task("expand {} on {}->{}", (sp, arc[0], arc[1]), alts)
+                return Task("expand {} on {}->{}", (sp, arc[0], arc[1]), alts, arc, sp)
         choice = self.choose_unary(x)
         if choice:
-            return Task("choose unary at {}", (x,), choice)
+            return Task("choose unary at {}", (x,), choice, x)
         for arc in self.forest.arcs_from(x):
             choice = self.choose_binary(arc)
             if choice:
-                return Task("choose binary on {}->{}", (arc[0], arc[1]), choice)
+                return Task("choose binary on {}->{}", (arc[0], arc[1]), choice, arc)
         return None
 
     # the shared scan, bound here too: perfbench's tracer wraps the
     # engine class's own attribute
     next_task = CompletionStructure.next_task
 
+    # -- dependency sets ---------------------------------------------------
+
+    def clash_set(self, clash: ClashError, bit: int) -> int:
+        """`bit` and the labels of the facts a contradiction or a cycle
+        read: the entry that the refused one negates, unless the step
+        itself was to enter it first, or a path that the refused arc
+        would close, the one whose deepest frame is shallowest. The full
+        set for every other clash."""
+        if not self.may_jump():
+            return ALL_FRAMES
+        kind = clash.kind
+        if kind is CONTRADICTION:
+            key, sp = clash.subject
+            negation = sp.negated()
+            if negation in self.ct.get(key, ()):
+                return bit | self.made[key, negation]
+            return bit
+        if kind is DEPENDENCY_CYCLE:
+            src, dst = clash.subject
+            if src is dst:
+                return bit
+            return bit | self.g.lightest_paths((src,), self._arc_label)[dst]
+        return ALL_FRAMES
+
+    def _arc_label(self, atom: GroundAtom) -> int:
+        """The label of the dependency arcs from `atom`, made by the
+        application that expanded it."""
+        return self.made.get(atom, 0)
+
+    def dead_end(self, task: Task) -> int:
+        """The labels of what fixed that `task` is due at its node x and
+        which alternatives it has: its entry; x's creation, which fixes
+        its depth; x's children and extra arcs, which fix the groundings
+        and instances; the entries of a negative task's pending instance
+        that decide its alternatives; and why x is unblocked
+        (`_unblocked_reason`). An empty positive list reads no more: it
+        is empty exactly when no rule can ground, which only x's depth
+        decides, for below the bound x has no children."""
+        if not self.may_jump():
+            return ALL_FRAMES
+        key, sp, made = task.key, task.sp, self.made
+        x = key[0] if key.__class__ is tuple else key
+        found = made[x] if x.path else 0
+        for y in self.forest.successors(x):
+            found |= made[y] if y._parent is x else made[x, y]
+        if sp is not None:
+            found |= made[key, sp]
+            if not sp.positive:
+                found |= self._instance_reads(key, sp)
+        return found | self._unblocked_reason(x)
+
+    def _instance_reads(self, key: Key, sp: Signed) -> int:
+        """The labels of the entries that decide the alternatives of the
+        negative obligation sp at key (`_expand_negative`): the negation
+        of a literal of its first pending instance that refutes it, or
+        else the literals it already holds."""
+        pending = self._first_pending(key, sp.name, (key, sp))
+        if pending is None:
+            return 0
+        made, ct, found = self.made, self.ct, 0
+        for lit_key, lit_sp in pending[1]:
+            negation = lit_sp.negated()
+            if negation in ct.get(lit_key, ()):
+                return made[lit_key, negation]
+            if lit_sp in ct.get(lit_key, ()):
+                found |= made[lit_key, lit_sp]
+        return found
+
+    def resume_at(self, node: NodeId) -> None:
+        """Move the scan's resume point to `node`, undoably, noting the
+        label of the frame whose step led there (see
+        `_unblocked_reason`)."""
+        self.trail.push(
+            self._set_resume_reason, (self.resume, self.resume_reason, self.resume_label)
+        )
+        self.resume = node
+        self.resume_reason = None
+        self.resume_label = self.label
+
+    def _set_resume_reason(self, old: tuple) -> None:
+        """Undo `resume_at`: put back the point, its reason and label."""
+        self.resume, self.resume_reason, self.resume_label = old
+
+    def _unblocked_reason(self, x: NodeId) -> int:
+        """Why the scan found x unblocked (`_why_unblocked`). At the
+        resume point, the reason is kept once read when all its facts
+        are older than the point's move, made by the frame that led
+        there or below it: they stay while the point does. The shallowest
+        reason has such facts, as x was unblocked when the scan moved
+        the point there."""
+        if x is not self.resume:
+            return self._why_unblocked(x)
+        reason = self.resume_reason
+        if reason is None:
+            reason = self._why_unblocked(x)
+            if reason != ALL_FRAMES and reason.bit_length() <= self.resume_label.bit_length():
+                self.resume_reason = reason
+        return reason
+
+    def _lightest_paths_to(self, x: NodeId) -> dict[NodeId, int]:
+        """Per node y with a dependency path from an atom over y to a
+        non-free atom over x, the labels of such a path whose deepest
+        frame is shallowest (`DependencyGraph.lightest_paths`, which
+        lists the atoms lightest first)."""
+        g = self.g
+        sinks = [a for a in g.unary_atoms(x) if a.pred not in self.free_preds]
+        reach: dict[NodeId, int] = {}
+        for atom, mask in g.lightest_paths(sinks, self._arc_label).items():
+            if len(atom.args) == 1:
+                reach.setdefault(atom.args[0], mask)
+        return reach
+
+    def _why_unblocked(self, x: NodeId) -> int:
+        """Why no anonymous ancestor y blocks x, read off facts that stay
+        in every extension: per y, the labels of an entry e of ct(x)
+        with not e in ct(y), or of a dependency path from an atom over y
+        to a non-free atom over x, whichever has the shallower frames.
+        The resume node's ancestors are saturated, so ct(y) decides
+        every unary predicate, and one of the two exists; without one,
+        the full set."""
+        if not x.path:
+            return 0
+        ct, made = self.ct, self.made
+        content = ct.get(x, _NO_ENTRIES)
+        constants = self.forest.constants
+        reach = None
+        found = 0
+        for y in x.ancestors():
+            if not y.path and y.root in constants:
+                continue
+            ancestor = ct.get(y, _NO_ENTRIES)
+            best = None
+            if not content <= ancestor:
+                best = min(
+                    [made[x, e] | made[y, e.negated()] for e in content - ancestor
+                     if e.negated() in ancestor],
+                    default=None,
+                )
+            if best != 0:
+                if reach is None:
+                    reach = self._lightest_paths_to(x)
+                path = reach.get(y)
+                if path is not None and (best is None or path < best):
+                    best = path
+            if best is None:
+                return ALL_FRAMES
+            found |= best
+        return found
+
 
 # ----------------------------------------------------------------------
-# Generic chronological backtracking over tasks
+# Depth-first search with conflict-directed backjumping
+
+
+class Search:
+    """One depth-first search over the tasks of `state` (see `run_search`).
+    A frame is a list: the trail mark, the iterator over the task's
+    alternatives, the task, and the union of the sets that its tried
+    alternatives ran into."""
+
+    def __init__(
+        self,
+        state,
+        next_task: Callable[[], Optional[Task]],
+        stats: SearchStats,
+        on_complete: Callable[[], bool],
+    ):
+        self.state = state
+        self.next_task = next_task
+        self.stats = stats
+        self.on_complete = on_complete
+
+    def run(self) -> bool:
+        state, stats = self.state, self.stats
+        next_task, on_complete = self.next_task, self.on_complete
+        trail, clash_set, clashes = state.trail, state.clash_set, stats.clashes
+        base = trail.mark()
+        stack: list = []
+        # the frame whose alternative ran last and its bit; None before
+        # the first task
+        top, bit = None, 0
+        while True:
+            # open the frame of the next task, or meet its clash or a
+            # completed structure
+            try:
+                task = next_task()
+            except ClashError as clash:
+                clashes[clash.kind] += 1
+                if top is None:
+                    break
+                top[3] |= clash_set(clash, bit)
+            else:
+                if task is not None:
+                    if len(task.alternatives) > 1:
+                        stats.choice_points += 1
+                    stack.append([trail.mark(), iter(task.alternatives), task, 0])
+                elif on_complete():
+                    return True
+                elif top is not None:
+                    top[3] = ALL_FRAMES
+            # apply the next alternative that does not clash at once
+            while stack:
+                top = stack[-1]
+                trail.undo_to(top[0])
+                alternative = next(top[1], None)
+                if alternative is None:
+                    self.backtrack(stack)
+                    continue
+                stats.tasks += 1
+                bit = state.label = 1 << (len(stack) - 1)
+                try:
+                    alternative.apply(state)
+                except ClashError as clash:
+                    clashes[clash.kind] += 1
+                    top[3] |= clash_set(clash, bit)
+                    continue
+                break
+            else:
+                break
+        trail.undo_to(base)
+        return False
+
+    def backtrack(self, stack: list) -> None:
+        """Leave the top frame, whose alternatives are exhausted: pass the
+        union of its sets and its dead end, less its own bit, to the
+        deepest frame in it, and jump there. With the full set this is
+        the chronological step, and the dead end is not read."""
+        frame = stack.pop()
+        self.stats.backtracks += 1
+        depth = len(stack)
+        if not depth:
+            return
+        found = frame[3]
+        if found != ALL_FRAMES:
+            found = (found | self.state.dead_end(frame[2])) & ((1 << depth) - 1)
+            target = found.bit_length() - 1
+            if target < depth - 1:
+                self.jump(stack, target)
+                if not stack:
+                    return
+        stack[-1][3] |= found
+
+    def jump(self, stack: list, target: int) -> None:
+        """Leave the frames above `target` (all of them for -1), whose
+        untried alternatives are skipped."""
+        left = stack[target + 1:]
+        del stack[target + 1:]
+        stats = self.stats
+        stats.backtracks += len(left)
+        stats.skipped += sum([length_hint(frame[1]) for frame in left])
 
 
 def run_search(
@@ -1069,51 +1431,24 @@ def run_search(
     stats: SearchStats,
     on_complete: Callable[[], bool],
 ) -> bool:
-    """Depth-first search: one stack frame per task, iterating its
-    alternatives with trail-based undo. on_complete decides whether a
-    completed structure ends the search (its state is left intact) or is
-    recorded and searched past (unit enumeration)."""
-    trail = state.trail
-    base = trail.mark()
+    """Depth-first search with conflict-directed backjumping: one stack
+    frame per task, iterating its alternatives with trail-based undo.
+    on_complete decides whether a completed structure ends the search
+    (its state is left intact) or is recorded and searched past (unit
+    enumeration).
 
-    def make_frame():
-        try:
-            task = next_task_fn()
-        except ClashError:
-            return "clash"
-        if task is None:
-            return "complete"
-        if len(task.alternatives) > 1:
-            stats.choice_points += 1
-        return [trail.mark(), iter(task.alternatives)]
-
-    frame = make_frame()
-    if frame == "complete" and on_complete():
-        return True
-    stack = [frame] if frame.__class__ is list else []
-    while stack:
-        top = stack[-1]
-        trail.undo_to(top[0])
-        alternative = next(top[1], None)
-        if alternative is None:
-            stack.pop()
-            stats.backtracks += 1
-            continue
-        stats.tasks += 1
-        try:
-            alternative.apply(state)
-        except ClashError:
-            continue
-        nxt = make_frame()
-        if nxt == "clash":
-            continue
-        if nxt == "complete":
-            if on_complete():
-                return True
-            continue
-        stack.append(nxt)
-    trail.undo_to(base)
-    return False
+    Frame i has the bit 1 << i, and `state.label` is the bit of the frame
+    whose alternative runs, so the structure labels what it makes. A
+    clash passes the set `state.clash_set(clash, bit)` to the frame
+    whose step met it, and a frame with every alternative tried adds
+    `state.dead_end(task)`, which reads what made its task due with its
+    alternatives; it then passes the union, less its own bit, to the
+    deepest frame in it, skipping the frames between (see the module
+    docstring). A completion that does not end the search, or whose
+    audit fails, passes the full set `ALL_FRAMES`, as does every clash
+    and dead end that a structure does not read exactly: that is the
+    chronological step."""
+    return Search(state, next_task_fn, stats, on_complete).run()
 
 
 # ----------------------------------------------------------------------

@@ -319,7 +319,6 @@ def enumerate_unit_completions(
             program,
             pred=None,
             epsilon=root,
-            max_depth=1,
             stats=stats,
             deadline=deadline,
             max_tasks=max_tasks,
@@ -392,6 +391,11 @@ class UnitCache:
     checked_for: Optional[str] = field(default=None, init=False, compare=False, repr=False)
     # `candidates_for` per root constant, made on first use
     candidates: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # the compiled engine's graft plans and match lists, which read only
+    # the units and their keys, shared by every query of the cache (see
+    # `matcher`)
+    grafts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    matches: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def candidates_for(self, constant: Optional[str]) -> list[UnitCompletionStructure]:
         """Units whose root matches a node exactly: anonymous roots fit
@@ -409,8 +413,9 @@ class UnitCache:
     def verify(self, program: Program) -> None:
         """Reject a cache compiled from another program, and a unit that
         no saturated depth-1 structure of the program can be
-        (`_check_unit_fits`). The units are checked once per program
-        fingerprint (`checked_for`)."""
+        (`_check_unit_fits`, `_check_unit_justified`). The units are
+        checked once per program fingerprint (`checked_for`); a compiled
+        cache is marked checked."""
         fingerprint = program.fingerprint()
         if self.fingerprint != fingerprint:
             raise CacheMismatchError(
@@ -420,6 +425,7 @@ class UnitCache:
             return
         for unit in self.units:
             _check_unit_fits(unit, program)
+            _check_unit_justified(unit, program)
         self.checked_for = fingerprint
 
 
@@ -457,6 +463,103 @@ def _check_unit_fits(unit: UnitCompletionStructure, program: Program) -> None:
                 "predicate, a tree successor's arc a positive one, and a successor "
                 "without an arc has no arc content"
             )
+
+
+def _check_unit_justified(unit: UnitCompletionStructure, program: Program) -> None:
+    """Reject a unit whose root the program's rules do not saturate, as
+    the direct engine would: every positive non-free entry at the root
+    or on an arc from it needs a rule instance over the unit's
+    successors and the constants whose body the unit holds, with the
+    dependency arcs from the head to the instance's positive body atoms;
+    every negative one needs each such instance refuted by a body
+    literal whose negation the unit holds. Also reject successor path
+    sets and blocked flags that the unit's arcs do not give, which the
+    compiled engine's pre-checks read. The unit is rebuilt as a
+    structure of the direct engine (`_as_structure`), whose instances
+    (`A1CompletionStructure._instances`) are the ones it refutes."""
+    cs, token_node = _as_structure(unit, program)
+    eps, free = cs.epsilon, program.free_preds
+    keys = [(eps, "@")] + [
+        ((eps, token_node[s.target]), f"(@,{format_token(s.target)})")
+        for s in unit.successors
+        if s.has_arc
+    ]
+    for key, where in keys:
+        for sp in sorted(cs.content(key), key=signed_sort_key):
+            if sp.name in free:
+                continue
+            instances = cs._instances(key, sp.name)
+            if sp.positive:
+                head = cs.atom_for(key, sp.name)
+                arcs = set(cs.g.arcs())
+                justified = any(
+                    all(lsp in cs.content(lkey) for lkey, lsp in body)
+                    and all(
+                        (head, cs.atom_for(lkey, lsp.name)) in arcs
+                        for lkey, lsp in body
+                        if lsp.positive
+                    )
+                    for _, body in instances
+                )
+            else:
+                justified = all(
+                    any(lsp.negated() in cs.content(lkey) for lkey, lsp in body)
+                    for _, body in instances
+                )
+            if not justified:
+                raise CacheFormatError(
+                    f"unit entry {sp} at {where} of a unit with root content "
+                    f"{_format_content(unit.root_content)!r} is not justified by "
+                    "the program's rules"
+                )
+    anonymous_root = unit.root_constant is None
+    for succ in unit.successors:
+        node = token_node[succ.target]
+        paths = frozenset(cs.g.paths_set(eps, node, free)) if node is not eps else frozenset()
+        blocked = (
+            anonymous_root
+            and not succ.is_constant
+            and succ.node_content <= unit.root_content
+            and not paths
+        )
+        if (succ.paths, succ.blocked) != (paths, blocked):
+            raise CacheFormatError(
+                f"unit successor {format_token(succ.target)} has the path set and "
+                "blocked flag "
+                f"{', '.join(f'{p}->{q}' for p, q in sorted(succ.paths)) or 'none'} / "
+                f"{'blocked' if succ.blocked else 'open'}, which its arcs do not give"
+            )
+
+
+def _as_structure(
+    unit: UnitCompletionStructure, program: Program
+) -> tuple[A1CompletionStructure, dict]:
+    """The unit as a structure of the direct engine: its root, contents,
+    successors and dependency arcs, and the node of each token."""
+    cs = A1CompletionStructure(program, pred=None, epsilon=unit.root_constant)
+    eps = cs.epsilon
+    token_node: dict = {None: eps}
+    for succ in unit.successors:
+        if succ.is_constant:
+            node = NodeId(succ.target)
+            if succ.has_arc:
+                cs.forest.add_es(eps, node)
+        else:
+            node = cs.forest.add_child(eps)
+        token_node[succ.target] = node
+    for key, content in [(eps, unit.root_content)] + [
+        pair
+        for succ in unit.successors
+        for pair in (
+            ((eps, token_node[succ.target]), succ.arc_content),
+            (token_node[succ.target], succ.node_content),
+        )
+    ]:
+        for sp in content:
+            cs.insert(key, sp)
+    for src, dst in unit.g_arcs:
+        cs.g.add_arc(ground_atom(token_node, src), ground_atom(token_node, dst))
+    return cs, token_node
 
 
 def _one_sign_each(content: frozenset[Signed], preds: set[str]) -> bool:

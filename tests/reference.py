@@ -65,6 +65,7 @@ from folp.oracle import (
     satisfies_rule,
 )
 from folp.syntax import BinaryShape, Inequality, RuleKind, binary_shape, unary_shape
+from folp import tableau
 from folp.tableau import EXP, A1CompletionStructure
 from folp.units import ground_atom, is_redundant_ucs
 
@@ -339,6 +340,7 @@ def reference_apply_positive(cs, application) -> None:
             positive.append(cs.atom_for(lit_key, lit_sp.name))
     cs.set_status(key, sp, EXP)
     head = cs.atom_for(key, sp.name)
+    cs.made[head] = cs.label
     for atom in positive:
         cs.add_dependency(head, atom)
 
@@ -358,13 +360,15 @@ class ReferenceA2(A2CompletionStructure):
         return False
 
 
-def reference_graft(cs, x, uc, equal=None):
+def reference_graft(cs, x, uc, equal=None, refuted=False):
     """`A2CompletionStructure.expand_cs` entry by entry: after the
-    engine's pre-check, every content entry goes in through `insert`,
+    engine's pre-checks, every content entry goes in through `insert`,
     every unit atom is grounded afresh, and every dependency arc is
     tested as it goes in (`add_dependency`). The equal-ancestor count is
     taken afresh; `equal` is ignored."""
-    if cs._redundant_graft(x, uc, reference_equal_ancestor_count_of(cs, x, uc.root_content)):
+    if refuted or cs._redundant_graft(
+        x, uc, reference_equal_ancestor_count_of(cs, x, uc.root_content)
+    ):
         cs.count_children(x, len(uc.tree_successors))
         return None
     cs.grafted.add(x)
@@ -381,6 +385,7 @@ def reference_graft(cs, x, uc, equal=None):
         else:
             node = cs.forest.add_child(x)
             assert node.path[-1] == succ.target, "unit successors out of order"
+            cs.made[node] = cs.label
             cs.count_children(x, 1)
         token_node[succ.target] = node
         if succ.has_arc:
@@ -403,6 +408,7 @@ def _stats_state(stats) -> dict:
     """The statistics, the redundancy events by their count."""
     state = dict(vars(stats))
     state["redundancy_events"] = len(stats.redundancy_events)
+    state["clashes"] = dict(stats.clashes)
     state["units_used"] = frozenset(stats.units_used)
     return state
 
@@ -411,6 +417,9 @@ def _restore_stats(stats, state: dict) -> None:
     for name, value in state.items():
         if name == "redundancy_events":
             del stats.redundancy_events[value:]
+        elif name == "clashes":
+            # in place: the search holds the dict
+            stats.clashes.update(value)
         else:
             setattr(stats, name, set(value) if name == "units_used" else value)
 
@@ -515,7 +524,9 @@ def checked_refutations_a2() -> type:
     end state are recorded and then undone, then by the engine, which
     must give the same. `matches` counts the matches, `doomed` those the
     reference ends in the redundancy clash at the matched node, and
-    `refuted` those the pre-check (`_redundant_graft`) refuted. Every
+    `refuted` those the pre-check (`_redundant_graft`) refuted; a graft
+    that `_doomed_successor` refutes must raise the clash of the whole
+    graft's fail-fast test. Every
     count the pre-check receives is exact, and every walk the engine's
     match or scan leaves out is checked (`CheckedWalkSkips`) and counted
     in `skips`."""
@@ -523,6 +534,9 @@ def checked_refutations_a2() -> type:
     class CheckedRefutationsA2(CheckedWalkSkips, A2CompletionStructure):
         matches = doomed = refuted = 0
         graft_always = False
+
+        def _doomed_successor(self, x, uc):
+            return None if self.graft_always else super()._doomed_successor(x, uc)
 
         def _redundant_graft(self, x, uc, equal):
             if self.graft_always:
@@ -579,10 +593,16 @@ def reference_covering(cs, x) -> list:
 def reference_fail_fast(cs, x, successors) -> Optional[str]:
     """The clash message of the fail-fast test after a graft onto x that
     went ahead: it names the first successor that is ungrafted, that no
-    cached unit covers (`reference_covering`, no depth flag) and that is
+    cached unit covers (`reference_covering`, no depth flag), or once
+    `pruned` is set, none that the depth bound leaves in, and that is
     unblocked; None when there is no such successor."""
     for node in successors:
-        if node not in cs.grafted and not reference_covering(cs, node) and not cs.is_blocked(node):
+        covering = reference_covering(cs, node)
+        too_deep = cs.max_depth is not None and node.depth + 1 > cs.max_depth
+        uncovered = not covering or (
+            cs.pruned and too_deep and all(uc.tree_successors for uc in covering)
+        )
+        if node not in cs.grafted and uncovered and not cs.is_blocked(node):
             return f"successor {node} of {x} is unblocked and matches no unit"
     return None
 
@@ -604,10 +624,10 @@ def checked_matches_a2() -> type:
         matches = builds = hits = fail_fast = uncovered = 0
         successors = None
 
-        def _match_entry(self, x):
-            size = len(self.tables.matches)
-            entry = super()._match_entry(x)
-            CheckedMatchesA2.builds += len(self.tables.matches) - size
+        def _match_entry(self, x, content=None):
+            size = len(self.cache.matches)
+            entry = super()._match_entry(x, content)
+            CheckedMatchesA2.builds += len(self.cache.matches) - size
             return entry
 
         def match(self, x):
@@ -625,8 +645,8 @@ def checked_matches_a2() -> type:
             assert self.pruned == (was_pruned or pruned), str(x)
             return alternatives
 
-        def expand_cs(self, x, uc, equal=None):
-            self.successors = super().expand_cs(x, uc, equal)
+        def expand_cs(self, x, uc, equal=None, refuted=False):
+            self.successors = super().expand_cs(x, uc, equal, refuted)
             return self.successors
 
         def _apply_match(self, x, uc):
@@ -638,8 +658,10 @@ def checked_matches_a2() -> type:
             except ClashError as err:
                 clash = err
             successors, self.successors = self.successors, None
-            # a clash inside the graft leaves no successors; a graft at
-            # the bound ends in the redundancy clash before the test
+            # a clash inside the graft, or a graft refuted before it
+            # (`checked_refutations_a2` compares those with the whole
+            # graft), leaves no successors; a graft at the bound ends in
+            # the redundancy clash before the test
             if successors is not None and (
                 len(x.path) < self.k
                 or reference_equal_ancestor_count_of(self, x, uc.root_content) < self.k
@@ -670,16 +692,18 @@ def checked_grafts_a2() -> type:
             CheckedGraftsA2.builds += 1
             return super()._graft_plan(x, uc)
 
-        def expand_cs(self, x, uc, equal=None):
+        def expand_cs(self, x, uc, equal=None, refuted=False):
             cls = CheckedGraftsA2
             cls.grafts += 1
             nodes = []
             reference = _reference_outcome(
-                self, lambda: nodes.append(reference_graft(self, x, uc))
+                self, lambda: nodes.append(reference_graft(self, x, uc, refuted=refuted))
             )
             builds = cls.builds
             clash = _checked_outcome(
-                self, lambda: nodes.append(super(cls, self).expand_cs(x, uc, equal)), reference
+                self,
+                lambda: nodes.append(super(cls, self).expand_cs(x, uc, equal, refuted)),
+                reference,
             )
             went_ahead = clash is not None or nodes[1] is not None
             cls.plan_hits += went_ahead and cls.builds == builds
@@ -693,6 +717,107 @@ def checked_grafts_a2() -> type:
             return engine_nodes
 
     return CheckedGraftsA2
+
+
+def reference_run_search(state, next_task_fn, stats, on_complete) -> bool:
+    """`tableau.run_search` without backjumping: chronological depth-first
+    search, one frame per task, each alternative tried after its elder
+    siblings' subtrees fail, with trail-based undo."""
+    trail = state.trail
+    base = trail.mark()
+
+    def make_frame():
+        try:
+            task = next_task_fn()
+        except ClashError:
+            return "clash"
+        if task is None:
+            return "complete"
+        if len(task.alternatives) > 1:
+            stats.choice_points += 1
+        return [trail.mark(), iter(task.alternatives)]
+
+    frame = make_frame()
+    if frame == "complete" and on_complete():
+        return True
+    stack = [frame] if isinstance(frame, list) else []
+    while stack:
+        top = stack[-1]
+        trail.undo_to(top[0])
+        alternative = next(top[1], None)
+        if alternative is None:
+            stack.pop()
+            stats.backtracks += 1
+            continue
+        stats.tasks += 1
+        try:
+            alternative.apply(state)
+        except ClashError:
+            continue
+        nxt = make_frame()
+        if nxt == "clash":
+            continue
+        if nxt == "complete":
+            if on_complete():
+                return True
+            continue
+        stack.append(nxt)
+    trail.undo_to(base)
+    return False
+
+
+def _replay_succeeds(search, alternative) -> bool:
+    """Whether `alternative`, applied to the search's state, heads a
+    subtree that the chronological search (`reference_run_search`) does
+    not exhaust: one that reaches a structure passing the completion
+    audit, or in unit enumeration any completion, which records a unit.
+    The state, the statistics and the budgets are put back after it,
+    and `pruned` must come out as it went in."""
+    state = search.state
+    saved, pruned = _stats_state(state.stats), state.pruned
+    budgets = state.max_tasks, state.deadline
+    state.max_tasks = state.deadline = None
+    mark = state.trail.mark()
+    audit = state.is_complete_clash_free
+    ends = audit if search.on_complete == audit else (lambda: True)
+    try:
+        alternative.apply(state)
+    except ClashError:
+        succeeds = False
+    else:
+        succeeds = reference_run_search(state, search.next_task, state.stats, ends)
+    state.trail.undo_to(mark)
+    _restore_stats(state.stats, saved)
+    state.max_tasks, state.deadline = budgets
+    assert state.pruned == pruned, alternative.description
+    return succeeds
+
+
+def checked_backjumps() -> type:
+    """A subclass of `tableau.Search`, to install as `tableau.Search`,
+    that checks every jump: before the search moves on, each frame the
+    jump leaves is restored, deepest first, and each of its untried
+    alternatives is run with the chronological search, which must
+    exhaust it without a completion, without recording a unit and
+    without changing `pruned` (`_replay_succeeds`). `jumps` counts the
+    jumps and `replays` the alternatives run."""
+
+    class CheckedBackjumps(tableau.Search):
+        jumps = replays = 0
+
+        def jump(self, stack, target):
+            left = stack[target + 1:]
+            super().jump(stack, target)
+            CheckedBackjumps.jumps += 1
+            for mark, alternatives, task, _ in reversed(left):
+                self.state.trail.undo_to(mark)
+                for alternative in alternatives:
+                    CheckedBackjumps.replays += 1
+                    assert not _replay_succeeds(self, alternative), (
+                        task.description, alternative.description
+                    )
+
+    return CheckedBackjumps
 
 
 def naive_reachable(arcs, src, dst, vertices=()) -> bool:

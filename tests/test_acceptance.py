@@ -34,13 +34,14 @@ from folp.units import (
     save_cache,
 )
 
-from conftest import GOLDEN, PROGRAMS
+from conftest import GOLDEN, PROGRAMS, load
 from corpus import bench_family, corpus, unit_family
 from reference import (
     ReferenceA1,
     ReferenceA2,
     checked_a1,
     checked_a2,
+    checked_backjumps,
     checked_grafts_a2,
     checked_landings,
     checked_matches_a2,
@@ -347,8 +348,9 @@ def test_corpus_is_pinned():
 
 # SHA-256 of `search_outputs` over the pinned workloads below and the
 # corpus, sorted-key JSON: every query's verdict record under both
-# engines, with its redundancy events, units used and DOT witness
-SEARCH_RECORDS_SHA256 = "dbf8c9d241a4701db0fb074b08b033c3f1ac434ea992dd7fc17fe109d1b9f4e3"
+# engines, with its redundancy events, units used and DOT witness; the
+# search statistics in it are those of the backjumping search
+SEARCH_RECORDS_SHA256 = "cab8ec52f815c2825badb0027e0be1d8df47cf5190b58561cb04fb3130eec324"
 
 
 def pinned_workloads(hard, deep, family, entries) -> list:
@@ -394,6 +396,28 @@ def test_every_query_record_is_pinned(hard, deep, family, corpus_run, tmp_path):
     assert len(records) == 2 * (3 + 3 + 5 + sum(len(e.program.upreds) for e in corpus_run[0]))
     text = json.dumps(records, sort_keys=True)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SEARCH_RECORDS_SHA256
+
+
+def test_backjumps_skip_only_alternatives_that_fail(
+    hard, deep, family, corpus_run, monkeypatch, tmp_path
+):
+    """Backjumping skips only alternatives that the chronological search
+    would exhaust: at every jump of either engine and of unit
+    enumeration, each untried alternative of each frame the jump leaves
+    is run by the chronological search (`checked_backjumps`), and fails,
+    records no unit and leaves `pruned` as it was. Checked on every
+    query of the workloads and of `programs/*.folp`; the answers, units
+    and witnesses are those of the unchecked search."""
+    programs = [load(path.name) for path in sorted(PROGRAMS.glob("*.folp"))]
+    workloads = pinned_workloads(hard, deep, family, corpus_run[0]) + [
+        (eliminate_constraints(p), p.upreds, RedundancyPolicy()) for p in programs
+    ]
+    expected = search_outputs(workloads, tmp_path)
+    checked = checked_backjumps()
+    monkeypatch.setattr(tableau, "Search", checked)
+    assert search_outputs(workloads, tmp_path) == expected
+    print("jumps, alternatives replayed:", checked.jumps, checked.replays)
+    assert checked.jumps > 100 and checked.replays > checked.jumps
 
 
 def test_prechecks_answer_as_the_mutating_references(

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+from folp import units as units_module
 from folp.cli import main
 from folp.matcher import check_sat_a2
 from folp.syntax import eliminate_constraints, parse_program
@@ -10,6 +11,7 @@ from folp.tableau import check_sat_a1
 from folp.units import compile_units
 
 from conftest import GOLDEN, PROGRAMS, ROOT
+from corpus import bench_family
 
 MEMBERSHIP = str(PROGRAMS / "membership.folp")
 LOOP = str(PROGRAMS / "membership_loop.folp")
@@ -39,7 +41,7 @@ def test_check_text_stat_lines_are_pinned(capsys):
     code, out, _ = run(capsys, "check", MEMBERSHIP, "smember", "--alg", "both")
     assert code == 0
     assert [line for line in out.splitlines() if "[" in line] == [
-        "a1: SAT  [nodes=0 choices=29 backtracks=62 depth=0]",
+        "a1: SAT  [nodes=0 choices=29 backtracks=57 depth=0]",
         "a2: SAT  [nodes=0 choices=1 backtracks=0 depth=0"
         " units-tried=5 matches=5 reuse=0]",
     ]
@@ -236,7 +238,8 @@ def test_check_a2_rejects_units_that_enumeration_cannot_make(tmp_path, capsys):
         "algorithm": "a2", "backtracks": 1, "bounded_incomplete": False,
         "choice_points": 1, "max_depth": 1, "nodes_created": 2, "predicate": "p",
         "record": "verdict", "redundancy_clashes": 0, "tasks": 2, "unit_matches": 2,
-        "unit_reuse": 0, "units_tried": 4, "verdict": "SAT",
+        "clashes": {"contradiction": 0, "dependency_cycle": 0, "no_unit": 1, "redundancy": 0},
+        "skipped": 0, "unit_reuse": 0, "units_tried": 4, "verdict": "SAT",
     }
 
 
@@ -333,11 +336,12 @@ def test_check_a2_rejects_units_no_structure_of_the_program_can_be(tmp_path, cap
         assert message in err
 
 
-def test_check_exits_four_when_the_oracle_rejects_a_witness(tmp_path, capsys):
+def test_check_exits_four_when_the_oracle_rejects_a_witness(tmp_path, capsys, monkeypatch):
     """A SAT witness that the oracle rejects is an inconsistency (exit 4)
     for `check` as it is for `verify`, and `check` says so in an error
-    record. The unit added here is total, so the cache loads; it holds b
-    without its support, and a2 grafts it for b."""
+    record. The unit added here is total, but it holds b without its
+    support: `UnitCache.verify` refuses it (exit 3), so its rule check
+    is switched off here, and a2 grafts the unit for b."""
     program = tmp_path / "b.folp"
     program.write_text(SELF_DEFEATING, encoding="utf-8")
     path = tmp_path / "b.units"
@@ -345,6 +349,8 @@ def test_check_exits_four_when_the_oracle_rejects_a_witness(tmp_path, capsys):
     cache = path.read_text(encoding="utf-8")
     path.write_text(with_unit(cache, "root: @\ncontent: b, not a\nfinal: yes\n"), encoding="utf-8")
     argv = ["check", str(program), "b", "--alg", "a2", "--cache", str(path)]
+    assert run(capsys, *argv, "--format", "machine")[:2] == (3, "")
+    monkeypatch.setattr(units_module, "_check_unit_justified", lambda unit, program: None)
     code, out, _ = run(capsys, *argv, "--format", "machine")
     assert code == 4
     verdict, witness, error = records(out)
@@ -361,6 +367,51 @@ def test_check_exits_four_when_the_oracle_rejects_a_witness(tmp_path, capsys):
     path.write_text(cache, encoding="utf-8")
     code, out, _ = run(capsys, *argv, "--format", "machine")
     assert code == 1 and [r["record"] for r in records(out)] == ["verdict"]
+
+
+def test_check_a2_rejects_units_the_rules_do_not_justify(tmp_path, capsys):
+    """A loaded unit's root must be saturated by the program's rules: a
+    positive non-free entry at the root or on a root arc needs a rule
+    instance whose body the unit holds, with the dependency arcs from
+    the head to its positive body atoms; a negative one needs every
+    instance refuted by a literal whose negation the unit holds; and
+    each successor's path set and blocked flag are those its arcs give.
+    A cache with a unit that breaks this is an input error (exit 3),
+    checked once per loaded cache."""
+    program = tmp_path / "b.folp"
+    program.write_text(SELF_DEFEATING, encoding="utf-8")
+    path = tmp_path / "b.units"
+    assert run(capsys, "compile-units", str(program), "--out", str(path))[0] == 0
+    compiled = path.read_text(encoding="utf-8")
+    golden = (GOLDEN / "choice_chain.units").read_text(encoding="utf-8")
+    first = ("content: p, q\nfinal: no\nsucc: @.1 arc open\narc-content: f\n"
+             "node-content: not p, not q\npaths: \ngarc: p(@) -> f(@,@.1)\n"
+             "garc: q(@) -> f(@,@.1)\n")
+    assert first in golden
+    unjustified = "unit entry {} at @ of a unit with root content {!r} is not justified"
+    edits = [
+        (program, "b", with_unit(compiled, "root: @\ncontent: b, not a\nfinal: yes\n"),
+         unjustified.format("b", "not a, b")),
+        # q's instance over @.1 holds: f on the arc, not p at @.1
+        (CHAIN, "p", golden.replace(first, first.replace("content: p, q", "content: p, not q")
+                                    .replace("garc: q(@) -> f(@,@.1)\n", ""), 1),
+         unjustified.format("not q", "p, not q")),
+        # p's instance over @.1 holds, but its arc to f(@,@.1) is gone
+        (CHAIN, "p", golden.replace(first, first.replace("garc: p(@) -> f(@,@.1)\n", ""), 1),
+         unjustified.format("p", "p, q")),
+        (CHAIN, "p", golden.replace("paths: p->p\n", "paths: \n", 1),
+         "unit successor @.1 has the path set and blocked flag none / open"),
+        (CHAIN, "p", golden.replace(first, first.replace("arc open", "arc blocked")
+                                    .replace("final: no", "final: yes"), 1),
+         "unit successor @.1 has the path set and blocked flag none / blocked"),
+    ]
+    for source, pred, edited, message in edits:
+        assert edited not in (compiled, golden), message
+        path.write_text(edited, encoding="utf-8")
+        code, out, err = run(capsys, "check", str(source), pred, "--alg", "a2",
+                             "--cache", str(path), "--format", "machine")
+        assert (code, out) == (3, ""), message
+        assert message in err
 
 
 def test_usage_errors_exit_three(capsys):
@@ -568,6 +619,25 @@ def test_export_dot_matches_golden(tmp_path, capsys):
     assert code == 0
     golden = GOLDEN / "membership_witness.dot"
     assert out_path.read_text() == golden.read_text()
+
+
+def test_family_outputs_match_the_chronological_goldens(tmp_path, capsys):
+    """The family program's `goal` witnesses under both engines, as DOT,
+    and its compiled unit cache are byte for byte those of the
+    chronological search, which wrote the goldens: backjumping skips
+    only subtrees that fail."""
+    program = tmp_path / "family.folp"
+    program.write_text(bench_family())
+    for alg in ("a1", "a2"):
+        out = tmp_path / f"goal_{alg}.dot"
+        code, _, _ = run(capsys, "export-dot", str(program), "goal", "--alg", alg,
+                         "--out", str(out))
+        assert code == 0
+        assert out.read_bytes() == (GOLDEN / f"family_goal_{alg}.dot").read_bytes()
+    units = tmp_path / "family.units"
+    code, _, _ = run(capsys, "compile-units", str(program), "--out", str(units))
+    assert code == 0
+    assert units.read_bytes() == (GOLDEN / "family.units").read_bytes()
 
 
 def test_export_dot_unsat_reports_verdict(capsys):

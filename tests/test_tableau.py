@@ -29,6 +29,7 @@ from reference import (
     checked_a1,
     is_redundant_node,
     reference_pending_instances,
+    reference_run_search,
 )
 
 FIG_ATOMS = {
@@ -399,14 +400,19 @@ def test_epsilon_can_be_a_constant():
 
 HARD_P_A1 = {
     "record": "verdict", "algorithm": "a1", "predicate": "p", "verdict": "UNSAT",
-    "bounded_incomplete": True, "nodes_created": 3024, "choice_points": 3398,
-    "backtracks": 8162, "tasks": 13169, "max_depth": 6, "redundancy_clashes": 731,
+    "bounded_incomplete": True, "nodes_created": 2849, "choice_points": 3242,
+    "backtracks": 7942, "tasks": 12407, "max_depth": 6, "redundancy_clashes": 731,
+    "clashes": {"contradiction": 1865, "dependency_cycle": 1879, "redundancy": 731,
+                "no_unit": 0},
+    "skipped": 232,
 }
 
 FAMILY_GOAL_A1 = {
     "record": "verdict", "algorithm": "a1", "predicate": "goal", "verdict": "SAT",
-    "bounded_incomplete": False, "nodes_created": 561, "choice_points": 709,
-    "backtracks": 5543, "tasks": 8125, "max_depth": 3, "redundancy_clashes": 0,
+    "bounded_incomplete": False, "nodes_created": 135, "choice_points": 111,
+    "backtracks": 620, "tasks": 980, "max_depth": 3, "redundancy_clashes": 0,
+    "clashes": {"contradiction": 220, "dependency_cycle": 70, "redundancy": 0, "no_unit": 0},
+    "skipped": 97,
 }
 
 
@@ -445,7 +451,7 @@ def test_hard_search_is_pinned_and_saturation_matches_reference(hard, monkeypatc
     monkeypatch.setattr(tableau, "A1CompletionStructure", checked)
     verdict = check_sat_a1(hard, "p", RedundancyPolicy(k_override=5))
     assert verdict.to_record() == HARD_P_A1
-    assert checked.checks > 13169
+    assert checked.checks > HARD_P_A1["tasks"]
     assert checked.scans > 0 and checked.count_checks > 0
     assert checked.pending_checks > 0
 
@@ -455,9 +461,23 @@ def test_family_goal_search_is_pinned(family, monkeypatch):
     monkeypatch.setattr(tableau, "A1CompletionStructure", checked)
     verdict = check_sat_a1(family, "goal")
     assert verdict.to_record() == FAMILY_GOAL_A1
-    assert checked.checks > 8125
+    assert checked.checks > FAMILY_GOAL_A1["tasks"]
     assert checked.scans > 0 and checked.count_checks > 0
-    assert checked.pending_checks > 4000
+    assert checked.pending_checks > 900
+
+
+def test_backjumping_cuts_the_family_goal_search(family, monkeypatch):
+    """goal's a1 search skips alternatives: it applies fewer than the
+    8,125 alternatives of the chronological search, which
+    `reference_run_search` still applies, with the same verdict and
+    witness."""
+    verdict = check_sat_a1(family, "goal")
+    monkeypatch.setattr(tableau, "run_search", reference_run_search)
+    chronological = check_sat_a1(family, "goal")
+    assert chronological.stats.tasks == 8125 and chronological.stats.skipped == 0
+    assert verdict.kind is chronological.kind is VerdictKind.SAT
+    assert verdict.witness.to_dot() == chronological.witness.to_dot()
+    assert verdict.stats.tasks < 8125 and verdict.stats.skipped > 0
 
 
 # scan reads per query, pinned so that a scan that again starts from the
@@ -466,11 +486,13 @@ def test_family_goal_search_is_pinned(family, monkeypatch):
 # asks a node only for its task, so it no longer reads saturation (it
 # read it 9,427 / 1 / 432 times before its task); the equal-ancestor
 # count is read only at nodes with k or more proper ancestors (it read
-# 1,265 on hard p and 60 on deep r at every saturated unblocked node)
+# 1,265 on hard p and 60 on deep r at every saturated unblocked node);
+# backjumping skips some tasks (the chronological search asked 9,427
+# and 432 tasks on hard p and deep r)
 SCAN_READS = {
-    ("hard", "p"): {"node_task": 9427, "is_saturated": 0, "equal_ancestor_count": 731},
+    ("hard", "p"): {"node_task": 9206, "is_saturated": 0, "equal_ancestor_count": 731},
     ("deep", "p"): {"node_task": 1, "is_saturated": 0, "equal_ancestor_count": 0},
-    ("deep", "r"): {"node_task": 432, "is_saturated": 0, "equal_ancestor_count": 1},
+    ("deep", "r"): {"node_task": 427, "is_saturated": 0, "equal_ancestor_count": 1},
 }
 
 
@@ -516,10 +538,12 @@ def test_scan_reads_are_pinned(hard, deep, monkeypatch):
 # blocking at the resume node again fails here (it derived 9,153 and
 # 1,024 on hard p), and so does an a2 fail-fast test that derives
 # blocking before it reads the successor's match entry (1,250 under a2
-# on hard p)
+# on hard p); backjumping and the a2 refutation of doomed grafts cut
+# the rest (the chronological search derived a1 522 on hard p, and
+# a1 530 and a2 1,314 on family goal)
 BLOCKING_DERIVATIONS = {
-    ("hard", "p"): {"a1": 522, "a2": 522},
-    ("family", "goal"): {"a1": 530, "a2": 1314},
+    ("hard", "p"): {"a1": 521, "a2": 522},
+    ("family", "goal"): {"a1": 39, "a2": 41},
 }
 
 
@@ -684,9 +708,9 @@ def test_the_structures_of_one_call_share_their_tables(hard, membership_loop, mo
             builds[uc.sort_key, x] += 1
             return super()._graft_plan(x, uc)
 
-        def expand_cs(self, x, uc, equal=None):
+        def expand_cs(self, x, uc, equal=None, refuted=False):
             grafts.setdefault((uc.sort_key, x), set()).add(self.number)
-            return super().expand_cs(x, uc, equal)
+            return super().expand_cs(x, uc, equal, refuted)
 
     monkeypatch.setattr(matcher_module, "A2CompletionStructure", RecordingA2)
     cache = compile_units(membership_loop).cache
@@ -787,6 +811,7 @@ def test_undo_records_are_function_argument_pairs(hard, membership_t, monkeypatc
         "ExtendedForest._remove_child",
         "ExtendedForest._remove_es",
         "ForestState._set_resume",
+        "A1CompletionStructure._set_resume_reason",  # the scan's resume point
         "ForestState._undo_fill",
     }
 
