@@ -266,7 +266,7 @@ class A2CompletionStructure(CompletionStructure):
         constant's node content, which goes in entry by entry, and (key,
         content, positive atoms) for a fresh arc or child, which `fill`
         gives its whole content. `expand_cs` keeps each plan in the
-        call's `grafts` table under the unit's identity and x, because
+        cache's `grafts` table under the unit's identity and x, because
         the unit's dataclass hash walks its frozensets; the plan holds
         the unit, so the identity is not reused while the key is in
         use."""

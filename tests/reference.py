@@ -38,8 +38,8 @@ The compiled engine grafts from a plan ground once per unit and node;
 `reference_graft` grafts entry by entry, grounding every atom afresh
 and testing every arc as it goes in (`ReferenceGraftA2`), and
 `checked_grafts_a2` makes every graft both ways and compares them.
-The compiled engine keeps the alternatives of each match per call,
-node, content and depth flag, and its fail-fast test after a graft
+The compiled engine keeps the alternatives of each match per unit
+cache, node, content and depth flag, and its fail-fast test after a graft
 reads the same entries; `checked_matches_a2` compares every match with
 a fresh scan of the cache (`reference_match`) and every fail-fast test
 with `reference_fail_fast`. Neither
@@ -617,8 +617,8 @@ def checked_matches_a2() -> type:
     exactly the clash of `reference_fail_fast`, or none when that gives
     None. `matches` counts the matches, `builds` the entries built,
     `hits` the matches answered by an entry built before, in the same
-    structure or another one of the same call, `fail_fast` the grafts
-    checked and `uncovered` those whose test raised."""
+    structure or another one that reads the same cache, `fail_fast` the
+    grafts checked and `uncovered` those whose test raised."""
 
     class CheckedMatchesA2(A2CompletionStructure):
         matches = builds = hits = fail_fast = uncovered = 0
