@@ -442,11 +442,13 @@ class DependencyGraph:
 
     Every reachability query runs `_reach`, one depth-first search from
     a set of sources that stops at the first sink; nothing is memoized
-    between queries."""
+    between queries. Each vertex also keeps its predecessors, in arc
+    order, for the backward searches of `lightest_paths`."""
 
     def __init__(self, trail: Trail):
         self.trail = trail
         self._succ: dict[GroundAtom, list[GroundAtom]] = {}
+        self._pred: dict[GroundAtom, list[GroundAtom]] = {}
         self._by_node: dict[NodeId, list[GroundAtom]] = {}
 
     def vertices(self) -> list[GroundAtom]:
@@ -465,6 +467,7 @@ class DependencyGraph:
         if atom in self._succ:
             return
         self._succ[atom] = []
+        self._pred[atom] = []
         if len(atom.args) == 1:
             self._by_node.setdefault(atom.args[0], []).append(atom)
         self.trail.push(self._remove_vertex, atom)
@@ -472,6 +475,7 @@ class DependencyGraph:
     def _remove_vertex(self, atom: GroundAtom) -> None:
         """Undo `add_vertex`."""
         del self._succ[atom]
+        del self._pred[atom]
         if len(atom.args) == 1:
             # undo runs in reverse order, so the atom is its node's newest
             self._by_node[atom.args[0]].pop()
@@ -483,22 +487,31 @@ class DependencyGraph:
         if dst in targets:
             return
         targets.append(dst)
-        self.trail.push(targets.remove, dst)
+        self._pred[dst].append(src)
+        self.trail.push(self._remove_arc, src)
+
+    def _remove_arc(self, src: GroundAtom) -> None:
+        """Undo `add_arc`: undo runs in reverse order, so the arc is the
+        newest of its source and of its target."""
+        dst = self._succ[src].pop()
+        self._pred[dst].pop()
 
     def add_new_arcs(self, arcs: tuple[tuple[GroundAtom, GroundAtom], ...]) -> None:
         """Add distinct arcs between vertices, whose sources have no arcs
         yet, in one step with one trail entry. Unlike `add_arc`, nothing
         is tested: the caller knows that none closes a cycle."""
-        succ = self._succ
+        succ, pred = self._succ, self._pred
         for src, dst in arcs:
             succ[src].append(dst)
+            pred[dst].append(src)
         self.trail.push(self._remove_new_arcs, arcs)
 
     def _remove_new_arcs(self, arcs: tuple[tuple[GroundAtom, GroundAtom], ...]) -> None:
         """Undo `add_new_arcs`: each source's newest arcs."""
-        succ = self._succ
-        for src, _ in arcs:
+        succ, pred = self._succ, self._pred
+        for src, dst in arcs:
             succ[src].pop()
+            pred[dst].pop()
 
     def closes_cycle(self, src: GroundAtom, dst: GroundAtom) -> bool:
         """Whether adding src -> dst to this graph, if acyclic, would
@@ -572,13 +585,9 @@ class DependencyGraph:
         `weight(v)` over the vertices v of such a path, the sink left
         out: of a path whose largest weight is least (weights are int
         bitmasks, compared as numbers). A sink maps to 0, and the
-        vertices come in the order of their unions. One backward search,
-        over predecessor lists built for it: only the search's dead ends
-        ask this (see the `tableau` docstring)."""
-        preds: dict[GroundAtom, list[GroundAtom]] = {}
-        for src, targets in self._succ.items():
-            for dst in targets:
-                preds.setdefault(dst, []).append(src)
+        vertices come in the order of their unions. One backward search
+        over the predecessor lists (see the `tableau` docstring)."""
+        preds = self._pred
         order = itertools.count()
         heap = [(0, next(order), v) for v in sinks]
         found: dict[GroundAtom, int] = {}
@@ -587,7 +596,7 @@ class DependencyGraph:
             if v in found:
                 continue
             found[v] = mask
-            for u in preds.get(v, ()):
+            for u in preds[v]:
                 if u not in found:
                     heapq.heappush(heap, (mask | weight(u), next(order), u))
         return found
@@ -688,9 +697,10 @@ class ForestState:
         precondition of the class only if its caller does: the engines
         fill only a child just made and the arc to it."""
         self.ct[key] = set(content)
-        succ = self.g._succ
+        succ, pred = self.g._succ, self.g._pred
         for atom in atoms:
             succ[atom] = []
+            pred[atom] = []
         if atoms and key.__class__ is NodeId:
             self.g._by_node.setdefault(key, []).extend(atoms)
         self.trail.push(self._undo_fill, (key, atoms))
@@ -699,9 +709,10 @@ class ForestState:
         """Undo `fill` of the key and atoms in `filled`."""
         key, atoms = filled
         del self.ct[key]
-        succ = self.g._succ
+        succ, pred = self.g._succ, self.g._pred
         for atom in atoms:
             del succ[atom]
+            del pred[atom]
         if atoms and key.__class__ is NodeId:
             del self.g._by_node[key][-len(atoms):]
 

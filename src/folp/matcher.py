@@ -27,13 +27,13 @@ audit searches the whole graph once more. A graft copies contents and
 arcs in a fixed order, so where it stops on a clash does not depend on
 set iteration order.
 
-Each graft of a unit onto a node x is compiled once per unit cache
-(`_graft_plan`): the cache's `grafts` table (`units.UnitCache`) keeps
-the successor nodes, each content as sorted entries with the ground
-atoms of its positive entries, and the ground dependency arcs. Like
-the direct engine's instances, the plans hold in every structure that
-reads the cache, over all the queries it serves, and need no trail
-entries, because a plan reads nothing of the state: x is grafted at most once and has no children before its
+Each graft of a unit onto a node x is compiled once per engine call
+(`_graft_plan`): the `grafts` table of the call (`tableau.CallTables`)
+keeps the successor nodes, each content as sorted entries with the
+ground atoms of its positive entries, and the ground dependency arcs.
+Like the direct engine's instances, the plans hold in every structure
+of the call and need no trail entries, because a plan reads nothing of
+the state: x is grafted at most once and has no children before its
 graft, so its tree successors are always x.1 ... x.n, also after
 backtracking, and a constant stands for itself. A graft then copies
 the plan. x's root content goes in entry by entry, through `insert`,
@@ -47,15 +47,14 @@ contents, and acyclic arcs that leave atoms over its root and end at
 its positive entries. `units.load_cache` rejects a cache whose units
 break this.
 
-The candidate list of a match is kept on the cache too: its `matches`
-table maps (x, ct(x), whether the depth bound forbids a child of x) to
-whether that bound left a covering unit out and the alternatives of
-the others (`_match_entry`). The list reads only x, an operand of each
-alternative, its content, the cache's `candidates_for` order and the
-flag, so it holds in every structure that reads the cache; an
-alternative's step (`_match`) calls the `_apply_match` of the structure
-the search passes. Each `match` still adds the list's length to
-`units_tried` and sets `pruned` from the entry, as a fresh scan would.
+The candidate list of a match is kept per engine call too: the
+`matches` table of the call maps (x, ct(x), whether the depth bound
+forbids a child of x) to whether that bound left a covering unit out
+and the alternatives of the others (`_match_entry`). The list reads
+only x, an operand of each alternative, its content, the cache's
+`candidates_for` order and the flag, so it holds in every structure of
+the call. Each `match` still adds the list's length to `units_tried`
+and sets `pruned` from the entry, as a fresh scan would.
 The fail-fast test after a graft reads the same entries: a successor
 that no unit can cover is one whose entry has no alternative and was
 not pruned, or, once `pruned` is set, has no alternative at all
@@ -222,10 +221,9 @@ class A2CompletionStructure(CompletionStructure):
             self.count_children(x, len(uc.tree_successors))
             return None
         plan_key = (id(uc), x)
-        grafts = self.cache.grafts
-        plan = grafts.get(plan_key)
+        plan = self.tables.grafts.get(plan_key)
         if plan is None:
-            plan = grafts[plan_key] = self._graft_plan(x, uc)
+            plan = self.tables.grafts[plan_key] = self._graft_plan(x, uc)
         root_content, steps, arcs, targets, nodes, _ = plan
         self.grafted.add(x)
         self.trail.push(self.grafted.discard, x)
@@ -266,7 +264,7 @@ class A2CompletionStructure(CompletionStructure):
         constant's node content, which goes in entry by entry, and (key,
         content, positive atoms) for a fresh arc or child, which `fill`
         gives its whole content. `expand_cs` keeps each plan in the
-        cache's `grafts` table under the unit's identity and x, because
+        call's `grafts` table under the unit's identity and x, because
         the unit's dataclass hash walks its frozensets; the plan holds
         the unit, so the identity is not reused while the key is in
         use."""
@@ -385,16 +383,17 @@ class A2CompletionStructure(CompletionStructure):
         """Whether the depth bound drops a unit that covers x (root fits
         x, root content includes `content`, ct(x) when None), and the
         alternatives of the others, least constraining first. Built on
-        the first lookup in the cache's `matches` table (see the module
+        the first lookup in the call's `matches` table (see the module
         docstring)."""
         too_deep = self.max_depth is not None and x.depth + 1 > self.max_depth
         if content is None:
             content = self.content_of_node(x)
         key = (x, content, too_deep)
-        matches = self.cache.matches
+        matches = self.tables.matches
         entry = matches.get(key)
         if entry is None:
             constant = x.root if self.forest.is_constant_node(x) else None
+            step = self.__class__._apply_match
             pruned, alternatives = False, []
             for uc in self.cache.candidates_for(constant):
                 if not content <= uc.root_content:
@@ -403,7 +402,7 @@ class A2CompletionStructure(CompletionStructure):
                     pruned = True
                     continue
                 alternatives.append(
-                    Alternative("match {} with unit {}", (x, uc.sort_key[:3]), _match, (x, uc))
+                    Alternative("match {} with unit {}", (x, uc.sort_key[:3]), step, (x, uc))
                 )
             entry = matches[key] = (pruned, alternatives)
         return entry
@@ -492,13 +491,6 @@ class A2CompletionStructure(CompletionStructure):
 # how `_graft_plan` makes a successor: a new tree child, or an extra arc
 # to a constant
 _CHILD, _EXTRA = "child", "extra"
-
-
-def _match(cs: A2CompletionStructure, x: NodeId, uc: UnitCompletionStructure) -> None:
-    """The step of a match alternative: `_apply_match` of the structure
-    the search passes. The cache's match lists outlive their structures,
-    and tests substitute the engine class."""
-    cs._apply_match(x, uc)
 
 
 def _uncovered_clash(node: NodeId, x: NodeId) -> ClashError:

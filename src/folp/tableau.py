@@ -52,15 +52,17 @@ alternatives are counted as `skipped`. The exact sets:
   and why the scan found x unblocked: per anonymous ancestor y, one
   entry pair (e in ct(x), not e in ct(y)) or one dependency path from
   an atom over y to a non-free atom over x, whichever has the shallower
-  frames (`_unblocked_reason`, kept at the resume point once read).
+  frames (`_why_unblocked`). A positive task at x that can ground a
+  successor with a fresh child passes the full set instead (below).
 - a2, in a program without constants: the redundancy and no-unit
   clashes of a match of x, and the dead end of x's match, read the
   grafts of x's proper ancestors (`matcher`'s `_chain`).
 
 Every other clash and dead end passes the full set `ALL_FRAMES`, which
 is the chronological step: the redundancy clash of a1 and of the scan,
-a failed completion audit, every a2 clash in a program with constants,
-and the frame under which unit enumeration recorded a unit, whose
+a failed completion audit, the dead end of an a1 positive task at a
+node whose groundings include a fresh child, every a2 clash in a
+program with constants, and the frame under which unit enumeration recorded a unit, whose
 siblings must all be tried. So correctness never rests on a missing
 label. No set is read before the structure's `pruned` flag is set, or
 without a depth bound, as in unit enumeration (`may_jump`): a skipped
@@ -76,7 +78,17 @@ alternative of a frame between j and n, the task of frame n is still
 due at its node x: x exists, stays unblocked (the entry pairs and paths
 read only grow), and a completion needs x's task done; its alternatives
 are the same, each meets the same clash or, by induction over the
-subtrees below it, the same dead end, and `pruned` is already set. So
+subtrees below it, the same dead end, and `pruned` is already set. The
+alternatives are the same because every fact that fixes them is read:
+x's depth, its children and extra arcs, and for a negative task the
+literals of its pending instance, which stays to be refuted however
+many instances a sibling adds. One read is of an absence, which a
+sibling may undo: the groundings of a positive task at x range over x's
+children, so a child that a skipped sibling adds would give the task a
+grounding this branch never tried. Such a task passes the full set
+whenever its groundings include a fresh child; when they do not, the
+depth bound forbids any child of x, and extra arcs change only the
+order of groundings that range over every constant anyway. So
 each skipped sibling meets the same failure: no completion and no unit
 is lost, verdicts, witnesses and unit caches are those of the
 chronological search, and only the statistics fall. `tests/reference.py`
@@ -160,7 +172,8 @@ one engine call (`CallTables`), which every structure of the call reads
 and fills over all depth rounds and root choices; a structure built
 without them, as in unit enumeration, makes its own. An entry reads the
 program and its key, never the state, so it needs no trail entries and
-holds in every structure: rule shapes, the instances above, and
+holds in every structure: rule shapes, the instances above, the graft
+plans and match lists of `a2` (`grafts`, `matches`; see `matcher`), and
 the positive alternatives of an obligation with whether the depth bound
 pruned a grounding of them, keyed by node or arc, predicate, whether
 the bound admits a fresh successor there and, at a node, the successor
@@ -170,10 +183,9 @@ that the groundings read. An
 the structure the search passes, with its operands. So the tables may
 outlive a structure, `release` has only the trail to undo, and a SAT
 witness drops its reference to them. No table outlives its call or is
-kept on the `Program`; the graft plans and match lists of `a2`, which
-read only the unit cache, live on the cache (see `matcher`). Node and
-arc entries share one positive path (`_expand_positive`,
-`_apply_positive`); both ground rule bodies through `_ground_body`.
+kept on the `Program`. Node and arc entries share one positive path
+(`_expand_positive`, `_apply_positive`); both ground rule bodies through
+`_ground_body`.
 
 A positive rule application runs on its ground plan, built on its first
 use in the call. The plan holds the body literals in body order, each
@@ -469,14 +481,18 @@ _Desc = tuple
 
 class CallTables:
     """The tables of one engine call (see the module docstring): rule
-    `shapes`, negative `instances` and `positive` (prunes, alternatives)."""
+    `shapes`, negative `instances`, `positive` (prunes, alternatives),
+    and the compiled engine's `grafts` and `matches` (pruned,
+    alternatives)."""
 
-    __slots__ = ("shapes", "instances", "positive")
+    __slots__ = ("shapes", "instances", "positive", "grafts", "matches")
 
     def __init__(self) -> None:
         self.shapes: dict[Rule, tuple] = {}
         self.instances: dict[tuple, list] = {}
         self.positive: dict[tuple, tuple] = {}
+        self.grafts: dict[tuple, tuple] = {}
+        self.matches: dict[tuple, tuple] = {}
 
 
 class _Application:
@@ -501,6 +517,16 @@ _NO_BODY: _SignedBody = ((), ())
 # a refutation's description by the number of ends of the refuted key:
 # an arc reads (x,y), as `forest.contradiction` writes it
 _REFUTE_AT = {1: ": refute {} at {}", 2: ": refute {} at ({},{})"}
+
+
+def _grounds_fresh(task: Task) -> bool:
+    """Whether a positive task grounds a successor term with a fresh
+    child, so that its alternatives would grow with x's children."""
+    return any(
+        desc[0] == "fresh"
+        for alternative in task.alternatives
+        for desc in alternative.operands[0].binding
+    )
 
 
 def _bindings(
@@ -709,10 +735,6 @@ class A1CompletionStructure(CompletionStructure):
     ):
         super().__init__(program, **options)
         self.st: dict[tuple[Key, Signed], str] = {}
-        # why the resume node is unblocked, once read, and the label of
-        # the frame that moved the point there (see `_unblocked_reason`)
-        self.resume_reason: Optional[int] = 0
-        self.resume_label = 0
         self.handled: dict[tuple[Key, Signed], set] = {}
         if pred is not None:
             self.insert_tracked(self.epsilon, Signed(pred, True))
@@ -1208,12 +1230,17 @@ class A1CompletionStructure(CompletionStructure):
         its depth; x's children and extra arcs, which fix the groundings
         and instances; the entries of a negative task's pending instance
         that decide its alternatives; and why x is unblocked
-        (`_unblocked_reason`). An empty positive list reads no more: it
-        is empty exactly when no rule can ground, which only x's depth
-        decides, for below the bound x has no children."""
+        (`_why_unblocked`). An empty positive list reads no more: it is
+        empty exactly when no rule can ground, which only x's depth
+        decides, for below the bound x has no children. A positive task
+        at x that can ground a successor term with a fresh child also
+        reads that x has no other child, which the sibling of any earlier
+        frame might add: it passes the full set."""
         if not self.may_jump():
             return ALL_FRAMES
         key, sp, made = task.key, task.sp, self.made
+        if sp is not None and sp.positive and key.__class__ is NodeId and _grounds_fresh(task):
+            return ALL_FRAMES
         x = key[0] if key.__class__ is tuple else key
         found = made[x] if x.path else 0
         for y in self.forest.successors(x):
@@ -1222,7 +1249,7 @@ class A1CompletionStructure(CompletionStructure):
             found |= made[key, sp]
             if not sp.positive:
                 found |= self._instance_reads(key, sp)
-        return found | self._unblocked_reason(x)
+        return found | self._why_unblocked(x)
 
     def _instance_reads(self, key: Key, sp: Signed) -> int:
         """The labels of the entries that decide the alternatives of the
@@ -1240,37 +1267,6 @@ class A1CompletionStructure(CompletionStructure):
             if lit_sp in ct.get(lit_key, ()):
                 found |= made[lit_key, lit_sp]
         return found
-
-    def resume_at(self, node: NodeId) -> None:
-        """Move the scan's resume point to `node`, undoably, noting the
-        label of the frame whose step led there (see
-        `_unblocked_reason`)."""
-        self.trail.push(
-            self._set_resume_reason, (self.resume, self.resume_reason, self.resume_label)
-        )
-        self.resume = node
-        self.resume_reason = None
-        self.resume_label = self.label
-
-    def _set_resume_reason(self, old: tuple) -> None:
-        """Undo `resume_at`: put back the point, its reason and label."""
-        self.resume, self.resume_reason, self.resume_label = old
-
-    def _unblocked_reason(self, x: NodeId) -> int:
-        """Why the scan found x unblocked (`_why_unblocked`). At the
-        resume point, the reason is kept once read when all its facts
-        are older than the point's move, made by the frame that led
-        there or below it: they stay while the point does. The shallowest
-        reason has such facts, as x was unblocked when the scan moved
-        the point there."""
-        if x is not self.resume:
-            return self._why_unblocked(x)
-        reason = self.resume_reason
-        if reason is None:
-            reason = self._why_unblocked(x)
-            if reason != ALL_FRAMES and reason.bit_length() <= self.resume_label.bit_length():
-                self.resume_reason = reason
-        return reason
 
     def _lightest_paths_to(self, x: NodeId) -> dict[NodeId, int]:
         """Per node y with a dependency path from an atom over y to a

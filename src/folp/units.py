@@ -391,11 +391,6 @@ class UnitCache:
     checked_for: Optional[str] = field(default=None, init=False, compare=False, repr=False)
     # `candidates_for` per root constant, made on first use
     candidates: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    # the compiled engine's graft plans and match lists, which read only
-    # the units and their keys, shared by every query of the cache (see
-    # `matcher`)
-    grafts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    matches: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def candidates_for(self, constant: Optional[str]) -> list[UnitCompletionStructure]:
         """Units whose root matches a node exactly: anonymous roots fit

@@ -38,8 +38,8 @@ The compiled engine grafts from a plan ground once per unit and node;
 `reference_graft` grafts entry by entry, grounding every atom afresh
 and testing every arc as it goes in (`ReferenceGraftA2`), and
 `checked_grafts_a2` makes every graft both ways and compares them.
-The compiled engine keeps the alternatives of each match per unit
-cache, node, content and depth flag, and its fail-fast test after a graft
+The compiled engine keeps the alternatives of each match per call,
+node, content and depth flag, and its fail-fast test after a graft
 reads the same entries; `checked_matches_a2` compares every match with
 a fresh scan of the cache (`reference_match`) and every fail-fast test
 with `reference_fail_fast`. Neither
@@ -426,12 +426,13 @@ def _restore_stats(stats, state: dict) -> None:
 
 def _state(cs) -> tuple:
     """Copies of what a rule application or a graft changes: contents,
-    dependency arcs (target lists in order), the graph's per-node atom
+    dependency arcs (target and source lists in order), the graph's per-node atom
     buckets, trees, extra arcs, statuses (a1), grafted nodes (a2) and
     the resume point."""
     return (
         {key: frozenset(content) for key, content in cs.ct.items()},
         {atom: tuple(targets) for atom, targets in cs.g._succ.items()},
+        {atom: tuple(sources) for atom, sources in cs.g._pred.items()},
         {node: tuple(atoms) for node, atoms in cs.g._by_node.items() if atoms},
         {node: tuple(children) for node, children in cs.forest._children.items()},
         frozenset(cs.forest._es_set),
@@ -617,17 +618,17 @@ def checked_matches_a2() -> type:
     exactly the clash of `reference_fail_fast`, or none when that gives
     None. `matches` counts the matches, `builds` the entries built,
     `hits` the matches answered by an entry built before, in the same
-    structure or another one that reads the same cache, `fail_fast` the
-    grafts checked and `uncovered` those whose test raised."""
+    structure or another one of the same call, `fail_fast` the grafts
+    checked and `uncovered` those whose test raised."""
 
     class CheckedMatchesA2(A2CompletionStructure):
         matches = builds = hits = fail_fast = uncovered = 0
         successors = None
 
         def _match_entry(self, x, content=None):
-            size = len(self.cache.matches)
+            size = len(self.tables.matches)
             entry = super()._match_entry(x, content)
-            CheckedMatchesA2.builds += len(self.cache.matches) - size
+            CheckedMatchesA2.builds += len(self.tables.matches) - size
             return entry
 
         def match(self, x):

@@ -350,7 +350,7 @@ def test_corpus_is_pinned():
 # corpus, sorted-key JSON: every query's verdict record under both
 # engines, with its redundancy events, units used and DOT witness; the
 # search statistics in it are those of the backjumping search
-SEARCH_RECORDS_SHA256 = "cab8ec52f815c2825badb0027e0be1d8df47cf5190b58561cb04fb3130eec324"
+SEARCH_RECORDS_SHA256 = "367b9ad0a0247851c52709ad49921dd8390660f94bdb518f8e31263c12123ed0"
 
 
 def pinned_workloads(hard, deep, family, entries) -> list:
@@ -418,6 +418,48 @@ def test_backjumps_skip_only_alternatives_that_fail(
     assert search_outputs(workloads, tmp_path) == expected
     print("jumps, alternatives replayed:", checked.jumps, checked.replays)
     assert checked.jumps > 100 and checked.replays > checked.jumps
+
+
+# Small programs whose searches jump where an unsound set would skip an
+# alternative that succeeds, so that the replay check catches it. In
+# the first, the a1 search of q meets dead ends before the depth bound
+# prunes: jumping then would hide the prune. In the second, the root's
+# child, which holds e, is unblocked while the root holds `not e` and
+# then fails for want of a grandchild; with e at the root the child is
+# blocked and p is satisfied, so the child's dead end must keep the
+# root's choice of `not e`, which is why the child is unblocked.
+BACKJUMP_TRAPS = (
+    (
+        "p(X) :- p(X), not q(X), f(X,a), p(a), p(a), f(X,Z), not p(Z).\n"
+        ":- not q(X), not p(X), f(X,Y), f(X,Z), p(Z).\n"
+        "p(b).\n",
+        "q",
+        RedundancyPolicy(k_override=5),
+    ),
+    (
+        "f(X,Y) v not f(X,Y).\n"
+        "e(X) v not e(X).\n"
+        "p(X) :- f(X,Y), g(Y).\n"
+        "g(X) :- f(X,Y), g(Y).\n"
+        "p(X) :- f(X,Y), e(Y).\n"
+        ":- e(X), not p(X).\n",
+        "p",
+        RedundancyPolicy(),
+    ),
+)
+
+
+def test_backjumps_skip_only_alternatives_that_fail_on_the_traps(monkeypatch, tmp_path):
+    """The replay check of `test_backjumps_skip_only_alternatives_that_fail`
+    on `BACKJUMP_TRAPS`, each of whose searches jumps."""
+    checked = checked_backjumps()
+    monkeypatch.setattr(tableau, "Search", checked)
+    for text, pred, policy in BACKJUMP_TRAPS:
+        jumps = checked.jumps
+        program = eliminate_constraints(parse_program(text))
+        ((a1, a2), _) = search_outputs([(program, [pred], policy)], tmp_path)
+        assert a1["verdict"] == a2["verdict"]
+        assert checked.jumps > jumps, text
 
 
 def test_prechecks_answer_as_the_mutating_references(

@@ -129,6 +129,7 @@ def test_fill_and_new_arcs_match_entry_by_entry_inserts_and_undo():
         return (
             {key: frozenset(content) for key, content in state.ct.items()},
             {v: tuple(targets) for v, targets in g._succ.items()},
+            {v: tuple(sources) for v, sources in g._pred.items()},
             {node: tuple(atoms) for node, atoms in g._by_node.items() if atoms},
         )
 

@@ -84,12 +84,10 @@ def test_expand_cs_grafts_the_unit(choice_chain, chain_cache):
     assert cs.find_blocking_pair(child) == x
 
 
-def test_a_graft_plan_is_built_once_per_unit_and_node(membership_t):
+def test_a_graft_plan_is_built_once_per_unit_and_node(membership_t, membership_cache):
     """Grafting a unit onto a node again after backtracking reuses its
-    plan, which the cache keeps, and gives the same state; another node
-    gets a plan of its own."""
-    cache = compile_units(membership_t).cache
-    cs = A2CompletionStructure(membership_t, cache, pred="smember")
+    plan and gives the same state; another node gets a plan of its own."""
+    cs = A2CompletionStructure(membership_t, membership_cache, pred="smember")
     x = cs.epsilon
     (unit, *_) = entry_units(cs, x)
     mark = cs.trail.mark()
@@ -100,17 +98,17 @@ def test_a_graft_plan_is_built_once_per_unit_and_node(membership_t):
     assert cs.expand_cs(x, unit) == first
     assert {key: frozenset(content) for key, content in cs.ct.items()} == contents
     assert list(cs.g.arcs()) == arcs
-    assert len(cache.grafts) == 1
+    assert len(cs.tables.grafts) == 1
     child = first[0]
     assert not child.is_root
     cs.expand_cs(child, entry_units(cs, child)[0])
-    assert len(cache.grafts) == 2
+    assert len(cs.tables.grafts) == 2
 
 
 def test_a_match_list_is_built_once_per_node_content_and_depth_flag(hard, monkeypatch):
-    """The cache keeps the alternatives of each (node, content, depth
-    flag), built once and shared by the structures of every call, and
-    answers every other match of the same key from them. The fail-fast test
+    """One engine call builds the alternatives of each (node, content,
+    depth flag) once, shares them between its structures, and answers
+    every other match of the same key from them. The fail-fast test
     after a graft reads the same table, so the cache's unit lists are
     scanned only to build its entries."""
     builds, calls, structures, made = Counter(), Counter(), {}, iter(range(1000))
@@ -124,9 +122,9 @@ def test_a_match_list_is_built_once_per_node_content_and_depth_flag(hard, monkey
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             self.number = next(made)
-            # the structures share the cache's table
-            if type(self.cache.matches) is dict:
-                self.cache.matches = CountingTable(self.cache.matches)
+            # the structures of the call share its tables
+            if type(self.tables.matches) is dict:
+                self.tables.matches = CountingTable(self.tables.matches)
 
         def match(self, x):
             calls[x] += 1
@@ -145,20 +143,22 @@ def test_a_match_list_is_built_once_per_node_content_and_depth_flag(hard, monkey
     assert any(len(numbers) > 1 for numbers in structures.values())
 
 
-def test_graft_plans_and_match_lists_serve_every_query_of_the_cache(membership_t):
-    """The cache, not the engine call or its witness, keeps the graft
-    plans and match lists: a second query of the same cache builds no
-    plan or list the first one built, and a kept witness drops the
-    tables of its call and the labels of its search."""
-    cache = compile_units(membership_t).cache
-    verdict = check_sat_a2(membership_t, "smember", cache)
+def test_a_sat_witness_keeps_no_graft_plans(membership_t, membership_cache, monkeypatch):
+    """The plans serve only the search, so a kept witness drops the
+    tables of its call, which hold them."""
+    kept = []
+
+    class Recording(A2CompletionStructure):
+        def keep_as_witness(self):
+            kept.append(len(self.tables.grafts))
+            super().keep_as_witness()
+
+    monkeypatch.setattr(matcher, "A2CompletionStructure", Recording)
+    verdict = check_sat_a2(membership_t, "smember", membership_cache)
     assert verdict.kind is VerdictKind.SAT
-    assert verdict.witness.tables is None and not verdict.witness.made
-    plans, lists = dict(cache.grafts), dict(cache.matches)
-    assert plans and lists
-    assert check_sat_a2(membership_t, "smember", cache).kind is VerdictKind.SAT
-    assert all(cache.grafts[key] is plan for key, plan in plans.items())
-    assert all(cache.matches[key] is entry for key, entry in lists.items())
+    assert kept[0] > 0 and verdict.witness.tables is None
+    # nor the labels of its search
+    assert not verdict.witness.made
 
 
 def test_expand_cs_requires_local_satisfaction(choice_chain, chain_cache):
