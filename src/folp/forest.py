@@ -60,8 +60,6 @@ thread-safe across tasks.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from functools import total_ordering
 from typing import Any, Callable, Iterable, Iterator, Optional, Union
 
@@ -443,7 +441,7 @@ class DependencyGraph:
     Every reachability query runs `_reach`, one depth-first search from
     a set of sources that stops at the first sink; nothing is memoized
     between queries. Each vertex also keeps its predecessors, in arc
-    order, for the backward searches of `lightest_paths`."""
+    order, for the backward searches of `path_labels`."""
 
     def __init__(self, trail: Trail):
         self.trail = trail
@@ -578,27 +576,21 @@ class DependencyGraph:
                     stack.append(nxt)
         return False
 
-    def lightest_paths(
-        self, sinks: Iterable[GroundAtom], weight: Callable[[GroundAtom], int]
-    ) -> dict[GroundAtom, int]:
+    def path_labels(self, sinks: Iterable[GroundAtom], labels: dict) -> dict[GroundAtom, int]:
         """For every vertex with a path to one of `sinks`, the union of
-        `weight(v)` over the vertices v of such a path, the sink left
-        out: of a path whose largest weight is least (weights are int
-        bitmasks, compared as numbers). A sink maps to 0, and the
-        vertices come in the order of their unions. One backward search
-        over the predecessor lists (see the `tableau` docstring)."""
+        `labels.get(v, 0)` over the vertices v of one such path with the
+        fewest arcs, the sink left out; a sink maps to 0. One
+        breadth-first search backward over the predecessor lists, so the
+        vertices come nearest first (see the `tableau` docstring)."""
         preds = self._pred
-        order = itertools.count()
-        heap = [(0, next(order), v) for v in sinks]
-        found: dict[GroundAtom, int] = {}
-        while heap:
-            mask, _, v = heapq.heappop(heap)
-            if v in found:
-                continue
-            found[v] = mask
+        found = dict.fromkeys(sinks, 0)
+        queue = list(found)
+        for v in queue:
+            mask = found[v]
             for u in preds[v]:
                 if u not in found:
-                    heapq.heappush(heap, (mask | weight(u), next(order), u))
+                    found[u] = mask | labels.get(u, 0)
+                    queue.append(u)
         return found
 
     def has_cycle(self) -> bool:

@@ -42,8 +42,8 @@ alternatives are counted as `skipped`. The exact sets:
   the plan check of `_apply_positive`): the entry it negates, unless the
   same step entered that first. a1 dependency cycle
   (`forest.dependency_cycle`, from `add_dependency` or the plan check):
-  a path that the refused arc would close, the one whose deepest frame
-  is shallowest (`DependencyGraph.lightest_paths`).
+  a path that the refused arc would close, one with the fewest arcs
+  (`DependencyGraph.path_labels`).
 - a1 dead end of a task at x, including the empty alternative lists of
   `_expand_positive` and `_expand_negative`: the task's entry; x's
   creation, which fixes its depth; x's children and extra arcs, which
@@ -1201,8 +1201,9 @@ class A1CompletionStructure(CompletionStructure):
         """`bit` and the labels of the facts a contradiction or a cycle
         read: the entry that the refused one negates, unless the step
         itself was to enter it first, or a path that the refused arc
-        would close, the one whose deepest frame is shallowest. The full
-        set for every other clash."""
+        would close, one with the fewest arcs. The full set for every
+        other clash. The dependency arcs from an atom are labelled by
+        the application that expanded it, which made them."""
         if not self.may_jump():
             return ALL_FRAMES
         kind = clash.kind
@@ -1216,13 +1217,8 @@ class A1CompletionStructure(CompletionStructure):
             src, dst = clash.subject
             if src is dst:
                 return bit
-            return bit | self.g.lightest_paths((src,), self._arc_label)[dst]
+            return bit | self.g.path_labels((src,), self.made)[dst]
         return ALL_FRAMES
-
-    def _arc_label(self, atom: GroundAtom) -> int:
-        """The label of the dependency arcs from `atom`, made by the
-        application that expanded it."""
-        return self.made.get(atom, 0)
 
     def dead_end(self, task: Task) -> int:
         """The labels of what fixed that `task` is due at its node x and
@@ -1268,15 +1264,15 @@ class A1CompletionStructure(CompletionStructure):
                 found |= made[lit_key, lit_sp]
         return found
 
-    def _lightest_paths_to(self, x: NodeId) -> dict[NodeId, int]:
+    def _paths_to(self, x: NodeId) -> dict[NodeId, int]:
         """Per node y with a dependency path from an atom over y to a
-        non-free atom over x, the labels of such a path whose deepest
-        frame is shallowest (`DependencyGraph.lightest_paths`, which
-        lists the atoms lightest first)."""
+        non-free atom over x, the labels of one such path with the
+        fewest arcs (`DependencyGraph.path_labels`, which lists the
+        atoms nearest first)."""
         g = self.g
         sinks = [a for a in g.unary_atoms(x) if a.pred not in self.free_preds]
         reach: dict[NodeId, int] = {}
-        for atom, mask in g.lightest_paths(sinks, self._arc_label).items():
+        for atom, mask in g.path_labels(sinks, self.made).items():
             if len(atom.args) == 1:
                 reach.setdefault(atom.args[0], mask)
         return reach
@@ -1309,7 +1305,7 @@ class A1CompletionStructure(CompletionStructure):
                 )
             if best != 0:
                 if reach is None:
-                    reach = self._lightest_paths_to(x)
+                    reach = self._paths_to(x)
                 path = reach.get(y)
                 if path is not None and (best is None or path < best):
                     best = path

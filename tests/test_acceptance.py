@@ -398,28 +398,6 @@ def test_every_query_record_is_pinned(hard, deep, family, corpus_run, tmp_path):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SEARCH_RECORDS_SHA256
 
 
-def test_backjumps_skip_only_alternatives_that_fail(
-    hard, deep, family, corpus_run, monkeypatch, tmp_path
-):
-    """Backjumping skips only alternatives that the chronological search
-    would exhaust: at every jump of either engine and of unit
-    enumeration, each untried alternative of each frame the jump leaves
-    is run by the chronological search (`checked_backjumps`), and fails,
-    records no unit and leaves `pruned` as it was. Checked on every
-    query of the workloads and of `programs/*.folp`; the answers, units
-    and witnesses are those of the unchecked search."""
-    programs = [load(path.name) for path in sorted(PROGRAMS.glob("*.folp"))]
-    workloads = pinned_workloads(hard, deep, family, corpus_run[0]) + [
-        (eliminate_constraints(p), p.upreds, RedundancyPolicy()) for p in programs
-    ]
-    expected = search_outputs(workloads, tmp_path)
-    checked = checked_backjumps()
-    monkeypatch.setattr(tableau, "Search", checked)
-    assert search_outputs(workloads, tmp_path) == expected
-    print("jumps, alternatives replayed:", checked.jumps, checked.replays)
-    assert checked.jumps > 100 and checked.replays > checked.jumps
-
-
 # Small programs whose searches jump where an unsound set would skip an
 # alternative that succeeds, so that the replay check catches it. In
 # the first, the a1 search of q meets dead ends before the depth bound
@@ -449,17 +427,30 @@ BACKJUMP_TRAPS = (
 )
 
 
-def test_backjumps_skip_only_alternatives_that_fail_on_the_traps(monkeypatch, tmp_path):
-    """The replay check of `test_backjumps_skip_only_alternatives_that_fail`
-    on `BACKJUMP_TRAPS`, each of whose searches jumps."""
+def test_backjumps_skip_only_alternatives_that_fail(
+    hard, deep, family, corpus_run, monkeypatch, tmp_path
+):
+    """Backjumping skips only alternatives that the chronological search
+    would exhaust: at every jump of either engine and of unit
+    enumeration, each untried alternative of each frame the jump leaves
+    is run by the chronological search (`checked_backjumps`), and fails,
+    records no unit and leaves `pruned` as it was. Checked on every
+    query of the workloads and of `programs/*.folp`, and on
+    `BACKJUMP_TRAPS`; the answers, units and witnesses are those of the
+    unchecked search."""
+    programs = [load(path.name) for path in sorted(PROGRAMS.glob("*.folp"))]
+    workloads = pinned_workloads(hard, deep, family, corpus_run[0]) + [
+        (eliminate_constraints(p), p.upreds, RedundancyPolicy()) for p in programs
+    ] + [
+        (eliminate_constraints(parse_program(text)), [pred], policy)
+        for text, pred, policy in BACKJUMP_TRAPS
+    ]
+    expected = search_outputs(workloads, tmp_path)
     checked = checked_backjumps()
     monkeypatch.setattr(tableau, "Search", checked)
-    for text, pred, policy in BACKJUMP_TRAPS:
-        jumps = checked.jumps
-        program = eliminate_constraints(parse_program(text))
-        ((a1, a2), _) = search_outputs([(program, [pred], policy)], tmp_path)
-        assert a1["verdict"] == a2["verdict"]
-        assert checked.jumps > jumps, text
+    assert search_outputs(workloads, tmp_path) == expected
+    print("jumps, alternatives replayed:", checked.jumps, checked.replays)
+    assert checked.jumps > 100 and checked.replays > checked.jumps
 
 
 def test_prechecks_answer_as_the_mutating_references(
