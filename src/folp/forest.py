@@ -545,11 +545,6 @@ class DependencyGraph:
         sinks = {a for a in self._by_node.get(x, ()) if a.pred not in free_preds}
         return bool(sinks) and self._reach(sources, sinks)
 
-    def node_reaches(self, y: NodeId, sinks: set) -> bool:
-        """Whether some atom p(y) reaches an atom of `sinks`."""
-        sources = self._by_node.get(y)
-        return bool(sources) and bool(sinks) and self._reach(sources, sinks)
-
     def reaches_node(self, sources: Iterable[GroundAtom], x: NodeId) -> bool:
         """Whether some vertex among `sources` reaches a unary atom over x."""
         sinks = self._by_node.get(x)

@@ -63,20 +63,6 @@ scan reaches it, or the branch fails before; with `pruned` already set
 failing early changes no verdict. The test neither counts units nor
 sets `pruned`.
 
-In a program without constants a graft that would end in that test is
-refuted before it changes anything (`_doomed_successor`). The test's
-successor is a fresh tree child y with the unit's node content, so its
-match entry is known before the graft. x blocks y exactly when the
-unit's own `blocked` flag says so, as x's arcs will be the unit's. A
-proper ancestor z of x blocks y when ct(z) includes y's content and no
-atom over z reaches y: before the graft no arc leaves an atom over x,
-so every path from z to y reaches some p(x) through present arcs and
-goes on along the unit's arcs, that is, with (p, q) in y's path set
-(`_blocked_by_ancestor`). `UnitCache.verify` checks the path sets and
-flags of a loaded unit against its arcs. The refuted graft records the
-graft's node statistics and raises the clash the test would raise, for
-the same successor.
-
 Backjumping (see the `tableau` module docstring): without constants a
 node is touched only by its parent's graft and its own, so the
 redundancy and no-unit clashes of the match of x and the dead end of
@@ -184,11 +170,7 @@ class A2CompletionStructure(CompletionStructure):
     # -- the Match rule --------------------------------------------------
 
     def expand_cs(
-        self,
-        x: NodeId,
-        uc: UnitCompletionStructure,
-        equal: Optional[int] = None,
-        refuted: bool = False,
+        self, x: NodeId, uc: UnitCompletionStructure, equal: Optional[int] = None
     ) -> Optional[tuple[NodeId, ...]]:
         """Graft the unit onto x: copy successors, contents, and
         dependency arcs under the relabeling of the unit root to x, by
@@ -197,8 +179,7 @@ class A2CompletionStructure(CompletionStructure):
         contradicting content entry or cycle-closing arc. Returns None
         instead, with only the graft's node statistics recorded, when
         `_redundant_graft` finds that the graft would end in the
-        redundancy clash at x, or when the caller found it `refuted`
-        (`_doomed_successor`). `equal` is the number of proper ancestors
+        redundancy clash at x. `equal` is the number of proper ancestors
         of x that hold the unit's root content, counted here when not
         given. Only an x with k or more proper ancestors, as many as its
         path has steps, is counted and pre-checked: a shallower graft
@@ -213,13 +194,12 @@ class A2CompletionStructure(CompletionStructure):
             )
         if not self.content(x) <= uc.root_content:
             raise ValueError(f"unit does not locally satisfy the content of {x}")
-        if len(x.path) >= self.k and not refuted:
+        if len(x.path) >= self.k:
             if equal is None:
                 equal = self.count_equal_ancestors(x, uc.root_content)
-            refuted = self._redundant_graft(x, uc, equal)
-        if refuted:
-            self.count_children(x, len(uc.tree_successors))
-            return None
+            if self._redundant_graft(x, uc, equal):
+                self.count_children(x, len(uc.tree_successors))
+                return None
         plan_key = (id(uc), x)
         plan = self.tables.grafts.get(plan_key)
         if plan is None:
@@ -322,49 +302,11 @@ class A2CompletionStructure(CompletionStructure):
                     return False
         return not self.g.reaches_node(uc.constant_targets, x)
 
-    def _doomed_successor(self, x: NodeId, uc: UnitCompletionStructure) -> Optional[NodeId]:
-        """The successor that the fail-fast test would name after grafting
-        the unit onto the ungrafted x below the redundancy bound, decided
-        before the graft (see the module docstring): in a program without
-        constants, the first tree successor that no unit can cover
-        (`_uncovered`) and that neither x (the unit's own `blocked` flag)
-        nor a proper ancestor of x (`_blocked_by_ancestor`) would block.
-        None when every successor passes the test. Reads the state,
-        changes nothing."""
-        if self.forest.constants:
-            return None
-        for succ in uc.successors:
-            node = x.child(succ.target)
-            if succ.blocked or not self._uncovered(node, succ.node_content):
-                continue
-            if not self._blocked_by_ancestor(x, succ):
-                return node
-        return None
-
-    def _blocked_by_ancestor(self, x: NodeId, succ) -> bool:
-        """Whether a proper ancestor z of the ungrafted x would block the
-        tree successor `succ` of a unit grafted onto x: ct(z) includes
-        its content, and no atom over z reaches, in the present graph,
-        an atom p(x) with (p, q) in the successor's path set. Before the
-        graft nothing leaves an atom over x, and the graft's arcs are
-        the unit's, so every path from z to the successor passes such a
-        p(x) and goes on along the unit's own arcs (see the module
-        docstring). Without constants every ancestor is anonymous."""
-        content, ct = succ.node_content, self.ct
-        sinks = None
-        for z in x.ancestors():
-            if content <= ct.get(z, ()):
-                if sinks is None:
-                    sinks = {GroundAtom(p, (x,)) for p, _ in succ.paths}
-                if not self.g.node_reaches(z, sinks):
-                    return True
-        return False
-
-    def _uncovered(self, x: NodeId, content: Optional[frozenset] = None) -> bool:
-        """Whether no unit can ever cover x, of content `content` (ct(x)
-        when None): its match entry has no alternative, and the depth
-        bound left none out, or `pruned` is set already."""
-        pruned, alternatives = self._match_entry(x, content)
+    def _uncovered(self, x: NodeId) -> bool:
+        """Whether no unit can ever cover x: its match entry has no
+        alternative, and the depth bound left none out, or `pruned` is
+        set already."""
+        pruned, alternatives = self._match_entry(x)
         return not alternatives and (self.pruned or not pruned)
 
     def match(self, x: NodeId) -> list[Alternative]:
@@ -377,17 +319,13 @@ class A2CompletionStructure(CompletionStructure):
         self.stats.units_tried += len(alternatives)
         return alternatives
 
-    def _match_entry(
-        self, x: NodeId, content: Optional[frozenset] = None
-    ) -> tuple[bool, list[Alternative]]:
+    def _match_entry(self, x: NodeId) -> tuple[bool, list[Alternative]]:
         """Whether the depth bound drops a unit that covers x (root fits
-        x, root content includes `content`, ct(x) when None), and the
-        alternatives of the others, least constraining first. Built on
-        the first lookup in the call's `matches` table (see the module
-        docstring)."""
+        x, root content includes ct(x)), and the alternatives of the
+        others, least constraining first. Built on the first lookup in
+        the call's `matches` table (see the module docstring)."""
         too_deep = self.max_depth is not None and x.depth + 1 > self.max_depth
-        if content is None:
-            content = self.content_of_node(x)
+        content = self.content_of_node(x)
         key = (x, content, too_deep)
         matches = self.tables.matches
         entry = matches.get(key)
@@ -411,14 +349,11 @@ class A2CompletionStructure(CompletionStructure):
         # one walk serves the pre-check and the bound below: a graft that
         # goes ahead leaves ct(x) equal to the unit's root content; x
         # with fewer than k proper ancestors cannot reach the bound, and
-        # is not walked; below the bound the graft is also refuted when
-        # the fail-fast test after it would fail (`_doomed_successor`)
-        equal = doomed = None
+        # is not walked
+        equal = None
         if len(x.path) >= self.k:
             equal = self.count_equal_ancestors(x, uc.root_content)
-        if equal is None or equal < self.k:
-            doomed = self._doomed_successor(x, uc)
-        successors = self.expand_cs(x, uc, equal, doomed is not None)
+        successors = self.expand_cs(x, uc, equal)
         self.stats.matches += 1
         self.stats.units_used.add(uc.sort_key)
         # refuted (successors None), or grafted: an expanded node's
@@ -428,8 +363,6 @@ class A2CompletionStructure(CompletionStructure):
         # unblocked
         if equal is not None and equal >= self.k:
             raise _of_match(self.redundant(x, equal), x)
-        if doomed is not None:
-            raise _uncovered_clash(doomed, x)
         # Fail fast on successors no unit can ever cover. Sound because an
         # existing node's ancestors are already expanded, so its content
         # and theirs are fixed: an unblocked node can never become

@@ -469,7 +469,8 @@ def _check_unit_justified(unit: UnitCompletionStructure, program: Program) -> No
     every negative one needs each such instance refuted by a body
     literal whose negation the unit holds. Also reject successor path
     sets and blocked flags that the unit's arcs do not give, which the
-    compiled engine's pre-checks read. The unit is rebuilt as a
+    unit's finality and redundancy order read (`is_final`,
+    `is_redundant_ucs`). The unit is rebuilt as a
     structure of the direct engine (`_as_structure`), whose instances
     (`A1CompletionStructure._instances`) are the ones it refutes."""
     cs, token_node = _as_structure(unit, program)

@@ -360,15 +360,13 @@ class ReferenceA2(A2CompletionStructure):
         return False
 
 
-def reference_graft(cs, x, uc, equal=None, refuted=False):
+def reference_graft(cs, x, uc, equal=None):
     """`A2CompletionStructure.expand_cs` entry by entry: after the
-    engine's pre-checks, every content entry goes in through `insert`,
+    engine's pre-check, every content entry goes in through `insert`,
     every unit atom is grounded afresh, and every dependency arc is
     tested as it goes in (`add_dependency`). The equal-ancestor count is
     taken afresh; `equal` is ignored."""
-    if refuted or cs._redundant_graft(
-        x, uc, reference_equal_ancestor_count_of(cs, x, uc.root_content)
-    ):
+    if cs._redundant_graft(x, uc, reference_equal_ancestor_count_of(cs, x, uc.root_content)):
         cs.count_children(x, len(uc.tree_successors))
         return None
     cs.grafted.add(x)
@@ -525,9 +523,7 @@ def checked_refutations_a2() -> type:
     end state are recorded and then undone, then by the engine, which
     must give the same. `matches` counts the matches, `doomed` those the
     reference ends in the redundancy clash at the matched node, and
-    `refuted` those the pre-check (`_redundant_graft`) refuted; a graft
-    that `_doomed_successor` refutes must raise the clash of the whole
-    graft's fail-fast test. Every
+    `refuted` those the pre-check (`_redundant_graft`) refuted. Every
     count the pre-check receives is exact, and every walk the engine's
     match or scan leaves out is checked (`CheckedWalkSkips`) and counted
     in `skips`."""
@@ -535,9 +531,6 @@ def checked_refutations_a2() -> type:
     class CheckedRefutationsA2(CheckedWalkSkips, A2CompletionStructure):
         matches = doomed = refuted = 0
         graft_always = False
-
-        def _doomed_successor(self, x, uc):
-            return None if self.graft_always else super()._doomed_successor(x, uc)
 
         def _redundant_graft(self, x, uc, equal):
             if self.graft_always:
@@ -625,9 +618,9 @@ def checked_matches_a2() -> type:
         matches = builds = hits = fail_fast = uncovered = 0
         successors = None
 
-        def _match_entry(self, x, content=None):
+        def _match_entry(self, x):
             size = len(self.tables.matches)
-            entry = super()._match_entry(x, content)
+            entry = super()._match_entry(x)
             CheckedMatchesA2.builds += len(self.tables.matches) - size
             return entry
 
@@ -646,8 +639,8 @@ def checked_matches_a2() -> type:
             assert self.pruned == (was_pruned or pruned), str(x)
             return alternatives
 
-        def expand_cs(self, x, uc, equal=None, refuted=False):
-            self.successors = super().expand_cs(x, uc, equal, refuted)
+        def expand_cs(self, x, uc, equal=None):
+            self.successors = super().expand_cs(x, uc, equal)
             return self.successors
 
         def _apply_match(self, x, uc):
@@ -659,10 +652,8 @@ def checked_matches_a2() -> type:
             except ClashError as err:
                 clash = err
             successors, self.successors = self.successors, None
-            # a clash inside the graft, or a graft refuted before it
-            # (`checked_refutations_a2` compares those with the whole
-            # graft), leaves no successors; a graft at the bound ends in
-            # the redundancy clash before the test
+            # a clash inside the graft leaves no successors; a graft at
+            # the bound ends in the redundancy clash before the test
             if successors is not None and (
                 len(x.path) < self.k
                 or reference_equal_ancestor_count_of(self, x, uc.root_content) < self.k
@@ -693,18 +684,16 @@ def checked_grafts_a2() -> type:
             CheckedGraftsA2.builds += 1
             return super()._graft_plan(x, uc)
 
-        def expand_cs(self, x, uc, equal=None, refuted=False):
+        def expand_cs(self, x, uc, equal=None):
             cls = CheckedGraftsA2
             cls.grafts += 1
             nodes = []
             reference = _reference_outcome(
-                self, lambda: nodes.append(reference_graft(self, x, uc, refuted=refuted))
+                self, lambda: nodes.append(reference_graft(self, x, uc))
             )
             builds = cls.builds
             clash = _checked_outcome(
-                self,
-                lambda: nodes.append(super(cls, self).expand_cs(x, uc, equal, refuted)),
-                reference,
+                self, lambda: nodes.append(super(cls, self).expand_cs(x, uc, equal)), reference
             )
             went_ahead = clash is not None or nodes[1] is not None
             cls.plan_hits += went_ahead and cls.builds == builds
