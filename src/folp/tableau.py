@@ -62,8 +62,8 @@ Every other clash and dead end passes the full set `ALL_FRAMES`, which
 is the chronological step: the redundancy clash of a1 and of the scan,
 a failed completion audit, the dead end of an a1 positive task at a
 node whose groundings include a fresh child, every a2 clash in a
-program with constants, and the frame under which unit enumeration recorded a unit, whose
-siblings must all be tried. So correctness never rests on a missing
+program with constants, and the frame under which unit enumeration
+recorded a unit, whose siblings must all be tried. So correctness never rests on a missing
 label. No set is read before the structure's `pruned` flag is set, or
 without a depth bound, as in unit enumeration (`may_jump`): a skipped
 subtree could otherwise hide the prune that decides between UNSAT and
@@ -81,8 +81,9 @@ are the same, each meets the same clash or, by induction over the
 subtrees below it, the same dead end, and `pruned` is already set. The
 alternatives are the same because every fact that fixes them is read:
 x's depth, its children and extra arcs, and for a negative task the
-literals of its pending instance, which stays to be refuted however
-many instances a sibling adds. One read is of an absence, which a
+literals of its first pending instance; an instance that a sibling adds
+changes which instance comes first, but the one whose refutations all
+failed still has to be refuted. One read is of an absence, which a
 sibling may undo: the groundings of a positive task at x range over x's
 children, so a child that a skipped sibling adds would give the task a
 grounding this branch never tried. Such a task passes the full set
