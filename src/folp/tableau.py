@@ -87,9 +87,10 @@ failed still has to be refuted. One read is of an absence, which a
 sibling may undo: the groundings of a positive task at x range over x's
 children, so a child that a skipped sibling adds would give the task a
 grounding this branch never tried. Such a task passes the full set
-whenever its groundings include a fresh child; when they do not, the
-depth bound forbids any child of x, and extra arcs change only the
-order of groundings that range over every constant anyway. So
+whenever its groundings include a fresh child; when they do not, no
+grounding ranges over x's children or the depth bound forbids any
+child of x, and extra arcs change only the order of groundings that
+range over every constant anyway. So
 each skipped sibling meets the same failure: no completion and no unit
 is lost, verdicts, witnesses and unit caches are those of the
 chronological search, and only the statistics fall. `tests/reference.py`
