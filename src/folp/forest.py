@@ -7,10 +7,12 @@ each tree in preorder, has one step, `ExtendedForest.next_node`, O(depth)
 from any node; `nodes` walks it.
 
 The graph indexes its unary atoms by node, so a blocking check reads the
-atoms of two nodes without scanning every vertex. It keeps no
-reachability memo: every question, whether a new arc would close a
-cycle or whether an ancestor's atoms reach a node's, is one search
-from a set of sources to a set of sinks. The engines keep the graph
+atoms of a node without scanning every vertex. It keeps no
+reachability memo: every question is one search. Whether a new arc
+would close a cycle is a forward search from a set of sources to a set
+of sinks; which vertices reach a node's atoms (blocking), and along
+which labels (`path_labels`), is a backward search over the
+predecessor lists from those atoms. The engines keep the graph
 acyclic. The direct engine tests every arc of a rule application with
 `closes_cycle` before any of its mutations, then adds them untested.
 The compiled engine adds a graft's arcs untested, in one step
@@ -21,11 +23,14 @@ completion audits.
 
 Blocking is not memoized: `is_blocked` derives it afresh and writes
 nothing. The task scan asks about it only at nodes after its resume
-point (the `tableau` docstring gives the argument), and
-`find_blocking_pair` asks `DependencyGraph.connects`, one search from
-all atoms of the candidate blocker, instead of building the path set
-pair by pair. The equal-content ancestor count is one walk over the
-ancestors.
+point (the `tableau` docstring gives the argument). `find_blocking_pair`
+makes at most one graph search per call, `DependencyGraph.reaching`
+backward from x's non-free atoms, when it first meets a candidate
+ancestor that has atoms; a candidate is connected to x when one of its
+atoms is in that set. Almost no call finds a blocker, so this replaces
+one forward search from each candidate's atoms, and the path set is
+never built pair by pair. The equal-content ancestor count is one walk
+over the ancestors.
 
 Node ids, signed predicates and ground atoms are interned: one value is
 one object, made on first use and kept in a module table, so `==` and
@@ -47,7 +52,8 @@ it. Where the engines iterate such sets:
 - blocking, `A2CompletionStructure._match_entry` (keyed by the frozen
   content, which hashes alike in any order), the refutation ledgers,
   the grafted set and the extra-arc set only test subsets and
-  membership;
+  membership, and `find_blocking_pair` reads the set that `reaching`
+  returns (filled by walking lists) for membership only;
 - `paths_set` walks the per-node atom buckets, lists in insertion order,
   and returns predicate-name pairs, which `units._snapshot` sorts;
   `_reach` walks lists and keeps its `seen` set for membership only;
@@ -438,10 +444,13 @@ class DependencyGraph:
     Unary atoms are also kept in per-node buckets, in insertion order, so
     the atoms of one node are found without a scan of all vertices.
 
-    Every reachability query runs `_reach`, one depth-first search from
-    a set of sources that stops at the first sink; nothing is memoized
-    between queries. Each vertex also keeps its predecessors, in arc
-    order, for the backward searches of `path_labels`."""
+    Each vertex keeps its successors and its predecessors, in arc order.
+    A forward query (`reaches`, `reaches_node`) runs `_reach`, one
+    depth-first search from a set of sources that stops at the first
+    sink. A backward one starts at a set of sinks and collects every
+    vertex with a path to them: `reaching` for blocking, `path_labels`
+    with the labels of one shortest path. Nothing is memoized between
+    queries."""
 
     def __init__(self, trail: Trail):
         self.trail = trail
@@ -535,15 +544,20 @@ class DependencyGraph:
             if self.reaches(p, q)
         }
 
-    def connects(self, y: NodeId, x: NodeId, free_preds: frozenset[str]) -> bool:
-        """Whether `paths_set(y, x, free_preds)` is non-empty: one search
-        from all atoms p(y) at once, stopping at the first q(x) with q not
-        free."""
-        sources = self._by_node.get(y)
-        if not sources:
-            return False
-        sinks = {a for a in self._by_node.get(x, ()) if a.pred not in free_preds}
-        return bool(sinks) and self._reach(sources, sinks)
+    def reaching(self, x: NodeId, free_preds: frozenset[str]) -> set[GroundAtom]:
+        """The vertices with a path to an atom q(x), q not free, those
+        atoms included: one search backward over the predecessor lists.
+        `paths_set(y, x, free_preds)` is non-empty exactly when an atom
+        over y is in it."""
+        preds = self._pred
+        stack = [a for a in self._by_node.get(x, ()) if a.pred not in free_preds]
+        found = set(stack)
+        while stack:
+            for u in preds[stack.pop()]:
+                if u not in found:
+                    found.add(u)
+                    stack.append(u)
+        return found
 
     def reaches_node(self, sources: Iterable[GroundAtom], x: NodeId) -> bool:
         """Whether some vertex among `sources` reaches a unary atom over x."""
@@ -730,16 +744,24 @@ class ForestState:
 
     def find_blocking_pair(self, x: NodeId) -> Optional[NodeId]:
         """Nearest anonymous ancestor y with ct(x) included in ct(y) and an
-        empty non-free path set from y-atoms to x-atoms."""
+        empty non-free path set from y-atoms to x-atoms: y has no atoms,
+        or none in `g.reaching(x)`, which is built once, when the first
+        candidate with atoms is met."""
         ct = self.ct
         constants = self.forest.constants
+        by_node = self.g._by_node
         content_x = ct.get(x, _NO_CONTENT)
+        reaching = None
         for y in x.ancestors():
             if not y.path and y.root in constants:
                 continue
-            if content_x <= ct.get(y, _NO_CONTENT) and not self.g.connects(
-                y, x, self.free_preds
-            ):
+            if content_x <= ct.get(y, _NO_CONTENT):
+                atoms = by_node.get(y)
+                if atoms:
+                    if reaching is None:
+                        reaching = self.g.reaching(x, self.free_preds)
+                    if not reaching.isdisjoint(atoms):
+                        continue
                 return y
         return None
 

@@ -394,8 +394,8 @@ class A2CompletionStructure(CompletionStructure):
 
     def _exact(self) -> bool:
         """Whether the sets are read exactly: in a program without
-        constants, once no skipped subtree can hide a prune."""
-        return not self.forest.constants and self.may_jump()
+        constants, once the depth bound has pruned (see `run_search`)."""
+        return not self.forest.constants and self.pruned
 
     def _chain(self, x: NodeId) -> int:
         """The labels of the grafts of x's proper ancestors: the frames

@@ -121,11 +121,25 @@ class CheckedWalkSkips:
         type(self).skips += 1
 
 
+def reference_blocker(cs, x):
+    """The blocking pair of x by the definition: the nearest anonymous
+    ancestor y with ct(x) included in ct(y) and an empty path set, built
+    pair by pair with `DependencyGraph.reaches` (`paths_set`), where the
+    engines make one backward search (`DependencyGraph.reaching`)."""
+    content = cs.content(x)
+    for y in x.ancestors():
+        if cs.forest.is_constant_node(y):
+            continue
+        if content <= cs.content(y) and not cs.g.paths_set(y, x, cs.free_preds):
+            return y
+    return None
+
+
 def reference_scan(cs, saturated) -> tuple:
-    """The task scan from the first root, uncached: blocking by
-    `find_blocking_pair`, the equal-ancestor count afresh, saturation by
-    `saturated(cs, x)`. Returns the outcome and the nodes read, in
-    order. The outcome is (x, False) for the first unblocked unsaturated
+    """The task scan from the first root, uncached: blocking by the
+    definition (`reference_blocker`), the equal-ancestor count afresh,
+    saturation by `saturated(cs, x)`. Returns the outcome and the nodes
+    read, in order. The outcome is (x, False) for the first unblocked unsaturated
     node x, (x, True) when a saturated unblocked node x before it has k
     or more equal-content ancestors, and (None, False) when there is
     neither; x is the last node read. Every node read must have all its
@@ -134,7 +148,7 @@ def reference_scan(cs, saturated) -> tuple:
     for x in cs.forest.nodes():
         assert all(saturated(cs, y) for y in x.ancestors()), str(x)
         passed.append(x)
-        if cs.find_blocking_pair(x) is not None:
+        if reference_blocker(cs, x) is not None:
             continue
         if not saturated(cs, x):
             return (x, False), passed
@@ -149,12 +163,14 @@ def checked_next_task(cs, saturated, scan):
     the scan), raise the redundancy clash at the same node, or find no
     task. Before the scan, the resume node has no blocking pair, which
     the scan takes for granted, and at every node the reference scan
-    passes the equal-ancestor count is the one a fresh walk gives. The
-    class of `cs` counts the selections in `scans` and the nodes at
-    which the count was compared in `count_checks`."""
-    assert cs.find_blocking_pair(cs.resume) is None, str(cs.resume)
+    passes the engine's blocker (`find_blocking_pair`) is the
+    definition's and the equal-ancestor count is the one a fresh walk
+    gives. The class of `cs` counts the selections in `scans` and the
+    nodes at which both were compared in `count_checks`."""
+    assert reference_blocker(cs, cs.resume) is None, str(cs.resume)
     (expected, clash), passed = reference_scan(cs, saturated)
     for x in passed:
+        assert cs.find_blocking_pair(x) is reference_blocker(cs, x), str(x)
         assert cs.equal_ancestor_count(x) == reference_equal_ancestor_count(cs, x), str(x)
     counts = type(cs)
     counts.scans += 1
@@ -760,16 +776,17 @@ def _replay_succeeds(search, alternative) -> bool:
     """Whether `alternative`, applied to the search's state, heads a
     subtree that the chronological search (`reference_run_search`) does
     not exhaust: one that reaches a structure passing the completion
-    audit, or in unit enumeration any completion, which records a unit.
-    The state, the statistics and the budgets are put back after it,
-    and `pruned` must come out as it went in."""
+    audit. Only an engine's search, which ends at the first such
+    structure, may jump; unit enumeration never does. The state, the
+    statistics and the budgets are put back after it, and `pruned` must
+    come out as it went in."""
     state = search.state
+    ends = state.is_complete_clash_free
+    assert search.on_complete == ends, "unit enumeration jumped"
     saved, pruned = _stats_state(state.stats), state.pruned
     budgets = state.max_tasks, state.deadline
     state.max_tasks = state.deadline = None
     mark = state.trail.mark()
-    audit = state.is_complete_clash_free
-    ends = audit if search.on_complete == audit else (lambda: True)
     try:
         alternative.apply(state)
     except ClashError:
@@ -788,9 +805,9 @@ def checked_backjumps() -> type:
     that checks every jump: before the search moves on, each frame the
     jump leaves is restored, deepest first, and each of its untried
     alternatives is run with the chronological search, which must
-    exhaust it without a completion, without recording a unit and
-    without changing `pruned` (`_replay_succeeds`). `jumps` counts the
-    jumps and `replays` the alternatives run."""
+    exhaust it without a completion and without changing `pruned`
+    (`_replay_succeeds`); unit enumeration must not jump at all. `jumps`
+    counts the jumps and `replays` the alternatives run."""
 
     class CheckedBackjumps(tableau.Search):
         jumps = replays = 0

@@ -431,13 +431,13 @@ def test_backjumps_skip_only_alternatives_that_fail(
     hard, deep, family, corpus_run, monkeypatch, tmp_path
 ):
     """Backjumping skips only alternatives that the chronological search
-    would exhaust: at every jump of either engine and of unit
-    enumeration, each untried alternative of each frame the jump leaves
-    is run by the chronological search (`checked_backjumps`), and fails,
-    records no unit and leaves `pruned` as it was. Checked on every
-    query of the workloads and of `programs/*.folp`, and on
-    `BACKJUMP_TRAPS`; the answers, units and witnesses are those of the
-    unchecked search."""
+    would exhaust: at every jump of either engine, each untried
+    alternative of each frame the jump leaves is run by the
+    chronological search (`checked_backjumps`), and fails and leaves
+    `pruned` as it was; unit enumeration, which has no depth bound and
+    so never prunes, makes no jump. Checked on every query of the
+    workloads and of `programs/*.folp`, and on `BACKJUMP_TRAPS`; the
+    answers, units and witnesses are those of the unchecked search."""
     programs = [load(path.name) for path in sorted(PROGRAMS.glob("*.folp"))]
     workloads = pinned_workloads(hard, deep, family, corpus_run[0]) + [
         (eliminate_constraints(p), p.upreds, RedundancyPolicy()) for p in programs

@@ -241,11 +241,13 @@ def test_reaches_agrees_with_recomputation_across_undo():
                     assert g.reaches(a, b) == naive_reachable(arcs, a, b, vertices)
 
 
-def test_connects_agrees_with_paths_set_across_undo():
-    """The one-search blocking test answers whether the path set is
-    empty, and the path set is a recomputation's, on seeded random graphs
-    over the unary and arc atoms of a few nodes, with free predicates,
-    after every arc insertion and undo."""
+def test_reaching_agrees_with_paths_set_across_undo():
+    """The backward blocking search from x finds exactly the vertices
+    with a path to a non-free atom over x, and meets an atom over y
+    exactly when the path set from y to x is non-empty, and the path set
+    is a recomputation's, on seeded random graphs over the unary and arc
+    atoms of a few nodes, with free predicates, after every arc
+    insertion and undo."""
     rng = random.Random(31)
     nodes = [NodeId("x"), NodeId("x", (1,)), NodeId("x", (1, 1)), NodeId("a")]
     free = frozenset({"r"})
@@ -266,8 +268,13 @@ def test_connects_agrees_with_paths_set_across_undo():
                 g.add_arc(a, b)
                 history.append((trail.mark(), history[-1][1] + [(a, b)]))
             arcs = history[-1][1]
-            for y in nodes:
-                for x in nodes:
+            for x in nodes:
+                reaching = g.reaching(x, free)
+                assert reaching == {
+                    v for v in vertices
+                    if any(naive_reachable(arcs, v, atom(q, x)) for q in "pq")
+                }, x
+                for y in nodes:
                     paths = g.paths_set(y, x, free)
                     assert paths == {
                         (p, q)
@@ -276,7 +283,7 @@ def test_connects_agrees_with_paths_set_across_undo():
                         if naive_reachable(arcs, atom(p, y), atom(q, x))
                     }, (y, x)
                     expected = bool(paths)
-                    assert g.connects(y, x, free) == expected, (y, x)
+                    assert (not reaching.isdisjoint(g.unary_atoms(y))) == expected, (y, x)
                     found += expected
     assert found > 100
 
@@ -364,6 +371,101 @@ def test_blocking_pair_found_and_broken_by_paths():
     assert state.find_blocking_pair(child) == x
     state.g.add_arc(atom("p", x), atom("p", child))
     assert state.find_blocking_pair(child) is None
+
+
+def _chain_state(roots, constants, depth, free=frozenset()):
+    """A state with one chain below the first root, `depth` nodes deep,
+    and the chain's nodes, root first; the graph's backward searches
+    are counted in the state's `searches`."""
+    state = ForestState(roots, constants, free)
+    chain = [NodeId(roots[0])]
+    for _ in range(depth):
+        chain.append(state.forest.add_child(chain[-1]))
+    state.searches = 0
+    reaching = state.g.reaching
+
+    def counted(x, free_preds):
+        state.searches += 1
+        return reaching(x, free_preds)
+
+    state.g.reaching = counted
+    return state, chain
+
+
+def _definition(state, x):
+    """The blocker by the definition, with the path set built pair by pair."""
+    for y in x.ancestors():
+        if state.forest.is_constant_node(y):
+            continue
+        if state.content(x) <= state.content(y) and not state.g.paths_set(
+            y, x, state.free_preds
+        ):
+            return y
+    return None
+
+
+def test_blocking_chain_of_connected_candidates_takes_one_search():
+    """Every ancestor holds ct(x) and reaches x along the chain (the
+    shape of the deep workload): no blocker, from one backward search."""
+    state, chain = _chain_state(["x"], [], 6)
+    p = Signed("p", True)
+    for node in chain:
+        state.insert(node, p)
+    for parent, child in zip(chain, chain[1:]):
+        state.g.add_arc(atom("p", parent), atom("p", child))
+    for x in chain[1:]:
+        searches = state.searches
+        assert state.find_blocking_pair(x) is None is _definition(state, x)
+        assert state.searches == searches + 1
+
+
+def test_blocker_found_past_a_nearer_connected_candidate():
+    state, (x, y, z) = _chain_state(["x"], [], 2)
+    p = Signed("p", True)
+    for node in (x, y, z):
+        state.insert(node, p)
+    state.g.add_arc(atom("p", y), atom("p", z))
+    assert state.find_blocking_pair(z) is x is _definition(state, z)
+    assert state.searches == 1
+    state.g.add_arc(atom("p", x), atom("p", y))  # now x reaches z through y
+    assert state.find_blocking_pair(z) is None is _definition(state, z)
+
+
+def test_blocking_skips_a_constant_root_with_atoms():
+    """The constant root a holds ct(x) and does not reach x, the only
+    anonymous candidate does: no blocker."""
+    state, (a, y, z) = _chain_state(["a"], ["a"], 2)
+    p = Signed("p", True)
+    for node in (a, y, z):
+        state.insert(node, p)
+    state.g.add_arc(atom("p", y), atom("p", z))
+    assert state.find_blocking_pair(z) is None is _definition(state, z)
+    assert state.searches == 1
+
+
+def test_blocking_ignores_paths_into_free_predicates():
+    """A path into an atom of a free predicate over x breaks no pair; a
+    path into any other atom over x does."""
+    state, (x, child) = _chain_state(["x"], [], 1, free=frozenset({"r"}))
+    for node in (x, child):
+        state.insert(node, Signed("p", True))
+        state.insert(node, Signed("r", True))
+    state.g.add_arc(atom("r", x), atom("r", child))
+    state.g.add_arc(atom("p", x), atom("r", child))
+    assert state.find_blocking_pair(child) is x is _definition(state, child)
+    state.g.add_arc(atom("r", x), atom("p", child))
+    assert state.find_blocking_pair(child) is None is _definition(state, child)
+    assert state.searches == 2
+
+
+def test_blocking_candidate_without_atoms_needs_no_search():
+    """A candidate whose content holds only negative entries has no
+    atoms, so no path leaves it: it blocks without a graph search."""
+    state, (x, child) = _chain_state(["x"], [], 1)
+    for node in (x, child):
+        state.insert(node, Signed("p", False))
+    assert state.find_blocking_pair(child) is x is _definition(state, child)
+    assert state.searches == 0
 
 
 def _fresh_order(forest) -> list:
